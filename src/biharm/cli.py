@@ -24,8 +24,8 @@ from .biharmonic import (solve_mixed_closed, solve_mixed_dirichlet,
 from .fem import interpolate
 from .linalg import NotConvergedError, SingularError
 from .mesh import MeshError, max_edge_length, read_obj, write_obj
-from .surfaces import (cap_case, cap_family, cylinder_case, sphere_case,
-                       lantern_family, real_harmonic, sphere_family)
+from .surfaces import (cap_family, lantern_family, real_harmonic,
+                       sphere_family)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,15 +104,8 @@ class StudyConfig:
         raise ConfigError(f"unknown case kind {kind!r}")
 
     def single_case(self):
-        kind = self.case_kind
-        v = self.values
-        if kind == "cap":
-            return cap_case(v["R"], v["theta0"])
-        if kind == "sphere":
-            return sphere_case(v["R"], v["l"], v["m"])
-        if kind == "lantern":
-            return cylinder_case(v["R"], v["H"])
-        raise ConfigError(f"unknown case kind {kind!r}")
+        """The reference surface case, as the case's family carries it."""
+        return self.family().case
 
     def build_single(self, n):
         """Mesh at generator level ``n``, built by the case's family."""

@@ -1,10 +1,10 @@
 """Piecewise-linear finite element assembly on triangle meshes.
 
 Provides the cotangent stiffness matrix, consistent and lumped mass
-matrices, the interior/boundary dof split for homogeneous Dirichlet
-conditions, nodal interpolation, per-face gradients of piecewise-linear
-fields, and the discrete (positive semidefinite) Laplace operator
-v = M^{-1} S u.
+matrices, the mass matrix of the boundary curve, the interior/boundary
+dof split for homogeneous Dirichlet conditions, nodal interpolation,
+per-face gradients of piecewise-linear fields, and the discrete
+(positive semidefinite) Laplace operator v = M^{-1} S u.
 
 Sign convention: the stiffness matrix S is positive semidefinite, so the
 weak form pairs with the geometric Laplacian -div grad.  The constant
@@ -111,6 +111,28 @@ def assemble_mass(mesh, mode="consistent"):
     rows = np.concatenate([i0, i1, i1, i2, i2, i0, i0, i1, i2])
     cols = np.concatenate([i1, i0, i2, i1, i0, i2, i0, i1, i2])
     vals = np.concatenate([off, off, off, off, off, off, diag, diag, diag])
+    return build_csr(rows, cols, vals, (n, n))
+
+
+def assemble_boundary_mass(mesh):
+    """Mass matrix of the hat-function traces on the boundary curve.
+
+    Each boundary edge of length l contributes the 1D element matrix
+    l/6 * [[2,1],[1,2]].  Rows and columns of interior vertices are
+    empty; the entries sum to the boundary length.
+
+    Returns
+    -------
+    scipy.sparse.csr_matrix, shape (n, n)
+    """
+    n = mesh.n_vertices
+    i0, i1 = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+    length = np.linalg.norm(mesh.vertices[i1] - mesh.vertices[i0], axis=1)
+    off = length / 6.0
+    diag = length / 3.0
+    rows = np.concatenate([i0, i1, i0, i1])
+    cols = np.concatenate([i1, i0, i0, i1])
+    vals = np.concatenate([off, off, diag, diag])
     return build_csr(rows, cols, vals, (n, n))
 
 

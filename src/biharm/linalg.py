@@ -2,11 +2,13 @@
 
 Thin layer over scipy.sparse: CSR assembly from triplets, matrix-vector
 products, a Jacobi-preconditioned conjugate gradient solve for symmetric
-positive (semi)definite systems, a sparse LU solve for symmetric
-indefinite saddle point systems, and a dense reference solver used to
-cross-check the sparse paths on small problems.  Every iterative or
-factored solve re-verifies the relative residual of the returned vector
-instead of trusting the backend's convergence flag.
+positive (semi)definite systems, a sparse LU factor of symmetric
+positive definite matrices for callers that reuse it across many
+solves, a sparse LU solve for symmetric indefinite saddle point
+systems, and a dense reference solver used to cross-check the sparse
+paths on small problems.  Every iterative or factored solve re-verifies
+the relative residual of the returned vector instead of trusting the
+backend's convergence flag; callers of the bare factor verify their own.
 """
 
 import numpy as np
@@ -33,7 +35,10 @@ class SolveReport:
     Attributes
     ----------
     method : str
-        Identifier of the algorithm used ("cg" or "sparse_lu").
+        Identifier of the algorithm used: "cg" (Jacobi-preconditioned
+        CG), "sparse_lu" (factored solve), or "condensed_cg" (the
+        clamped mixed solve: boundary CG over one factor of the
+        interior stiffness).
     iterations : int
         Iteration count; 0 for direct methods.
     relative_residual : float
@@ -146,16 +151,54 @@ def solve_spd(matrix, b, tol=1e-10):
     return x, SolveReport("cg", count[0], res)
 
 
-def solve_symmetric_indefinite(matrix, b, tol=1e-10):
+def factor_spd(matrix):
+    """Sparse LU factor of a symmetric positive definite matrix.
+
+    SuperLU runs in symmetric mode with diagonal pivots only, which is
+    stable for SPD matrices and keeps the sparsity that its default
+    COLAMD column ordering buys.  The factor's ``solve`` applies the
+    inverse; its accuracy is not checked here, so callers must verify
+    the residual of what they build from it.
+
+    Returns
+    -------
+    scipy.sparse.linalg.SuperLU
+
+    Raises
+    ------
+    SingularError
+        If SuperLU meets an exactly zero pivot.
+    """
+    matrix = sp.csc_matrix(matrix)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatchError(f"matrix is not square: {matrix.shape}")
+    try:
+        return spla.splu(matrix, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularError(
+            f"sparse LU factorization of a {matrix.shape[0]} x "
+            f"{matrix.shape[0]} SPD matrix failed: {exc}") from exc
+
+
+def solve_symmetric_indefinite(matrix, b, tol=1e-10, next_rhs=None):
     """Solve A x = b for symmetric indefinite A by sparse LU.
 
     Intended for saddle point systems.  The factorization is verified a
     posteriori: the relative residual of the solution must not exceed
     ``tol``.
 
+    Parameters
+    ----------
+    next_rhs : callable, optional
+        Maps x to the right-hand side c of a second system A y = c,
+        solved with the same factor and verified the same way.  The
+        pair (x, y) is then returned in place of x, and the report is
+        the worse of the two solves.
+
     Returns
     -------
-    x : ndarray
+    x : ndarray, or the pair (x, y) when ``next_rhs`` is given
     report : SolveReport
     """
     b = _check_square(matrix, b)
@@ -163,13 +206,21 @@ def solve_symmetric_indefinite(matrix, b, tol=1e-10):
         factor = spla.splu(sp.csc_matrix(matrix))
     except RuntimeError as exc:
         raise SingularError(f"sparse LU factorization failed: {exc}") from exc
-    x = factor.solve(b)
-    res = relative_residual(matrix, x, b)
-    if not np.isfinite(res) or res > tol:
-        raise NotConvergedError(
-            f"sparse LU solution has relative residual {res:.3e} "
-            f"(tol {tol:.1e}); matrix may be near singular")
-    return x, SolveReport("sparse_lu", 0, res)
+
+    def solve(rhs):
+        x = factor.solve(rhs)
+        res = relative_residual(matrix, x, rhs)
+        if not np.isfinite(res) or res > tol:
+            raise NotConvergedError(
+                f"sparse LU solution has relative residual {res:.3e} "
+                f"(tol {tol:.1e}); matrix may be near singular")
+        return x, res
+
+    x, res = solve(b)
+    if next_rhs is None:
+        return x, SolveReport("sparse_lu", 0, res)
+    y, res_y = solve(_check_square(matrix, next_rhs(x)))
+    return (x, y), SolveReport("sparse_lu", 0, max(res, res_y))
 
 
 def dense_solve_oracle(matrix, b):

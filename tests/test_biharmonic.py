@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import biharm.biharmonic as biharmonic
+from biharm import linalg
 from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
                                saddle_system, solve_mixed_closed,
                                solve_mixed_dirichlet,
                                solve_mixed_lumped_schur)
 from biharm.fem import assemble_mass, assemble_stiffness, interpolate
-from biharm.linalg import dense_solve_oracle
+from biharm.linalg import NotConvergedError, dense_solve_oracle
 from biharm.surfaces import (cylinder_case, gen_cap_mesh, gen_icosphere,
                              gen_schwarz_lantern, real_harmonic, sphere_case)
 
-from conftest import tetrahedron
+from conftest import single_triangle, tetrahedron
 
 
 def l2m(mesh, field, mode="consistent"):
@@ -94,7 +97,87 @@ class TestDirichlet:
         assert np.array_equal(a.u2, b.u2)
 
 
+class TestCondensedDirichlet:
+    """The clamped solve condenses the saddle system onto the boundary
+    values of u2 and runs CG there.  An axisymmetric load excites few
+    boundary modes, so CG can finish in a step or two; these tests use
+    loads without that symmetry."""
+
+    @staticmethod
+    def skew_load(mesh):
+        x, y, z = mesh.vertices.T
+        return np.cos(3.0 * np.arctan2(y, x)) + np.exp(x) * y + z
+
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: gen_cap_mesh(np.pi / 3.0, 24),
+        lambda: gen_schwarz_lantern(24, 12),
+    ], ids=["cap-rings-24", "lantern-linear-12"])
+    def test_matches_direct_saddle_solve(self, mesh_fn, rng):
+        mesh = mesh_fn()
+        f = rng.normal(size=mesh.n_vertices)
+        sol = solve_mixed_dirichlet(mesh, f)
+        assert sol.solve_report.method == "condensed_cg"
+        assert sol.solve_report.iterations > 1
+        matrix, rhs, part = saddle_system(mesh, f)
+        x = spla.spsolve(matrix.tocsc(), rhs)
+        n_i = part.n_interior
+        u1_i, u2 = x[:n_i], x[n_i:]
+        assert (np.linalg.norm(sol.u1[part.interior] - u1_i)
+                <= 1e-10 * np.linalg.norm(u1_i))
+        assert np.linalg.norm(sol.u2 - u2) <= 1e-10 * np.linalg.norm(u2)
+
+    def test_no_interior_vertex(self):
+        mesh = single_triangle()
+        sol = solve_mixed_dirichlet(mesh, np.array([1.0, -2.0, 3.0]))
+        assert np.all(sol.u1 == 0.0)
+        assert np.all(sol.u2 == 0.0)
+        assert sol.solve_report.relative_residual == 0.0
+
+    def test_iterations_do_not_grow_with_refinement(self):
+        for rings in (16, 32, 64):
+            mesh = gen_cap_mesh(np.pi / 3.0, rings)
+            sol = solve_mixed_dirichlet(mesh, self.skew_load(mesh))
+            assert 1 < sol.solve_report.iterations <= 25
+            assert sol.solve_report.relative_residual <= 1e-10
+
+    def test_scaled_mesh_same_iterations(self):
+        from biharm.mesh import build_mesh
+        mesh = gen_cap_mesh(np.pi / 3.0, 16)
+        f = self.skew_load(mesh)
+        counts = []
+        for scale in (1.0, 1e-2):
+            scaled = build_mesh(scale * mesh.vertices, mesh.faces)
+            counts.append(solve_mixed_dirichlet(
+                scaled, f).solve_report.iterations)
+        assert abs(counts[1] - counts[0]) <= 2
+
+    def test_failed_boundary_cg_names_solve(self, monkeypatch):
+        monkeypatch.setattr(biharmonic, "_BOUNDARY_CG_MAXITER", 5)
+        mesh = gen_cap_mesh(np.pi / 3.0, 8)
+        with pytest.raises(NotConvergedError) as info:
+            solve_mixed_dirichlet(mesh, self.skew_load(mesh), tol=1e-20)
+        msg = str(info.value)
+        assert "boundary CG" in msg
+        assert "after 5 iterations" in msg
+        assert "relative residual" in msg
+        n_boundary = mesh.boundary_vertices.shape[0]
+        assert f"{n_boundary} boundary dofs of {mesh.n_vertices}" in msg
+
+
 class TestClosed:
+    def test_factors_once(self, monkeypatch):
+        calls = []
+        real_splu = linalg.spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+        mesh = gen_icosphere(2)
+        solve_mixed_closed(mesh, interpolate(mesh, real_harmonic(2, 1)))
+        assert calls == [(mesh.n_vertices + 1, mesh.n_vertices + 1)]
+
     def test_constant_rhs_projected_to_zero(self):
         mesh = gen_icosphere(2)
         sol = solve_mixed_closed(mesh, np.full(mesh.n_vertices, 3.0))

@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from biharm.fem import assemble_stiffness, partition_dofs
 from biharm.linalg import (DimensionMismatchError, NotConvergedError,
                            SingularError, build_csr, dense_solve_oracle,
-                           export_matrix_market, relative_residual,
-                           solve_spd, solve_symmetric_indefinite, spmv)
+                           export_matrix_market, factor_spd,
+                           relative_residual, solve_spd,
+                           solve_symmetric_indefinite, spmv)
 
 from conftest import grid_mesh
 
@@ -126,6 +127,34 @@ class TestSolveSymmetricIndefinite:
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularError):
             solve_symmetric_indefinite(a, np.array([1.0, 0.0]))
+
+    def test_next_rhs_reuses_factor(self):
+        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, -1.0]]))
+        (x, y), report = solve_symmetric_indefinite(
+            a, np.array([1.0, 0.0]), next_rhs=lambda x: 2.0 * x)
+        assert x == pytest.approx([1.0, 1.0], abs=1e-14)
+        assert y == pytest.approx([4.0, 2.0], abs=1e-14)
+        assert report.method == "sparse_lu"
+        assert report.relative_residual <= 1e-14
+
+
+class TestFactorSpd:
+    def test_matches_dense_solve(self, rng):
+        mesh = grid_mesh(4)
+        s = assemble_stiffness(mesh)
+        interior = partition_dofs(mesh).interior
+        s_ii = s[interior, :][:, interior]
+        b = rng.normal(size=interior.shape[0])
+        x = factor_spd(s_ii).solve(b)
+        assert x == pytest.approx(dense_solve_oracle(s_ii, b), abs=1e-12)
+
+    def test_singular_raises(self):
+        with pytest.raises(SingularError):
+            factor_spd(sp.csr_matrix(np.diag([2.0, 0.0, 1.0])))
+
+    def test_rectangular_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            factor_spd(sp.csr_matrix(np.ones((2, 3))))
 
 
 class TestDenseOracle:
