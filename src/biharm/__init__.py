@@ -16,7 +16,7 @@ from .mesh import (TriMesh, TriangleGeometry, build_mesh, triangle_geometry,
                    DegenerateFaceError, NonManifoldEdgeError,
                    InconsistentOrientationError)
 from .linalg import (SolveReport, build_csr, spmv, solve_spd,
-                     solve_symmetric_indefinite, dense_solve_oracle,
+                     dense_solve_oracle,
                      export_matrix_market, DimensionMismatchError,
                      NotConvergedError, SingularError)
 from .fem import (DofPartition, partition_dofs, assemble_stiffness,
@@ -47,8 +47,7 @@ __all__ = [
     "max_edge_length", "read_obj", "write_obj", "MeshError",
     "DegenerateFaceError", "NonManifoldEdgeError",
     "InconsistentOrientationError",
-    "SolveReport", "build_csr", "spmv", "solve_spd",
-    "solve_symmetric_indefinite", "dense_solve_oracle",
+    "SolveReport", "build_csr", "spmv", "solve_spd", "dense_solve_oracle",
     "export_matrix_market", "DimensionMismatchError", "NotConvergedError",
     "SingularError",
     "DofPartition", "partition_dofs", "assemble_stiffness", "assemble_mass",

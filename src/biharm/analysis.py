@@ -69,12 +69,21 @@ def triangle_quadrature(order):
     return pts.copy(), w.copy()
 
 
-def _quad_points(mesh, order):
-    """Ambient quadrature points per face, shape (F, q, 3), and weights."""
-    bary, w = _QUAD_RULES[order]
-    corners = mesh.vertices[mesh.faces]          # (F, 3, 3)
-    pts = np.einsum("qk,fkd->fqd", bary, corners)
-    return pts, w
+class _SurfaceQuadrature:
+    """Quadrature points of a mesh and their closest points on a surface.
+
+    Built once per mesh, case and rule and shared by the error norms
+    and the quality certificate, which all evaluate at these points.
+    """
+
+    def __init__(self, mesh, case, order):
+        if order not in _QUAD_RULES:
+            raise ValueError(f"quadrature order must be 2 or 4, got {order}")
+        self.bary, self.weights = _QUAD_RULES[order]
+        pts = np.matmul(self.bary, mesh.vertices[mesh.faces])   # (F, q, 3)
+        self.shape = pts.shape[:2]
+        self.points = pts.reshape(-1, 3)
+        self.projected = case.closest_point(self.points)
 
 
 class QualityRecord:
@@ -163,21 +172,20 @@ def l2_error(mesh, u_h, case, quad_order=4, reference="u"):
     -------
     float
     """
-    if quad_order not in _QUAD_RULES:
-        raise ValueError(f"quadrature order must be 2 or 4, got {quad_order}")
     u_h = np.asarray(u_h, dtype=float)
     if u_h.shape != (mesh.n_vertices,):
         raise ValueError(
             f"field shape {u_h.shape} does not match vertex count "
             f"{mesh.n_vertices}")
     exact = {"u": case.exact_u, "lap_u": case.exact_lap_u}[reference]
-    bary, w = _QUAD_RULES[quad_order]
-    pts, _ = _quad_points(mesh, quad_order)
-    flat = pts.reshape(-1, 3)
-    vals_exact = np.asarray(exact(case.closest_point(flat)))
-    vals_exact = vals_exact.reshape(pts.shape[0], -1)
-    vals_h = np.einsum("qk,fk->fq", bary, u_h[mesh.faces])
-    sq = np.sum((vals_h - vals_exact) ** 2 * w[None, :], axis=1)
+    return _l2_error(mesh, _SurfaceQuadrature(mesh, case, quad_order), u_h,
+                     exact)
+
+
+def _l2_error(mesh, quad, u_h, exact):
+    vals_exact = np.asarray(exact(quad.projected)).reshape(quad.shape)
+    vals_h = np.einsum("qk,fk->fq", quad.bary, u_h[mesh.faces])
+    sq = np.sum((vals_h - vals_exact) ** 2 * quad.weights[None, :], axis=1)
     return float(np.sqrt(np.sum(mesh.face_areas * sq)))
 
 
@@ -188,18 +196,19 @@ def h1_error(mesh, u_h, case, quad_order=4):
     surface gradient at the projected quadrature points, with the exact
     gradient projected onto the face plane.
     """
-    if quad_order not in _QUAD_RULES:
-        raise ValueError(f"quadrature order must be 2 or 4, got {quad_order}")
+    return _h1_error(mesh, _SurfaceQuadrature(mesh, case, quad_order), u_h,
+                     case.exact_grad_u)
+
+
+def _h1_error(mesh, quad, u_h, exact_grad):
     grads = p1_gradients(mesh, u_h)                   # (F, 3)
-    pts, w = _quad_points(mesh, quad_order)
-    flat = pts.reshape(-1, 3)
-    g_exact = np.asarray(case.exact_grad_u(case.closest_point(flat)))
-    g_exact = g_exact.reshape(pts.shape[0], -1, 3)    # (F, q, 3)
+    g_exact = np.asarray(exact_grad(quad.projected))
+    g_exact = g_exact.reshape(*quad.shape, 3)         # (F, q, 3)
     normals = mesh.face_normals
     g_tan = g_exact - np.einsum("fqd,fd->fq", g_exact,
                                 normals)[:, :, None] * normals[:, None, :]
     diff = grads[:, None, :] - g_tan
-    sq = np.sum(np.sum(diff**2, axis=2) * w[None, :], axis=1)
+    sq = np.sum(np.sum(diff**2, axis=2) * quad.weights[None, :], axis=1)
     return float(np.sqrt(np.sum(mesh.face_areas * sq)))
 
 
@@ -213,13 +222,14 @@ def certify_quality(mesh, case, quad_order=4):
         distance to the surface, and the maximal face-normal deviation
         from the surface normal at the projected centroid.
     """
-    if quad_order not in _QUAD_RULES:
-        raise ValueError(f"quadrature order must be 2 or 4, got {quad_order}")
+    return _certify_quality(mesh, case,
+                            _SurfaceQuadrature(mesh, case, quad_order))
+
+
+def _certify_quality(mesh, case, quad):
     kappa_min = float(inradius_ratios(mesh).min())
     k_max = float(circumradius_ratios(mesh).max())
-    pts, _ = _quad_points(mesh, quad_order)
-    flat = pts.reshape(-1, 3)
-    dist = np.linalg.norm(flat - case.closest_point(flat), axis=1)
+    dist = np.linalg.norm(quad.points - quad.projected, axis=1)
     centroids = mesh.vertices[mesh.faces].mean(axis=1)
     surf_normals = case.normal_at(case.closest_point(centroids))
     dots = np.clip(np.einsum("fd,fd->f", mesh.face_normals, surf_normals),
@@ -316,17 +326,22 @@ def _solve_for_study(mesh, case, tol, mass_mode):
 
 def run_level(family, level, tol=1e-10, quad_order=4,
               mass_mode="consistent"):
-    """Solve one refinement level and collect its ErrorRecord."""
+    """Solve one refinement level and collect its ErrorRecord.
+
+    The quadrature points and their closest points on the surface are
+    computed once and shared by the three error norms and the quality
+    certificate.
+    """
     mesh = family.build(level)
     case = family.case
     sol = _solve_for_study(mesh, case, tol, mass_mode)
-    quality = certify_quality(mesh, case, quad_order)
+    quad = _SurfaceQuadrature(mesh, case, quad_order)
     return ErrorRecord(
         family.label, level, max_edge_length(mesh), mesh.n_vertices,
-        l2_error(mesh, sol.u1, case, quad_order),
-        h1_error(mesh, sol.u1, case, quad_order),
-        l2_error(mesh, sol.u2, case, quad_order, reference="lap_u"),
-        quality)
+        _l2_error(mesh, quad, sol.u1, case.exact_u),
+        _h1_error(mesh, quad, sol.u1, case.exact_grad_u),
+        _l2_error(mesh, quad, sol.u2, case.exact_lap_u),
+        _certify_quality(mesh, case, quad))
 
 
 def run_study(family, tol=1e-10, quad_order=4, mass_mode="consistent",

@@ -12,10 +12,13 @@ interior stiffness, and preconditioned conjugate gradients on the
 boundary Schur complement (Glowinski & Pironneau, SIAM Review 21,
 1979).
 
-On closed meshes the problem decouples into two Poisson solves with
-zero-mean constraints enforced by a bordered Lagrange row; both share
-one factorization.  A third path eliminates u2 through the lumped mass
-matrix, leaving a single sparse positive definite system for u1.
+On closed meshes the problem decouples into two Poisson solves for
+fields of zero mass-weighted mean.  Both use one factorization of the
+stiffness grounded at vertex 0, which is positive definite: each
+right-hand side is first projected onto the range of the stiffness,
+and the mean is removed from each result.  A third path eliminates u2
+through the lumped mass matrix, leaving a single sparse positive
+definite system for u1.
 """
 
 import numpy as np
@@ -23,8 +26,8 @@ import scipy.sparse as sp
 
 from .fem import (assemble_boundary_mass, assemble_mass, assemble_stiffness,
                   partition_dofs)
-from .linalg import (SolveReport, factor_spd, solve_spd,
-                     solve_symmetric_indefinite, NotConvergedError)
+from .linalg import (SolveReport, factor_spd, relative_residual, solve_spd,
+                     NotConvergedError)
 
 
 class NoBoundaryError(ValueError):
@@ -155,7 +158,7 @@ def _condensed_clamped(mesh, part, stiffness, mass, load, tol):
     s_bb = stiffness[boundary, :][:, boundary]
     curve_mass = assemble_boundary_mass(mesh)[boundary, :][:, boundary]
     shift = (_DTN_SHIFT / curve_mass.sum()) * curve_mass
-    factor = factor_spd(s_int[:, interior])
+    factor = factor_spd(s_int[:, interior], mesh.vertices[interior])
 
     def extend(lam):
         u = np.zeros(n)
@@ -278,40 +281,57 @@ def solve_mixed_closed(mesh, f, tol=1e-10):
 
     The right-hand side is projected onto zero M-weighted mean (the
     problem quotients out constants); the removed component is recorded
-    in the returned solution.  Both u1 and u2 satisfy 1^T M u = 0
-    through a bordered Lagrange multiplier; the two Poisson solves share
-    one factorization of the bordered matrix.
+    in the returned solution.  Each Poisson problem S u = b is solved
+    with one shared factor of the stiffness grounded at vertex 0,
+    S[1:, 1:], after b is projected onto range(S) along M 1,
+
+        b <- b - (1^T b / 1^T M 1) M 1,
+
+    which is what the Lagrange row of the bordered system
+    [[S, M 1], [(M 1)^T, 0]] does.  The M-weighted mean is then removed
+    from u, so that 1^T M u = 0.  Each Poisson identity is checked by
+    its relative residual |S u - b| / |b| against the projected b,
+    which must not exceed ``tol``.
 
     Raises
     ------
     HasBoundaryError
         On meshes with boundary; use :func:`solve_mixed_dirichlet`.
+    SingularError
+        If the grounded stiffness cannot be factored.
+    NotConvergedError
+        If a residual or an identity misses ``tol``.
     """
     if not mesh.is_closed:
         raise HasBoundaryError(
             "mesh has a boundary; use solve_mixed_dirichlet")
     f = _check_field(mesh, f)
-    n = mesh.n_vertices
     stiffness = assemble_stiffness(mesh)
     mass = assemble_mass(mesh, "consistent")
-    ones = np.ones(n)
-    border = mass @ ones
-    total = float(border @ ones)
-    mean = float(border @ f) / total
+    # Means are taken with numpy's pairwise sums, not BLAS dot products,
+    # whose summation order depends on the OpenBLAS thread count.
+    border = mass @ np.ones(mesh.n_vertices)
+    total = float(border.sum())
+    mean = float(np.sum(border * f)) / total
     f_tilde = f - mean
+    factor = factor_spd(stiffness[1:, 1:], mesh.vertices[1:])
 
-    # The zero-mean constraint is a single Lagrange row, keeping the
-    # system symmetric:  [[S, border], [border^T, 0]].
-    col = sp.csr_matrix(border.reshape(n, 1))
-    bordered = sp.bmat([[stiffness, col], [col.T, None]], format="csr")
-    (x2, x1), report = solve_symmetric_indefinite(
-        bordered, np.concatenate([mass @ f_tilde, [0.0]]), tol=tol,
-        next_rhs=lambda x: np.concatenate([mass @ x[:n], [0.0]]))
-    u2, u1 = x2[:n], x1[:n]
-    _verify_identity(stiffness @ u2, mass @ f_tilde, tol, "first Poisson")
-    _verify_identity(stiffness @ u1, mass @ u2, tol, "second Poisson")
-    return MixedSolution(u1, u2, report, "consistent",
-                         f_mean_removed=mean)
+    def poisson(rhs, label):
+        rhs = rhs - (rhs.sum() / total) * border
+        u = np.zeros(mesh.n_vertices)
+        u[1:] = factor.solve(rhs[1:])
+        u -= np.sum(border * u) / total
+        res = relative_residual(stiffness, u, rhs)
+        if not np.isfinite(res) or res > tol:
+            raise NotConvergedError(
+                f"{label} solve has relative residual {res:.3e} "
+                f"(tol {tol:.1e}) on {mesh.n_vertices} vertices")
+        return u, res
+
+    u2, res2 = poisson(mass @ f_tilde, "first Poisson")
+    u1, res1 = poisson(mass @ u2, "second Poisson")
+    return MixedSolution(u1, u2, SolveReport("sparse_lu", 0, max(res1, res2)),
+                         "consistent", f_mean_removed=mean)
 
 
 def solve_mixed_lumped_schur(mesh, f, tol=1e-10):

@@ -459,6 +459,17 @@ _ICO_FACES = np.array([
     [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1]])
 
 
+def _project_to_sphere(points, radius):
+    """Scale each row of ``points`` to length ``radius``.
+
+    The squared lengths are row-by-row dot products, as in
+    ``np.linalg.norm`` of a single vector, so that the result is
+    bit-identical to scaling one vertex at a time.
+    """
+    sq = np.matmul(points[:, None, :], points[:, :, None])[:, 0, 0]
+    return points * (radius / np.sqrt(sq))[:, None]
+
+
 def gen_icosphere(subdivisions, radius=1.0):
     """Icosahedron subdivided by edge midpoints and reprojected.
 
@@ -475,25 +486,26 @@ def gen_icosphere(subdivisions, radius=1.0):
     k = int(subdivisions)
     if k < 0:
         raise ValueError(f"subdivisions must be >= 0, got {k}")
-    verts = [v * (radius / np.linalg.norm(v)) for v in _ICO_VERTS]
-    faces = [tuple(face) for face in _ICO_FACES]
+    verts = _project_to_sphere(_ICO_VERTS, radius)
+    faces = _ICO_FACES
     for _ in range(k):
-        midpoint = {}
-
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = 0.5 * (verts[a] + verts[b])
-                verts.append(p * (radius / np.linalg.norm(p)))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        refined = []
-        for v0, v1, v2 in faces:
-            a, b, c = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-            refined.extend([(v0, a, c), (a, v1, b), (c, b, v2), (a, b, c)])
-        faces = refined
-    return build_mesh(np.asarray(verts), np.asarray(faces))
+        # Edges (v0, v1), (v1, v2), (v2, v0) of each face in turn; each
+        # new midpoint is numbered by the first occurrence of its edge.
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = ends.min(axis=1) * len(verts) + ends.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        a, b, c = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        mids = ends[first[order]]
+        verts = np.concatenate([verts, _project_to_sphere(
+            0.5 * (verts[mids[:, 0]] + verts[mids[:, 1]]), radius)])
+        v0, v1, v2 = faces.T
+        faces = np.stack([v0, a, c, a, v1, b, c, b, v2, a, b, c],
+                         axis=1).reshape(-1, 3)
+    return build_mesh(verts, faces)
 
 
 def gen_schwarz_lantern(m, n, radius=1.0, height=2.0):

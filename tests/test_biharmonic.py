@@ -176,14 +176,37 @@ class TestClosed:
         monkeypatch.setattr(linalg.spla, "splu", counting_splu)
         mesh = gen_icosphere(2)
         solve_mixed_closed(mesh, interpolate(mesh, real_harmonic(2, 1)))
-        assert calls == [(mesh.n_vertices + 1, mesh.n_vertices + 1)]
+        assert calls == [(mesh.n_vertices - 1, mesh.n_vertices - 1)]
+
+    def test_matches_dense_bordered_oracle(self, rng):
+        # The grounded factor with projected loads solves the bordered
+        # system [[S, M 1], [(M 1)^T, 0]] of the zero-mean problem.
+        mesh = gen_icosphere(2)
+        n = mesh.n_vertices
+        m = assemble_mass(mesh)
+        border = m @ np.ones(n)
+        bordered = np.block([[assemble_stiffness(mesh).toarray(),
+                              border[:, None]],
+                             [border[None, :], np.zeros((1, 1))]])
+        for _ in range(3):
+            f = rng.normal(size=n)
+            sol = solve_mixed_closed(mesh, f)
+            f_tilde = f - (border @ f) / border.sum()
+            u2 = dense_solve_oracle(bordered, np.append(m @ f_tilde, 0.0))
+            u1 = dense_solve_oracle(bordered, np.append(m @ u2[:n], 0.0))
+            for got, want in ((sol.u1, u1[:n]), (sol.u2, u2[:n])):
+                assert (np.max(np.abs(got - want))
+                        <= 1e-10 * np.max(np.abs(want)))
 
     def test_constant_rhs_projected_to_zero(self):
+        # For 0.1, 1/3 and 7.77 the removed mean is inexact, so f minus
+        # its mean is roundoff that the load projection must absorb.
         mesh = gen_icosphere(2)
-        sol = solve_mixed_closed(mesh, np.full(mesh.n_vertices, 3.0))
-        assert np.max(np.abs(sol.u1)) <= 1e-10
-        assert np.max(np.abs(sol.u2)) <= 1e-10
-        assert sol.f_mean_removed == pytest.approx(3.0, rel=1e-10)
+        for value in (3.0, 0.1, 1.0 / 3.0, 7.77):
+            sol = solve_mixed_closed(mesh, np.full(mesh.n_vertices, value))
+            assert np.max(np.abs(sol.u1)) <= 1e-10
+            assert np.max(np.abs(sol.u2)) <= 1e-10
+            assert sol.f_mean_removed == pytest.approx(value, rel=1e-10)
 
     def test_harmonic_eigen_solution_converges(self):
         errs_u1 = []

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biharm
 from biharm import cli
 from biharm.analysis import read_quality_csv, read_rates_csv, read_report_csv
 from biharm.cli import main, read_solution_csv
@@ -135,6 +140,26 @@ class TestConverge:
             ref = (out1 / name).read_bytes()
             assert (out2 / name).read_bytes() == ref
             assert (out3 / name).read_bytes() == ref
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS splits dot products of more than 10^4 entries over
+        # its threads, which reorders their sums; level 5 (10,242
+        # vertices) is the first above that size.
+        src = str(Path(biharm.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "biharm", "converge", "--case",
+                 "sphere", "--levels", "2,3,4,5", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300)
+            outs.append(out)
+        for name in ("report.csv", "rates.csv"):
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes())
 
     def test_quadratic_lantern_check_exits_4(self, tmp_path, capsys,
                                              monkeypatch):

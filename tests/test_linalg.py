@@ -3,13 +3,17 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharm.fem import assemble_stiffness, partition_dofs
 from biharm.linalg import (DimensionMismatchError, NotConvergedError,
                            SingularError, build_csr, dense_solve_oracle,
                            export_matrix_market, factor_spd,
-                           relative_residual, solve_spd,
-                           solve_symmetric_indefinite, spmv)
+                           nested_dissection, relative_residual, solve_spd,
+                           spmv)
+from biharm.surfaces import gen_cap_mesh
 
 from conftest import grid_mesh
 
@@ -97,64 +101,82 @@ class TestSolveSpd:
                 solve_spd(s, b, tol=1e-10)
 
 
-class TestSolveSymmetricIndefinite:
-    def test_swap_matrix(self):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        x, report = solve_symmetric_indefinite(a, np.array([1.0, 2.0]))
-        assert x == pytest.approx([2.0, 1.0], abs=1e-14)
-        assert report.method == "sparse_lu"
-        assert report.iterations == 0
-
-    def test_small_saddle(self):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, -1.0]]))
-        x, _ = solve_symmetric_indefinite(a, np.array([1.0, 0.0]))
-        assert x == pytest.approx([1.0, 1.0], abs=1e-14)
-
-    def test_mesh_saddle_vs_oracle(self):
-        mesh = grid_mesh(3)
-        s = assemble_stiffness(mesh)
-        part = partition_dofs(mesh)
-        b_block = s[part.interior, :].tocsr()
-        n_i, n = b_block.shape
-        saddle = sp.bmat([[None, b_block], [b_block.T, -sp.eye(n)]],
-                         format="csr")
-        rhs = np.arange(1.0, n_i + n + 1.0)
-        x, _ = solve_symmetric_indefinite(saddle, rhs)
-        y = dense_solve_oracle(saddle, rhs)
-        assert x == pytest.approx(y, abs=1e-9)
-
-    def test_singular_raises(self):
-        a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(SingularError):
-            solve_symmetric_indefinite(a, np.array([1.0, 0.0]))
-
-    def test_next_rhs_reuses_factor(self):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, -1.0]]))
-        (x, y), report = solve_symmetric_indefinite(
-            a, np.array([1.0, 0.0]), next_rhs=lambda x: 2.0 * x)
-        assert x == pytest.approx([1.0, 1.0], abs=1e-14)
-        assert y == pytest.approx([4.0, 2.0], abs=1e-14)
-        assert report.method == "sparse_lu"
-        assert report.relative_residual <= 1e-14
+def interior_stiffness(mesh):
+    s = assemble_stiffness(mesh)
+    interior = partition_dofs(mesh).interior
+    return s[interior, :][:, interior], mesh.vertices[interior]
 
 
 class TestFactorSpd:
     def test_matches_dense_solve(self, rng):
-        mesh = grid_mesh(4)
-        s = assemble_stiffness(mesh)
-        interior = partition_dofs(mesh).interior
-        s_ii = s[interior, :][:, interior]
-        b = rng.normal(size=interior.shape[0])
-        x = factor_spd(s_ii).solve(b)
+        s_ii, points = interior_stiffness(grid_mesh(4))
+        b = rng.normal(size=s_ii.shape[0])
+        x = factor_spd(s_ii, points).solve(b)
         assert x == pytest.approx(dense_solve_oracle(s_ii, b), abs=1e-12)
+
+    def test_points_change_fill_not_solution(self, rng):
+        s_ii, points = interior_stiffness(gen_cap_mesh(np.pi / 3.0, 16))
+        b = rng.normal(size=(s_ii.shape[0], 2))
+        x = factor_spd(s_ii, points).solve(b)
+        for other in (rng.normal(size=points.shape),
+                      np.zeros_like(points), points[:, :1]):
+            y = factor_spd(s_ii, other).solve(b)
+            assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_nested_dissection_fill_below_colamd(self):
+        s_ii, points = interior_stiffness(gen_cap_mesh(np.pi / 3.0, 64))
+        factor = factor_spd(s_ii, points)
+        colamd = spla.splu(s_ii.tocsc(), diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        fill = factor.lu.L.nnz + factor.lu.U.nnz
+        assert fill <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
     def test_singular_raises(self):
         with pytest.raises(SingularError):
-            factor_spd(sp.csr_matrix(np.diag([2.0, 0.0, 1.0])))
+            factor_spd(sp.csr_matrix(np.diag([2.0, 0.0, 1.0])),
+                       np.zeros((3, 3)))
 
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            factor_spd(sp.csr_matrix(np.ones((2, 3))))
+            factor_spd(sp.csr_matrix(np.ones((2, 3))), np.zeros((2, 3)))
+
+
+class TestNestedDissection:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 600), dim=st.integers(1, 3),
+           levels=st.integers(1, 5), degree=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_is_permutation(self, n, dim, levels, degree, seed):
+        # Few distinct coordinate values give repeated points, and a
+        # sparse random graph is disconnected in general.
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, levels, size=(n, dim)).astype(float)
+        rows = rng.integers(0, max(n, 1), size=degree * n)
+        cols = rng.integers(0, max(n, 1), size=degree * n)
+        graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                              shape=(n, n))
+        perm = nested_dissection(graph + graph.T, points)
+        assert np.array_equal(np.sort(perm), np.arange(n))
+
+    def test_small_matrix_keeps_order(self):
+        s_ii, points = interior_stiffness(grid_mesh(4))
+        assert np.array_equal(nested_dissection(s_ii, points),
+                              np.arange(s_ii.shape[0]))
+
+    def test_separator_splits_grid(self):
+        # On a 32 x 32 grid the median splits the columns 16 / 16, the
+        # last low column is the separator and is ordered last, and no
+        # edge joins the low part (15 columns) to the high part.
+        s_ii, points = interior_stiffness(grid_mesh(33))
+        perm = nested_dissection(s_ii, points)
+        a = s_ii[perm][:, perm].tocsr()
+        low, high = 15 * 32, 16 * 32
+        assert np.all(points[perm[low + high:], 0] == points[perm[-1], 0])
+        assert a[:low, low:low + high].nnz == 0
+
+    def test_points_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            nested_dissection(sp.eye(4, format="csr"), np.zeros((3, 2)))
 
 
 class TestDenseOracle:

@@ -276,6 +276,34 @@ class TestIcosphere:
         assert 0.45 <= h[1] / h[0] <= 0.55
         assert 0.45 <= h[2] / h[1] <= 0.55
 
+    def test_matches_edge_by_edge_subdivision(self):
+        # Reference: one midpoint per edge, numbered when the edge is
+        # first met in face order, each vertex scaled on its own.
+        from biharm.surfaces import _ICO_FACES, _ICO_VERTS
+        for radius in (1.0, 2.5):
+            verts = [v * (radius / np.linalg.norm(v)) for v in _ICO_VERTS]
+            faces = [tuple(face) for face in _ICO_FACES]
+            for k in range(1, 4):
+                midpoint = {}
+
+                def mid(a, b):
+                    key = (a, b) if a < b else (b, a)
+                    if key not in midpoint:
+                        p = 0.5 * (verts[a] + verts[b])
+                        verts.append(p * (radius / np.linalg.norm(p)))
+                        midpoint[key] = len(verts) - 1
+                    return midpoint[key]
+
+                refined = []
+                for v0, v1, v2 in faces:
+                    a, b, c = mid(v0, v1), mid(v1, v2), mid(v2, v0)
+                    refined.extend([(v0, a, c), (a, v1, b), (c, b, v2),
+                                    (a, b, c)])
+                faces = refined
+                mesh = gen_icosphere(k, radius)
+                assert np.array_equal(mesh.faces, np.asarray(faces))
+                assert np.array_equal(mesh.vertices, np.asarray(verts))
+
 
 class TestSchwarzLantern:
     def test_counts(self):
