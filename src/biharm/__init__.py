@@ -11,10 +11,10 @@ experiment families, error norms, mesh-quality certification and
 convergence-rate fitting, plus a CLI (``biharm``) wrapping the studies.
 """
 
-from .mesh import (TriMesh, TriangleGeometry, build_mesh, triangle_geometry,
-                   max_edge_length, read_obj, write_obj, MeshError,
-                   DegenerateFaceError, NonManifoldEdgeError,
-                   InconsistentOrientationError)
+from .mesh import (TriMesh, build_mesh, component_labels, max_edge_length,
+                   read_obj, write_obj, MeshError, DegenerateFaceError,
+                   NonManifoldEdgeError, InconsistentOrientationError,
+                   UnreferencedVertexError, ComponentError)
 from .linalg import (SolveReport, build_csr, spmv, solve_spd,
                      dense_solve_oracle,
                      export_matrix_market, DimensionMismatchError,
@@ -43,10 +43,10 @@ from .analysis import (ErrorRecord, QualityRecord, ConvergenceReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TriMesh", "TriangleGeometry", "build_mesh", "triangle_geometry",
-    "max_edge_length", "read_obj", "write_obj", "MeshError",
-    "DegenerateFaceError", "NonManifoldEdgeError",
-    "InconsistentOrientationError",
+    "TriMesh", "build_mesh", "component_labels", "max_edge_length",
+    "read_obj", "write_obj", "MeshError", "DegenerateFaceError",
+    "NonManifoldEdgeError", "InconsistentOrientationError",
+    "UnreferencedVertexError", "ComponentError",
     "SolveReport", "build_csr", "spmv", "solve_spd", "dense_solve_oracle",
     "export_matrix_market", "DimensionMismatchError", "NotConvergedError",
     "SingularError",

@@ -28,6 +28,7 @@ from .fem import (assemble_boundary_mass, assemble_mass, assemble_stiffness,
                   partition_dofs)
 from .linalg import (SolveReport, factor_spd, relative_residual, solve_spd,
                      NotConvergedError)
+from .mesh import ComponentError, component_labels
 
 
 class NoBoundaryError(ValueError):
@@ -84,6 +85,22 @@ def _check_field(mesh, f):
     if not np.all(np.isfinite(f)):
         raise ValueError("right-hand side contains non-finite entries")
     return f
+
+
+def _check_clamped_components(mesh):
+    """Reject a mesh with a connected component that has no boundary.
+
+    The clamped problem fixes u1 on the boundary only, so a closed
+    component would leave its constants free and S_II singular.
+    """
+    count, labels = component_labels(mesh)
+    if count > 1:
+        closed = count - np.unique(labels[mesh.boundary_vertices]).size
+        if closed:
+            raise ComponentError(
+                f"mesh has {count} connected components and {closed} of "
+                f"them have no boundary vertices; the clamped problem "
+                f"needs a boundary on each")
 
 
 def _verify_identity(lhs, rhs, tol, label):
@@ -239,6 +256,8 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10):
     ------
     NoBoundaryError
         On closed meshes; use :func:`solve_mixed_closed`.
+    ComponentError
+        If a connected component of the mesh has no boundary vertices.
     SingularError
         If the interior stiffness cannot be factored.
     NotConvergedError
@@ -247,6 +266,7 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10):
     if mesh.is_closed:
         raise NoBoundaryError(
             "mesh has no boundary; use solve_mixed_closed")
+    _check_clamped_components(mesh)
     f = _check_field(mesh, f)
     part = partition_dofs(mesh)
     stiffness = assemble_stiffness(mesh)
@@ -297,6 +317,8 @@ def solve_mixed_closed(mesh, f, tol=1e-10):
     ------
     HasBoundaryError
         On meshes with boundary; use :func:`solve_mixed_dirichlet`.
+    ComponentError
+        If the mesh has more than one connected component.
     SingularError
         If the grounded stiffness cannot be factored.
     NotConvergedError
@@ -305,6 +327,11 @@ def solve_mixed_closed(mesh, f, tol=1e-10):
     if not mesh.is_closed:
         raise HasBoundaryError(
             "mesh has a boundary; use solve_mixed_dirichlet")
+    count, _ = component_labels(mesh)
+    if count > 1:
+        raise ComponentError(
+            f"closed mesh has {count} connected components; the closed "
+            f"solver needs a connected mesh")
     f = _check_field(mesh, f)
     stiffness = assemble_stiffness(mesh)
     mass = assemble_mass(mesh, "consistent")
@@ -350,6 +377,7 @@ def solve_mixed_lumped_schur(mesh, f, tol=1e-10):
     if mesh.is_closed:
         raise NoBoundaryError(
             "mesh has no boundary; use solve_mixed_closed")
+    _check_clamped_components(mesh)
     f = _check_field(mesh, f)
     part = partition_dofs(mesh)
     stiffness = assemble_stiffness(mesh)

@@ -1,15 +1,20 @@
 """Triangle surface meshes: validation, per-face geometry, boundary
-extraction and OBJ round-trip I/O.
+extraction, connected components and OBJ round-trip I/O.
 
 A mesh is a pair of arrays, ``vertices`` with shape (n, 3) and ``faces``
 with shape (F, 3).  Faces store vertex indices counterclockwise as seen
 from the outward side of the surface.  Construction goes through
-:func:`build_mesh`, which rejects degenerate faces, non-manifold edges
-and inconsistent orientation, and caches the per-face geometry that the
-finite element assembly needs.
+:func:`build_mesh`, which rejects degenerate faces, non-manifold edges,
+inconsistent orientation and unreferenced vertices, and caches the
+per-face geometry that the finite element assembly needs.
 """
 
+from itertools import compress
+import re
+
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(ValueError):
@@ -28,38 +33,17 @@ class InconsistentOrientationError(MeshError):
     """Two adjacent faces traverse their shared edge in the same direction."""
 
 
+class UnreferencedVertexError(MeshError):
+    """A vertex belongs to no face."""
+
+
+class ComponentError(MeshError):
+    """A connected component of the mesh that a solver cannot handle."""
+
+
 # Relative area threshold below which a triangle counts as degenerate.
 # Scale invariant: area is compared against the squared longest edge.
 _DEGENERATE_REL_AREA = 1e-14
-
-
-class TriangleGeometry:
-    """Geometric data of a single triangle.
-
-    Attributes
-    ----------
-    area : float
-        Triangle area.
-    edge_lengths : ndarray, shape (3,)
-        Length of the edge opposite each corner.
-    corner_cotangents : ndarray, shape (3,)
-        Cotangent of the interior angle at each corner.
-    inradius : float
-        Radius of the inscribed circle.
-    circumradius : float
-        Radius of the circumscribed circle.
-    unit_normal : ndarray, shape (3,)
-        Unit normal following the counterclockwise vertex order.
-    """
-
-    def __init__(self, area, edge_lengths, corner_cotangents, inradius,
-                 circumradius, unit_normal):
-        self.area = float(area)
-        self.edge_lengths = np.asarray(edge_lengths, dtype=float)
-        self.corner_cotangents = np.asarray(corner_cotangents, dtype=float)
-        self.inradius = float(inradius)
-        self.circumradius = float(circumradius)
-        self.unit_normal = np.asarray(unit_normal, dtype=float)
 
 
 class TriMesh:
@@ -177,6 +161,8 @@ def build_mesh(vertices, faces):
         If an undirected edge is shared by more than two faces.
     InconsistentOrientationError
         If two faces traverse a shared edge in the same direction.
+    UnreferencedVertexError
+        If a vertex belongs to no face.
     ValueError
         On malformed shapes, non-finite coordinates or indices out of
         range.
@@ -225,6 +211,13 @@ def build_mesh(vertices, faces):
             raise InconsistentOrientationError(
                 f"faces disagree on orientation across edge ({a}, {b})")
 
+    unreferenced = np.flatnonzero(np.bincount(faces.ravel(), minlength=n)
+                                  == 0)
+    if unreferenced.size:
+        raise UnreferencedVertexError(
+            f"vertex {unreferenced[0]} belongs to no face "
+            f"({unreferenced.size} unreferenced vertices)")
+
     edges = np.stack([uniq_keys // n, uniq_keys % n], axis=1)
     boundary_mask = counts == 1
     boundary_edges = directed[order[start[boundary_mask]]]
@@ -237,28 +230,20 @@ def build_mesh(vertices, faces):
                    boundary_vertices, areas, normals, lengths, cots)
 
 
-def triangle_geometry(mesh, face_index):
-    """Geometry of one triangle of a mesh.
-
-    Parameters
-    ----------
-    mesh : TriMesh
-    face_index : int
+def component_labels(mesh):
+    """Label the connected components of the mesh's edge graph.
 
     Returns
     -------
-    TriangleGeometry
+    count : int
+    labels : ndarray, shape (n,)
+        Component of each vertex, numbered from 0.
     """
-    i = int(face_index)
-    if not 0 <= i < mesh.n_faces:
-        raise IndexError(f"face index {i} out of range")
-    lengths = mesh.face_edge_lengths[i]
-    area = mesh.face_areas[i]
-    s = 0.5 * lengths.sum()
-    inradius = area / s
-    circumradius = lengths.prod() / (4.0 * area)
-    return TriangleGeometry(area, lengths, mesh.face_cotangents[i], inradius,
-                            circumradius, mesh.face_normals[i])
+    n = mesh.n_vertices
+    graph = sp.coo_matrix((np.ones(mesh.edges.shape[0]),
+                           (mesh.edges[:, 0], mesh.edges[:, 1])),
+                          shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 def max_edge_length(mesh):
@@ -283,13 +268,94 @@ def circumradius_ratios(mesh):
     return circum / mesh.face_edge_lengths.max(axis=1)
 
 
+# Whitespace as str.split() sees it, except the line break "\n".
+_BLANKS = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
+           "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029"
+           "\u202f\u205f\u3000")
+_BLANK_CODES = np.array([ord(c) for c in _BLANKS], dtype=np.uint32)
+# The "/t/n" texture and normal references after a face's vertex index.
+# A token that starts with "/" keeps it and so fails to parse, as the
+# empty index in front of it does.
+_INDEX_SUFFIX = re.compile(r"(?<=[^\s/])/\S*")
+# Rows formatted per write in write_obj.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _record_lines(text):
+    """The ``v`` lines and the ``f`` lines of OBJ text, in file order.
+
+    A line is a record of the kind named by its first whitespace
+    separated token, the token ``line.split()[0]`` gives.  Lines are
+    classified on the array of code points, not one by one in Python.
+    """
+    lines = text.split("\n")
+    text += "\n"
+    # One array entry per character: bytes when they are all ASCII.
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    ends = np.flatnonzero(chars == 10)
+    first = np.concatenate(([0], ends[:-1] + 1))
+    for i in np.flatnonzero(np.isin(chars[first], _BLANK_CODES)).tolist():
+        first[i] += len(lines[i]) - len(lines[i].lstrip())
+    after = chars[np.minimum(first + 1, ends)]
+    single = (after == 10) | np.isin(after, _BLANK_CODES)
+    head = chars[first]
+    return (list(compress(lines, (single & (head == ord("v"))).tolist())),
+            list(compress(lines, (single & (head == ord("f"))).tolist())))
+
+
+def _raise_first_bad_record(path, text):
+    """Raise the error of the first malformed ``v`` or ``f`` line.
+
+    Error reporting for :func:`read_obj` once its bulk parse has failed:
+    the lines are walked in order, and the first one that breaks a rule
+    is named with its line number.  Returns if no line does.
+    """
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if parts[:1] == ["v"]:
+            if len(parts) < 4:
+                raise ValueError(
+                    f"{path}:{lineno}: vertex record needs 3 coordinates")
+            numbers = parts[1:4]
+            for token in numbers:
+                float(token)
+        elif parts[:1] == ["f"]:
+            if len(parts) != 4:
+                raise ValueError(
+                    f"{path}:{lineno}: only triangular faces supported")
+            numbers = [token.split("/")[0] for token in parts[1:]]
+            for token in numbers:
+                if int(token) <= 0:
+                    raise ValueError(
+                        f"{path}:{lineno}: face indices must be positive")
+                if int(token) > np.iinfo(np.int64).max:
+                    raise ValueError(
+                        f"{path}:{lineno}: face index {token} is too large")
+        else:
+            continue
+        for token in numbers:
+            if not token.isascii() or "_" in token:
+                raise ValueError(
+                    f"{path}:{lineno}: number {token!r} is not written "
+                    f"in plain ASCII digits")
+
+
 def read_obj(path):
     """Read a triangle mesh from a Wavefront OBJ file.
 
-    Only ``v`` and ``f`` records are interpreted; all other record types
-    are ignored.  Face entries may carry texture or normal references
-    (``i/t/n``); only the leading vertex index is used and it must be
-    positive (1-based).
+    Only ``v`` and ``f`` records are interpreted; comments, blank lines
+    and all other record types are ignored.  A ``v`` record needs at
+    least 3 numbers and uses the first 3.  An ``f`` record has exactly 3
+    entries; an entry may carry texture or normal references
+    (``i/t/n``, ``i//n``), and only its leading vertex index is used.
+    That index must be positive (1-based): negative (relative) indices,
+    which the OBJ format allows, are rejected as not positive.  Numbers
+    are parsed by numpy's text parser, so they are plain ASCII decimal
+    literals (``inf`` and ``nan`` included); digit-group underscores and
+    non-ASCII digits are rejected.
 
     Parameters
     ----------
@@ -298,37 +364,37 @@ def read_obj(path):
     Returns
     -------
     TriMesh
+
+    Raises
+    ------
+    ValueError
+        ``path:lineno: ...`` naming the first malformed record, or
+        ``path: no vertices found``; and the errors of
+        :func:`build_mesh`.
     """
-    vertices = []
-    faces = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ValueError(
-                        f"{path}:{lineno}: vertex record needs 3 coordinates")
-                vertices.append([float(parts[1]), float(parts[2]),
-                                 float(parts[3])])
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise ValueError(
-                        f"{path}:{lineno}: only triangular faces supported")
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    i = int(head)
-                    if i <= 0:
-                        raise ValueError(
-                            f"{path}:{lineno}: face indices must be positive")
-                    idx.append(i - 1)
-                faces.append(idx)
-    if not vertices:
+        text = fh.read()
+    v_lines, f_lines = _record_lines(text)
+    try:
+        faces = np.empty(0, dtype=np.int64)
+        if f_lines:
+            if "/" in text:
+                f_lines = _INDEX_SUFFIX.sub("", "\n".join(f_lines)).split("\n")
+            if len(" ".join(f_lines).split()) != 4 * len(f_lines):
+                raise ValueError("a face record has other than 3 entries")
+            faces = np.loadtxt(f_lines, dtype=np.int64, usecols=(1, 2, 3),
+                               comments=None, ndmin=2)
+            if faces.min() < 1:
+                raise ValueError("a face index is not positive")
+        if v_lines:
+            vertices = np.loadtxt(v_lines, usecols=(1, 2, 3), comments=None,
+                                  ndmin=2)
+    except ValueError:
+        _raise_first_bad_record(path, text)
+        raise
+    if not v_lines:
         raise ValueError(f"{path}: no vertices found")
-    return build_mesh(np.asarray(vertices, dtype=float),
-                      np.asarray(faces, dtype=np.int64))
+    return build_mesh(vertices, faces - 1)
 
 
 def write_obj(mesh, path):
@@ -336,9 +402,12 @@ def write_obj(mesh, path):
 
     Coordinates are printed with 17 significant digits so that a
     read/write round trip reproduces the vertex array bit for bit.
+    Rows are formatted and written a few thousand at a time.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for i, j, k in mesh.faces:
-            fh.write(f"f {i + 1} {j + 1} {k + 1}\n")
+        for row_format, rows in (("v %.17g %.17g %.17g\n", mesh.vertices),
+                                 ("f %d %d %d\n", mesh.faces + 1)):
+            for start in range(0, rows.shape[0], _WRITE_BLOCK_ROWS):
+                block = rows[start:start + _WRITE_BLOCK_ROWS]
+                fh.write(row_format * block.shape[0]
+                         % tuple(block.ravel().tolist()))

@@ -405,43 +405,51 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
         raise InvalidAngleError(
             f"opening angle must lie in (0, pi), got {theta0}")
 
-    vertices = [np.array([0.0, 0.0, radius])]
-    ring_start = [None]
-    ring_phis = [None]
-    for j in range(1, rings + 1):
-        theta = theta0 * j / rings
-        count = 6 * j
-        phis = 2.0 * np.pi * np.arange(count) / count
-        ring_start.append(len(vertices))
-        ring_phis.append(phis)
-        st, ct = np.sin(theta), np.cos(theta)
-        ring = np.stack([radius * st * np.cos(phis),
-                         radius * st * np.sin(phis),
-                         np.full(count, radius * ct)], axis=1)
-        vertices.extend(ring)
+    # Ring j holds vertices start[j-1] .. start[j-1] + 6j - 1; vertex 0
+    # is the pole.  The per-vertex arrays skip the pole: entry p belongs
+    # to vertex p + 1.
+    j = np.arange(1, rings + 1)
+    counts = 6 * j
+    start = 1 + 3 * j * (j - 1)
+    ring = np.repeat(j, counts)
+    index = np.arange(counts.sum()) - np.repeat(start - 1, counts)
+    phis = 2.0 * np.pi * index / np.repeat(counts, counts)
+    theta = theta0 * j / rings
+    scaled_sin = np.repeat(radius * np.sin(theta), counts)
+    vertices = np.concatenate([
+        [[0.0, 0.0, radius]],
+        np.stack([scaled_sin * np.cos(phis), scaled_sin * np.sin(phis),
+                  np.repeat(radius * np.cos(theta), counts)], axis=1)])
 
-    faces = []
-    first = ring_start[1]
-    for k in range(6):
-        faces.append([0, first + k, first + (k + 1) % 6])
-    for j in range(1, rings):
-        inner_phis, outer_phis = ring_phis[j], ring_phis[j + 1]
-        n_in, n_out = len(inner_phis), len(outer_phis)
-        s_in, s_out = ring_start[j], ring_start[j + 1]
-        i = k = 0
-        while i < n_in or k < n_out:
-            next_in = inner_phis[i + 1] if i + 1 < n_in else 2.0 * np.pi
-            next_out = outer_phis[k + 1] if k + 1 < n_out else 2.0 * np.pi
-            if k < n_out and (i == n_in or next_out <= next_in):
-                faces.append([s_out + k, s_out + (k + 1) % n_out, s_in +
-                              i % n_in])
-                k += 1
-            else:
-                faces.append([s_in + i, s_out + k % n_out,
-                              s_in + (i + 1) % n_in])
-                i += 1
-
-    return build_mesh(np.asarray(vertices), np.asarray(faces))
+    # Stitch ring j (inner) to ring j + 1 (outer) by merging the two
+    # rings' "next angle" sequences, each ending at 2 pi; on a tie the
+    # outer ring steps first.  Each step emits one triangle: an outer
+    # step k -> k + 1 one with apex at the current inner vertex i, an
+    # inner step i -> i + 1 one with apex at the current outer vertex k.
+    next_phi = np.append(phis[1:], 2.0 * np.pi)
+    next_phi[start + counts - 2] = 2.0 * np.pi
+    inner = np.flatnonzero(ring < rings)
+    outer = np.flatnonzero(ring > 1)
+    event = np.concatenate([outer, inner])
+    pair = np.concatenate([ring[outer] - 1, ring[inner]])
+    is_inner = np.repeat([0, 1], [outer.size, inner.size])
+    order = np.lexsort((is_inner, next_phi[event], pair))
+    pair, is_inner = pair[order], is_inner[order]
+    # Steps of each ring taken before this one within its ring pair.
+    inner_before = np.cumsum(is_inner) - is_inner
+    outer_before = np.arange(order.size) - inner_before
+    pair_first = np.searchsorted(pair, pair)
+    i = inner_before - inner_before[pair_first]
+    k = outer_before - outer_before[pair_first]
+    s_in, n_in = start[pair - 1], counts[pair - 1]
+    s_out, n_out = start[pair], counts[pair]
+    stitched = np.where(
+        is_inner[:, None] == 1,
+        np.stack([s_in + i, s_out + k % n_out, s_in + (i + 1) % n_in], 1),
+        np.stack([s_out + k, s_out + (k + 1) % n_out, s_in + i % n_in], 1))
+    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6),
+                    1 + (np.arange(1, 7) % 6)], axis=1)
+    return build_mesh(vertices, np.concatenate([fan, stitched]))
 
 
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0

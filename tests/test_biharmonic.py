@@ -10,10 +10,21 @@ from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
                                solve_mixed_lumped_schur)
 from biharm.fem import assemble_mass, assemble_stiffness, interpolate
 from biharm.linalg import NotConvergedError, dense_solve_oracle
+from biharm.mesh import ComponentError, build_mesh
 from biharm.surfaces import (cylinder_case, gen_cap_mesh, gen_icosphere,
                              gen_schwarz_lantern, real_harmonic, sphere_case)
 
 from conftest import single_triangle, tetrahedron
+
+
+def disjoint_union(*meshes):
+    """One mesh made of the given meshes side by side, 3 units apart."""
+    vertices, faces, offset = [], [], 0
+    for shift, mesh in enumerate(meshes):
+        vertices.append(mesh.vertices + 3.0 * shift)
+        faces.append(mesh.faces + offset)
+        offset += mesh.n_vertices
+    return build_mesh(np.concatenate(vertices), np.concatenate(faces))
 
 
 def l2m(mesh, field, mode="consistent"):
@@ -87,6 +98,24 @@ class TestDirichlet:
         mesh = gen_icosphere(1)
         with pytest.raises(NoBoundaryError):
             solve_mixed_dirichlet(mesh, np.zeros(mesh.n_vertices))
+
+    def test_closed_component_rejected(self, rng):
+        # A disjoint closed sphere leaves S_II singular on its block.
+        mesh = disjoint_union(gen_cap_mesh(np.pi / 3.0, 3), gen_icosphere(1))
+        f = rng.normal(size=mesh.n_vertices)
+        for solve in (solve_mixed_dirichlet, solve_mixed_lumped_schur):
+            with pytest.raises(ComponentError,
+                               match="2 connected components and 1 of them "
+                                     "have no boundary vertices"):
+                solve(mesh, f)
+
+    def test_disjoint_bounded_components_solve_apart(self, rng):
+        cap = gen_cap_mesh(np.pi / 3.0, 3)
+        f = rng.normal(size=2 * cap.n_vertices)
+        both = solve_mixed_dirichlet(disjoint_union(cap, cap), f)
+        for half in (slice(0, cap.n_vertices), slice(cap.n_vertices, None)):
+            alone = solve_mixed_dirichlet(cap, f[half])
+            assert np.allclose(both.u1[half], alone.u1, rtol=0, atol=1e-12)
 
     def test_deterministic(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 3)
@@ -252,6 +281,12 @@ class TestClosed:
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         with pytest.raises(HasBoundaryError):
             solve_mixed_closed(mesh, np.zeros(mesh.n_vertices))
+
+    def test_disconnected_mesh_rejected(self, rng):
+        # Grounding one vertex fixes the constant of one sphere only.
+        mesh = disjoint_union(gen_icosphere(2), gen_icosphere(2))
+        with pytest.raises(ComponentError, match="2 connected components"):
+            solve_mixed_closed(mesh, rng.normal(size=mesh.n_vertices))
 
     def test_tetrahedron_runs(self):
         mesh = tetrahedron()

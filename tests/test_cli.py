@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biharm
 from biharm import cli
@@ -92,6 +93,36 @@ class TestSolve:
         code = main(["solve", "--mesh", str(tet_obj), "--rhs", "const:1",
                      "--mass", "lumped", "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_unreferenced_vertex_exit_2(self, tmp_path, tet_obj, capsys):
+        path = tmp_path / "extra.obj"
+        path.write_text(tet_obj.read_text() + "v 9 9 9\n")
+        code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ("vertex 4 belongs to no face (1 unreferenced vertices)"
+                in capsys.readouterr().err)
+
+    def test_negative_face_indices_exit_2(self, tmp_path, capsys):
+        # Relative OBJ indices are rejected, not resolved.
+        path = tmp_path / "relative.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
+        code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"{path}:4: face indices must be positive"
+                in capsys.readouterr().err)
+
+    def test_disconnected_closed_mesh_exit_2(self, tmp_path, capsys):
+        tet = tetrahedron()
+        path = tmp_path / "two.obj"
+        write_obj(biharm.build_mesh(
+            np.concatenate([tet.vertices, tet.vertices + 3.0]),
+            np.concatenate([tet.faces, tet.faces + 4])), path)
+        code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "2 connected components" in capsys.readouterr().err
 
     def test_bad_rhs_exit_2(self, tmp_path):
         code = main(["solve", "--case", "cap", "--n", "4",
@@ -284,3 +315,27 @@ class TestSolutionCsv:
         assert text.splitlines()[0] == "vertex,u1,u2"
         u1, u2 = read_solution_csv(out / "solution.csv")
         assert len(u1) == len(u2) == 1 + 3 * 2 * 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64)),
+                    min_size=1, max_size=60))
+    def test_bytes_match_per_row_writer(self, tmp_path_factory, rows):
+        u1, u2 = (np.array(column, dtype=float) for column in zip(*rows))
+        folder = tmp_path_factory.mktemp("csv")
+        cli._write_solution_csv(folder / "new.csv", u1, u2)
+        with open(folder / "old.csv", "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write("vertex,u1,u2\n")
+            for i in range(u1.shape[0]):
+                fh.write(f"{i},{u1[i]:.12g},{u2[i]:.12g}\n")
+        assert (folder / "new.csv").read_bytes() == (
+            folder / "old.csv").read_bytes()
+
+    def test_large_field_bytes_match_per_row_writer(self, tmp_path, rng):
+        # More rows than one write block holds.
+        u1, u2 = rng.normal(size=(2, 9000)) * 10.0 ** rng.integers(
+            -300, 300, size=(2, 9000))
+        cli._write_solution_csv(tmp_path / "new.csv", u1, u2)
+        expected = "vertex,u1,u2\n" + "".join(
+            f"{i},{a:.12g},{b:.12g}\n" for i, (a, b) in enumerate(zip(u1, u2)))
+        assert (tmp_path / "new.csv").read_text() == expected

@@ -211,6 +211,54 @@ class TestSphereCase:
 
 
 class TestCapMesh:
+    def test_matches_ring_by_ring_stitching(self):
+        # Reference: each ring built on its own, ring pairs stitched by
+        # walking both rings' next angles, the outer ring first on ties.
+        def reference(theta0, rings, radius):
+            vertices = [np.array([0.0, 0.0, radius])]
+            ring_start = [None]
+            ring_phis = [None]
+            for j in range(1, rings + 1):
+                theta = theta0 * j / rings
+                count = 6 * j
+                phis = 2.0 * np.pi * np.arange(count) / count
+                ring_start.append(len(vertices))
+                ring_phis.append(phis)
+                st, ct = np.sin(theta), np.cos(theta)
+                vertices.extend(np.stack([radius * st * np.cos(phis),
+                                          radius * st * np.sin(phis),
+                                          np.full(count, radius * ct)],
+                                         axis=1))
+            faces = [[0, 1 + k, 1 + (k + 1) % 6] for k in range(6)]
+            for j in range(1, rings):
+                inner_phis, outer_phis = ring_phis[j], ring_phis[j + 1]
+                n_in, n_out = len(inner_phis), len(outer_phis)
+                s_in, s_out = ring_start[j], ring_start[j + 1]
+                i = k = 0
+                while i < n_in or k < n_out:
+                    next_in = (inner_phis[i + 1] if i + 1 < n_in
+                               else 2.0 * np.pi)
+                    next_out = (outer_phis[k + 1] if k + 1 < n_out
+                                else 2.0 * np.pi)
+                    if k < n_out and (i == n_in or next_out <= next_in):
+                        faces.append([s_out + k, s_out + (k + 1) % n_out,
+                                      s_in + i % n_in])
+                        k += 1
+                    else:
+                        faces.append([s_in + i, s_out + k % n_out,
+                                      s_in + (i + 1) % n_in])
+                        i += 1
+            return np.asarray(vertices), np.asarray(faces)
+
+        for theta0, radius in [(np.pi / 3.0, 1.0), (0.8, 2.5), (1.3, 0.7),
+                               (3.0, 1.0)]:
+            for rings in list(range(2, 20)) + [31, 64, 128]:
+                vertices, faces = reference(theta0, rings, radius)
+                mesh = gen_cap_mesh(theta0, rings, radius)
+                assert np.array_equal(mesh.faces, faces)
+                assert (mesh.vertices.tobytes()
+                        == np.ascontiguousarray(vertices).tobytes())
+
     def test_counts_and_inscription(self):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         assert mesh.n_vertices == 1 + 3 * 2 * 3
