@@ -15,27 +15,26 @@ from .mesh import (TriMesh, build_mesh, component_labels, max_edge_length,
                    read_obj, write_obj, MeshError, DegenerateFaceError,
                    NonManifoldEdgeError, InconsistentOrientationError,
                    UnreferencedVertexError, ComponentError)
-from .linalg import (SolveReport, build_csr, spmv, solve_spd,
-                     dense_solve_oracle,
+from .linalg import (SolveReport, build_csr, dense_solve_oracle,
                      export_matrix_market, DimensionMismatchError,
                      NotConvergedError, SingularError)
 from .fem import (DofPartition, partition_dofs, assemble_stiffness,
-                  assemble_mass, interpolate, p1_gradient, p1_gradients,
+                  assemble_mass, interpolate, p1_gradients,
                   discrete_laplacian)
-from .surfaces import (SurfaceCase, RefinementFamily, closest_point,
-                       normal_at, cap_case, cylinder_case, sphere_case,
-                       real_harmonic, gen_cap_mesh, gen_icosphere,
+from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
+                       cylinder_case, sphere_case, real_harmonic,
+                       gen_cap_mesh, gen_icosphere,
                        gen_schwarz_lantern, cap_family, sphere_family,
                        lantern_family, OutsideReachError, InvalidAngleError,
                        InvalidDimensionError, InvalidDegreeError,
                        TooFewRingsError, InvalidCountsError)
 from .biharmonic import (MixedSolution, solve_mixed_dirichlet,
-                         solve_mixed_closed, solve_mixed_lumped_schur,
-                         saddle_system, NoBoundaryError, HasBoundaryError)
+                         solve_mixed_closed, saddle_system, NoBoundaryError,
+                         HasBoundaryError)
 from .analysis import (ErrorRecord, QualityRecord, ConvergenceReport,
                        RateFit, triangle_quadrature, l2_error, h1_error,
                        certify_quality, fit_rates, fit_quality_rates,
-                       run_level, run_study,
+                       solve_mixed, run_level, run_study,
                        write_report_csv, read_report_csv, write_quality_csv,
                        read_quality_csv, write_rates_csv, read_rates_csv,
                        lantern_highres_reference, InsufficientLevelsError)
@@ -47,24 +46,23 @@ __all__ = [
     "read_obj", "write_obj", "MeshError", "DegenerateFaceError",
     "NonManifoldEdgeError", "InconsistentOrientationError",
     "UnreferencedVertexError", "ComponentError",
-    "SolveReport", "build_csr", "spmv", "solve_spd", "dense_solve_oracle",
+    "SolveReport", "build_csr", "dense_solve_oracle",
     "export_matrix_market", "DimensionMismatchError", "NotConvergedError",
     "SingularError",
     "DofPartition", "partition_dofs", "assemble_stiffness", "assemble_mass",
-    "interpolate", "p1_gradient", "p1_gradients", "discrete_laplacian",
-    "SurfaceCase", "RefinementFamily", "closest_point", "normal_at",
-    "cap_case", "cylinder_case", "sphere_case", "real_harmonic",
+    "interpolate", "p1_gradients", "discrete_laplacian",
+    "SurfaceCase", "RefinementFamily", "cap_case", "cylinder_case",
+    "sphere_case", "real_harmonic",
     "gen_cap_mesh", "gen_icosphere", "gen_schwarz_lantern", "cap_family",
     "sphere_family", "lantern_family", "OutsideReachError",
     "InvalidAngleError", "InvalidDimensionError", "InvalidDegreeError",
     "TooFewRingsError", "InvalidCountsError",
     "MixedSolution", "solve_mixed_dirichlet", "solve_mixed_closed",
-    "solve_mixed_lumped_schur", "saddle_system", "NoBoundaryError",
-    "HasBoundaryError",
+    "saddle_system", "NoBoundaryError", "HasBoundaryError",
     "ErrorRecord", "QualityRecord", "ConvergenceReport", "RateFit",
     "triangle_quadrature", "l2_error", "h1_error", "certify_quality",
-    "fit_rates", "fit_quality_rates", "run_level", "run_study",
-    "write_report_csv",
+    "fit_rates", "fit_quality_rates", "solve_mixed", "run_level",
+    "run_study", "write_report_csv",
     "read_report_csv", "write_quality_csv", "read_quality_csv",
     "write_rates_csv", "read_rates_csv", "lantern_highres_reference",
     "InsufficientLevelsError",

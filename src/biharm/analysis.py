@@ -16,12 +16,10 @@ additionally estimate the decay exponents gamma (distance) and epsilon
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .biharmonic import (solve_mixed_closed, solve_mixed_dirichlet,
-                         solve_mixed_lumped_schur)
+from .biharmonic import solve_mixed_closed, solve_mixed_dirichlet
 from .fem import interpolate, p1_gradients
 from .mesh import circumradius_ratios, inradius_ratios, max_edge_length
 from .surfaces import SurfaceCase, cylinder_case, gen_schwarz_lantern
@@ -315,13 +313,24 @@ def fit_quality_rates(hs, qualities):
     return {"gamma": gamma, "epsilon": epsilon, "sigma": sigma}
 
 
-def _solve_for_study(mesh, case, tol, mass_mode):
-    f = interpolate(mesh, case.exact_f)
-    if mesh.is_closed:
-        return solve_mixed_closed(mesh, f, tol=tol)
+def solve_mixed(mesh, f, tol=1e-10, mass_mode="consistent"):
+    """Solve the mixed problem with the solver the mesh calls for.
+
+    Meshes with boundary get the clamped solve of
+    :func:`solve_mixed_dirichlet` in ``mass_mode``, closed meshes the
+    double-Poisson solve of :func:`solve_mixed_closed`.
+
+    Raises
+    ------
+    ValueError
+        For the lumped mode on a closed mesh, which has no lumped path;
+        and the errors of the solver.
+    """
+    if not mesh.is_closed:
+        return solve_mixed_dirichlet(mesh, f, tol=tol, mass_mode=mass_mode)
     if mass_mode == "lumped":
-        return solve_mixed_lumped_schur(mesh, f, tol=tol)
-    return solve_mixed_dirichlet(mesh, f, tol=tol)
+        raise ValueError("the lumped mass mode needs a bounded mesh")
+    return solve_mixed_closed(mesh, f, tol=tol)
 
 
 def run_level(family, level, tol=1e-10, quad_order=4,
@@ -334,7 +343,7 @@ def run_level(family, level, tol=1e-10, quad_order=4,
     """
     mesh = family.build(level)
     case = family.case
-    sol = _solve_for_study(mesh, case, tol, mass_mode)
+    sol = solve_mixed(mesh, interpolate(mesh, case.exact_f), tol, mass_mode)
     quad = _SurfaceQuadrature(mesh, case, quad_order)
     return ErrorRecord(
         family.label, level, max_edge_length(mesh), mesh.n_vertices,
@@ -344,26 +353,16 @@ def run_level(family, level, tol=1e-10, quad_order=4,
         _certify_quality(mesh, case, quad))
 
 
-def run_study(family, tol=1e-10, quad_order=4, mass_mode="consistent",
-              threads=1):
-    """Run a full convergence study over a refinement family.
-
-    Levels may be solved concurrently (``threads`` > 1); records are
-    always assembled in level order, so results are deterministic.
+def run_study(family, tol=1e-10, quad_order=4, mass_mode="consistent"):
+    """Run a full convergence study over a refinement family, level by
+    level in order.
 
     Returns
     -------
     ConvergenceReport
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_level, family, lv, tol, quad_order,
-                                   mass_mode)
-                       for lv in family.levels]
-            records = [fut.result() for fut in futures]
-    else:
-        records = [run_level(family, lv, tol, quad_order, mass_mode)
-                   for lv in family.levels]
+    records = [run_level(family, lv, tol, quad_order, mass_mode)
+               for lv in family.levels]
     hs = [r.h for r in records]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError(

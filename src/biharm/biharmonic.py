@@ -10,15 +10,15 @@ including the boundary ones.  The system is solved by static
 condensation onto the boundary values of u2: one factorization of the
 interior stiffness, and preconditioned conjugate gradients on the
 boundary Schur complement (Glowinski & Pironneau, SIAM Review 21,
-1979).
+1979).  The lumped-mass variant is the same system with the lumped
+mass matrix in place of the consistent one in the second equation, and
+is solved the same way.
 
 On closed meshes the problem decouples into two Poisson solves for
 fields of zero mass-weighted mean.  Both use one factorization of the
 stiffness grounded at vertex 0, which is positive definite: each
 right-hand side is first projected onto the range of the stiffness,
-and the mean is removed from each result.  A third path eliminates u2
-through the lumped mass matrix, leaving a single sparse positive
-definite system for u1.
+and the mean is removed from each result.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .fem import (assemble_boundary_mass, assemble_mass, assemble_stiffness,
                   partition_dofs)
-from .linalg import (SolveReport, factor_spd, relative_residual, solve_spd,
+from .linalg import (SolveReport, factor_spd, relative_residual,
                      NotConvergedError)
 from .mesh import ComponentError, component_labels
 
@@ -40,8 +40,8 @@ class HasBoundaryError(ValueError):
 
 
 # The boundary CG of the clamped solve takes 7-19 iterations on caps and
-# lanterns of every size up to 197k vertices; one that has not
-# converged after this many fails.
+# lanterns of every size up to 197k vertices, and 18-20 with lumped mass
+# on caps up to 49k; one that has not converged after this many fails.
 _BOUNDARY_CG_MAXITER = 100
 # Weight of the boundary-curve mass in the boundary preconditioner, in
 # units of one over the boundary length.
@@ -224,7 +224,7 @@ def _condensed_clamped(mesh, part, stiffness, mass, load, tol):
     return u1, u2, iterations
 
 
-def solve_mixed_dirichlet(mesh, f, tol=1e-10):
+def solve_mixed_dirichlet(mesh, f, tol=1e-10, mass_mode="consistent"):
     """Solve the clamped mixed biharmonic problem on a bounded mesh.
 
     The saddle system of :func:`saddle_system` is condensed onto the
@@ -245,6 +245,10 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10):
         Nodal samples of the right-hand side.
     tol : float
         Relative residual target.
+    mass_mode : {"consistent", "lumped"}
+        Mass matrix in the second equation.  The load keeps the
+        consistent mass in both modes, so the lumped solution solves
+        B M_L^{-1} B^T u1 = M[interior, :] f with u2 = M_L^{-1} B^T u1.
 
     Returns
     -------
@@ -272,6 +276,8 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10):
     stiffness = assemble_stiffness(mesh)
     mass = assemble_mass(mesh, "consistent")
     load = mass[part.interior, :] @ f
+    if mass_mode != "consistent":
+        mass = assemble_mass(mesh, mass_mode)
     if part.n_interior:
         u1, u2, iterations = _condensed_clamped(mesh, part, stiffness, mass,
                                                 load, tol)
@@ -293,7 +299,7 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10):
     _verify_identity(first, load, tol, "first variational")
     _verify_identity(second, mass_u2, tol, "second variational")
     return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
-                         "consistent")
+                         mass_mode)
 
 
 def solve_mixed_closed(mesh, f, tol=1e-10):
@@ -357,40 +363,6 @@ def solve_mixed_closed(mesh, f, tol=1e-10):
 
     u2, res2 = poisson(mass @ f_tilde, "first Poisson")
     u1, res1 = poisson(mass @ u2, "second Poisson")
-    return MixedSolution(u1, u2, SolveReport("sparse_lu", 0, max(res1, res2)),
+    return MixedSolution(u1, u2, SolveReport("spd_factor", 0, max(res1, res2)),
                          "consistent", f_mean_removed=mean)
 
-
-def solve_mixed_lumped_schur(mesh, f, tol=1e-10):
-    """Clamped solve with u2 eliminated through the lumped mass matrix.
-
-    Lumping makes M diagonal, so u2 = M_L^{-1} B^T u1 can be
-    substituted into the first equation, leaving the sparse positive
-    definite system  B M_L^{-1} B^T u1 = M[interior, :] f  (consistent
-    mass on the right-hand side), solved by conjugate gradients.
-
-    Returns
-    -------
-    MixedSolution
-        With ``mass_mode`` set to "lumped".
-    """
-    if mesh.is_closed:
-        raise NoBoundaryError(
-            "mesh has no boundary; use solve_mixed_closed")
-    _check_clamped_components(mesh)
-    f = _check_field(mesh, f)
-    part = partition_dofs(mesh)
-    stiffness = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh, "consistent")
-    lumped = assemble_mass(mesh, "lumped").diagonal()
-    b_block = stiffness[part.interior, :]
-    inv_lumped = sp.diags(1.0 / lumped)
-    schur = (b_block @ inv_lumped @ b_block.T).tocsr()
-    rhs = mass[part.interior, :] @ f
-    x, report = solve_spd(schur, rhs, tol=tol)
-    u1 = np.zeros(mesh.n_vertices)
-    u1[part.interior] = x
-    u2 = (b_block.T @ x) / lumped
-    _verify_identity(b_block @ u2, rhs, tol, "first variational")
-    _verify_identity(b_block.T @ x, lumped * u2, tol, "second variational")
-    return MixedSolution(u1, u2, report, "lumped")

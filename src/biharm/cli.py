@@ -9,6 +9,7 @@ failure, 4 acceptance-gate failure in ``converge --check``.
 """
 
 import argparse
+from collections import namedtuple
 from itertools import chain
 import json
 import math
@@ -18,10 +19,9 @@ import sys
 import numpy as np
 
 from .analysis import (certify_quality, fit_quality_rates, run_study,
-                       write_quality_csv, write_rates_csv, write_report_csv,
-                       lantern_highres_reference, ErrorRecord)
-from .biharmonic import (solve_mixed_closed, solve_mixed_dirichlet,
-                         solve_mixed_lumped_schur)
+                       solve_mixed, write_quality_csv, write_rates_csv,
+                       write_report_csv, lantern_highres_reference,
+                       ErrorRecord)
 from .fem import interpolate
 from .linalg import NotConvergedError, SingularError
 from .mesh import MeshError, max_edge_length, read_obj, write_obj
@@ -39,29 +39,32 @@ class ConfigError(Exception):
 
 
 _COMMON_FIELDS = {"case", "mass_mode", "tol", "quad_order", "out"}
-_CASE_FIELDS = {
-    "cap": {"theta0", "ring_levels", "R"},
-    "sphere": {"l", "m", "subdiv_levels", "R"},
-    "lantern": {"coupling", "n_levels", "R", "H", "reference"},
-}
-_LEVEL_FIELD = {"cap": "ring_levels", "sphere": "subdiv_levels",
-                "lantern": "n_levels"}
+_DEFAULTS = {"mass_mode": "consistent", "tol": 1e-10, "quad_order": 4,
+             "out": "out"}
 
-_DEFAULTS = {
-    "theta0": math.pi / 3.0,
-    "ring_levels": [8, 16, 32, 64],
-    "l": 2,
-    "m": 0,
-    "subdiv_levels": [2, 3, 4, 5],
-    "coupling": "linear",
-    "n_levels": [8, 16, 32, 64],
-    "R": 1.0,
-    "H": 2.0,
-    "mass_mode": "consistent",
-    "tol": 1e-10,
-    "quad_order": 4,
-    "out": "out",
-    "reference": "manufactured",
+# One entry per case kind: the field holding its levels, its fields
+# (the level field included) with their defaults, the default
+# `solve --n`, the guide slopes of the plot, and the refinement family
+# built from the merged config values.
+_Case = namedtuple("_Case", "level_field fields solve_n guides family")
+_CASES = {
+    "cap": _Case(
+        "ring_levels",
+        {"theta0": math.pi / 3.0, "ring_levels": [8, 16, 32, 64], "R": 1.0},
+        16, [1.0, 0.75, 0.5],
+        lambda v: cap_family(v["theta0"], v["ring_levels"], v["R"])),
+    "sphere": _Case(
+        "subdiv_levels",
+        {"l": 2, "m": 0, "subdiv_levels": [2, 3, 4, 5], "R": 1.0},
+        3, [2.0],
+        lambda v: sphere_family(v["l"], v["m"], v["subdiv_levels"], v["R"])),
+    "lantern": _Case(
+        "n_levels",
+        {"coupling": "linear", "n_levels": [8, 16, 32, 64], "R": 1.0,
+         "H": 2.0, "reference": "manufactured"},
+        16, [1.0, 0.75, 0.5],
+        lambda v: lantern_family(v["coupling"], v["n_levels"], v["R"],
+                                 v["H"])),
 }
 
 # Slope gates mirroring the convergence acceptance bands; checked by
@@ -89,28 +92,15 @@ class StudyConfig:
     def case_kind(self):
         return self.values.get("case")
 
+    @property
+    def spec(self):
+        return _CASES[self.case_kind]
+
     def levels(self):
-        return self.values[_LEVEL_FIELD[self.case_kind]]
+        return self.values[self.spec.level_field]
 
     def family(self):
-        kind = self.case_kind
-        v = self.values
-        if kind == "cap":
-            return cap_family(v["theta0"], v["ring_levels"], v["R"])
-        if kind == "sphere":
-            return sphere_family(v["l"], v["m"], v["subdiv_levels"], v["R"])
-        if kind == "lantern":
-            return lantern_family(v["coupling"], v["n_levels"], v["R"],
-                                  v["H"])
-        raise ConfigError(f"unknown case kind {kind!r}")
-
-    def single_case(self):
-        """The reference surface case, as the case's family carries it."""
-        return self.family().case
-
-    def build_single(self, n):
-        """Mesh at generator level ``n``, built by the case's family."""
-        return self.family().build(n)
+        return self.spec.family(self.values)
 
 
 def _load_config(args):
@@ -126,9 +116,7 @@ def _load_config(args):
             raise ConfigError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = (_COMMON_FIELDS | {"reference"}
-                 | set().union(*_CASE_FIELDS.values())
-                 | set(_LEVEL_FIELD.values()))
+        known = _COMMON_FIELDS.union(*(c.fields for c in _CASES.values()))
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
@@ -146,21 +134,23 @@ def _load_config(args):
             provided[field] = value
     if getattr(args, "levels", None) is not None:
         case = provided.get("case")
-        if case not in _LEVEL_FIELD:
+        if case not in _CASES:
             raise ConfigError("--levels requires --case")
-        provided[_LEVEL_FIELD[case]] = args.levels
+        provided[_CASES[case].level_field] = args.levels
 
     case = provided.get("case")
     if case is not None:
-        if case not in _CASE_FIELDS:
+        if case not in _CASES:
             raise ConfigError(f"unknown case {case!r}")
-        allowed = _COMMON_FIELDS | _CASE_FIELDS[case]
+        allowed = _COMMON_FIELDS | set(_CASES[case].fields)
         for key in provided:
             if key not in allowed:
                 raise ConfigError(
                     f"field {key!r} does not apply to case {case!r}")
 
     values = dict(_DEFAULTS)
+    for spec in _CASES.values():
+        values.update(spec.fields)
     values["case"] = None
     values.update(provided)
     _validate(values)
@@ -183,7 +173,7 @@ def _validate(values):
     if values["reference"] not in ("manufactured", "highres"):
         raise ConfigError(f"reference must be manufactured or highres, "
                           f"got {values['reference']!r}")
-    for field in _LEVEL_FIELD.values():
+    for field in (c.level_field for c in _CASES.values()):
         levels = values[field]
         if (not isinstance(levels, (list, tuple)) or
                 not all(isinstance(v, int) and v >= 0 for v in levels)):
@@ -205,15 +195,6 @@ def _parse_levels(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"levels must be comma-separated integers, got {text!r}")
-
-
-def _thread_count(n_levels):
-    raw = os.environ.get("BIHARM_THREADS", "1")
-    try:
-        threads = max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"BIHARM_THREADS must be an integer, got {raw!r}")
-    return min(threads, n_levels)
 
 
 def _rhs_field(text, mesh):
@@ -385,10 +366,10 @@ def cmd_solve(args):
         mesh = read_obj(args.mesh)
         case = None
     elif cfg.case_kind is not None:
-        n = args.n if args.n is not None else {"cap": 16, "sphere": 3,
-                                               "lantern": 16}[cfg.case_kind]
-        mesh = cfg.build_single(n)
-        case = cfg.single_case()
+        family = cfg.family()
+        mesh = family.build(args.n if args.n is not None
+                            else cfg.spec.solve_n)
+        case = family.case
     else:
         raise ConfigError("solve needs --mesh FILE or --case KIND")
 
@@ -400,15 +381,7 @@ def cmd_solve(args):
         raise ConfigError("solve with --mesh needs --rhs const:VALUE or "
                           "harmonic:l,m")
 
-    if mesh.is_closed:
-        if cfg["mass_mode"] == "lumped":
-            raise ConfigError(
-                "the lumped elimination path needs a bounded mesh")
-        sol = solve_mixed_closed(mesh, f, tol=cfg["tol"])
-    elif cfg["mass_mode"] == "lumped":
-        sol = solve_mixed_lumped_schur(mesh, f, tol=cfg["tol"])
-    else:
-        sol = solve_mixed_dirichlet(mesh, f, tol=cfg["tol"])
+    sol = solve_mixed(mesh, f, cfg["tol"], cfg["mass_mode"])
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -435,15 +408,13 @@ def cmd_converge(args):
                                         tol=cfg["tol"])
         family = family.with_case(ref, label=family.label + "-highres")
     report = run_study(family, tol=cfg["tol"], quad_order=cfg["quad_order"],
-                       mass_mode=cfg["mass_mode"],
-                       threads=_thread_count(len(levels)))
+                       mass_mode=cfg["mass_mode"])
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     write_report_csv(os.path.join(out, "report.csv"), report.records)
     write_rates_csv(os.path.join(out, "rates.csv"), report)
-    guides = [2.0] if cfg.case_kind == "sphere" else [1.0, 0.75, 0.5]
-    _svg_loglog(os.path.join(out, "plot.svg"), report, guides)
+    _svg_loglog(os.path.join(out, "plot.svg"), report, cfg.spec.guides)
 
     print(f"case {report.case}: {len(report.records)} levels, "
           f"dofs {report.records[0].dofs}..{report.records[-1].dofs}")
@@ -486,8 +457,7 @@ def cmd_quality(args):
         if cfg.case_kind is None:
             raise ConfigError("quality on an OBJ mesh needs --case KIND")
         mesh = read_obj(args.mesh)
-        case = cfg.single_case()
-        q = certify_quality(mesh, case, quad)
+        q = certify_quality(mesh, cfg.family().case, quad)
         records = [ErrorRecord(cfg.case_kind, 0, max_edge_length(mesh),
                                mesh.n_vertices, 0.0, 0.0, 0.0, q)]
     elif cfg.case_kind is not None:
@@ -533,7 +503,7 @@ def _build_parser():
 
     def add_common(p, with_levels):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--case", choices=["cap", "sphere", "lantern"])
+        p.add_argument("--case", choices=list(_CASES))
         if with_levels:
             p.add_argument("--levels", type=_parse_levels,
                            help="comma-separated generator parameters, "

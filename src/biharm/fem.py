@@ -14,7 +14,8 @@ vector spans the kernel of S on a closed mesh.
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import build_csr, solve_spd
+from .linalg import (NotConvergedError, build_csr, factor_spd,
+                     relative_residual)
 
 
 class DofPartition:
@@ -174,19 +175,6 @@ def p1_gradients(mesh, u):
     return np.sum(coeff[:, :, None] * rot, axis=1)
 
 
-def p1_gradient(mesh, u, face_index):
-    """Gradient of a piecewise-linear field on one face."""
-    i = int(face_index)
-    if not 0 <= i < mesh.n_faces:
-        raise IndexError(f"face index {i} out of range")
-    u = np.asarray(u, dtype=float)
-    p = mesh.vertices[mesh.faces[i]]
-    e = p[[2, 0, 1]] - p[[1, 2, 0]]
-    rot = np.cross(mesh.face_normals[i], e)
-    coeff = u[mesh.faces[i]] / (2.0 * mesh.face_areas[i])
-    return rot.T @ coeff
-
-
 def discrete_laplacian(mesh, u1, tol=1e-10):
     """Apply the discrete Laplace operator: solve M v = S u.
 
@@ -194,10 +182,17 @@ def discrete_laplacian(mesh, u1, tol=1e-10):
     is the nodal representation of the (positive semidefinite) Laplacian
     of the piecewise-linear field u.  Boundary entries of ``u1`` are
     treated as zero (the field is extended by zero outside the interior).
+    M is factored by :func:`factor_spd`, and the relative residual
+    |M v - S u| / |S u| must not exceed ``tol``.
 
     Returns
     -------
     ndarray, shape (n,)
+
+    Raises
+    ------
+    NotConvergedError
+        If the mass solve misses ``tol``.
     """
     u = np.array(u1, dtype=float)
     if u.shape != (mesh.n_vertices,):
@@ -206,7 +201,12 @@ def discrete_laplacian(mesh, u1, tol=1e-10):
             f"{mesh.n_vertices}")
     if mesh.boundary_vertices.size:
         u[mesh.boundary_vertices] = 0.0
-    stiffness = assemble_stiffness(mesh)
     mass = assemble_mass(mesh, "consistent")
-    v, _report = solve_spd(mass, stiffness @ u, tol=tol)
+    rhs = assemble_stiffness(mesh) @ u
+    v = factor_spd(mass, mesh.vertices).solve(rhs)
+    res = relative_residual(mass, v, rhs)
+    if not np.isfinite(res) or res > tol:
+        raise NotConvergedError(
+            f"mass solve of the discrete Laplacian has relative residual "
+            f"{res:.3e} (tol {tol:.1e}) on {mesh.n_vertices} vertices")
     return v

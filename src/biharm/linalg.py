@@ -1,14 +1,11 @@
 """Sparse linear algebra kernels for the finite element solvers.
 
-Thin layer over scipy.sparse: CSR assembly from triplets, matrix-vector
-products, a Jacobi-preconditioned conjugate gradient solve for symmetric
-positive (semi)definite systems, a sparse factor of symmetric positive
-definite matrices for callers that reuse it across many solves, ordered
-by geometric nested dissection of the unknowns' coordinates, and a
-dense reference solver used to cross-check the sparse paths on small
-problems.  The CG solve re-verifies the relative residual of the
-returned vector instead of trusting the backend's convergence flag;
-callers of the bare factor verify their own.
+Thin layer over scipy.sparse: CSR assembly from triplets, a sparse
+factor of symmetric positive definite matrices, ordered by geometric
+nested dissection of the unknowns' coordinates, a dense reference
+solver used to cross-check the sparse paths on small problems, and
+Matrix Market export.  The factor's accuracy is not checked here: its
+callers verify the residual of what they build from it.
 """
 
 import numpy as np
@@ -35,10 +32,10 @@ class SolveReport:
     Attributes
     ----------
     method : str
-        Identifier of the algorithm used: "cg" (Jacobi-preconditioned
-        CG), "sparse_lu" (factored solve), or "condensed_cg" (the
-        clamped mixed solve: boundary CG over one factor of the
-        interior stiffness).
+        Identifier of the algorithm used: "condensed_cg" (the clamped
+        mixed solve: boundary CG over one factor of the interior
+        stiffness) or "spd_factor" (the closed mixed solve: one factor
+        of the grounded stiffness, see :func:`factor_spd`).
     iterations : int
         Iteration count; 0 for direct methods.
     relative_residual : float
@@ -69,77 +66,10 @@ def build_csr(rows, cols, values, shape):
     return mat
 
 
-def spmv(matrix, x):
-    """Sparse matrix-vector product with an explicit shape check."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or matrix.shape[1] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {matrix.shape} matrix with vector of "
-            f"shape {x.shape}")
-    return matrix @ x
-
-
 def relative_residual(matrix, x, b):
     """|A x - b| / max(|b|, tiny) in the Euclidean norm."""
     r = matrix @ x - b
     return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
-
-
-def _check_square(matrix, b):
-    b = np.asarray(b, dtype=float)
-    n, m = matrix.shape
-    if n != m:
-        raise DimensionMismatchError(f"matrix is not square: {matrix.shape}")
-    if b.ndim != 1 or b.shape[0] != n:
-        raise DimensionMismatchError(
-            f"right-hand side shape {b.shape} does not match matrix "
-            f"shape {matrix.shape}")
-    return b
-
-
-def solve_spd(matrix, b, tol=1e-10):
-    """Solve A x = b for symmetric positive (semi)definite A by CG.
-
-    Uses Jacobi (diagonal) preconditioning and at most 20 n iterations.
-    For a semidefinite A the right-hand side must lie in the range of A
-    (CG then converges to a particular solution).  The residual of the
-    returned vector is recomputed; failure to meet ``tol`` raises.
-
-    Parameters
-    ----------
-    matrix : scipy.sparse.csr_matrix
-        Symmetric positive (semi)definite system matrix.
-    b : ndarray
-        Right-hand side.
-    tol : float
-        Target for the relative residual |A x - b| / |b|.
-
-    Returns
-    -------
-    x : ndarray
-    report : SolveReport
-    """
-    b = _check_square(matrix, b)
-    n = matrix.shape[0]
-    if np.linalg.norm(b) == 0.0:
-        return np.zeros(n), SolveReport("cg", 0, 0.0)
-    diag = matrix.diagonal().astype(float)
-    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0),
-                        1.0)
-    precond = spla.LinearOperator((n, n), matvec=lambda v: inv_diag * v)
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
-
-    x, _info = spla.cg(matrix, b, rtol=0.1 * tol, atol=0.0,
-                       maxiter=20 * n, M=precond, callback=tick)
-    res = relative_residual(matrix, x, b)
-    if not np.isfinite(res) or res > tol:
-        raise NotConvergedError(
-            f"cg stalled at relative residual {res:.3e} after "
-            f"{count[0]} iterations (tol {tol:.1e})")
-    return x, SolveReport("cg", count[0], res)
 
 
 # Subdomains of at most this many vertices are not dissected further.

@@ -369,14 +369,13 @@ def read_obj(path):
     ------
     ValueError
         ``path:lineno: ...`` naming the first malformed record, or
-        ``path: no vertices found``; and the errors of
-        :func:`build_mesh`.
+        ``path: no vertices found`` or ``path: no faces found``; and
+        the errors of :func:`build_mesh`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     v_lines, f_lines = _record_lines(text)
     try:
-        faces = np.empty(0, dtype=np.int64)
         if f_lines:
             if "/" in text:
                 f_lines = _INDEX_SUFFIX.sub("", "\n".join(f_lines)).split("\n")
@@ -394,6 +393,8 @@ def read_obj(path):
         raise
     if not v_lines:
         raise ValueError(f"{path}: no vertices found")
+    if not f_lines:
+        raise ValueError(f"{path}: no faces found")
     return build_mesh(vertices, faces - 1)
 
 

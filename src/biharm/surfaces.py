@@ -83,16 +83,6 @@ class SurfaceCase:
         return f"SurfaceCase({self.kind}, {inner})"
 
 
-def closest_point(case, p):
-    """Project a point (or batch of points) onto the surface of a case."""
-    return case.closest_point(p)
-
-
-def normal_at(case, p):
-    """Outward unit surface normal at (the projection of) a point."""
-    return case.normal_at(p)
-
-
 def _as_batch(p):
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
@@ -576,11 +566,10 @@ class RefinementFamily:
     as a mesh.  Generated mesh sizes h decrease strictly across levels.
     """
 
-    def __init__(self, label, case, levels, builder, coupling=None):
+    def __init__(self, label, case, levels, builder):
         self.label = label
         self.case = case
         self.levels = tuple(int(v) for v in levels)
-        self.coupling = coupling
         self._builder = builder
 
     def build(self, level):
@@ -595,7 +584,7 @@ class RefinementFamily:
     def with_case(self, case, label=None):
         """Same meshes, different reference case (and optional label)."""
         return RefinementFamily(label or self.label, case, self.levels,
-                                self._builder, coupling=self.coupling)
+                                self._builder)
 
 
 def cap_family(theta0, ring_levels, radius=1.0):
@@ -651,5 +640,4 @@ def lantern_family(coupling, n_levels, radius=1.0, height=2.0):
                 f"got {n}")
         return gen_schwarz_lantern(*counts(n), radius, height)
 
-    return RefinementFamily(f"lantern-{coupling}", case, n_levels, builder,
-                            coupling=coupling)
+    return RefinementFamily(f"lantern-{coupling}", case, n_levels, builder)

@@ -276,17 +276,10 @@ class TestRunStudy:
         assert all(b < a for a, b in zip(hs, hs[1:]))
         assert report.case == "sphere"
 
-    def test_threaded_matches_serial(self):
-        family = cap_family(np.pi / 3.0, [2, 4, 8])
-        serial = run_study(family, threads=1)
-        threaded = run_study(family, threads=3)
-        for a, b in zip(serial.records, threaded.records):
-            assert a.l2_u1 == b.l2_u1
-            assert a.h1_u1 == b.h1_u1
-            assert a.l2_u2 == b.l2_u2
-
     def test_lumped_mass_mode(self):
-        family = cap_family(np.pi / 3.0, [2, 4, 8])
+        # The CLI's default levels; Jacobi-CG on the eliminated lumped
+        # system stalled at rings 32.
+        family = cap_family(np.pi / 3.0, [8, 16, 32, 64])
         report = run_study(family, mass_mode="lumped")
         assert all(np.isfinite(r.l2_u1) for r in report.records)
 

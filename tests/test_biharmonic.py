@@ -6,9 +6,9 @@ import biharm.biharmonic as biharmonic
 from biharm import linalg
 from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
                                saddle_system, solve_mixed_closed,
-                               solve_mixed_dirichlet,
-                               solve_mixed_lumped_schur)
-from biharm.fem import assemble_mass, assemble_stiffness, interpolate
+                               solve_mixed_dirichlet)
+from biharm.fem import (assemble_mass, assemble_stiffness, interpolate,
+                        partition_dofs)
 from biharm.linalg import NotConvergedError, dense_solve_oracle
 from biharm.mesh import ComponentError, build_mesh
 from biharm.surfaces import (cylinder_case, gen_cap_mesh, gen_icosphere,
@@ -103,11 +103,11 @@ class TestDirichlet:
         # A disjoint closed sphere leaves S_II singular on its block.
         mesh = disjoint_union(gen_cap_mesh(np.pi / 3.0, 3), gen_icosphere(1))
         f = rng.normal(size=mesh.n_vertices)
-        for solve in (solve_mixed_dirichlet, solve_mixed_lumped_schur):
+        for mode in ("consistent", "lumped"):
             with pytest.raises(ComponentError,
                                match="2 connected components and 1 of them "
                                      "have no boundary vertices"):
-                solve(mesh, f)
+                solve_mixed_dirichlet(mesh, f, mass_mode=mode)
 
     def test_disjoint_bounded_components_solve_apart(self, rng):
         cap = gen_cap_mesh(np.pi / 3.0, 3)
@@ -296,10 +296,30 @@ class TestClosed:
         assert np.isfinite(sol.u1).all()
 
 
+def eliminated_lumped_system(mesh, f):
+    """The lumped clamped problem with u2 = M_L^{-1} B^T u1 eliminated:
+    B M_L^{-1} B^T u1 = M[interior, :] f, with B the interior rows of
+    the stiffness.  Returns the matrix, the right-hand side, B, the
+    lumped mass diagonal and the dof partition."""
+    part = partition_dofs(mesh)
+    b = assemble_stiffness(mesh)[part.interior, :]
+    lumped = assemble_mass(mesh, mode="lumped").diagonal()
+    schur = (b.multiply(1.0 / lumped[None, :]) @ b.T).tocsr()
+    rhs = (assemble_mass(mesh) @ f)[part.interior]
+    return schur, rhs, b, lumped, part
+
+
+def solve_lumped(mesh, f, **kwargs):
+    return solve_mixed_dirichlet(mesh, f, mass_mode="lumped", **kwargs)
+
+
 class TestLumpedSchur:
+    """The lumped mode runs the condensed clamped solve with M_L in
+    place of M; the eliminated system is its oracle."""
+
     def test_zero_rhs(self):
         mesh = gen_cap_mesh(np.pi / 3.0, 3)
-        sol = solve_mixed_lumped_schur(mesh, np.zeros(mesh.n_vertices))
+        sol = solve_lumped(mesh, np.zeros(mesh.n_vertices))
         assert np.all(sol.u1 == 0.0)
         assert np.all(sol.u2 == 0.0)
         assert sol.mass_mode == "lumped"
@@ -307,16 +327,9 @@ class TestLumpedSchur:
     def test_matches_dense_oracle_of_eliminated_system(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_mixed_lumped_schur(mesh, f)
+        sol = solve_lumped(mesh, f)
 
-        s = assemble_stiffness(mesh)
-        m = assemble_mass(mesh)
-        lumped = assemble_mass(mesh, mode="lumped").diagonal()
-        from biharm.fem import partition_dofs
-        part = partition_dofs(mesh)
-        b = s[part.interior, :]
-        schur = (b.multiply(1.0 / lumped[None, :]) @ b.T).tocsr()
-        rhs = (m @ f)[part.interior]
+        schur, rhs, b, lumped, part = eliminated_lumped_system(mesh, f)
         u1_i = dense_solve_oracle(schur, rhs)
         u1 = np.zeros(mesh.n_vertices)
         u1[part.interior] = u1_i
@@ -324,6 +337,29 @@ class TestLumpedSchur:
         scale = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
         assert np.max(np.abs(sol.u1 - u1)) <= 1e-9 * scale
         assert np.max(np.abs(sol.u2 - u2)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("rings", [8, 16, 32])
+    def test_matches_sparse_solve_of_eliminated_system(self, rings):
+        # Rings 32 has 2,977 interior unknowns, beyond the dense oracle;
+        # Jacobi-CG on this system, whose condition grows like h^-4,
+        # stalled there.
+        mesh = gen_cap_mesh(np.pi / 3.0, rings)
+        f = TestCondensedDirichlet.skew_load(mesh)
+        sol = solve_lumped(mesh, f)
+        schur, rhs, _, _, part = eliminated_lumped_system(mesh, f)
+        u1_i = spla.spsolve(schur.tocsc(), rhs)
+        assert (np.linalg.norm(sol.u1[part.interior] - u1_i)
+                <= 1e-10 * np.linalg.norm(u1_i))
+
+    def test_iterations_bounded_on_cap_study_levels(self):
+        from biharm.surfaces import cap_case
+        case = cap_case(1.0, np.pi / 3.0)
+        for rings in (8, 16, 32, 64):
+            mesh = gen_cap_mesh(np.pi / 3.0, rings)
+            sol = solve_lumped(mesh, interpolate(mesh, case.exact_f))
+            assert sol.solve_report.method == "condensed_cg"
+            assert sol.solve_report.iterations <= 25
+            assert sol.solve_report.relative_residual <= 1e-10
 
     def test_difference_to_consistent_shrinks(self):
         from biharm.surfaces import cap_case
@@ -333,7 +369,7 @@ class TestLumpedSchur:
             mesh = gen_cap_mesh(np.pi / 3.0, rings)
             f = interpolate(mesh, case.exact_f)
             a = solve_mixed_dirichlet(mesh, f)
-            b = solve_mixed_lumped_schur(mesh, f)
+            b = solve_lumped(mesh, f)
             diffs.append(l2m(mesh, a.u1 - b.u1) / max(l2m(mesh, a.u1), 1e-30))
         assert diffs[1] < 0.5 * diffs[0]
         assert diffs[2] < 0.5 * diffs[1]
@@ -341,7 +377,7 @@ class TestLumpedSchur:
     def test_closed_mesh_rejected(self):
         mesh = gen_icosphere(1)
         with pytest.raises(NoBoundaryError):
-            solve_mixed_lumped_schur(mesh, np.zeros(mesh.n_vertices))
+            solve_lumped(mesh, np.zeros(mesh.n_vertices))
 
 
 class TestVariationalIdentities:
@@ -351,7 +387,6 @@ class TestVariationalIdentities:
         sol = solve_mixed_dirichlet(mesh, f, tol=1e-10)
         s = assemble_stiffness(mesh)
         m = assemble_mass(mesh)
-        from biharm.fem import partition_dofs
         part = partition_dofs(mesh)
         b = s[part.interior, :]
 
@@ -366,10 +401,11 @@ class TestVariationalIdentities:
     def test_solve_report_populated(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         f = rng.normal(size=mesh.n_vertices)
-        for solver in (solve_mixed_dirichlet, solve_mixed_lumped_schur):
-            sol = solver(mesh, f)
+        for mode in ("consistent", "lumped"):
+            sol = solve_mixed_dirichlet(mesh, f, mass_mode=mode)
             assert sol.solve_report.relative_residual <= 1e-9
         sphere = gen_icosphere(1)
         sol = solve_mixed_closed(sphere, interpolate(
             sphere, real_harmonic(2, 0)))
+        assert sol.solve_report.method == "spd_factor"
         assert sol.solve_report.relative_residual <= 1e-9

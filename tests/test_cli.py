@@ -94,6 +94,14 @@ class TestSolve:
                      "--mass", "lumped", "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_obj_without_faces_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "points.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+        code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{path}: no faces found" in capsys.readouterr().err
+
     def test_unreferenced_vertex_exit_2(self, tmp_path, tet_obj, capsys):
         path = tmp_path / "extra.obj"
         path.write_text(tet_obj.read_text() + "v 9 9 9\n")
@@ -160,17 +168,33 @@ class TestConverge:
         assert rates["l2_u1"][0] > 1.5
         assert rates["l2_u2"][0] > 1.5
 
-    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path):
         args = ["converge", "--case", "cap", "--levels", "2,4,8"]
-        out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        monkeypatch.setenv("BIHARM_THREADS", "3")
-        assert main(args + ["--out", str(out3)]) == 0
         for name in ("report.csv", "rates.csv", "plot.svg"):
-            ref = (out1 / name).read_bytes()
-            assert (out2 / name).read_bytes() == ref
-            assert (out3 / name).read_bytes() == ref
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
+
+    @pytest.mark.parametrize("case", ["cap", "lantern"])
+    def test_lumped_default_levels(self, tmp_path, case):
+        out = tmp_path / "out"
+        code = main(["converge", "--case", case, "--mass", "lumped",
+                     "--out", str(out)])
+        assert code == 0
+        assert len(read_report_csv(out / "report.csv")) == 4
+
+    def test_lumped_on_sphere_exit_2(self, tmp_path, capsys):
+        code = main(["solve", "--case", "sphere", "--mass", "lumped",
+                     "--out", str(tmp_path / "solve")])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert "lumped" in message
+        code = main(["converge", "--case", "sphere", "--mass", "lumped",
+                     "--levels", "2,3,4", "--out", str(tmp_path / "study")])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "study" / "report.csv").exists()
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # OpenBLAS splits dot products of more than 10^4 entries over

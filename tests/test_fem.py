@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from biharm.fem import (assemble_mass, assemble_stiffness, discrete_laplacian,
-                        interpolate, p1_gradient, p1_gradients, partition_dofs)
+                        interpolate, p1_gradients, partition_dofs)
+from biharm.linalg import NotConvergedError
 from biharm.surfaces import gen_icosphere, real_harmonic
 
 from conftest import grid_mesh, single_triangle, tetrahedron
@@ -138,13 +139,6 @@ class TestGradients:
         expected = np.tile([1.0, 0.0, 0.0], (mesh.n_faces, 1))
         assert g == pytest.approx(expected, abs=1e-13)
 
-    def test_single_face_matches_batch(self, rng):
-        mesh = grid_mesh(3, shear=0.2)
-        u = rng.normal(size=mesh.n_vertices)
-        g = p1_gradients(mesh, u)
-        for f in (0, 5, mesh.n_faces - 1):
-            assert p1_gradient(mesh, u, f) == pytest.approx(g[f], abs=1e-14)
-
     def test_edge_directional_derivative(self, rng):
         mesh = gen_icosphere(1)
         u = rng.normal(size=mesh.n_vertices)
@@ -212,3 +206,9 @@ class TestDiscreteLaplacian:
         v_a = discrete_laplacian(mesh, u)
         v_b = discrete_laplacian(mesh, u_mod)
         assert v_a == pytest.approx(v_b, abs=1e-9)
+
+    def test_unreachable_tolerance_raises(self, rng):
+        mesh = grid_mesh(3)
+        with pytest.raises(NotConvergedError, match="discrete Laplacian"):
+            discrete_laplacian(mesh, rng.normal(size=mesh.n_vertices),
+                               tol=1e-30)

@@ -50,6 +50,8 @@ def read_obj_per_line(path):
                 faces.append(idx)
     if not vertices:
         raise ValueError(f"{path}: no vertices found")
+    if not faces:
+        raise ValueError(f"{path}: no faces found")
     return mesh_module.build_mesh(np.asarray(vertices, dtype=float),
                                   np.asarray(faces, dtype=np.int64))
 
@@ -314,7 +316,8 @@ class TestObjIO:
                  "4: face indices must be positive"),
                 (TRIANGLE + "f 1 2 99999999999999999999\n",
                  "4: face index 99999999999999999999 is too large"),
-                ("# empty\n", " no vertices found")]:
+                ("# empty\n", " no vertices found"),
+                ("v 0 0 0\n", " no faces found")]:
             path.write_text(text)
             with pytest.raises(ValueError,
                                match=f"^{re.escape(str(path))}:?{message}"):

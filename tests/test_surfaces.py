@@ -5,10 +5,10 @@ from biharm.mesh import max_edge_length
 from biharm.surfaces import (InvalidAngleError, InvalidCountsError,
                              InvalidDegreeError, InvalidDimensionError,
                              OutsideReachError, TooFewRingsError, cap_case,
-                             cap_family, closest_point, cylinder_case,
-                             gen_cap_mesh, gen_icosphere, gen_schwarz_lantern,
-                             lantern_family, normal_at, real_harmonic,
-                             sphere_case, sphere_family)
+                             cap_family, cylinder_case, gen_cap_mesh,
+                             gen_icosphere, gen_schwarz_lantern,
+                             lantern_family, real_harmonic, sphere_case,
+                             sphere_family)
 
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
 
@@ -22,17 +22,17 @@ def cap_point(theta, phi=0.0, radius=1.0):
 class TestClosestPoint:
     def test_sphere_radial(self):
         case = sphere_case(1.0, 2, 0)
-        assert closest_point(case, np.array([0.0, 0.0, 2.0])) == pytest.approx(
+        assert case.closest_point(np.array([0.0, 0.0, 2.0])) == pytest.approx(
             [0.0, 0.0, 1.0])
 
     def test_cylinder_cross_section(self):
         case = cylinder_case(1.0, 2.0)
-        p = closest_point(case, np.array([2.0, 0.0, 0.3]))
+        p = case.closest_point(np.array([2.0, 0.0, 0.3]))
         assert p == pytest.approx([1.0, 0.0, 0.3])
 
     def test_cylinder_axial_clamp(self):
         case = cylinder_case(1.0, 2.0)
-        p = closest_point(case, np.array([2.0, 0.0, 5.0]))
+        p = case.closest_point(np.array([2.0, 0.0, 5.0]))
         assert p == pytest.approx([1.0, 0.0, 1.0])
 
     def test_idempotent(self, rng):
@@ -40,24 +40,24 @@ class TestClosestPoint:
                  cylinder_case(1.0, 2.0)]
         for case in cases:
             pts = rng.normal(size=(1000, 3)) + np.array([0.5, 0.0, 0.0])
-            projected = closest_point(case, pts)
-            again = closest_point(case, projected)
+            projected = case.closest_point(pts)
+            again = case.closest_point(projected)
             assert np.max(np.abs(again - projected)) <= 1e-12
 
     def test_sphere_center_outside_reach(self):
         case = sphere_case(1.0, 2, 0)
         with pytest.raises(OutsideReachError):
-            closest_point(case, np.zeros(3))
+            case.closest_point(np.zeros(3))
 
     def test_cylinder_axis_outside_reach(self):
         case = cylinder_case(1.0, 2.0)
         with pytest.raises(OutsideReachError):
-            closest_point(case, np.array([0.0, 0.0, 0.5]))
+            case.closest_point(np.array([0.0, 0.0, 0.5]))
 
     def test_normal_at_unit_length(self, rng):
         case = sphere_case(1.0, 2, 0)
-        pts = closest_point(case, rng.normal(size=(50, 3)))
-        normals = normal_at(case, pts)
+        pts = case.closest_point(rng.normal(size=(50, 3)))
+        normals = case.normal_at(pts)
         assert np.linalg.norm(normals, axis=1) == pytest.approx(
             np.ones(50), abs=1e-12)
         assert normals == pytest.approx(pts, abs=1e-12)
@@ -174,7 +174,7 @@ class TestSphereCase:
     def test_degree_two_fields(self, rng):
         case = sphere_case(1.0, 2, 0)
         y = real_harmonic(2, 0)
-        pts = closest_point(case, rng.normal(size=(30, 3)))
+        pts = case.closest_point(rng.normal(size=(30, 3)))
         vals = y(pts)
         assert case.exact_u(pts) == pytest.approx(vals / 36.0, abs=1e-13)
         assert case.exact_lap_u(pts) == pytest.approx(vals / 6.0, abs=1e-13)
@@ -182,7 +182,7 @@ class TestSphereCase:
 
     def test_degree_one_eigenrelation(self, rng):
         case = sphere_case(1.0, 1, 0)
-        pts = closest_point(case, rng.normal(size=(30, 3)))
+        pts = case.closest_point(rng.normal(size=(30, 3)))
         assert case.exact_f(pts) == pytest.approx(4.0 * case.exact_u(pts))
 
     def test_harmonic_zero_mean(self):
@@ -384,8 +384,8 @@ class TestSchwarzLantern:
             mesh = gen_schwarz_lantern(n * n, n)
             case = cylinder_case(1.0, 2.0)
             centroids = mesh.vertices[mesh.faces].mean(axis=1)
-            on_surface = closest_point(case, centroids)
-            exact_normals = normal_at(case, on_surface)
+            on_surface = case.closest_point(centroids)
+            exact_normals = case.normal_at(on_surface)
             cosines = np.sum(mesh.face_normals * exact_normals, axis=1)
             angles.append(np.max(np.arccos(np.clip(cosines, -1.0, 1.0))))
             kappas.append(inradius_ratios(mesh).min())
@@ -441,7 +441,7 @@ class TestRefinementFamilies:
         family = lantern_family("quadratic", [4, 8, 16])
         for n, mesh in family.meshes():
             centroids = mesh.vertices[mesh.faces].mean(axis=1)
-            normals = normal_at(case, closest_point(case, centroids))
+            normals = case.normal_at(case.closest_point(centroids))
             cosines = np.sum(mesh.face_normals * normals, axis=1)
             angles = np.arccos(np.clip(cosines, -1.0, 1.0))
             tilt = np.arctan(n * n * (1.0 - np.cos(np.pi / n)) / 2.0)
