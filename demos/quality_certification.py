@@ -20,6 +20,7 @@ Run:  python3 demos/quality_certification.py
 
 from biharm import (certify_quality, fit_quality_rates, gen_icosphere,
                     max_edge_length, sphere_case)
+from biharm.analysis import SIGMA_THRESHOLD
 
 case = sphere_case(1.0, 2, 0)
 hs = []
@@ -40,7 +41,7 @@ fits = fit_quality_rates(hs, qualities)
 print(f"\ngamma (distance decay)   {fits['gamma'].slope:5.2f}")
 print(f"epsilon (normal decay)   {fits['epsilon'].slope:5.2f}")
 print(f"sigma = min(gamma, 2 epsilon) = {fits['sigma']:.2f}  "
-      f"({'ok' if fits['sigma'] >= 1.5 else 'below the 3/2 threshold'})")
+      f"({'ok' if fits['sigma'] >= SIGMA_THRESHOLD else 'below threshold'})")
 print("\nkappa_min settles near 0.255: subdivision does not degrade the")
 print("icosahedron's shape regularity, and the inscribed vertices give")
 print("quadratic distance decay for free.")

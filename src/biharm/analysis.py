@@ -21,6 +21,7 @@ import numpy as np
 
 from .biharmonic import solve_mixed_closed, solve_mixed_dirichlet
 from .fem import interpolate, p1_gradients
+from .linalg import DEFAULT_TOL
 from .mesh import circumradius_ratios, inradius_ratios, max_edge_length
 from .surfaces import SurfaceCase, cylinder_case, gen_schwarz_lantern
 
@@ -99,17 +100,13 @@ class QualityRecord:
     max_normal_angle : float
         Largest angle (radians) between a face normal and the surface
         normal at the projected face centroid.
-    sigma_estimate : float or None
-        Family-level min(gamma, 2 epsilon); filled by rate fitting.
     """
 
-    def __init__(self, kappa_min, K_max, max_distance, max_normal_angle,
-                 sigma_estimate=None):
+    def __init__(self, kappa_min, K_max, max_distance, max_normal_angle):
         self.kappa_min = float(kappa_min)
         self.K_max = float(K_max)
         self.max_distance = float(max_distance)
         self.max_normal_angle = float(max_normal_angle)
-        self.sigma_estimate = sigma_estimate
 
 
 class ErrorRecord:
@@ -251,69 +248,60 @@ def _fit_loglog(h, values, n_fit):
 def fit_rates(records, case=""):
     """Fit convergence rates across a refinement family.
 
-    The fit uses the finest ceil(levels/2) + 1 records (coarse
-    preasymptotic levels pollute the slope).  Besides the three error
-    norms, the decay exponents gamma of max_distance and epsilon of
-    max_normal_angle are fitted, and sigma = min(gamma, 2 epsilon)
-    summarizes the surface-approximation quality.
+    The three error norms are fitted by :func:`fit_quality_rates`,
+    with the same checks and rule as gamma, epsilon and sigma.
 
     Parameters
     ----------
     records : sequence of ErrorRecord
-        At least three, with distinct mesh sizes.
+        The report keeps their order.
     case : str
-        Case descriptor for the report.
+        Case descriptor for the report; the first record's by default.
 
     Returns
     -------
     ConvergenceReport
     """
-    records = sorted(records, key=lambda r: -r.h)
-    n = len(records)
-    if n < 3:
-        raise InsufficientLevelsError(
-            f"rate fitting needs >= 3 levels, got {n}")
-    hs = [r.h for r in records]
-    if len(set(hs)) != n:
-        raise InsufficientLevelsError("mesh sizes h must be distinct")
-    n_fit = min(n, math.ceil(n / 2) + 1)
-    rates = {
-        "l2_u1": _fit_loglog(hs, [r.l2_u1 for r in records], n_fit),
-        "h1_u1": _fit_loglog(hs, [r.h1_u1 for r in records], n_fit),
-        "l2_u2": _fit_loglog(hs, [r.l2_u2 for r in records], n_fit),
-        "gamma": _fit_loglog(hs, [r.quality.max_distance for r in records],
-                             n_fit),
-        "epsilon": _fit_loglog(
-            hs, [r.quality.max_normal_angle for r in records], n_fit),
-    }
-    sigma = min(rates["gamma"].slope, 2.0 * rates["epsilon"].slope)
-    if not case and records:
-        case = records[0].case
-    return ConvergenceReport(case, records, rates, sigma)
+    rates = fit_quality_rates(
+        [r.h for r in records], [r.quality for r in records],
+        **{name: [getattr(r, name) for r in records]
+           for name in ("l2_u1", "h1_u1", "l2_u2")})
+    sigma = rates.pop("sigma")
+    return ConvergenceReport(case or records[0].case, records, rates, sigma)
 
 
-def fit_quality_rates(hs, qualities):
-    """Fit gamma/epsilon decay exponents from quality records alone.
+def fit_quality_rates(hs, qualities, **series):
+    """Fit decay rates over at least three levels of distinct mesh size h.
 
-    Same finest-subset rule as :func:`fit_rates`.  Returns a dict with
-    RateFit entries "gamma" and "epsilon" plus the scalar
-    sigma = min(gamma, 2 epsilon).
+    Each slope is fitted on the finest ceil(levels/2) + 1 levels (coarse
+    preasymptotic levels pollute it).  Returns a dict of RateFit entries
+    "gamma" (decay of max_distance), "epsilon" (decay of
+    max_normal_angle) and one per keyword ``series`` of per-level
+    values, plus the scalar "sigma" = min(gamma, 2 epsilon).  All
+    per-level inputs are in the order of ``hs``.
     """
     n = len(hs)
     if n < 3:
         raise InsufficientLevelsError(
             f"rate fitting needs >= 3 levels, got {n}")
+    values, counts = np.unique(hs, return_counts=True)
+    if counts.max() > 1:
+        repeated = ", ".join(f"{h:.6g}" for h in values[counts > 1])
+        raise InsufficientLevelsError(
+            f"mesh sizes h must be distinct, got h = {repeated} at "
+            f"more than one level")
     order = np.argsort(hs)[::-1]
-    hs = [hs[i] for i in order]
-    qualities = [qualities[i] for i in order]
     n_fit = min(n, math.ceil(n / 2) + 1)
-    gamma = _fit_loglog(hs, [q.max_distance for q in qualities], n_fit)
-    epsilon = _fit_loglog(hs, [q.max_normal_angle for q in qualities], n_fit)
-    sigma = min(gamma.slope, 2.0 * epsilon.slope)
-    return {"gamma": gamma, "epsilon": epsilon, "sigma": sigma}
+    series["gamma"] = [q.max_distance for q in qualities]
+    series["epsilon"] = [q.max_normal_angle for q in qualities]
+    fits = {name: _fit_loglog([hs[i] for i in order],
+                              [vals[i] for i in order], n_fit)
+            for name, vals in series.items()}
+    fits["sigma"] = min(fits["gamma"].slope, 2.0 * fits["epsilon"].slope)
+    return fits
 
 
-def solve_mixed(mesh, f, tol=1e-10, mass_mode="consistent"):
+def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     """Solve the mixed problem with the solver the mesh calls for.
 
     Meshes with boundary get the clamped solve of
@@ -333,7 +321,7 @@ def solve_mixed(mesh, f, tol=1e-10, mass_mode="consistent"):
     return solve_mixed_closed(mesh, f, tol=tol)
 
 
-def run_level(family, level, tol=1e-10, quad_order=4,
+def run_level(family, level, tol=DEFAULT_TOL, quad_order=4,
               mass_mode="consistent"):
     """Solve one refinement level and collect its ErrorRecord.
 
@@ -353,7 +341,8 @@ def run_level(family, level, tol=1e-10, quad_order=4,
         _certify_quality(mesh, case, quad))
 
 
-def run_study(family, tol=1e-10, quad_order=4, mass_mode="consistent"):
+def run_study(family, tol=DEFAULT_TOL, quad_order=4,
+              mass_mode="consistent"):
     """Run a full convergence study over a refinement family, level by
     level in order.
 
@@ -371,15 +360,43 @@ def run_study(family, tol=1e-10, quad_order=4, mass_mode="consistent"):
 
 
 # ---------------------------------------------------------------------------
+# Thresholds of the convergence criteria
+
+# Fitted slopes at or below this value are flagged non-convergent.
+NONCONVERGENT_SLOPE = 0.25
+# A sigma estimate below this value is flagged: the surface
+# approximation conditions of the error analysis fail.
+SIGMA_THRESHOLD = 1.5
+# Slope gates of the convergence acceptance criteria, per case label;
+# checked by `converge --check` and by the acceptance tests.
+ACCEPTANCE_GATES = {
+    "cap": [("l2_u1", ">=", 0.85), ("h1_u1", ">=", 0.60),
+            ("l2_u2", ">=", 0.40)],
+    "sphere": [("l2_u1", ">=", 1.8), ("l2_u2", ">=", 1.8),
+               ("h1_u1", ">=", 0.9)],
+    "lantern-linear": [("l2_u2", ">=", 0.4), ("l2_u1", ">=", 0.85)],
+    "lantern-quadratic": [("l2_u2", "<=", 0.25), ("epsilon", "<=", 0.3)],
+}
+
+
+def gate_failures(report, gate):
+    """One message per fitted slope of ``report`` that misses the
+    acceptance gate ``ACCEPTANCE_GATES[gate]``; empty if all pass."""
+    failures = []
+    for name, op, bound in ACCEPTANCE_GATES[gate]:
+        slope = report.rates[name].slope
+        if not (slope >= bound if op == ">=" else slope <= bound):
+            failures.append(f"{name} slope {slope:.3f} not {op} {bound}")
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # CSV serialization (12 significant digits, stable layout)
 
 REPORT_HEADER = ("case,level,h,dofs,l2_u1,h1_u1,l2_u2,"
                  "kappa_min,K_max,max_dist,max_normal_angle")
 QUALITY_HEADER = "case,level,h,dofs,kappa_min,K_max,max_dist,max_normal_angle"
 RATES_HEADER = "norm,slope,residual,flag"
-
-# Fitted slopes at or below this value are flagged non-convergent.
-NONCONVERGENT_SLOPE = 0.25
 
 
 def _fmt(x):
@@ -444,9 +461,10 @@ def read_quality_csv(path):
 def write_rates_csv(path, report):
     """Write fitted rates with a convergence flag per norm.
 
-    Error-norm slopes at or below 0.25 are flagged "non-convergent"; a
-    sigma estimate below 3/2 is flagged "warning" (condition on the
-    surface-approximation quality fails).
+    Error-norm slopes at or below ``NONCONVERGENT_SLOPE`` are flagged
+    "non-convergent"; a sigma estimate below ``SIGMA_THRESHOLD`` is
+    flagged "warning" (condition on the surface-approximation quality
+    fails).
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RATES_HEADER + "\n")
@@ -459,7 +477,8 @@ def write_rates_csv(path, report):
         for name in ("gamma", "epsilon"):
             fit = report.rates[name]
             fh.write(f"{name},{_fmt(fit.slope)},{_fmt(fit.residual)},ok\n")
-        flag = "ok" if report.sigma_estimate >= 1.5 else "warning"
+        flag = ("ok" if report.sigma_estimate >= SIGMA_THRESHOLD
+                else "warning")
         fh.write(f"sigma,{_fmt(report.sigma_estimate)},,{flag}\n")
 
 
@@ -478,7 +497,7 @@ def read_rates_csv(path):
 # High-resolution discrete reference for the lantern experiment
 
 def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
-                              rhs_value=24.0, tol=1e-10):
+                              rhs_value=24.0, tol=DEFAULT_TOL):
     """Cylinder case whose reference fields come from a fine solve.
 
     Solves the clamped problem with constant right-hand side on a fine

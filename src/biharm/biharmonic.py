@@ -19,6 +19,11 @@ fields of zero mass-weighted mean.  Both use one factorization of the
 stiffness grounded at vertex 0, which is positive definite: each
 right-hand side is first projected onto the range of the stiffness,
 and the mean is removed from each result.
+
+Each solve checks its two equations (the variational identities of the
+clamped problem, the Poisson identities of the closed one) apart by
+:func:`~biharm.linalg.check_residual`, so ``tol`` does not depend on the
+unit of length, and reports the larger residual.
 """
 
 import numpy as np
@@ -26,7 +31,7 @@ import scipy.sparse as sp
 
 from .fem import (assemble_boundary_mass, assemble_mass, assemble_stiffness,
                   partition_dofs)
-from .linalg import (SolveReport, factor_spd, relative_residual,
+from .linalg import (DEFAULT_TOL, SolveReport, check_residual, factor_spd,
                      NotConvergedError)
 from .mesh import ComponentError, component_labels
 
@@ -103,17 +108,6 @@ def _check_clamped_components(mesh):
                 f"needs a boundary on each")
 
 
-def _verify_identity(lhs, rhs, tol, label):
-    """Check a variational identity lhs = rhs by explicit residual."""
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-    res = np.linalg.norm(lhs - rhs) / scale
-    if res > tol:
-        raise NotConvergedError(
-            f"{label} identity violated: relative residual {res:.3e} "
-            f"exceeds {tol:.1e}")
-    return res
-
-
 def saddle_system(mesh, f):
     """Assemble the coupled saddle matrix and right-hand side.
 
@@ -155,12 +149,14 @@ def _condensed_clamped(mesh, part, stiffness, mass, load, tol):
     (10 / |Gamma|) times the boundary-curve mass, |Gamma| the boundary
     length; both terms are unchanged when the mesh is scaled.
 
-    The CG residual is exactly the boundary block of the saddle
-    residual.  CG stops once it is below a hundredth of ``tol`` relative
-    to the smaller of |M_I: f| and |M u2|, the scales of the full saddle
-    residual and of the second variational identity.  The margin costs
-    about one step; on the cap family it leaves u1 and u2 closer to the
-    exact discrete solution than a sparse LU of the saddle matrix does.
+    The first identity B u2 = M_I: f and the interior rows of the
+    second, B^T u1 = M u2, hold up to the accuracy of the factor; the
+    CG residual is exactly the boundary block of the second.  CG stops
+    once it is at most a hundredth of ``tol`` times |M u2|, the scale
+    :func:`check_residual` gives the second identity, so the stop does
+    not depend on the unit of length.  The margin costs about one step;
+    on the cap family it leaves u1 and u2 closer to the exact discrete
+    solution than a sparse LU of the saddle matrix does.
 
     Returns
     -------
@@ -196,11 +192,9 @@ def _condensed_clamped(mesh, part, stiffness, mass, load, tol):
     z = precondition(r)
     p = z
     rz = r @ z
-    load_norm = np.linalg.norm(load)
     target = 0.01 * tol
     for iterations in range(_BOUNDARY_CG_MAXITER + 1):
-        scale = max(min(load_norm, np.linalg.norm(mass_u2)), 1e-300)
-        res = np.linalg.norm(r) / scale
+        res = np.linalg.norm(r) / max(np.linalg.norm(mass_u2), 1e-300)
         if res <= target:
             break
         if iterations == _BOUNDARY_CG_MAXITER or not np.isfinite(res):
@@ -224,18 +218,18 @@ def _condensed_clamped(mesh, part, stiffness, mass, load, tol):
     return u1, u2, iterations
 
 
-def solve_mixed_dirichlet(mesh, f, tol=1e-10, mass_mode="consistent"):
+def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     """Solve the clamped mixed biharmonic problem on a bounded mesh.
 
     The saddle system of :func:`saddle_system` is condensed onto the
     boundary values of u2: the interior stiffness S_II is factored
     once, and the boundary Schur complement is solved by CG
     preconditioned with the Dirichlet-to-Neumann map of the same factor
-    (see :func:`_condensed_clamped`).  The relative residual of the
-    full saddle system, |A x - b| / |b| over both block rows, is then
-    recomputed from the assembled blocks and must not exceed ``tol``,
-    and both variational identities are checked to ``tol`` as well.  A
-    mesh without interior vertices has the solution u1 = u2 = 0.
+    (see :func:`_condensed_clamped`).  Both variational identities,
+    B u2 = M[interior, :] f and B^T u1 = M u2, are then recomputed from
+    the assembled blocks and checked to ``tol`` by
+    :func:`check_residual`.  A mesh without interior vertices has the
+    solution u1 = u2 = 0.
 
     Parameters
     ----------
@@ -244,7 +238,7 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10, mass_mode="consistent"):
     f : ndarray, shape (n,)
         Nodal samples of the right-hand side.
     tol : float
-        Relative residual target.
+        Largest relative residual allowed in either identity.
     mass_mode : {"consistent", "lumped"}
         Mass matrix in the second equation.  The load keeps the
         consistent mass in both modes, so the lumped solution solves
@@ -254,7 +248,7 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10, mass_mode="consistent"):
     -------
     MixedSolution
         Its ``solve_report`` has method "condensed_cg", the boundary CG
-        iteration count and the saddle residual.
+        iteration count and the larger residual of the two identities.
 
     Raises
     ------
@@ -265,7 +259,7 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10, mass_mode="consistent"):
     SingularError
         If the interior stiffness cannot be factored.
     NotConvergedError
-        If the boundary CG or the recomputed residual misses ``tol``.
+        If the boundary CG or either identity misses ``tol``.
     """
     if mesh.is_closed:
         raise NoBoundaryError(
@@ -286,23 +280,15 @@ def solve_mixed_dirichlet(mesh, f, tol=1e-10, mass_mode="consistent"):
                               np.zeros(mesh.n_vertices), 0)
 
     b_block = stiffness[part.interior, :]
-    first = b_block @ u2
-    second = b_block.T @ u1[part.interior]
-    mass_u2 = mass @ u2
-    res = (np.hypot(np.linalg.norm(first - load),
-                    np.linalg.norm(second - mass_u2))
-           / max(np.linalg.norm(load), 1e-300))
-    if not np.isfinite(res) or res > tol:
-        raise NotConvergedError(
-            f"clamped solve has saddle relative residual {res:.3e} "
-            f"(tol {tol:.1e}) on {mesh.n_vertices} vertices")
-    _verify_identity(first, load, tol, "first variational")
-    _verify_identity(second, mass_u2, tol, "second variational")
+    what = f"identity of the clamped solve on {mesh.n_vertices} vertices"
+    res = max(check_residual(b_block @ u2, load, tol, "first " + what),
+              check_residual(b_block.T @ u1[part.interior], mass @ u2, tol,
+                             "second " + what))
     return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
                          mass_mode)
 
 
-def solve_mixed_closed(mesh, f, tol=1e-10):
+def solve_mixed_closed(mesh, f, tol=DEFAULT_TOL):
     """Solve the biharmonic problem on a closed mesh by double Poisson.
 
     The right-hand side is projected onto zero M-weighted mean (the
@@ -315,9 +301,8 @@ def solve_mixed_closed(mesh, f, tol=1e-10):
 
     which is what the Lagrange row of the bordered system
     [[S, M 1], [(M 1)^T, 0]] does.  The M-weighted mean is then removed
-    from u, so that 1^T M u = 0.  Each Poisson identity is checked by
-    its relative residual |S u - b| / |b| against the projected b,
-    which must not exceed ``tol``.
+    from u, so that 1^T M u = 0.  Each Poisson identity S u = b, with
+    the projected b, is checked to ``tol`` by :func:`check_residual`.
 
     Raises
     ------
@@ -328,7 +313,7 @@ def solve_mixed_closed(mesh, f, tol=1e-10):
     SingularError
         If the grounded stiffness cannot be factored.
     NotConvergedError
-        If a residual or an identity misses ``tol``.
+        If either Poisson identity misses ``tol``.
     """
     if not mesh.is_closed:
         raise HasBoundaryError(
@@ -354,12 +339,9 @@ def solve_mixed_closed(mesh, f, tol=1e-10):
         u = np.zeros(mesh.n_vertices)
         u[1:] = factor.solve(rhs[1:])
         u -= np.sum(border * u) / total
-        res = relative_residual(stiffness, u, rhs)
-        if not np.isfinite(res) or res > tol:
-            raise NotConvergedError(
-                f"{label} solve has relative residual {res:.3e} "
-                f"(tol {tol:.1e}) on {mesh.n_vertices} vertices")
-        return u, res
+        return u, check_residual(stiffness @ u, rhs, tol,
+                                 f"{label} identity of the closed solve "
+                                 f"on {mesh.n_vertices} vertices")
 
     u2, res2 = poisson(mass @ f_tilde, "first Poisson")
     u1, res1 = poisson(mass @ u2, "second Poisson")

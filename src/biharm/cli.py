@@ -18,12 +18,13 @@ import sys
 
 import numpy as np
 
-from .analysis import (certify_quality, fit_quality_rates, run_study,
+from .analysis import (ACCEPTANCE_GATES, SIGMA_THRESHOLD, certify_quality,
+                       fit_quality_rates, gate_failures, run_study,
                        solve_mixed, write_quality_csv, write_rates_csv,
                        write_report_csv, lantern_highres_reference,
                        ErrorRecord)
 from .fem import interpolate
-from .linalg import NotConvergedError, SingularError
+from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
 from .mesh import MeshError, max_edge_length, read_obj, write_obj
 from .surfaces import (cap_family, lantern_family, real_harmonic,
                        sphere_family)
@@ -39,7 +40,7 @@ class ConfigError(Exception):
 
 
 _COMMON_FIELDS = {"case", "mass_mode", "tol", "quad_order", "out"}
-_DEFAULTS = {"mass_mode": "consistent", "tol": 1e-10, "quad_order": 4,
+_DEFAULTS = {"mass_mode": "consistent", "tol": DEFAULT_TOL, "quad_order": 4,
              "out": "out"}
 
 # One entry per case kind: the field holding its levels, its fields
@@ -65,17 +66,6 @@ _CASES = {
         16, [1.0, 0.75, 0.5],
         lambda v: lantern_family(v["coupling"], v["n_levels"], v["R"],
                                  v["H"])),
-}
-
-# Slope gates mirroring the convergence acceptance bands; checked by
-# `converge --check`.
-_GATES = {
-    "cap": [("l2_u1", ">=", 0.85), ("h1_u1", ">=", 0.60),
-            ("l2_u2", ">=", 0.40)],
-    "sphere": [("l2_u1", ">=", 1.8), ("l2_u2", ">=", 1.8),
-               ("h1_u1", ">=", 0.9)],
-    "lantern-linear": [("l2_u2", ">=", 0.4), ("l2_u1", ">=", 0.85)],
-    "lantern-quadratic": [("l2_u2", "<=", 0.25), ("epsilon", "<=", 0.3)],
 }
 
 
@@ -429,16 +419,10 @@ def cmd_converge(args):
         gate_key = report.case
         if gate_key.endswith("-highres"):
             gate_key = gate_key[:-len("-highres")]
-        gates = _GATES.get(gate_key)
-        if gates is None:
+        if gate_key not in ACCEPTANCE_GATES:
             raise ConfigError(f"no acceptance gate defined for "
                               f"case {report.case!r}")
-        failures = []
-        for name, op, bound in gates:
-            slope = report.rates[name].slope
-            ok = slope >= bound if op == ">=" else slope <= bound
-            if not ok:
-                failures.append(f"{name} slope {slope:.3f} not {op} {bound}")
+        failures = gate_failures(report, gate_key)
         if failures:
             for msg in failures:
                 print(f"gate failure: {msg}", file=sys.stderr)
@@ -471,6 +455,10 @@ def cmd_quality(args):
     else:
         raise ConfigError("quality needs --mesh FILE or --case KIND")
 
+    fits = None
+    if len(records) >= 3:
+        fits = fit_quality_rates([r.h for r in records],
+                                 [r.quality for r in records])
     os.makedirs(out, exist_ok=True)
     write_quality_csv(os.path.join(out, "quality.csv"), records)
     for r in records:
@@ -479,15 +467,15 @@ def cmd_quality(args):
               f"{q.kappa_min:.4f}, K_max = {q.K_max:.4f}, max_dist = "
               f"{q.max_distance:.3e}, max_normal_angle = "
               f"{q.max_normal_angle:.3e}")
-    if len(records) >= 3:
-        fits = fit_quality_rates([r.h for r in records],
-                                 [r.quality for r in records])
+    if fits is not None:
         print(f"  gamma estimate {fits['gamma'].slope:.3f}, "
               f"epsilon estimate {fits['epsilon'].slope:.3f}, "
               f"sigma estimate {fits['sigma']:.3f}")
-        if fits["sigma"] < 1.5:
-            print(f"warning: sigma estimate {fits['sigma']:.3f} below 3/2; "
-                  f"surface approximation conditions fail", file=sys.stderr)
+        if fits["sigma"] < SIGMA_THRESHOLD:
+            num, den = SIGMA_THRESHOLD.as_integer_ratio()
+            print(f"warning: sigma estimate {fits['sigma']:.3f} below "
+                  f"{num}/{den}; surface approximation conditions fail",
+                  file=sys.stderr)
     print(f"wrote quality.csv in {out}")
     return EXIT_OK
 

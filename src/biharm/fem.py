@@ -14,8 +14,7 @@ vector spans the kernel of S on a closed mesh.
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import (NotConvergedError, build_csr, factor_spd,
-                     relative_residual)
+from .linalg import DEFAULT_TOL, build_csr, check_residual, factor_spd
 
 
 class DofPartition:
@@ -175,15 +174,15 @@ def p1_gradients(mesh, u):
     return np.sum(coeff[:, :, None] * rot, axis=1)
 
 
-def discrete_laplacian(mesh, u1, tol=1e-10):
+def discrete_laplacian(mesh, u1, tol=DEFAULT_TOL):
     """Apply the discrete Laplace operator: solve M v = S u.
 
     M is the consistent mass matrix and S the cotangent stiffness, so v
     is the nodal representation of the (positive semidefinite) Laplacian
     of the piecewise-linear field u.  Boundary entries of ``u1`` are
     treated as zero (the field is extended by zero outside the interior).
-    M is factored by :func:`factor_spd`, and the relative residual
-    |M v - S u| / |S u| must not exceed ``tol``.
+    M is factored by :func:`factor_spd`, and M v = S u is checked to
+    ``tol`` by :func:`check_residual`.
 
     Returns
     -------
@@ -204,9 +203,6 @@ def discrete_laplacian(mesh, u1, tol=1e-10):
     mass = assemble_mass(mesh, "consistent")
     rhs = assemble_stiffness(mesh) @ u
     v = factor_spd(mass, mesh.vertices).solve(rhs)
-    res = relative_residual(mass, v, rhs)
-    if not np.isfinite(res) or res > tol:
-        raise NotConvergedError(
-            f"mass solve of the discrete Laplacian has relative residual "
-            f"{res:.3e} (tol {tol:.1e}) on {mesh.n_vertices} vertices")
+    check_residual(mass @ v, rhs, tol, f"mass solve of the discrete "
+                   f"Laplacian on {mesh.n_vertices} vertices")
     return v

@@ -5,7 +5,7 @@ factor of symmetric positive definite matrices, ordered by geometric
 nested dissection of the unknowns' coordinates, a dense reference
 solver used to cross-check the sparse paths on small problems, and
 Matrix Market export.  The factor's accuracy is not checked here: its
-callers verify the residual of what they build from it.
+callers verify each equation they solve with :func:`check_residual`.
 """
 
 import numpy as np
@@ -39,7 +39,8 @@ class SolveReport:
     iterations : int
         Iteration count; 0 for direct methods.
     relative_residual : float
-        |A x - b| / max(|b|, tiny), recomputed from the returned x.
+        The largest :func:`check_residual` of the equations the solve
+        checked, each recomputed from the returned solution.
     """
 
     def __init__(self, method, iterations, relative_residual):
@@ -66,10 +67,21 @@ def build_csr(rows, cols, values, shape):
     return mat
 
 
-def relative_residual(matrix, x, b):
-    """|A x - b| / max(|b|, tiny) in the Euclidean norm."""
-    r = matrix @ x - b
-    return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
+# Default relative residual target of every solve.
+DEFAULT_TOL = 1e-10
+
+
+def check_residual(lhs, rhs, tol, what):
+    """Return the relative residual |lhs - rhs| / max(|lhs|, |rhs|, tiny)
+    of the equation ``what``, raising NotConvergedError if it exceeds
+    ``tol`` or is not finite.  Both sides carry one unit, so the
+    residual does not depend on the unit of length."""
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+    res = float(np.linalg.norm(lhs - rhs) / scale)
+    if not res <= tol:
+        raise NotConvergedError(
+            f"{what} has relative residual {res:.3e} (tol {tol:.1e})")
+    return res
 
 
 # Subdomains of at most this many vertices are not dissected further.

@@ -7,8 +7,8 @@ from biharm import linalg
 from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
                                saddle_system, solve_mixed_closed,
                                solve_mixed_dirichlet)
-from biharm.fem import (assemble_mass, assemble_stiffness, interpolate,
-                        partition_dofs)
+from biharm.fem import (assemble_mass, assemble_stiffness,
+                        discrete_laplacian, interpolate, partition_dofs)
 from biharm.linalg import NotConvergedError, dense_solve_oracle
 from biharm.mesh import ComponentError, build_mesh
 from biharm.surfaces import (cylinder_case, gen_cap_mesh, gen_icosphere,
@@ -170,15 +170,21 @@ class TestCondensedDirichlet:
             assert sol.solve_report.relative_residual <= 1e-10
 
     def test_scaled_mesh_same_iterations(self):
-        from biharm.mesh import build_mesh
-        mesh = gen_cap_mesh(np.pi / 3.0, 16)
-        f = self.skew_load(mesh)
-        counts = []
-        for scale in (1.0, 1e-2):
-            scaled = build_mesh(scale * mesh.vertices, mesh.faces)
-            counts.append(solve_mixed_dirichlet(
-                scaled, f).solve_report.iterations)
-        assert abs(counts[1] - counts[0]) <= 2
+        # Both sides of each identity scale alike under x -> c x, so
+        # neither the residuals nor the boundary CG may see the unit of
+        # length.
+        for mesh in (gen_cap_mesh(np.pi / 3.0, 16),
+                     gen_schwarz_lantern(32, 16)):
+            f = self.skew_load(mesh)
+            reports = {}
+            for scale in (1e-3, 1.0, 1e2, 1e3):
+                scaled = build_mesh(scale * mesh.vertices, mesh.faces)
+                reports[scale] = solve_mixed_dirichlet(scaled,
+                                                       f).solve_report
+            for scale, report in reports.items():
+                assert abs(report.iterations
+                           - reports[1.0].iterations) <= 1, scale
+                assert report.relative_residual <= 1e-10, scale
 
     def test_failed_boundary_cg_names_solve(self, monkeypatch):
         monkeypatch.setattr(biharmonic, "_BOUNDARY_CG_MAXITER", 5)
@@ -276,6 +282,20 @@ class TestClosed:
         scale = max(np.max(np.abs(sol.u1)), np.max(np.abs(sol.u2)))
         assert np.max(np.abs(sol_rot.u1 - sol.u1)) <= 1e-9 * scale
         assert np.max(np.abs(sol_rot.u2 - sol.u2)) <= 1e-9 * scale
+
+    def test_scaled_mesh(self):
+        # Under x -> c x, u2 scales like c^2 and u1 like c^4.
+        mesh = gen_icosphere(3)
+        f = interpolate(mesh, real_harmonic(2, 1)) + mesh.vertices[:, 0]
+        base = solve_mixed_closed(mesh, f)
+        for scale in (1e-3, 1e2, 1e3):
+            sol = solve_mixed_closed(
+                build_mesh(scale * mesh.vertices, mesh.faces), f)
+            assert sol.solve_report.relative_residual <= 1e-10
+            for got, want in ((sol.u2, scale ** 2 * base.u2),
+                              (sol.u1, scale ** 4 * base.u1)):
+                assert (np.linalg.norm(got - want)
+                        <= 1e-8 * np.linalg.norm(want))
 
     def test_open_mesh_rejected(self):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
@@ -397,6 +417,19 @@ class TestVariationalIdentities:
         r2 = b.T @ sol.u1[part.interior] - m @ sol.u2
         scale2 = max(np.linalg.norm(m @ sol.u2), 1e-30)
         assert np.linalg.norm(r2) <= 1e-8 * scale2
+
+    @pytest.mark.parametrize("mesh_fn, solve", [
+        (lambda: gen_cap_mesh(np.pi / 3.0, 4), solve_mixed_dirichlet),
+        (lambda: gen_icosphere(1), solve_mixed_closed),
+        (lambda: gen_icosphere(1), discrete_laplacian),
+    ], ids=["clamped", "closed", "discrete-laplacian"])
+    def test_non_finite_solve_raises(self, mesh_fn, solve, monkeypatch):
+        # A factor that returns NaN must not pass for a converged solve.
+        mesh = mesh_fn()
+        monkeypatch.setattr(linalg._PermutedFactor, "solve",
+                            lambda self, b: np.full(np.shape(b), np.nan))
+        with pytest.raises(NotConvergedError, match="relative residual"):
+            solve(mesh, mesh.vertices[:, 0] + 1.0)
 
     def test_solve_report_populated(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import biharm
 from biharm import cli
-from biharm.analysis import read_quality_csv, read_rates_csv, read_report_csv
+from biharm.analysis import (ACCEPTANCE_GATES, read_quality_csv,
+                             read_rates_csv, read_report_csv)
 from biharm.cli import main, read_solution_csv
-from biharm.mesh import read_obj, write_obj
+from biharm.mesh import max_edge_length, read_obj, write_obj
+from biharm.surfaces import gen_cap_mesh
 
 from conftest import tetrahedron
 
@@ -223,8 +225,8 @@ class TestConverge:
         args = ["converge", "--case", "lantern", "--coupling", "quadratic",
                 "--levels", "4,6,8,11", "--check"]
         assert main(args + ["--out", str(tmp_path / "shipped")]) == 0
-        monkeypatch.setitem(cli._GATES, "lantern-quadratic",
-                            cli._GATES["lantern-linear"])
+        monkeypatch.setitem(ACCEPTANCE_GATES, "lantern-quadratic",
+                            ACCEPTANCE_GATES["lantern-linear"])
         assert main(args + ["--out", str(tmp_path / "linear-gate")]) == 4
         assert "gate" in capsys.readouterr().err
 
@@ -279,6 +281,17 @@ class TestQuality:
         rows = read_quality_csv(out / "quality.csv")
         kappas = [row[4].kappa_min for row in rows]
         assert kappas[2] < 0.6 * kappas[0]
+
+    def test_repeated_levels_exit_2(self, tmp_path, capsys):
+        # Three meshes of one size leave no slope to fit.
+        code = main(["quality", "--case", "cap", "--levels", "8,8,8",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        h = max_edge_length(gen_cap_mesh(np.pi / 3.0, 8))
+        assert "mesh sizes h must be distinct" in err
+        assert f"{h:.6g}" in err
+        assert "sigma estimate" not in err
 
     def test_single_mesh(self, tmp_path, tet_obj):
         out = tmp_path / "out"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharm.fem import assemble_stiffness, partition_dofs
-from biharm.linalg import (DimensionMismatchError, SingularError, build_csr,
+from biharm.linalg import (DimensionMismatchError, NotConvergedError,
+                           SingularError, build_csr, check_residual,
                            dense_solve_oracle, export_matrix_market,
                            factor_spd, nested_dissection)
 from biharm.surfaces import gen_cap_mesh
@@ -61,6 +62,41 @@ def interior_stiffness(mesh):
     s = assemble_stiffness(mesh)
     interior = partition_dofs(mesh).interior
     return s[interior, :][:, interior], mesh.vertices[interior]
+
+
+class TestCheckResidual:
+    def test_relative_to_larger_side(self):
+        lhs, rhs = np.array([3.0, 4.0]), np.array([3.0, 4.0 + 1e-12])
+        assert check_residual(lhs, rhs, 1e-10, "x") == pytest.approx(
+            1e-12 / np.linalg.norm(rhs), rel=1e-3)
+        assert check_residual(2.0 * rhs, rhs, 1.0, "x") == pytest.approx(0.5)
+
+    def test_independent_of_scale(self):
+        lhs, rhs = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.1])
+        res = check_residual(lhs, rhs, 1.0, "x")
+        for scale in (1e-100, 1e-3, 1e3, 1e100):
+            assert check_residual(scale * lhs, scale * rhs, 1.0,
+                                  "x") == pytest.approx(res, rel=1e-14)
+
+    def test_zero_sides(self):
+        assert check_residual(np.zeros(3), np.zeros(3), 0.0, "x") == 0.0
+        assert check_residual(np.zeros(0), np.zeros(0), 0.0, "x") == 0.0
+
+    def test_above_tolerance_names_equation(self):
+        with pytest.raises(NotConvergedError,
+                           match=r"mass solve on 3 vertices has relative "
+                                 r"residual 5\.000e-01 \(tol 1\.0e-10\)"):
+            check_residual(np.ones(3), 2.0 * np.ones(3), 1e-10,
+                           "mass solve on 3 vertices")
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        lhs = np.array([1.0, bad])
+        with pytest.raises(NotConvergedError, match="nan"):
+            check_residual(lhs, np.ones(2), 1e300, "x")
+        with pytest.raises(NotConvergedError, match="nan"):
+            check_residual(np.ones(2), lhs, 1e300, "x")
 
 
 class TestFactorSpd:
