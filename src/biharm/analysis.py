@@ -76,9 +76,7 @@ class _SurfaceQuadrature:
     """
 
     def __init__(self, mesh, case, order):
-        if order not in _QUAD_RULES:
-            raise ValueError(f"quadrature order must be 2 or 4, got {order}")
-        self.bary, self.weights = _QUAD_RULES[order]
+        self.bary, self.weights = triangle_quadrature(order)
         pts = np.matmul(self.bary, mesh.vertices[mesh.faces])   # (F, q, 3)
         self.shape = pts.shape[:2]
         self.points = pts.reshape(-1, 3)
@@ -501,11 +499,18 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     """Cylinder case whose reference fields come from a fine solve.
 
     Solves the clamped problem with constant right-hand side on a fine
-    shape-regular lantern (m = 2 n_ref) and exposes the discrete
-    solution, its chart gradient and the discrete u2 as the "exact"
-    fields of a new SurfaceCase, interpolated in the unrolled (R phi, z)
-    chart.  This mirrors measuring errors against a numerically
-    computed high-resolution solution instead of the manufactured one.
+    shape-regular lantern (m = 2 n_ref) and exposes the discrete u1,
+    its chart gradient and the discrete u2 as the "exact" fields of a
+    new SurfaceCase.  This mirrors measuring errors against a
+    numerically computed high-resolution solution instead of the
+    manufactured one.
+
+    The fine mesh and the constant load are invariant under the
+    rotation by 2 pi / m, which maps every vertex ring onto itself, so
+    the fine solution is constant on each ring.  Its P1 interpolant in
+    the unrolled (R phi, z) chart is therefore the piecewise linear
+    profile in z through the ring values, which is what the fields
+    evaluate at the closest point.
 
     Returns
     -------
@@ -518,103 +523,26 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     fine = gen_schwarz_lantern(m_ref, n_ref, radius, height)
     f = np.full(fine.n_vertices, float(rhs_value))
     sol = solve_mixed_dirichlet(fine, f, tol=tol)
-    a = 0.5 * height
 
-    # Chart coordinates (R*phi, z) of fine-mesh triangles, each face
-    # unwrapped so its vertices stay within half a turn of each other.
-    phi = np.arctan2(fine.vertices[:, 1], fine.vertices[:, 0])
-    tri_phi = phi[fine.faces]                            # (F, 3)
-    ref = tri_phi[:, :1]
-    tri_phi = tri_phi - np.round((tri_phi - ref) / (2 * np.pi)) * 2 * np.pi
-    tri_xy = np.stack([radius * tri_phi, fine.vertices[fine.faces][:, :, 2]],
-                      axis=2)                            # (F, 3, 2)
-    band_of_face = np.minimum(
-        ((tri_xy[:, :, 1].mean(axis=1) + a) / (height / n_ref)).astype(int),
-        n_ref - 1)
-    faces_by_band = [np.flatnonzero(band_of_face == j) for j in range(n_ref)]
+    # Vertex j m + k is vertex k of ring j.
+    z_ring = fine.vertices[::m_ref, 2]
+    u1_ring = sol.u1.reshape(-1, m_ref).mean(axis=1)
+    u2_ring = sol.u2.reshape(-1, m_ref).mean(axis=1)
+    slope = np.diff(u1_ring) / np.diff(z_ring)
 
-    # Per-face chart gradients of the fine u1, and of u2 for the lap
-    # field.  grad = (uB-uA) gB + (uC-uA) gC with gB, gC rows of the
-    # inverse edge matrix.
-    e1 = tri_xy[:, 1] - tri_xy[:, 0]
-    e2 = tri_xy[:, 2] - tri_xy[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    inv = np.empty((tri_xy.shape[0], 2, 2))
-    inv[:, 0, 0] = e2[:, 1] / det
-    inv[:, 0, 1] = -e2[:, 0] / det
-    inv[:, 1, 0] = -e1[:, 1] / det
-    inv[:, 1, 1] = e1[:, 0] / det
-    du1 = sol.u1[fine.faces]
-    grad_u1 = np.einsum("fij,fi->fj", inv,
-                        np.stack([du1[:, 1] - du1[:, 0],
-                                  du1[:, 2] - du1[:, 0]], axis=1))
-
-    def _locate(points):
-        """Barycentric location of chart points in the fine mesh."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        on_surf = base.closest_point(pts)
-        q_phi = np.arctan2(on_surf[:, 1], on_surf[:, 0])
-        q_xy = np.stack([radius * q_phi, on_surf[:, 2]], axis=1)
-        band = np.clip(((q_xy[:, 1] + a) / (height / n_ref)).astype(int),
-                       0, n_ref - 1)
-        face_idx = np.empty(pts.shape[0], dtype=np.int64)
-        bary = np.empty((pts.shape[0], 3))
-        shifts = np.array([-2 * np.pi * radius, 0.0, 2 * np.pi * radius])
-        for j in np.unique(band):
-            sel = np.flatnonzero(band == j)
-            cand = faces_by_band[j]
-            A = tri_xy[cand, 0]                      # (C, 2)
-            B = tri_xy[cand, 1]
-            C = tri_xy[cand, 2]
-            dets = det[cand]
-            px = q_xy[sel, 0][:, None, None] + shifts[None, :, None]
-            py = q_xy[sel, 1][:, None, None]
-            vx = px - A[None, None, :, 0]
-            vy = py - A[None, None, :, 1]
-            wb = (vx * (C[:, 1] - A[:, 1]) - vy * (C[:, 0] - A[:, 0])) / dets
-            wc = ((B[:, 0] - A[:, 0]) * vy - (B[:, 1] - A[:, 1]) * vx) / dets
-            wa = 1.0 - wb - wc
-            score = np.minimum(np.minimum(wa, wb), wc)   # (S, 3, C)
-            flat = score.reshape(sel.size, -1)
-            best = np.argmax(flat, axis=1)
-            ci = best % cand.size
-            si = best // cand.size
-            face_idx[sel] = cand[ci]
-            rows = np.arange(sel.size)
-            bary[sel, 0] = wa[rows, si, ci]
-            bary[sel, 1] = wb[rows, si, ci]
-            bary[sel, 2] = wc[rows, si, ci]
-        return face_idx, bary, q_phi
-
-    def _interp(values):
-        def field(p):
-            pts = np.atleast_2d(np.asarray(p, dtype=float))
-            single = np.asarray(p).ndim == 1
-            fi, bary, _ = _locate(pts)
-            out = np.sum(values[fine.faces[fi]] * bary, axis=1)
-            return out[0] if single else out
-        return field
+    def z_of(p):
+        return np.asarray(base.closest_point(p))[..., 2]
 
     def grad_field(p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        single = np.asarray(p).ndim == 1
-        fi, _, q_phi = _locate(pts)
-        g2 = grad_u1[fi]                              # (Q, 2)
-        phi_hat = np.stack([-np.sin(q_phi), np.cos(q_phi),
-                            np.zeros_like(q_phi)], axis=1)
-        ez = np.zeros((pts.shape[0], 3))
-        ez[:, 2] = 1.0
-        out = g2[:, :1] * phi_hat + g2[:, 1:] * ez
-        return out[0] if single else out
-
-    def exact_f(p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        single = np.asarray(p).ndim == 1
-        out = np.full(pts.shape[0], float(rhs_value))
-        return out[0] if single else out
+        band = np.clip(np.searchsorted(z_ring, z_of(p), "right") - 1,
+                       0, n_ref - 1)
+        return np.multiply.outer(slope[band], [0.0, 0.0, 1.0])
 
     return SurfaceCase(
         "cylinder-highres",
         {"radius": radius, "height": height, "n_ref": n_ref},
         True, base.closest_point, base.normal_at,
-        _interp(sol.u1), grad_field, _interp(sol.u2), exact_f)
+        exact_u=lambda p: np.interp(z_of(p), z_ring, u1_ring),
+        exact_grad_u=grad_field,
+        exact_lap_u=lambda p: np.interp(z_of(p), z_ring, u2_ring),
+        exact_f=lambda p: np.full(np.shape(p)[:-1], float(rhs_value)))

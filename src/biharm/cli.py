@@ -176,6 +176,9 @@ def _require_levels(cfg):
     if len(levels) < 3:
         raise ConfigError(
             f"converge needs at least 3 levels, got {list(levels)}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(
+            f"converge needs strictly increasing levels, got {list(levels)}")
     return levels
 
 

@@ -526,7 +526,9 @@ def gen_schwarz_lantern(m, n, radius=1.0, height=2.0):
     Returns
     -------
     TriMesh
-        (n+1) m vertices and 2 m n faces.
+        (n+1) m vertices and 2 m n faces.  Vertex j m + k is vertex k
+        of ring j, at height z = -H/2 + H j / n, counted from the
+        bottom ring.
     """
     m, n = int(m), int(n)
     if m < 3 or n < 2:

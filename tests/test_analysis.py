@@ -391,3 +391,77 @@ class TestHighresReference:
         err = l2_error(mesh, sol.u1, case)
         base_err = l2_error(mesh, sol.u1, cylinder_case(1.0, 2.0))
         assert err == pytest.approx(base_err, abs=0.05)
+
+
+class TestHighresProfile:
+    """The ring profile equals the chart P1 interpolant of the fine
+    solution, because that solution is constant on each ring."""
+
+    def test_profile_matches_chart_interpolant(self, rng):
+        n_ref, m_ref, radius, a = 8, 16, 1.0, 1.0
+        case = lantern_highres_reference(n_ref=n_ref)
+        from biharm.biharmonic import solve_mixed_dirichlet
+        fine = gen_schwarz_lantern(m_ref, n_ref)
+        sol = solve_mixed_dirichlet(fine, np.full(fine.n_vertices, 24.0))
+
+        # Random points off the surface, plus points next to the
+        # phi = +-pi seam and on and next to both rims.
+        phi = np.concatenate([rng.uniform(-np.pi, np.pi, 200),
+                              [np.pi - 1e-9, -np.pi + 1e-9, np.pi, 3.1,
+                               -3.1, 0.2, 1.7]])
+        z = np.concatenate([rng.uniform(-a, a, 200),
+                            [0.3, -0.7, 0.05, -a, a, a - 1e-9, -a + 1e-9]])
+        rho = radius * rng.uniform(0.7, 1.3, phi.size)
+        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+        # Brute-force location in the (R phi, z) chart: every fine face,
+        # each with its vertices unwrapped to within half a turn and
+        # tried at three periodic shifts.
+        v_phi = np.arctan2(fine.vertices[:, 1], fine.vertices[:, 0])
+        tri_phi = v_phi[fine.faces]
+        tri_phi -= 2 * np.pi * np.round((tri_phi - tri_phi[:, :1])
+                                        / (2 * np.pi))
+        tri = np.stack([radius * tri_phi, fine.vertices[fine.faces][..., 2]],
+                       axis=2)                               # (F, 3, 2)
+        edges = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]],
+                         axis=2)                             # columns B-A, C-A
+        shifts = 2 * np.pi * radius * np.array([-1.0, 0.0, 1.0])
+        q = np.stack([np.broadcast_to(radius * phi[:, None] + shifts,
+                                      (phi.size, 3)),
+                      np.broadcast_to(z[:, None], (phi.size, 3))], axis=2)
+        rel = q[:, :, None, :] - tri[None, None, :, 0, :]    # (P, 3, F, 2)
+        wbc = np.linalg.solve(edges, rel[..., None])[..., 0]
+        bary = np.concatenate([1.0 - wbc.sum(axis=-1, keepdims=True), wbc],
+                              axis=-1)                        # (P, 3, F, 3)
+        flat = bary.min(axis=-1).reshape(phi.size, -1)
+        best = np.argmax(flat, axis=1)
+        assert flat[np.arange(phi.size), best].min() > -1e-9
+        face = best % fine.n_faces
+        w = bary.reshape(phi.size, -1, 3)[np.arange(phi.size), best]
+        verts = fine.faces[face]
+
+        u1 = np.sum(w * sol.u1[verts], axis=1)
+        u2 = np.sum(w * sol.u2[verts], axis=1)
+        du = sol.u1[verts[:, 1:]] - sol.u1[verts[:, :1]]
+        g_chart = np.linalg.solve(np.transpose(edges[face], (0, 2, 1)),
+                                  du[..., None])[..., 0]
+        phi_hat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)],
+                           axis=1)
+        grad = g_chart[:, :1] * phi_hat
+        grad[:, 2] += g_chart[:, 1]
+
+        assert np.max(np.abs(case.exact_u(pts) - u1)) <= 1e-12
+        assert np.max(np.abs(case.exact_lap_u(pts) - u2)) <= 1e-12
+        assert np.max(np.abs(case.exact_grad_u(pts) - grad)) <= 1e-12
+        assert case.exact_u(pts[0]) == pytest.approx(u1[0], abs=1e-12)
+        assert case.exact_grad_u(pts[0]).shape == (3,)
+
+    def test_fine_solution_constant_on_rings(self):
+        from biharm.biharmonic import solve_mixed_dirichlet
+        n_ref = 64
+        fine = gen_schwarz_lantern(2 * n_ref, n_ref)
+        sol = solve_mixed_dirichlet(fine, np.full(fine.n_vertices, 24.0))
+        for u in (sol.u1, sol.u2):
+            rings = u.reshape(n_ref + 1, 2 * n_ref)
+            spread = np.ptp(rings, axis=1).max()
+            assert spread <= 1e-10 * np.abs(u).max()

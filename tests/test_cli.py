@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biharm
-from biharm import cli
+from biharm import analysis, cli
 from biharm.analysis import (ACCEPTANCE_GATES, read_quality_csv,
                              read_rates_csv, read_report_csv)
 from biharm.cli import main, read_solution_csv
@@ -234,6 +234,29 @@ class TestConverge:
         code = main(["converge", "--case", "cap", "--levels", "4,8",
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("levels", ["128,128,128", "128,64,32"])
+    def test_levels_not_increasing_exit_2_before_solving(
+            self, tmp_path, capsys, monkeypatch, levels):
+        calls = []
+        monkeypatch.setattr(analysis, "run_level",
+                            lambda *args, **kwargs: calls.append(args))
+        code = main(["converge", "--case", "cap", "--levels", levels,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err
+        assert f"[{levels.replace(',', ', ')}]" in err
+
+    def test_lantern_highres_check(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["converge", "--case", "lantern", "--reference",
+                     "highres", "--levels", "4,8,16", "--check",
+                     "--out", str(out)])
+        assert code == 0
+        records = read_report_csv(out / "report.csv")
+        assert [r.case for r in records] == ["lantern-linear-highres"] * 3
 
     def test_bad_tolerance_exit_2(self, tmp_path):
         code = main(["converge", "--case", "cap", "--levels", "2,4,8",
