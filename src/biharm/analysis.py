@@ -12,6 +12,9 @@ the maximal distance of quadrature points to the surface, and the
 maximal angle between face normals and surface normals; rate fits
 additionally estimate the decay exponents gamma (distance) and epsilon
 (normals) with sigma = min(gamma, 2 epsilon).
+
+The norms and the certificate stream over blocks of faces, so their
+temporaries stay bounded whatever the size of the mesh.
 """
 
 import csv
@@ -21,7 +24,7 @@ import numpy as np
 
 from .biharmonic import solve_mixed_closed, solve_mixed_dirichlet
 from .fem import interpolate, p1_gradients
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
 from .mesh import circumradius_ratios, inradius_ratios, max_edge_length
 from .surfaces import SurfaceCase, cylinder_case, gen_schwarz_lantern
 
@@ -68,19 +71,32 @@ def triangle_quadrature(order):
     return pts.copy(), w.copy()
 
 
-class _SurfaceQuadrature:
-    """Quadrature points of a mesh and their closest points on a surface.
+# Faces per block of the pass that measures errors and certifies
+# quality.  Blocks of 4096, 8192 and 16384 faces gave the same time
+# within noise (cap rings 128: 252, 240, 275 ms; icosphere 6: 453, 473,
+# 447 ms; cap rings 256: 1.17, 1.14, 1.16 s) and tracemalloc peaks of
+# 6.4, 10.4, 18.6 MiB (cap rings 128) and 8.7, 15.4, 28.8 MiB
+# (icosphere 6), against 92 and 130 MiB for the whole mesh at once.
+_FACE_BLOCK = 4096
 
-    Built once per mesh, case and rule and shared by the error norms
-    and the quality certificate, which all evaluate at these points.
+
+def _face_blocks(mesh, case, bary):
+    """Quadrature points of a mesh and their closest points on a
+    surface, one block of at most ``_FACE_BLOCK`` faces at a time.
+
+    Yields
+    ------
+    faces : slice
+        The faces of the block.
+    points, projected : ndarray, shape (b * q, 3)
+        Their points at the barycentric coordinates ``bary``, face by
+        face, and the closest points on the surface of ``case``.
     """
-
-    def __init__(self, mesh, case, order):
-        self.bary, self.weights = triangle_quadrature(order)
-        pts = np.matmul(self.bary, mesh.vertices[mesh.faces])   # (F, q, 3)
-        self.shape = pts.shape[:2]
-        self.points = pts.reshape(-1, 3)
-        self.projected = case.closest_point(self.points)
+    for start in range(0, mesh.n_faces, _FACE_BLOCK):
+        faces = slice(start, min(start + _FACE_BLOCK, mesh.n_faces))
+        points = np.matmul(bary, mesh.vertices[mesh.faces[faces]])
+        points = points.reshape(-1, 3)
+        yield faces, points, case.closest_point(points)
 
 
 class QualityRecord:
@@ -170,16 +186,12 @@ def l2_error(mesh, u_h, case, quad_order=4, reference="u"):
         raise ValueError(
             f"field shape {u_h.shape} does not match vertex count "
             f"{mesh.n_vertices}")
-    exact = {"u": case.exact_u, "lap_u": case.exact_lap_u}[reference]
-    return _l2_error(mesh, _SurfaceQuadrature(mesh, case, quad_order), u_h,
-                     exact)
-
-
-def _l2_error(mesh, quad, u_h, exact):
-    vals_exact = np.asarray(exact(quad.projected)).reshape(quad.shape)
-    vals_h = np.einsum("qk,fk->fq", quad.bary, u_h[mesh.faces])
-    sq = np.sum((vals_h - vals_exact) ** 2 * quad.weights[None, :], axis=1)
-    return float(np.sqrt(np.sum(mesh.face_areas * sq)))
+    exact = {"u": case.exact_u, "lap_u": case.exact_lap_u}.get(reference)
+    if exact is None:
+        raise ValueError(
+            f"reference must be 'u' or 'lap_u', got {reference!r}")
+    (err,), _ = _measure(mesh, case, quad_order, [(_l2_sq, u_h, exact)])
+    return err
 
 
 def h1_error(mesh, u_h, case, quad_order=4):
@@ -189,20 +201,10 @@ def h1_error(mesh, u_h, case, quad_order=4):
     surface gradient at the projected quadrature points, with the exact
     gradient projected onto the face plane.
     """
-    return _h1_error(mesh, _SurfaceQuadrature(mesh, case, quad_order), u_h,
-                     case.exact_grad_u)
-
-
-def _h1_error(mesh, quad, u_h, exact_grad):
-    grads = p1_gradients(mesh, u_h)                   # (F, 3)
-    g_exact = np.asarray(exact_grad(quad.projected))
-    g_exact = g_exact.reshape(*quad.shape, 3)         # (F, q, 3)
-    normals = mesh.face_normals
-    g_tan = g_exact - np.einsum("fqd,fd->fq", g_exact,
-                                normals)[:, :, None] * normals[:, None, :]
-    diff = grads[:, None, :] - g_tan
-    sq = np.sum(np.sum(diff**2, axis=2) * quad.weights[None, :], axis=1)
-    return float(np.sqrt(np.sum(mesh.face_areas * sq)))
+    u_h = np.asarray(u_h, dtype=float)
+    (err,), _ = _measure(mesh, case, quad_order,
+                         [(_h1_sq, u_h, case.exact_grad_u)])
+    return err
 
 
 def certify_quality(mesh, case, quad_order=4):
@@ -215,20 +217,70 @@ def certify_quality(mesh, case, quad_order=4):
         distance to the surface, and the maximal face-normal deviation
         from the surface normal at the projected centroid.
     """
-    return _certify_quality(mesh, case,
-                            _SurfaceQuadrature(mesh, case, quad_order))
+    return _measure(mesh, case, quad_order, certify=True)[1]
 
 
-def _certify_quality(mesh, case, quad):
-    kappa_min = float(inradius_ratios(mesh).min())
-    k_max = float(circumradius_ratios(mesh).max())
-    dist = np.linalg.norm(quad.points - quad.projected, axis=1)
-    centroids = mesh.vertices[mesh.faces].mean(axis=1)
-    surf_normals = case.normal_at(case.closest_point(centroids))
-    dots = np.clip(np.einsum("fd,fd->f", mesh.face_normals, surf_normals),
-                   -1.0, 1.0)
-    angle = float(np.arccos(dots).max())
-    return QualityRecord(kappa_min, k_max, float(dist.max()), angle)
+def _l2_sq(mesh, faces, projected, u_h, exact, bary, weights):
+    """Per-face quadrature of (u_h - exact)^2, per unit area."""
+    vals_exact = np.asarray(exact(projected)).reshape(-1, weights.size)
+    vals_h = np.einsum("qk,fk->fq", bary, u_h[mesh.faces[faces]])
+    return np.sum((vals_h - vals_exact) ** 2 * weights[None, :], axis=1)
+
+
+def _h1_sq(mesh, faces, projected, u_h, exact_grad, bary, weights):
+    """Per-face quadrature of |grad u_h - exact_grad|^2, per unit area,
+    with exact_grad projected onto the face plane."""
+    grads = p1_gradients(mesh, u_h, faces)            # (b, 3)
+    g_exact = np.asarray(exact_grad(projected))
+    g_exact = g_exact.reshape(-1, weights.size, 3)    # (b, q, 3)
+    normals = mesh.face_normals[faces]
+    g_tan = g_exact - np.einsum("fqd,fd->fq", g_exact,
+                                normals)[:, :, None] * normals[:, None, :]
+    diff = grads[:, None, :] - g_tan
+    return np.sum(np.sum(diff**2, axis=2) * weights[None, :], axis=1)
+
+
+def _measure(mesh, case, quad_order, norms=(), certify=False):
+    """Error norms and the quality certificate of a mesh in one pass
+    over its face blocks.
+
+    The per-face values of every norm fill whole-mesh arrays, summed
+    once at the end, so the result does not depend on the block size.
+
+    Parameters
+    ----------
+    norms : sequence of (kernel, u_h, exact)
+        ``_l2_sq`` or ``_h1_sq``, a nodal field and the exact field it
+        is measured against.
+    certify : bool
+        Also certify the mesh against the surface of ``case``.
+
+    Returns
+    -------
+    errors : list of float
+        One per norm.
+    quality : QualityRecord or None
+    """
+    bary, weights = triangle_quadrature(quad_order)
+    sq = np.empty((len(norms), mesh.n_faces))
+    dist, angle = [], []
+    for faces, points, projected in _face_blocks(mesh, case, bary):
+        for row, (kernel, u_h, exact) in zip(sq, norms):
+            row[faces] = kernel(mesh, faces, projected, u_h, exact, bary,
+                                weights)
+        if certify:
+            dist.append(np.linalg.norm(points - projected, axis=1).max())
+            centroids = mesh.vertices[mesh.faces[faces]].mean(axis=1)
+            surf_normals = case.normal_at(case.closest_point(centroids))
+            dots = np.clip(np.einsum("fd,fd->f", mesh.face_normals[faces],
+                                     surf_normals), -1.0, 1.0)
+            angle.append(np.arccos(dots).max())
+    errors = [float(np.sqrt(np.sum(mesh.face_areas * row))) for row in sq]
+    if not certify:
+        return errors, None
+    return errors, QualityRecord(
+        inradius_ratios(mesh).min(), circumradius_ratios(mesh).max(),
+        np.max(dist), np.max(angle))
 
 
 def _fit_loglog(h, values, n_fit):
@@ -323,20 +375,29 @@ def run_level(family, level, tol=DEFAULT_TOL, quad_order=4,
               mass_mode="consistent"):
     """Solve one refinement level and collect its ErrorRecord.
 
-    The quadrature points and their closest points on the surface are
-    computed once and shared by the three error norms and the quality
-    certificate.
+    The three error norms and the quality certificate come from one
+    pass over the face blocks of the mesh.
+
+    Raises
+    ------
+    NotConvergedError, SingularError
+        If the solve fails; the message names the family, the level and
+        the vertex count.
     """
     mesh = family.build(level)
     case = family.case
-    sol = solve_mixed(mesh, interpolate(mesh, case.exact_f), tol, mass_mode)
-    quad = _SurfaceQuadrature(mesh, case, quad_order)
-    return ErrorRecord(
-        family.label, level, max_edge_length(mesh), mesh.n_vertices,
-        _l2_error(mesh, quad, sol.u1, case.exact_u),
-        _h1_error(mesh, quad, sol.u1, case.exact_grad_u),
-        _l2_error(mesh, quad, sol.u2, case.exact_lap_u),
-        _certify_quality(mesh, case, quad))
+    try:
+        sol = solve_mixed(mesh, interpolate(mesh, case.exact_f), tol,
+                          mass_mode)
+    except (NotConvergedError, SingularError) as exc:
+        raise type(exc)(f"{family.label} level {level} "
+                        f"({mesh.n_vertices} vertices): {exc}") from exc
+    (l2_u1, h1_u1, l2_u2), quality = _measure(
+        mesh, case, quad_order,
+        [(_l2_sq, sol.u1, case.exact_u), (_h1_sq, sol.u1, case.exact_grad_u),
+         (_l2_sq, sol.u2, case.exact_lap_u)], certify=True)
+    return ErrorRecord(family.label, level, max_edge_length(mesh),
+                       mesh.n_vertices, l2_u1, h1_u1, l2_u2, quality)
 
 
 def run_study(family, tol=DEFAULT_TOL, quad_order=4,

@@ -10,6 +10,7 @@ failure, 4 acceptance-gate failure in ``converge --check``.
 
 import argparse
 from collections import namedtuple
+from functools import cache
 from itertools import chain
 import json
 import math
@@ -485,7 +486,10 @@ def cmd_quality(args):
 
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process: parsing keeps no
+    state in it, as every call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="biharm",
         description="Mixed finite elements for the biharmonic equation "

@@ -151,26 +151,34 @@ def interpolate(mesh, fn):
     return np.array([float(fn(p)) for p in mesh.vertices])
 
 
-def p1_gradients(mesh, u):
+def p1_gradients(mesh, u, faces=slice(None)):
     """Per-face gradients of a piecewise-linear nodal field.
 
     The gradient of the hat function of corner k is
     (normal x e_k) / (2 area) with e_k the edge opposite corner k.
 
+    Parameters
+    ----------
+    mesh : TriMesh
+    u : ndarray, shape (n,)
+    faces : slice, optional
+        The faces to evaluate, all of them by default.
+
     Returns
     -------
     ndarray, shape (F, 3)
-        Constant tangential gradient on each face.
+        Constant tangential gradient on each selected face.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError(
             f"field shape {u.shape} does not match vertex count "
             f"{mesh.n_vertices}")
-    p = mesh.vertices[mesh.faces]                      # (F, 3, 3)
+    tri = mesh.faces[faces]
+    p = mesh.vertices[tri]                             # (F, 3, 3)
     e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]        # edge opp. corner k
-    rot = np.cross(mesh.face_normals[:, None, :], e)   # (F, 3, 3)
-    coeff = u[mesh.faces] / (2.0 * mesh.face_areas)[:, None]
+    rot = np.cross(mesh.face_normals[faces][:, None, :], e)   # (F, 3, 3)
+    coeff = u[tri] / (2.0 * mesh.face_areas[faces])[:, None]
     return np.sum(coeff[:, :, None] * rot, axis=1)
 
 

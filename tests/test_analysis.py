@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from biharm import analysis
 from biharm.analysis import (ConvergenceReport, ErrorRecord,
                              InsufficientLevelsError, QualityRecord,
                              certify_quality, fit_quality_rates, fit_rates,
                              h1_error, l2_error, lantern_highres_reference,
                              read_quality_csv, read_rates_csv,
                              read_report_csv, run_level, run_study,
-                             triangle_quadrature, write_quality_csv,
-                             write_rates_csv, write_report_csv)
+                             solve_mixed, triangle_quadrature,
+                             write_quality_csv, write_rates_csv,
+                             write_report_csv)
 from biharm.fem import interpolate
 from biharm.mesh import build_mesh
 from biharm.surfaces import (cap_case, cap_family, cylinder_case,
@@ -112,6 +115,12 @@ class TestL2Error:
         with pytest.raises(ValueError):
             l2_error(mesh, np.zeros(mesh.n_vertices), constant_one_case(),
                      quad_order=5)
+
+    def test_unknown_reference_names_allowed_values(self):
+        mesh = grid_mesh(2)
+        with pytest.raises(ValueError, match="'u' or 'lap_u', got 'lap'"):
+            l2_error(mesh, np.zeros(mesh.n_vertices), constant_one_case(),
+                     reference="lap")
 
 
 class TestH1Error:
@@ -289,6 +298,58 @@ class TestRunStudy:
         assert record.case == "lantern-linear"
         assert record.level == 8
         assert record.dofs == 9 * 16
+
+
+def record_fields(record):
+    q = record.quality
+    return (record.case, record.level, record.h, record.dofs, record.l2_u1,
+            record.h1_u1, record.l2_u2, q.kappa_min, q.K_max,
+            q.max_distance, q.max_normal_angle)
+
+
+class TestBlockedPass:
+    """The norms and the certificate stream over blocks of faces."""
+
+    @pytest.mark.parametrize("family, level", [
+        (cap_family(np.pi / 3.0, [8]), 8),
+        (sphere_family(3, -2, [2]), 2),
+        (lantern_family("linear", [8]), 8),
+        (lantern_family("linear", [4]).with_case(
+            lantern_highres_reference(n_ref=16),
+            label="lantern-linear-highres"), 4),
+    ], ids=["cap", "sphere", "lantern", "lantern-highres"])
+    def test_records_independent_of_block_size(self, monkeypatch, family,
+                                               level):
+        expected = record_fields(run_level(family, level))
+        monkeypatch.setattr(analysis, "_FACE_BLOCK", 7)
+        # Many blocks, the last one partial.
+        assert family.build(level).n_faces % 7 != 0
+        assert record_fields(run_level(family, level)) == expected
+
+    def test_record_matches_public_functions(self):
+        family = cap_family(np.pi / 3.0, [8])
+        record = run_level(family, 8)
+        mesh, case = family.build(8), family.case
+        sol = solve_mixed(mesh, interpolate(mesh, case.exact_f))
+        q = certify_quality(mesh, case)
+        assert record_fields(record)[4:] == (
+            l2_error(mesh, sol.u1, case), h1_error(mesh, sol.u1, case),
+            l2_error(mesh, sol.u2, case, reference="lap_u"),
+            q.kappa_min, q.K_max, q.max_distance, q.max_normal_angle)
+
+    def test_h1_error_memory_bounded_per_face(self):
+        # Holding every quadrature point of the mesh at once took about
+        # 985 bytes per face here.
+        case = cap_case(1.0, np.pi / 3.0)
+        mesh = gen_cap_mesh(np.pi / 3.0, 128)
+        u_h = interpolate(mesh, case.exact_u)
+        tracemalloc.start()
+        try:
+            h1_error(mesh, u_h, case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * mesh.n_faces
 
 
 class TestCsvRoundTrips:

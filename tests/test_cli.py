@@ -64,6 +64,15 @@ class TestSolve:
         mesh = read_obj(out / "mesh.obj")
         assert mesh.n_vertices == 1 + 3 * 4 * 5
 
+    def test_consecutive_calls_do_not_share_arguments(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        args = ["solve", "--case", "cap", "--n", "4", "--rhs", "const:1"]
+        assert main(args + ["--write-mesh", "--out", str(first)]) == 0
+        assert main(args + ["--out", str(second)]) == 0
+        assert (first / "mesh.obj").exists()
+        assert (second / "solution.csv").exists()
+        assert not (second / "mesh.obj").exists()
+
     def test_quadratic_lantern_mesh_matches_family(self, tmp_path):
         from biharm.surfaces import lantern_family
         out = tmp_path / "out"
@@ -229,6 +238,16 @@ class TestConverge:
                             ACCEPTANCE_GATES["lantern-linear"])
         assert main(args + ["--out", str(tmp_path / "linear-gate")]) == 4
         assert "gate" in capsys.readouterr().err
+
+    def test_numerical_failure_names_level(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(biharm.biharmonic, "_BOUNDARY_CG_MAXITER", 1)
+        code = main(["converge", "--case", "cap", "--levels", "8,16,32",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "cap level 8 (217 vertices): " in err
+        assert "boundary" in err
 
     def test_too_few_levels_exit_2(self, tmp_path):
         code = main(["converge", "--case", "cap", "--levels", "4,8",
