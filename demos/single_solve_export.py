@@ -31,7 +31,7 @@ print(f"solver: {sol.solve_report.method}, relative residual "
       f"{sol.solve_report.relative_residual:.2e}")
 
 write_obj(mesh, os.path.join(out, "lantern.obj"))
-matrix, rhs, part = saddle_system(mesh, f)
+matrix, rhs, ops = saddle_system(mesh, f)
 export_matrix_market(matrix, os.path.join(out, "saddle.mtx"),
                      symmetric=True)
 with open(os.path.join(out, "solution.csv"), "w", encoding="utf-8") as fh:

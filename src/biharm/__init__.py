@@ -4,7 +4,8 @@ on triangle meshes approximating curved surfaces.
 The package solves Delta^2 u = f with clamped boundary conditions
 (u = du/dn = 0) on bounded surfaces, and the zero-mean problem on
 closed surfaces, using the mixed formulation with an auxiliary variable
-u2 = Delta u1 (positive semidefinite Laplacian convention).  It ships
+u2 = Delta u1 (positive semidefinite Laplacian convention); each solve
+reads one bundle of assembled operators and factors per mesh.  It ships
 analytic reference surfaces with manufactured solutions, mesh
 generators for the spherical cap, icosphere and Schwarz lantern
 experiment families, error norms, mesh-quality certification and
@@ -15,12 +16,11 @@ from .mesh import (TriMesh, build_mesh, component_labels, max_edge_length,
                    read_obj, write_obj, MeshError, DegenerateFaceError,
                    NonManifoldEdgeError, InconsistentOrientationError,
                    UnreferencedVertexError, ComponentError)
-from .linalg import (SolveReport, build_csr, dense_solve_oracle,
-                     export_matrix_market, DimensionMismatchError,
-                     NotConvergedError, SingularError)
-from .fem import (DofPartition, partition_dofs, assemble_stiffness,
-                  assemble_mass, interpolate, p1_gradients,
-                  discrete_laplacian)
+from .linalg import (SolveReport, build_csr, export_matrix_market,
+                     DimensionMismatchError, NotConvergedError,
+                     SingularError)
+from .fem import (MeshOperators, assemble_stiffness, assemble_mass,
+                  interpolate, p1_gradients)
 from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
                        cylinder_case, sphere_case, real_harmonic,
                        gen_cap_mesh, gen_icosphere,
@@ -35,8 +35,7 @@ from .analysis import (ErrorRecord, QualityRecord, ConvergenceReport,
                        RateFit, triangle_quadrature, l2_error, h1_error,
                        certify_quality, fit_rates, fit_quality_rates,
                        solve_mixed, run_level, run_study,
-                       write_report_csv, read_report_csv, write_quality_csv,
-                       read_quality_csv, write_rates_csv, read_rates_csv,
+                       write_report_csv, write_quality_csv, write_rates_csv,
                        lantern_highres_reference, InsufficientLevelsError)
 
 __version__ = "0.1.0"
@@ -46,11 +45,10 @@ __all__ = [
     "read_obj", "write_obj", "MeshError", "DegenerateFaceError",
     "NonManifoldEdgeError", "InconsistentOrientationError",
     "UnreferencedVertexError", "ComponentError",
-    "SolveReport", "build_csr", "dense_solve_oracle",
-    "export_matrix_market", "DimensionMismatchError", "NotConvergedError",
-    "SingularError",
-    "DofPartition", "partition_dofs", "assemble_stiffness", "assemble_mass",
-    "interpolate", "p1_gradients", "discrete_laplacian",
+    "SolveReport", "build_csr", "export_matrix_market",
+    "DimensionMismatchError", "NotConvergedError", "SingularError",
+    "MeshOperators", "assemble_stiffness", "assemble_mass", "interpolate",
+    "p1_gradients",
     "SurfaceCase", "RefinementFamily", "cap_case", "cylinder_case",
     "sphere_case", "real_harmonic",
     "gen_cap_mesh", "gen_icosphere", "gen_schwarz_lantern", "cap_family",
@@ -62,8 +60,7 @@ __all__ = [
     "ErrorRecord", "QualityRecord", "ConvergenceReport", "RateFit",
     "triangle_quadrature", "l2_error", "h1_error", "certify_quality",
     "fit_rates", "fit_quality_rates", "solve_mixed", "run_level",
-    "run_study", "write_report_csv",
-    "read_report_csv", "write_quality_csv", "read_quality_csv",
-    "write_rates_csv", "read_rates_csv", "lantern_highres_reference",
+    "run_study", "write_report_csv", "write_quality_csv",
+    "write_rates_csv", "lantern_highres_reference",
     "InsufficientLevelsError",
 ]

@@ -17,13 +17,12 @@ The norms and the certificate stream over blocks of faces, so their
 temporaries stay bounded whatever the size of the mesh.
 """
 
-import csv
 import math
 
 import numpy as np
 
 from .biharmonic import solve_mixed_closed, solve_mixed_dirichlet
-from .fem import interpolate, p1_gradients
+from .fem import interpolate, nodal_field, p1_gradients
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
 from .mesh import circumradius_ratios, inradius_ratios, max_edge_length
 from .surfaces import SurfaceCase, cylinder_case, gen_schwarz_lantern
@@ -181,11 +180,7 @@ def l2_error(mesh, u_h, case, quad_order=4, reference="u"):
     -------
     float
     """
-    u_h = np.asarray(u_h, dtype=float)
-    if u_h.shape != (mesh.n_vertices,):
-        raise ValueError(
-            f"field shape {u_h.shape} does not match vertex count "
-            f"{mesh.n_vertices}")
+    u_h = nodal_field(mesh, u_h)
     exact = {"u": case.exact_u, "lap_u": case.exact_lap_u}.get(reference)
     if exact is None:
         raise ValueError(
@@ -475,22 +470,6 @@ def write_report_csv(path, records):
             fh.write(",".join(fields) + "\n")
 
 
-def read_report_csv(path):
-    """Parse a report CSV back into ErrorRecord objects."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        for row in reader:
-            quality = QualityRecord(
-                float(row["kappa_min"]), float(row["K_max"]),
-                float(row["max_dist"]), float(row["max_normal_angle"]))
-            records.append(ErrorRecord(
-                row["case"], int(row["level"]), float(row["h"]),
-                int(row["dofs"]), float(row["l2_u1"]), float(row["h1_u1"]),
-                float(row["l2_u2"]), quality))
-    return records
-
-
 def write_quality_csv(path, records):
     """Write per-level quality fields only."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -501,20 +480,6 @@ def write_quality_csv(path, records):
                       _fmt(q.kappa_min), _fmt(q.K_max),
                       _fmt(q.max_distance), _fmt(q.max_normal_angle)]
             fh.write(",".join(fields) + "\n")
-
-
-def read_quality_csv(path):
-    """Parse a quality CSV into (case, level, h, dofs, QualityRecord)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            quality = QualityRecord(
-                float(row["kappa_min"]), float(row["K_max"]),
-                float(row["max_dist"]), float(row["max_normal_angle"]))
-            rows.append((row["case"], int(row["level"]), float(row["h"]),
-                         int(row["dofs"]), quality))
-    return rows
 
 
 def write_rates_csv(path, report):
@@ -539,17 +504,6 @@ def write_rates_csv(path, report):
         flag = ("ok" if report.sigma_estimate >= SIGMA_THRESHOLD
                 else "warning")
         fh.write(f"sigma,{_fmt(report.sigma_estimate)},,{flag}\n")
-
-
-def read_rates_csv(path):
-    """Parse a rates CSV into {norm: (slope, residual or None, flag)}."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = {}
-        for row in reader:
-            residual = float(row["residual"]) if row["residual"] else None
-            out[row["norm"]] = (float(row["slope"]), residual, row["flag"])
-    return out
 
 
 # ---------------------------------------------------------------------------

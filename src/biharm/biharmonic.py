@@ -20,6 +20,9 @@ stiffness grounded at vertex 0, which is positive definite: each
 right-hand side is first projected onto the range of the stiffness,
 and the mean is removed from each result.
 
+Every solver reads S, M, the dof split and the factors from one
+:class:`~biharm.fem.MeshOperators` bundle built inside the solve.
+
 Each solve checks its two equations (the variational identities of the
 clamped problem, the Poisson identities of the closed one) apart by
 :func:`~biharm.linalg.check_residual`, so ``tol`` does not depend on the
@@ -29,10 +32,9 @@ unit of length, and reports the larger residual.
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (assemble_boundary_mass, assemble_mass, assemble_stiffness,
-                  partition_dofs)
-from .linalg import (DEFAULT_TOL, SolveReport, check_residual, factor_spd,
-                     NotConvergedError)
+from .fem import (MeshOperators, assemble_boundary_mass, assemble_mass,
+                  nodal_field)
+from .linalg import DEFAULT_TOL, SolveReport, check_residual, NotConvergedError
 from .mesh import ComponentError, component_labels
 
 
@@ -82,11 +84,7 @@ class MixedSolution:
 
 
 def _check_field(mesh, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (mesh.n_vertices,):
-        raise ValueError(
-            f"field shape {f.shape} does not match vertex count "
-            f"{mesh.n_vertices}")
+    f = nodal_field(mesh, f)
     if not np.all(np.isfinite(f)):
         raise ValueError("right-hand side contains non-finite entries")
     return f
@@ -121,20 +119,19 @@ def saddle_system(mesh, f):
     -------
     matrix : scipy.sparse.csr_matrix, shape (ni + n, ni + n)
     rhs : ndarray
-    part : DofPartition
+    ops : MeshOperators
+        The operators it is built from; u1 is ordered by ``ops.interior``.
     """
     f = _check_field(mesh, f)
-    part = partition_dofs(mesh)
-    stiffness = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh, "consistent")
-    b_block = stiffness[part.interior, :]
+    ops = MeshOperators(mesh)
+    b_block, mass = ops.b_block, ops.mass
     matrix = sp.bmat([[None, b_block], [b_block.T, -mass]], format="csr")
-    rhs = np.concatenate([mass[part.interior, :] @ f,
+    rhs = np.concatenate([mass[ops.interior, :] @ f,
                           np.zeros(mesh.n_vertices)])
-    return matrix, rhs, part
+    return matrix, rhs, ops
 
 
-def _condensed_clamped(mesh, part, stiffness, mass, load, tol):
+def _condensed_clamped(ops, mass, load, tol):
     """Static condensation of the clamped saddle system onto lam = u2_B.
 
     With I the interior and B the boundary dofs and E lam =
@@ -158,20 +155,21 @@ def _condensed_clamped(mesh, part, stiffness, mass, load, tol):
     on the cap family it leaves u1 and u2 closer to the exact discrete
     solution than a sparse LU of the saddle matrix does.
 
+    ``mass`` is M or M_L, and ``load`` is M_I: f.
+
     Returns
     -------
     u1, u2 : ndarray, shape (n,)
     iterations : int
     """
-    interior, boundary = part.interior, part.boundary
-    n = mesh.n_vertices
-    s_int = stiffness[interior, :]
-    s_ib = s_int[:, boundary]
+    interior, boundary = ops.interior, ops.boundary
+    n = ops.mesh.n_vertices
+    s_ib = ops.b_block[:, boundary]
     s_bi = s_ib.T.tocsr()
-    s_bb = stiffness[boundary, :][:, boundary]
-    curve_mass = assemble_boundary_mass(mesh)[boundary, :][:, boundary]
+    s_bb = ops.stiffness[boundary, :][:, boundary]
+    curve_mass = assemble_boundary_mass(ops.mesh)[boundary, :][:, boundary]
     shift = (_DTN_SHIFT / curve_mass.sum()) * curve_mass
-    factor = factor_spd(s_int[:, interior], mesh.vertices[interior])
+    factor = ops.interior_factor
 
     def extend(lam):
         u = np.zeros(n)
@@ -266,23 +264,19 @@ def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
             "mesh has no boundary; use solve_mixed_closed")
     _check_clamped_components(mesh)
     f = _check_field(mesh, f)
-    part = partition_dofs(mesh)
-    stiffness = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh, "consistent")
-    load = mass[part.interior, :] @ f
-    if mass_mode != "consistent":
-        mass = assemble_mass(mesh, mass_mode)
-    if part.n_interior:
-        u1, u2, iterations = _condensed_clamped(mesh, part, stiffness, mass,
-                                                load, tol)
+    ops = MeshOperators(mesh)
+    load = ops.mass[ops.interior, :] @ f
+    mass = (ops.mass if mass_mode == "consistent"
+            else assemble_mass(mesh, mass_mode))
+    if ops.interior.size:
+        u1, u2, iterations = _condensed_clamped(ops, mass, load, tol)
     else:
         u1, u2, iterations = (np.zeros(mesh.n_vertices),
                               np.zeros(mesh.n_vertices), 0)
 
-    b_block = stiffness[part.interior, :]
     what = f"identity of the clamped solve on {mesh.n_vertices} vertices"
-    res = max(check_residual(b_block @ u2, load, tol, "first " + what),
-              check_residual(b_block.T @ u1[part.interior], mass @ u2, tol,
+    res = max(check_residual(ops.b_block @ u2, load, tol, "first " + what),
+              check_residual(ops.b_block.T @ u1[ops.interior], mass @ u2, tol,
                              "second " + what))
     return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
                          mass_mode)
@@ -324,27 +318,25 @@ def solve_mixed_closed(mesh, f, tol=DEFAULT_TOL):
             f"closed mesh has {count} connected components; the closed "
             f"solver needs a connected mesh")
     f = _check_field(mesh, f)
-    stiffness = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh, "consistent")
+    ops = MeshOperators(mesh)
     # Means are taken with numpy's pairwise sums, not BLAS dot products,
     # whose summation order depends on the OpenBLAS thread count.
-    border = mass @ np.ones(mesh.n_vertices)
+    border = ops.mass @ np.ones(mesh.n_vertices)
     total = float(border.sum())
     mean = float(np.sum(border * f)) / total
     f_tilde = f - mean
-    factor = factor_spd(stiffness[1:, 1:], mesh.vertices[1:])
 
     def poisson(rhs, label):
         rhs = rhs - (rhs.sum() / total) * border
         u = np.zeros(mesh.n_vertices)
-        u[1:] = factor.solve(rhs[1:])
+        u[1:] = ops.grounded_factor.solve(rhs[1:])
         u -= np.sum(border * u) / total
-        return u, check_residual(stiffness @ u, rhs, tol,
+        return u, check_residual(ops.stiffness @ u, rhs, tol,
                                  f"{label} identity of the closed solve "
                                  f"on {mesh.n_vertices} vertices")
 
-    u2, res2 = poisson(mass @ f_tilde, "first Poisson")
-    u1, res1 = poisson(mass @ u2, "second Poisson")
+    u2, res2 = poisson(ops.mass @ f_tilde, "first Poisson")
+    u1, res1 = poisson(ops.mass @ u2, "second Poisson")
     return MixedSolution(u1, u2, SolveReport("spd_factor", 0, max(res1, res2)),
                          "consistent", f_mean_removed=mean)
 

@@ -26,7 +26,7 @@ from .analysis import (ACCEPTANCE_GATES, SIGMA_THRESHOLD, certify_quality,
                        ErrorRecord)
 from .fem import interpolate
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
-from .mesh import MeshError, max_edge_length, read_obj, write_obj
+from .mesh import max_edge_length, read_obj, write_obj
 from .surfaces import (cap_family, lantern_family, real_harmonic,
                        sphere_family)
 
@@ -68,6 +68,9 @@ _CASES = {
         lambda v: lantern_family(v["coupling"], v["n_levels"], v["R"],
                                  v["H"])),
 }
+# Every field with a default; a config value must have its default's type.
+_FIELD_DEFAULTS = dict(chain(_DEFAULTS.items(),
+                             *(c.fields.items() for c in _CASES.values())))
 
 
 class StudyConfig:
@@ -107,67 +110,70 @@ def _load_config(args):
             raise ConfigError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = _COMMON_FIELDS.union(*(c.fields for c in _CASES.values()))
+        known = _COMMON_FIELDS | set(_FIELD_DEFAULTS)
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
         provided.update(data)
 
-    flag_map = {
-        "case": "case", "theta0": "theta0", "l": "l", "m": "m",
-        "coupling": "coupling", "R": "R", "H": "H", "mass": "mass_mode",
-        "tol": "tol", "quad": "quad_order", "out": "out",
-        "reference": "reference",
-    }
-    for flag, field in flag_map.items():
-        value = getattr(args, flag, None)
+    # Each flag stores to its field; --levels is mapped below.
+    for field in ("case", *_FIELD_DEFAULTS):
+        value = getattr(args, field, None)
         if value is not None:
             provided[field] = value
+    case = provided.get("case")
+    if case is not None and not (isinstance(case, str) and case in _CASES):
+        raise ConfigError(f"case must be one of {', '.join(_CASES)}, "
+                          f"got {case!r}")
     if getattr(args, "levels", None) is not None:
-        case = provided.get("case")
-        if case not in _CASES:
+        if case is None:
             raise ConfigError("--levels requires --case")
         provided[_CASES[case].level_field] = args.levels
 
-    case = provided.get("case")
     if case is not None:
-        if case not in _CASES:
-            raise ConfigError(f"unknown case {case!r}")
         allowed = _COMMON_FIELDS | set(_CASES[case].fields)
         for key in provided:
             if key not in allowed:
                 raise ConfigError(
                     f"field {key!r} does not apply to case {case!r}")
 
-    values = dict(_DEFAULTS)
-    for spec in _CASES.values():
-        values.update(spec.fields)
-    values["case"] = None
+    values = dict(_FIELD_DEFAULTS, case=None)
     values.update(provided)
     _validate(values)
     return StudyConfig(values)
 
 
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
+               list: "a list"}
+# The values each field with a fixed set of them may take.
+_CHOICES = {"quad_order": (2, 4), "mass_mode": ("consistent", "lumped"),
+            "coupling": ("linear", "quadratic"),
+            "reference": ("manufactured", "highres")}
+
+
+def _has_type_of(value, default):
+    """Whether a config value has the type of its default.  An int
+    passes where a float is expected; a bool is not a number."""
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _validate(values):
+    for field, default in _FIELD_DEFAULTS.items():
+        if not _has_type_of(values[field], default):
+            raise ConfigError(f"{field} must be {_TYPE_NAMES[type(default)]}"
+                              f", got {values[field]!r}")
     tol = values["tol"]
     if not 0.0 < tol <= 1e-4:
         raise ConfigError(f"tol must lie in (0, 1e-4], got {tol}")
-    if values["quad_order"] not in (2, 4):
-        raise ConfigError(f"quad_order must be 2 or 4, "
-                          f"got {values['quad_order']}")
-    if values["mass_mode"] not in ("consistent", "lumped"):
-        raise ConfigError(f"mass_mode must be consistent or lumped, "
-                          f"got {values['mass_mode']!r}")
-    if values["coupling"] not in ("linear", "quadratic"):
-        raise ConfigError(f"coupling must be linear or quadratic, "
-                          f"got {values['coupling']!r}")
-    if values["reference"] not in ("manufactured", "highres"):
-        raise ConfigError(f"reference must be manufactured or highres, "
-                          f"got {values['reference']!r}")
+    for field, choices in _CHOICES.items():
+        if values[field] not in choices:
+            allowed = " or ".join(map(str, choices))
+            raise ConfigError(f"{field} must be {allowed}, "
+                              f"got {values[field]!r}")
     for field in (c.level_field for c in _CASES.values()):
         levels = values[field]
-        if (not isinstance(levels, (list, tuple)) or
-                not all(isinstance(v, int) and v >= 0 for v in levels)):
+        if not all(_has_type_of(v, 0) and v >= 0 for v in levels):
             raise ConfigError(f"{field} must be a list of nonnegative "
                               f"integers, got {levels!r}")
 
@@ -228,20 +234,6 @@ def _write_solution_csv(path, u1, u2):
                      % tuple(chain.from_iterable(block)))
 
 
-def read_solution_csv(path):
-    """Parse a solution CSV back into (u1, u2) arrays."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "vertex,u1,u2":
-            raise ValueError(f"unexpected solution header {header!r}")
-        for line in fh:
-            _, a, b = line.split(",")
-            rows.append((float(a), float(b)))
-    arr = np.asarray(rows)
-    return arr[:, 0], arr[:, 1]
-
-
 # ---------------------------------------------------------------------------
 # SVG loglog plot
 
@@ -286,24 +278,22 @@ def _svg_loglog(path, report, guide_slopes):
                  f'height="{height - top - bottom}" fill="none" '
                  f'stroke="black" stroke-width="1"/>')
 
-    for p in range(math.floor(x0), math.ceil(x1) + 1):
-        if x0 <= p <= x1:
-            x = sx(p)
-            parts.append(f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" '
-                         f'y2="{height - bottom}" stroke="#dddddd" '
-                         f'stroke-width="1"/>')
-            parts.append(f'<text x="{x:.2f}" y="{height - bottom + 18}" '
-                         f'font-size="12" text-anchor="middle" '
-                         f'font-family="sans-serif">1e{p}</text>')
-    for p in range(math.floor(y0), math.ceil(y1) + 1):
-        if y0 <= p <= y1:
-            y = sy(p)
-            parts.append(f'<line x1="{left}" y1="{y:.2f}" '
-                         f'x2="{width - right}" y2="{y:.2f}" '
-                         f'stroke="#dddddd" stroke-width="1"/>')
-            parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" '
-                         f'font-size="12" text-anchor="end" '
-                         f'font-family="sans-serif">1e{p}</text>')
+    for p in range(math.ceil(x0), math.floor(x1) + 1):
+        x = sx(p)
+        parts.append(f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" '
+                     f'y2="{height - bottom}" stroke="#dddddd" '
+                     f'stroke-width="1"/>')
+        parts.append(f'<text x="{x:.2f}" y="{height - bottom + 18}" '
+                     f'font-size="12" text-anchor="middle" '
+                     f'font-family="sans-serif">1e{p}</text>')
+    for p in range(math.ceil(y0), math.floor(y1) + 1):
+        y = sy(p)
+        parts.append(f'<line x1="{left}" y1="{y:.2f}" '
+                     f'x2="{width - right}" y2="{y:.2f}" '
+                     f'stroke="#dddddd" stroke-width="1"/>')
+        parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" '
+                     f'font-size="12" text-anchor="end" '
+                     f'font-family="sans-serif">1e{p}</text>')
     parts.append(f'<text x="{(left + width - right) / 2:.2f}" '
                  f'y="{height - 12}" font-size="13" text-anchor="middle" '
                  f'font-family="sans-serif">mesh size h</text>')
@@ -315,9 +305,8 @@ def _svg_loglog(path, report, guide_slopes):
                    if series[name][finest] > 0)
     anchor = math.log10(anchor_v) - 0.4
     for slope in guide_slopes:
-        ya = anchor
         yb = anchor + slope * (lh_max - lh_min)
-        parts.append(f'<line x1="{sx(lh_min):.2f}" y1="{sy(ya):.2f}" '
+        parts.append(f'<line x1="{sx(lh_min):.2f}" y1="{sy(anchor):.2f}" '
                      f'x2="{sx(lh_max):.2f}" y2="{sy(yb):.2f}" '
                      f'stroke="#888888" stroke-width="1" '
                      f'stroke-dasharray="6,4"/>')
@@ -420,9 +409,7 @@ def cmd_converge(args):
     print(f"wrote report.csv, rates.csv, plot.svg in {out}")
 
     if args.check:
-        gate_key = report.case
-        if gate_key.endswith("-highres"):
-            gate_key = gate_key[:-len("-highres")]
+        gate_key = report.case.removesuffix("-highres")
         if gate_key not in ACCEPTANCE_GATES:
             raise ConfigError(f"no acceptance gate defined for "
                               f"case {report.case!r}")
@@ -437,27 +424,23 @@ def cmd_converge(args):
 
 def cmd_quality(args):
     cfg = _load_config(args)
-    quad = cfg["quad_order"]
     out = cfg["out"]
+    family = cfg.family() if cfg.case_kind is not None else None
     if args.mesh is not None:
         if not os.path.exists(args.mesh):
             raise ConfigError(f"mesh file not found: {args.mesh}")
-        if cfg.case_kind is None:
+        if family is None:
             raise ConfigError("quality on an OBJ mesh needs --case KIND")
-        mesh = read_obj(args.mesh)
-        q = certify_quality(mesh, cfg.family().case, quad)
-        records = [ErrorRecord(cfg.case_kind, 0, max_edge_length(mesh),
-                               mesh.n_vertices, 0.0, 0.0, 0.0, q)]
-    elif cfg.case_kind is not None:
-        family = cfg.family()
-        records = []
-        for level, mesh in family.meshes():
-            q = certify_quality(mesh, family.case, quad)
-            records.append(ErrorRecord(family.label, level,
-                                       max_edge_length(mesh),
-                                       mesh.n_vertices, 0.0, 0.0, 0.0, q))
+        label, meshes = cfg.case_kind, [(0, read_obj(args.mesh))]
+    elif family is not None:
+        label, meshes = family.label, family.meshes()
     else:
         raise ConfigError("quality needs --mesh FILE or --case KIND")
+    records = [ErrorRecord(label, level, max_edge_length(mesh),
+                           mesh.n_vertices, 0.0, 0.0, 0.0,
+                           certify_quality(mesh, family.case,
+                                           cfg["quad_order"]))
+               for level, mesh in meshes]
 
     fits = None
     if len(records) >= 3:
@@ -507,15 +490,17 @@ def _build_parser():
                        help="cap opening angle (radians)")
         p.add_argument("--l", type=int, help="harmonic degree (sphere)")
         p.add_argument("--m", type=int, help="harmonic order (sphere)")
-        p.add_argument("--coupling", choices=["linear", "quadratic"],
+        p.add_argument("--coupling", choices=_CHOICES["coupling"],
                        help="lantern at level n: 2n vertices per ring and "
                             "n bands (linear), or n vertices per ring and "
                             "n^2 bands (quadratic)")
         p.add_argument("--R", type=float, help="radius")
         p.add_argument("--H", type=float, help="cylinder height (lantern)")
-        p.add_argument("--mass", choices=["consistent", "lumped"])
+        p.add_argument("--mass", dest="mass_mode",
+                       choices=_CHOICES["mass_mode"])
         p.add_argument("--tol", type=float)
-        p.add_argument("--quad", type=int, choices=[2, 4])
+        p.add_argument("--quad", dest="quad_order", type=int,
+                       choices=_CHOICES["quad_order"])
         p.add_argument("--out", help="output directory")
 
     p_solve = sub.add_parser("solve", help="solve one problem instance")
@@ -532,7 +517,7 @@ def _build_parser():
 
     p_conv = sub.add_parser("converge", help="run a convergence study")
     add_common(p_conv, with_levels=True)
-    p_conv.add_argument("--reference", choices=["manufactured", "highres"],
+    p_conv.add_argument("--reference", choices=_CHOICES["reference"],
                         help="lantern error reference (default "
                              "manufactured)")
     p_conv.add_argument("--check", action="store_true",
@@ -553,10 +538,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MeshError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotConvergedError, SingularError) as exc:

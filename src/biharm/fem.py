@@ -1,58 +1,22 @@
 """Piecewise-linear finite element assembly on triangle meshes.
 
 Provides the cotangent stiffness matrix, consistent and lumped mass
-matrices, the mass matrix of the boundary curve, the interior/boundary
-dof split for homogeneous Dirichlet conditions, nodal interpolation,
-per-face gradients of piecewise-linear fields, and the discrete
-(positive semidefinite) Laplace operator v = M^{-1} S u.
+matrices, the mass matrix of the boundary curve, the operator bundle of
+one mesh (stiffness, consistent mass, interior/boundary dof split and
+the sparse factors the solvers share), nodal interpolation and per-face
+gradients of piecewise-linear fields.
 
 Sign convention: the stiffness matrix S is positive semidefinite, so the
 weak form pairs with the geometric Laplacian -div grad.  The constant
 vector spans the kernel of S on a closed mesh.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DEFAULT_TOL, build_csr, check_residual, factor_spd
-
-
-class DofPartition:
-    """Interior/boundary split of the vertex degrees of freedom.
-
-    Attributes
-    ----------
-    interior : ndarray
-        Sorted indices of interior vertices.
-    boundary : ndarray
-        Sorted indices of boundary vertices.
-    full_to_interior : ndarray, shape (n,)
-        Position of each vertex in ``interior``, or -1 on the boundary.
-    """
-
-    def __init__(self, interior, boundary, full_to_interior):
-        self.interior = interior
-        self.boundary = boundary
-        self.full_to_interior = full_to_interior
-
-    @property
-    def n_interior(self):
-        return self.interior.shape[0]
-
-
-def partition_dofs(mesh):
-    """Split the vertex dofs of a mesh into interior and boundary sets.
-
-    On a closed mesh every vertex is interior.
-    """
-    n = mesh.n_vertices
-    boundary = mesh.boundary_vertices
-    mask = np.ones(n, dtype=bool)
-    mask[boundary] = False
-    interior = np.flatnonzero(mask)
-    full_to_interior = np.full(n, -1, dtype=np.int64)
-    full_to_interior[interior] = np.arange(interior.shape[0])
-    return DofPartition(interior, boundary, full_to_interior)
+from .linalg import build_csr, factor_spd
 
 
 def assemble_stiffness(mesh):
@@ -136,19 +100,56 @@ def assemble_boundary_mass(mesh):
     return build_csr(rows, cols, vals, (n, n))
 
 
+class MeshOperators:
+    """The assembled operators of one mesh, shared by every solver.
+
+    ``stiffness`` S, consistent ``mass`` M, the sorted ``interior`` and
+    ``boundary`` vertex indices and ``b_block`` B = S[interior, :] (S
+    itself on a closed mesh).  The :func:`factor_spd` factors of S_II
+    (``interior_factor``) and of S[1:, 1:], grounded at vertex 0
+    (``grounded_factor``), are built on first use.  The bundle alone
+    decides which matrix is ordered by which points; a solve builds its
+    own and drops it on return, so no factor outlives the solve.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.stiffness = assemble_stiffness(mesh)
+        self.mass = assemble_mass(mesh, "consistent")
+        self.boundary = mesh.boundary_vertices
+        interior = np.ones(mesh.n_vertices, dtype=bool)
+        interior[self.boundary] = False
+        self.interior = np.flatnonzero(interior)
+        self.b_block = (self.stiffness[self.interior, :]
+                        if self.boundary.size else self.stiffness)
+
+    @cached_property
+    def interior_factor(self):
+        return factor_spd(self.b_block[:, self.interior],
+                          self.mesh.vertices[self.interior])
+
+    @cached_property
+    def grounded_factor(self):
+        return factor_spd(self.stiffness[1:, 1:], self.mesh.vertices[1:])
+
+
+def nodal_field(mesh, u):
+    """``u`` as a float array, checked to hold one value per vertex."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (mesh.n_vertices,):
+        raise ValueError(
+            f"field shape {u.shape} does not match vertex count "
+            f"{mesh.n_vertices}")
+    return u
+
+
 def interpolate(mesh, fn):
     """Nodal interpolation: evaluate a function at the mesh vertices.
 
-    ``fn`` may be vectorized (mapping an (n, 3) array to (n,)) or accept
-    a single point; the vectorized form is tried first.
+    ``fn`` is called once, on the (n, 3) array of vertices; a result
+    not of shape (n,) raises ValueError.
     """
-    try:
-        values = np.asarray(fn(mesh.vertices), dtype=float)
-        if values.shape == (mesh.n_vertices,):
-            return values
-    except Exception:
-        pass
-    return np.array([float(fn(p)) for p in mesh.vertices])
+    return nodal_field(mesh, fn(mesh.vertices))
 
 
 def p1_gradients(mesh, u, faces=slice(None)):
@@ -169,48 +170,10 @@ def p1_gradients(mesh, u, faces=slice(None)):
     ndarray, shape (F, 3)
         Constant tangential gradient on each selected face.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.n_vertices,):
-        raise ValueError(
-            f"field shape {u.shape} does not match vertex count "
-            f"{mesh.n_vertices}")
+    u = nodal_field(mesh, u)
     tri = mesh.faces[faces]
     p = mesh.vertices[tri]                             # (F, 3, 3)
     e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]        # edge opp. corner k
     rot = np.cross(mesh.face_normals[faces][:, None, :], e)   # (F, 3, 3)
     coeff = u[tri] / (2.0 * mesh.face_areas[faces])[:, None]
     return np.sum(coeff[:, :, None] * rot, axis=1)
-
-
-def discrete_laplacian(mesh, u1, tol=DEFAULT_TOL):
-    """Apply the discrete Laplace operator: solve M v = S u.
-
-    M is the consistent mass matrix and S the cotangent stiffness, so v
-    is the nodal representation of the (positive semidefinite) Laplacian
-    of the piecewise-linear field u.  Boundary entries of ``u1`` are
-    treated as zero (the field is extended by zero outside the interior).
-    M is factored by :func:`factor_spd`, and M v = S u is checked to
-    ``tol`` by :func:`check_residual`.
-
-    Returns
-    -------
-    ndarray, shape (n,)
-
-    Raises
-    ------
-    NotConvergedError
-        If the mass solve misses ``tol``.
-    """
-    u = np.array(u1, dtype=float)
-    if u.shape != (mesh.n_vertices,):
-        raise ValueError(
-            f"field shape {u.shape} does not match vertex count "
-            f"{mesh.n_vertices}")
-    if mesh.boundary_vertices.size:
-        u[mesh.boundary_vertices] = 0.0
-    mass = assemble_mass(mesh, "consistent")
-    rhs = assemble_stiffness(mesh) @ u
-    v = factor_spd(mass, mesh.vertices).solve(rhs)
-    check_residual(mass @ v, rhs, tol, f"mass solve of the discrete "
-                   f"Laplacian on {mesh.n_vertices} vertices")
-    return v

@@ -2,9 +2,8 @@
 
 Thin layer over scipy.sparse: CSR assembly from triplets, a sparse
 factor of symmetric positive definite matrices, ordered by geometric
-nested dissection of the unknowns' coordinates, a dense reference
-solver used to cross-check the sparse paths on small problems, and
-Matrix Market export.  The factor's accuracy is not checked here: its
+nested dissection of the unknowns' coordinates, and Matrix Market
+export.  The factor's accuracy is not checked here: its
 callers verify each equation they solve with :func:`check_residual`.
 """
 
@@ -225,36 +224,6 @@ def factor_spd(matrix, points):
             f"sparse LU factorization of a {matrix.shape[0]} x "
             f"{matrix.shape[0]} SPD matrix failed: {exc}") from exc
     return _PermutedFactor(lu, perm)
-
-
-def dense_solve_oracle(matrix, b):
-    """Reference dense solve for small systems (n <= 2000).
-
-    Accepts a dense array or any scipy sparse matrix, densifies it and
-    calls LAPACK.  Used to validate the sparse solvers on problems small
-    enough for an O(n^3) method.
-    """
-    if sp.issparse(matrix):
-        dense = matrix.toarray()
-    else:
-        dense = np.asarray(matrix, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DimensionMismatchError(f"matrix is not square: {dense.shape}")
-    n = dense.shape[0]
-    if n > 2000:
-        raise ValueError(f"dense oracle limited to n <= 2000, got {n}")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != n:
-        raise DimensionMismatchError(
-            f"right-hand side shape {b.shape} does not match matrix "
-            f"shape {dense.shape}")
-    try:
-        x = np.linalg.solve(dense, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularError("dense solve produced non-finite entries")
-    return x
 
 
 def export_matrix_market(matrix, path, symmetric=True):

@@ -31,7 +31,7 @@ class InvalidDimensionError(ValueError):
 
 
 class InvalidDegreeError(ValueError):
-    """Spherical harmonic degree/order outside l >= 1, |m| <= l."""
+    """Harmonic degree/order outside |m| <= l, l >= 0 (l >= 1 on spheres)."""
 
 
 class TooFewRingsError(ValueError):
@@ -256,10 +256,13 @@ def real_harmonic(degree, order):
     Y = P_l^m(cos theta) cos(m phi) for m >= 0 and
     Y = P_l^|m|(cos theta) sin(|m| phi) for m < 0, evaluated on the
     radial projection of the input, so Y_2^0(p) = (3 z^2 - 1)/2 on the
-    unit sphere.
+    unit sphere.  Raises InvalidDegreeError unless l >= 0 and |m| <= l.
     """
     l, m = int(degree), int(order)
     ma = abs(m)
+    if l < 0 or ma > l:
+        raise InvalidDegreeError(
+            f"need degree l >= 0 and |m| <= l, got l={l}, m={m}")
 
     def harmonic(p):
         pts, single = _as_batch(p)
@@ -339,13 +342,13 @@ def sphere_case(radius, degree, order):
     """
     radius = float(radius)
     l, m = int(degree), int(order)
-    if l < 1 or abs(m) > l:
+    harmonic = real_harmonic(l, m)
+    if l < 1:
         raise InvalidDegreeError(
-            f"need degree l >= 1 and |m| <= l, got l={l}, m={m}")
+            f"the sphere case needs degree l >= 1, got l={l}")
     if radius <= 0.0:
         raise InvalidDimensionError(f"radius must be positive, got {radius}")
     eig = l * (l + 1)
-    harmonic = real_harmonic(l, m)
     harmonic_grad = _harmonic_surface_gradient(l, m, radius)
 
     def exact_u(p):
@@ -538,26 +541,22 @@ def gen_schwarz_lantern(m, n, radius=1.0, height=2.0):
         raise InvalidDimensionError(
             f"cylinder needs positive radius and height, got "
             f"R={radius}, H={height}")
-    a = 0.5 * height
-    verts = np.empty(((n + 1) * m, 3))
-    for j in range(n + 1):
-        phis = (2.0 * np.pi * np.arange(m) + np.pi * (j % 2)) / m
-        verts[j * m:(j + 1) * m, 0] = radius * np.cos(phis)
-        verts[j * m:(j + 1) * m, 1] = radius * np.sin(phis)
-        verts[j * m:(j + 1) * m, 2] = -a + height * j / n
+    j = np.repeat(np.arange(n + 1), m)
+    phis = (2.0 * np.pi * np.tile(np.arange(m), n + 1) + np.pi * (j % 2)) / m
+    verts = np.stack([radius * np.cos(phis), radius * np.sin(phis),
+                      -0.5 * height + height * j / n], axis=1)
 
-    faces = []
-    for j in range(n):
-        lo, hi = j * m, (j + 1) * m
-        for k in range(m):
-            k1 = (k + 1) % m
-            if j % 2 == 0:
-                faces.append([lo + k, lo + k1, hi + k])
-                faces.append([hi + k, lo + k1, hi + k1])
-            else:
-                faces.append([lo + k, lo + k1, hi + k1])
-                faces.append([lo + k, hi + k1, hi + k])
-    return build_mesh(verts, np.asarray(faces))
+    # Cell (band j, k) has corners lo, lo1 = vertices k, k + 1 of ring j
+    # and hi, hi1 above them on ring j + 1.  Its two triangles are cut
+    # along lo1-hi on even bands and along lo-hi1 on odd ones.
+    band, k = np.arange(n)[:, None], np.arange(m)
+    lo, lo1 = band * m + k, band * m + (k + 1) % m
+    hi, hi1 = lo + m, lo1 + m
+    even = band % 2 == 0
+    faces = np.stack([lo, lo1, np.where(even, hi, hi1),
+                      np.where(even, hi, lo), np.where(even, lo1, hi1),
+                      np.where(even, hi1, hi)], axis=-1)
+    return build_mesh(verts, faces.reshape(-1, 3))
 
 
 class RefinementFamily:

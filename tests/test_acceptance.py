@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from biharm.analysis import (fit_quality_rates, gate_failures, l2_error,
-                             read_report_csv, run_study)
+                             run_study)
 from biharm.biharmonic import (saddle_system, solve_mixed_closed,
                                solve_mixed_dirichlet)
 from biharm.cli import main
-from biharm.fem import (assemble_mass, assemble_stiffness, discrete_laplacian,
-                        interpolate, p1_gradients)
-from biharm.linalg import dense_solve_oracle
+from biharm.fem import (assemble_mass, assemble_stiffness, interpolate,
+                        p1_gradients)
 from biharm.mesh import max_edge_length
 from biharm.surfaces import (cap_case, cap_family, cylinder_case,
                              gen_cap_mesh, gen_icosphere, gen_schwarz_lantern,
@@ -28,6 +27,7 @@ from biharm.surfaces import (cap_case, cap_family, cylinder_case,
 
 from conftest import grid_mesh, tetrahedron
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
+from helpers import dense_solve_oracle, discrete_laplacian, read_report_csv
 
 
 def announce(number, name, failures, details=""):
@@ -196,11 +196,11 @@ def test_criterion_5_oracle_equivalence(rng):
             u1 = x1[:n]
         else:
             sol = solve_mixed_dirichlet(mesh, f)
-            matrix, rhs, part = saddle_system(mesh, f)
+            matrix, rhs, ops = saddle_system(mesh, f)
             x = dense_solve_oracle(matrix, rhs)
-            n_i = len(part.interior)
+            n_i = len(ops.interior)
             u1 = np.zeros(n)
-            u1[part.interior] = x[:n_i]
+            u1[ops.interior] = x[:n_i]
             u2 = x[n_i:]
         scale = max(np.max(np.abs(u1)), np.max(np.abs(u2)), 1e-30)
         err = max(np.max(np.abs(sol.u1 - u1)), np.max(np.abs(sol.u2 - u2)))

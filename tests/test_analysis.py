@@ -9,9 +9,8 @@ from biharm.analysis import (ConvergenceReport, ErrorRecord,
                              InsufficientLevelsError, QualityRecord,
                              certify_quality, fit_quality_rates, fit_rates,
                              h1_error, l2_error, lantern_highres_reference,
-                             read_quality_csv, read_rates_csv,
-                             read_report_csv, run_level, run_study,
-                             solve_mixed, triangle_quadrature,
+                             run_level, run_study, solve_mixed,
+                             triangle_quadrature,
                              write_quality_csv, write_rates_csv,
                              write_report_csv)
 from biharm.fem import interpolate
@@ -21,6 +20,7 @@ from biharm.surfaces import (cap_case, cap_family, cylinder_case,
                              lantern_family, sphere_case, sphere_family)
 
 from conftest import flat_case, grid_mesh, single_triangle
+from helpers import read_quality_csv, read_rates_csv, read_report_csv
 
 
 def bary_integral(a, b, c):

@@ -7,14 +7,15 @@ from biharm import linalg
 from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
                                saddle_system, solve_mixed_closed,
                                solve_mixed_dirichlet)
-from biharm.fem import (assemble_mass, assemble_stiffness,
-                        discrete_laplacian, interpolate, partition_dofs)
-from biharm.linalg import NotConvergedError, dense_solve_oracle
+from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
+                        interpolate)
+from biharm.linalg import NotConvergedError
 from biharm.mesh import ComponentError, build_mesh
 from biharm.surfaces import (cylinder_case, gen_cap_mesh, gen_icosphere,
                              gen_schwarz_lantern, real_harmonic, sphere_case)
 
 from conftest import single_triangle, tetrahedron
+from helpers import dense_solve_oracle, discrete_laplacian
 
 
 def disjoint_union(*meshes):
@@ -43,11 +44,11 @@ class TestDirichlet:
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         f = rng.normal(size=mesh.n_vertices)
         sol = solve_mixed_dirichlet(mesh, f)
-        matrix, rhs, part = saddle_system(mesh, f)
+        matrix, rhs, ops = saddle_system(mesh, f)
         x = dense_solve_oracle(matrix, rhs)
-        n_i = len(part.interior)
+        n_i = len(ops.interior)
         u1 = np.zeros(mesh.n_vertices)
-        u1[part.interior] = x[:n_i]
+        u1[ops.interior] = x[:n_i]
         u2 = x[n_i:]
         scale = max(np.max(np.abs(u1)), np.max(np.absolute(u2)))
         assert np.max(np.abs(sol.u1 - u1)) <= 1e-9 * scale
@@ -147,11 +148,11 @@ class TestCondensedDirichlet:
         sol = solve_mixed_dirichlet(mesh, f)
         assert sol.solve_report.method == "condensed_cg"
         assert sol.solve_report.iterations > 1
-        matrix, rhs, part = saddle_system(mesh, f)
+        matrix, rhs, ops = saddle_system(mesh, f)
         x = spla.spsolve(matrix.tocsc(), rhs)
-        n_i = part.n_interior
+        n_i = len(ops.interior)
         u1_i, u2 = x[:n_i], x[n_i:]
-        assert (np.linalg.norm(sol.u1[part.interior] - u1_i)
+        assert (np.linalg.norm(sol.u1[ops.interior] - u1_i)
                 <= 1e-10 * np.linalg.norm(u1_i))
         assert np.linalg.norm(sol.u2 - u2) <= 1e-10 * np.linalg.norm(u2)
 
@@ -320,13 +321,13 @@ def eliminated_lumped_system(mesh, f):
     """The lumped clamped problem with u2 = M_L^{-1} B^T u1 eliminated:
     B M_L^{-1} B^T u1 = M[interior, :] f, with B the interior rows of
     the stiffness.  Returns the matrix, the right-hand side, B, the
-    lumped mass diagonal and the dof partition."""
-    part = partition_dofs(mesh)
-    b = assemble_stiffness(mesh)[part.interior, :]
+    lumped mass diagonal and the interior vertices."""
+    interior = MeshOperators(mesh).interior
+    b = assemble_stiffness(mesh)[interior, :]
     lumped = assemble_mass(mesh, mode="lumped").diagonal()
     schur = (b.multiply(1.0 / lumped[None, :]) @ b.T).tocsr()
-    rhs = (assemble_mass(mesh) @ f)[part.interior]
-    return schur, rhs, b, lumped, part
+    rhs = (assemble_mass(mesh) @ f)[interior]
+    return schur, rhs, b, lumped, interior
 
 
 def solve_lumped(mesh, f, **kwargs):
@@ -349,10 +350,10 @@ class TestLumpedSchur:
         f = rng.normal(size=mesh.n_vertices)
         sol = solve_lumped(mesh, f)
 
-        schur, rhs, b, lumped, part = eliminated_lumped_system(mesh, f)
+        schur, rhs, b, lumped, interior = eliminated_lumped_system(mesh, f)
         u1_i = dense_solve_oracle(schur, rhs)
         u1 = np.zeros(mesh.n_vertices)
-        u1[part.interior] = u1_i
+        u1[interior] = u1_i
         u2 = (b.T @ u1_i) / lumped
         scale = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
         assert np.max(np.abs(sol.u1 - u1)) <= 1e-9 * scale
@@ -366,9 +367,9 @@ class TestLumpedSchur:
         mesh = gen_cap_mesh(np.pi / 3.0, rings)
         f = TestCondensedDirichlet.skew_load(mesh)
         sol = solve_lumped(mesh, f)
-        schur, rhs, _, _, part = eliminated_lumped_system(mesh, f)
+        schur, rhs, _, _, interior = eliminated_lumped_system(mesh, f)
         u1_i = spla.spsolve(schur.tocsc(), rhs)
-        assert (np.linalg.norm(sol.u1[part.interior] - u1_i)
+        assert (np.linalg.norm(sol.u1[interior] - u1_i)
                 <= 1e-10 * np.linalg.norm(u1_i))
 
     def test_iterations_bounded_on_cap_study_levels(self):
@@ -407,14 +408,14 @@ class TestVariationalIdentities:
         sol = solve_mixed_dirichlet(mesh, f, tol=1e-10)
         s = assemble_stiffness(mesh)
         m = assemble_mass(mesh)
-        part = partition_dofs(mesh)
-        b = s[part.interior, :]
+        interior = MeshOperators(mesh).interior
+        b = s[interior, :]
 
-        r1 = b @ sol.u2 - (m @ f)[part.interior]
-        scale1 = max(np.linalg.norm((m @ f)[part.interior]), 1e-30)
+        r1 = b @ sol.u2 - (m @ f)[interior]
+        scale1 = max(np.linalg.norm((m @ f)[interior]), 1e-30)
         assert np.linalg.norm(r1) <= 1e-9 * scale1
 
-        r2 = b.T @ sol.u1[part.interior] - m @ sol.u2
+        r2 = b.T @ sol.u1[interior] - m @ sol.u2
         scale2 = max(np.linalg.norm(m @ sol.u2), 1e-30)
         assert np.linalg.norm(r2) <= 1e-8 * scale2
 

@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import biharm
 from biharm import analysis, cli
-from biharm.analysis import (ACCEPTANCE_GATES, read_quality_csv,
-                             read_rates_csv, read_report_csv)
-from biharm.cli import main, read_solution_csv
+from biharm.analysis import ACCEPTANCE_GATES
+from biharm.cli import main
 from biharm.mesh import max_edge_length, read_obj, write_obj
 from biharm.surfaces import gen_cap_mesh
 
 from conftest import tetrahedron
+from helpers import (read_quality_csv, read_rates_csv, read_report_csv,
+                     read_solution_csv)
 
 
 @pytest.fixture
@@ -147,6 +148,15 @@ class TestSolve:
         code = main(["solve", "--case", "cap", "--n", "4",
                      "--rhs", "bogus:1", "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("rhs", ["harmonic:2,5", "harmonic:2,-3",
+                                     "harmonic:-3,0"])
+    def test_invalid_harmonic_rhs_exit_2(self, tmp_path, capsys, rhs):
+        code = main(["solve", "--case", "cap", "--n", "4", "--rhs", rhs,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "need degree l >= 0 and |m| <= l" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_tolerance_exit_3(self, tmp_path):
         code = main(["solve", "--case", "cap", "--n", "4",
@@ -374,6 +384,36 @@ class TestConfigFile:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"case": "cap", "tol": "1e-10"}, "tol"),
+        ({"case": "cap", "tol": None}, "tol"),
+        ({"case": ["cap"]}, "case"),
+        ({"case": "cap", "R": [1]}, "R"),
+        ({"case": "cap", "out": 5}, "out"),
+        ({"case": "sphere", "l": 2.5}, "l"),
+        ({"case": "sphere", "R": True}, "R"),
+        ({"case": "cap", "ring_levels": [8, True, 32]}, "ring_levels"),
+    ], ids=["tol-string", "tol-null", "case-list", "R-list", "out-int",
+            "l-float", "R-bool", "level-bool"])
+    def test_value_of_wrong_type_exit_2(self, tmp_path, monkeypatch, capsys,
+                                        cfg, field):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["solve", "--config", str(cfg_path), "--n", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} ")
+        assert os.listdir(tmp_path) == ["study.json"]
+
+    def test_int_accepted_for_float(self, tmp_path):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"case": "cap", "R": 2,
+                                        "theta0": 1}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg_path), "--n", "2",
+                     "--out", str(out)]) == 0
+        assert (out / "solution.csv").exists()
 
     def test_field_for_wrong_case_exit_2(self, tmp_path):
         cfg_path = tmp_path / "study.json"

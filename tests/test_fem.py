@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from biharm.fem import (assemble_mass, assemble_stiffness, discrete_laplacian,
-                        interpolate, p1_gradients, partition_dofs)
+from biharm import linalg
+from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
+                        interpolate, p1_gradients)
 from biharm.linalg import NotConvergedError
 from biharm.surfaces import gen_icosphere, real_harmonic
 
 from conftest import grid_mesh, single_triangle, tetrahedron
+from helpers import discrete_laplacian
 
 
 class TestStiffness:
@@ -91,20 +93,48 @@ class TestMass:
 class TestPartition:
     def test_grid_partition(self):
         mesh = grid_mesh(2)
-        part = partition_dofs(mesh)
-        assert len(part.interior) == 1
-        assert len(part.boundary) == 8
-        interior = int(part.interior[0])
+        ops = MeshOperators(mesh)
+        assert len(ops.interior) == 1
+        assert len(ops.boundary) == 8
+        interior = int(ops.interior[0])
         assert mesh.vertices[interior] == pytest.approx([0.5, 0.5, 0.0])
-        assert part.full_to_interior[interior] == 0
-        mask = np.ones(9, dtype=bool)
-        mask[interior] = False
-        assert np.all(part.full_to_interior[mask] == -1)
 
     def test_closed_mesh_all_interior(self):
-        part = partition_dofs(tetrahedron())
-        assert len(part.interior) == 4
-        assert len(part.boundary) == 0
+        ops = MeshOperators(tetrahedron())
+        assert len(ops.interior) == 4
+        assert len(ops.boundary) == 0
+        assert ops.b_block is ops.stiffness
+
+
+class TestMeshOperators:
+    def test_operators_match_assembly(self):
+        mesh = grid_mesh(3, shear=0.4)
+        ops = MeshOperators(mesh)
+        s = assemble_stiffness(mesh)
+        assert (ops.stiffness != s).nnz == 0
+        assert (ops.mass != assemble_mass(mesh, "consistent")).nnz == 0
+        assert (ops.b_block != s[ops.interior, :]).nnz == 0
+
+    def test_factors_built_once_on_first_use(self, monkeypatch, rng):
+        calls = []
+        real_factor = linalg.factor_spd
+
+        def counting_factor(matrix, points):
+            calls.append(matrix.shape)
+            return real_factor(matrix, points)
+
+        monkeypatch.setattr("biharm.fem.factor_spd", counting_factor)
+        mesh = grid_mesh(4)
+        ops = MeshOperators(mesh)
+        assert calls == []
+        n, ni = mesh.n_vertices, len(ops.interior)
+        b = rng.normal(size=ni)
+        for _ in range(2):
+            x = ops.interior_factor.solve(b)
+            ops.grounded_factor.solve(np.ones(n - 1))
+        assert calls == [(ni, ni), (n - 1, n - 1)]
+        s_ii = ops.stiffness[ops.interior, :][:, ops.interior]
+        assert np.linalg.norm(s_ii @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestInterpolate:
@@ -114,10 +144,20 @@ class TestInterpolate:
         assert np.array_equal(u, mesh.vertices[:, 0])
 
     def test_scalar_callable(self):
+        # A function of one point is called once on all the vertices
+        # and gives one number, which is no nodal field.
         mesh = grid_mesh(2)
-        u = interpolate(mesh, lambda p: float(p[0] + 2.0 * p[1]))
-        expected = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1]
-        assert u == pytest.approx(expected)
+        with pytest.raises(ValueError, match=r"field shape \(\) does not "
+                                             r"match vertex count 9"):
+            interpolate(mesh, lambda p: float(p[0, 0] + 2.0 * p[0, 1]))
+
+    @pytest.mark.parametrize("fn", [lambda p: p[:, :2], lambda p: p[1:, 0]],
+                             ids=["two-columns", "too-short"])
+    def test_wrong_shape_raises(self, fn):
+        mesh = grid_mesh(2)
+        with pytest.raises(ValueError, match=r"field shape .* does not "
+                                             r"match vertex count 9"):
+            interpolate(mesh, fn)
 
     def test_harmonic_range(self):
         mesh = gen_icosphere(3)
@@ -199,10 +239,10 @@ class TestDiscreteLaplacian:
 
     def test_boundary_values_ignored(self, rng):
         mesh = grid_mesh(3)
-        part = partition_dofs(mesh)
+        boundary = mesh.boundary_vertices
         u = rng.normal(size=mesh.n_vertices)
         u_mod = u.copy()
-        u_mod[part.boundary] += rng.normal(size=len(part.boundary))
+        u_mod[boundary] += rng.normal(size=len(boundary))
         v_a = discrete_laplacian(mesh, u)
         v_b = discrete_laplacian(mesh, u_mod)
         assert v_a == pytest.approx(v_b, abs=1e-9)

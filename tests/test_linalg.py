@@ -5,14 +5,15 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biharm.fem import assemble_stiffness, partition_dofs
+from biharm.fem import MeshOperators
 from biharm.linalg import (DimensionMismatchError, NotConvergedError,
                            SingularError, build_csr, check_residual,
-                           dense_solve_oracle, export_matrix_market,
-                           factor_spd, nested_dissection)
+                           export_matrix_market, factor_spd,
+                           nested_dissection)
 from biharm.surfaces import gen_cap_mesh
 
 from conftest import grid_mesh
+from helpers import dense_solve_oracle
 
 
 def poisson_1d(n):
@@ -49,19 +50,18 @@ class TestSolveSpd:
 
     def test_interior_stiffness_vs_oracle(self):
         mesh = grid_mesh(3)
-        s = assemble_stiffness(mesh)
-        part = partition_dofs(mesh)
-        a = s[np.ix_(part.interior, part.interior)].tocsr()
-        b = np.ones(len(part.interior))
-        x = factor_spd(a, mesh.vertices[part.interior]).solve(b)
+        ops = MeshOperators(mesh)
+        a = ops.stiffness[np.ix_(ops.interior, ops.interior)].tocsr()
+        b = np.ones(len(ops.interior))
+        x = ops.interior_factor.solve(b)
         y = dense_solve_oracle(a, b)
         assert x == pytest.approx(y, abs=1e-9)
 
 
 def interior_stiffness(mesh):
-    s = assemble_stiffness(mesh)
-    interior = partition_dofs(mesh).interior
-    return s[interior, :][:, interior], mesh.vertices[interior]
+    ops = MeshOperators(mesh)
+    return (ops.stiffness[ops.interior, :][:, ops.interior],
+            mesh.vertices[ops.interior])
 
 
 class TestCheckResidual:

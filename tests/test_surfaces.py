@@ -204,10 +204,21 @@ class TestSphereCase:
         assert np.max(np.abs(lap_fd - lap_exact)) <= 1e-6 * scale
 
     def test_invalid_degree(self):
-        with pytest.raises(InvalidDegreeError):
+        with pytest.raises(InvalidDegreeError, match="l >= 1"):
             sphere_case(1.0, 0, 0)
-        with pytest.raises(InvalidDegreeError):
+        with pytest.raises(InvalidDegreeError, match=r"\|m\| <= l"):
             sphere_case(1.0, 2, 3)
+
+    @pytest.mark.parametrize("degree, order", [(2, 5), (2, -3), (-3, 0),
+                                               (-1, -1)])
+    def test_harmonic_rejects_invalid_degree(self, degree, order):
+        with pytest.raises(InvalidDegreeError,
+                           match=f"got l={degree}, m={order}"):
+            real_harmonic(degree, order)
+
+    def test_harmonic_degree_zero_is_constant(self):
+        pts = np.random.default_rng(3).normal(size=(20, 3))
+        assert np.all(real_harmonic(0, 0)(pts) == 1.0)
 
 
 class TestCapMesh:
@@ -353,7 +364,42 @@ class TestIcosphere:
                 assert np.array_equal(mesh.vertices, np.asarray(verts))
 
 
+def lantern_loops(m, n, radius=1.0, height=2.0):
+    """Vertices and faces of the Schwarz lantern built ring by ring and
+    face by face, the oracle of the vectorized generator."""
+    a = 0.5 * height
+    verts = np.empty(((n + 1) * m, 3))
+    for j in range(n + 1):
+        phis = (2.0 * np.pi * np.arange(m) + np.pi * (j % 2)) / m
+        verts[j * m:(j + 1) * m, 0] = radius * np.cos(phis)
+        verts[j * m:(j + 1) * m, 1] = radius * np.sin(phis)
+        verts[j * m:(j + 1) * m, 2] = -a + height * j / n
+
+    faces = []
+    for j in range(n):
+        lo, hi = j * m, (j + 1) * m
+        for k in range(m):
+            k1 = (k + 1) % m
+            if j % 2 == 0:
+                faces.append([lo + k, lo + k1, hi + k])
+                faces.append([hi + k, lo + k1, hi + k1])
+            else:
+                faces.append([lo + k, lo + k1, hi + k1])
+                faces.append([lo + k, hi + k1, hi + k])
+    return verts, np.asarray(faces)
+
+
 class TestSchwarzLantern:
+    @pytest.mark.parametrize("args", [(3, 2), (4, 3), (5, 25), (7, 49),
+                                      (256, 128), (8, 4, 1.3, 2.7)])
+    def test_matches_loop_oracle_bitwise(self, args):
+        mesh = gen_schwarz_lantern(*args)
+        verts, faces = lantern_loops(*args)
+        assert mesh.vertices.dtype == verts.dtype
+        assert np.array_equal(mesh.vertices, verts)
+        assert mesh.faces.dtype == faces.dtype
+        assert np.array_equal(mesh.faces, faces)
+
     def test_counts(self):
         mesh = gen_schwarz_lantern(3, 2)
         assert mesh.n_vertices == 9
