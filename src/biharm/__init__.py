@@ -5,10 +5,11 @@ The package solves Delta^2 u = f with clamped boundary conditions
 (u = du/dn = 0) on bounded surfaces, and the zero-mean problem on
 closed surfaces, using the mixed formulation with an auxiliary variable
 u2 = Delta u1 (positive semidefinite Laplacian convention); each solve
-reads one bundle of assembled operators and factors per mesh.  It ships
-analytic reference surfaces with manufactured solutions, mesh
-generators for the spherical cap, icosphere and Schwarz lantern
-experiment families, error norms, mesh-quality certification and
+reads one bundle of assembled operators and factors per mesh, and
+``solve_mixed`` picks the solver a mesh calls for.  It ships analytic
+reference surfaces with manufactured solutions, mesh generators for the
+spherical cap, icosphere and Schwarz lantern experiment families, error
+norms under one 6-point quadrature rule, mesh-quality certification and
 convergence-rate fitting, plus a CLI (``biharm``) wrapping the studies.
 """
 
@@ -28,13 +29,12 @@ from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
                        lantern_family, OutsideReachError, InvalidAngleError,
                        InvalidDimensionError, InvalidDegreeError,
                        TooFewRingsError, InvalidCountsError)
-from .biharmonic import (MixedSolution, solve_mixed_dirichlet,
+from .biharmonic import (MixedSolution, solve_mixed, solve_mixed_dirichlet,
                          solve_mixed_closed, saddle_system, NoBoundaryError,
                          HasBoundaryError)
 from .analysis import (ErrorRecord, QualityRecord, ConvergenceReport,
-                       RateFit, triangle_quadrature, l2_error, h1_error,
-                       certify_quality, fit_rates, fit_quality_rates,
-                       solve_mixed, run_level, run_study,
+                       RateFit, l2_error, h1_error, certify_quality,
+                       fit_rates, fit_quality_rates, run_level, run_study,
                        write_report_csv, write_quality_csv, write_rates_csv,
                        lantern_highres_reference, InsufficientLevelsError)
 
@@ -55,11 +55,12 @@ __all__ = [
     "sphere_family", "lantern_family", "OutsideReachError",
     "InvalidAngleError", "InvalidDimensionError", "InvalidDegreeError",
     "TooFewRingsError", "InvalidCountsError",
-    "MixedSolution", "solve_mixed_dirichlet", "solve_mixed_closed",
-    "saddle_system", "NoBoundaryError", "HasBoundaryError",
+    "MixedSolution", "solve_mixed", "solve_mixed_dirichlet",
+    "solve_mixed_closed", "saddle_system", "NoBoundaryError",
+    "HasBoundaryError",
     "ErrorRecord", "QualityRecord", "ConvergenceReport", "RateFit",
-    "triangle_quadrature", "l2_error", "h1_error", "certify_quality",
-    "fit_rates", "fit_quality_rates", "solve_mixed", "run_level",
+    "l2_error", "h1_error", "certify_quality",
+    "fit_rates", "fit_quality_rates", "run_level",
     "run_study", "write_report_csv", "write_quality_csv",
     "write_rates_csv", "lantern_highres_reference",
     "InsufficientLevelsError",

@@ -1,11 +1,9 @@
 """Error norms, mesh-quality certification and convergence-rate fits.
 
 Errors are computed in the mesh metric against the pulled-back exact
-solution u composed with the closest-point map, using symmetric triangle
-quadrature of order 2 or 4 (order 4 by default: order 2 under-reports
-the u2 error on coarse meshes because the discrete u2 is close to an L2
-projection, which order-2 points cannot distinguish from the exact
-field).
+solution u composed with the closest-point map, using one quadrature
+rule: Dunavant's symmetric 6-point rule on each triangle, exact for
+polynomials of degree 4 (IJNME 21, 1985).
 
 Quality certification covers the shape-regularity ratios kappa and K,
 the maximal distance of quadrature points to the surface, and the
@@ -14,14 +12,16 @@ additionally estimate the decay exponents gamma (distance) and epsilon
 (normals) with sigma = min(gamma, 2 epsilon).
 
 The norms and the certificate stream over blocks of faces, so their
-temporaries stay bounded whatever the size of the mesh.
+temporaries stay bounded whatever the size of the mesh.  A study checks
+its levels by :func:`check_levels` before it builds any mesh, and
+solves each level with :func:`~biharm.biharmonic.solve_mixed`.
 """
 
 import math
 
 import numpy as np
 
-from .biharmonic import solve_mixed_closed, solve_mixed_dirichlet
+from .biharmonic import solve_mixed, solve_mixed_dirichlet
 from .fem import interpolate, nodal_field, p1_gradients
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
 from .mesh import circumradius_ratios, inradius_ratios, max_edge_length
@@ -32,42 +32,18 @@ class InsufficientLevelsError(ValueError):
     """Rate fitting needs at least three refinement levels."""
 
 
-# Symmetric quadrature rules on the reference triangle in barycentric
-# coordinates; weights sum to 1 (multiply by the triangle area).
-_QUAD_RULES = {
-    2: (np.array([[0.5, 0.5, 0.0],
-                  [0.0, 0.5, 0.5],
-                  [0.5, 0.0, 0.5]]),
-        np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])),
-    4: (np.array([[0.108103018168070, 0.445948490915965, 0.445948490915965],
-                  [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                  [0.445948490915965, 0.445948490915965, 0.108103018168070],
-                  [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                  [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                  [0.091576213509771, 0.091576213509771, 0.816847572980459]]),
-        np.array([0.223381589678011, 0.223381589678011, 0.223381589678011,
-                  0.109951743655322, 0.109951743655322, 0.109951743655322])),
-}
-
-
-def triangle_quadrature(order):
-    """Barycentric points and weights of a symmetric triangle rule.
-
-    Parameters
-    ----------
-    order : {2, 4}
-        Highest polynomial degree integrated exactly.
-
-    Returns
-    -------
-    points : ndarray, shape (q, 3)
-    weights : ndarray, shape (q,)
-        Weights sum to 1; scale by the triangle area to integrate.
-    """
-    if order not in _QUAD_RULES:
-        raise ValueError(f"quadrature order must be 2 or 4, got {order}")
-    pts, w = _QUAD_RULES[order]
-    return pts.copy(), w.copy()
+# Dunavant's symmetric degree-4 rule on the reference triangle:
+# barycentric points and weights summing to 1 (multiply by the area).
+_QUAD_POINTS = np.array([
+    [0.108103018168070, 0.445948490915965, 0.445948490915965],
+    [0.445948490915965, 0.108103018168070, 0.445948490915965],
+    [0.445948490915965, 0.445948490915965, 0.108103018168070],
+    [0.816847572980459, 0.091576213509771, 0.091576213509771],
+    [0.091576213509771, 0.816847572980459, 0.091576213509771],
+    [0.091576213509771, 0.091576213509771, 0.816847572980459]])
+_QUAD_WEIGHTS = np.array([0.223381589678011, 0.223381589678011,
+                          0.223381589678011, 0.109951743655322,
+                          0.109951743655322, 0.109951743655322])
 
 
 # Faces per block of the pass that measures errors and certifies
@@ -79,7 +55,7 @@ def triangle_quadrature(order):
 _FACE_BLOCK = 4096
 
 
-def _face_blocks(mesh, case, bary):
+def _face_blocks(mesh, case):
     """Quadrature points of a mesh and their closest points on a
     surface, one block of at most ``_FACE_BLOCK`` faces at a time.
 
@@ -88,12 +64,12 @@ def _face_blocks(mesh, case, bary):
     faces : slice
         The faces of the block.
     points, projected : ndarray, shape (b * q, 3)
-        Their points at the barycentric coordinates ``bary``, face by
-        face, and the closest points on the surface of ``case``.
+        Their points at ``_QUAD_POINTS``, face by face, and the closest
+        points on the surface of ``case``.
     """
     for start in range(0, mesh.n_faces, _FACE_BLOCK):
         faces = slice(start, min(start + _FACE_BLOCK, mesh.n_faces))
-        points = np.matmul(bary, mesh.vertices[mesh.faces[faces]])
+        points = np.matmul(_QUAD_POINTS, mesh.vertices[mesh.faces[faces]])
         points = points.reshape(-1, 3)
         yield faces, points, case.closest_point(points)
 
@@ -161,18 +137,17 @@ class ConvergenceReport:
         self.sigma_estimate = sigma_estimate
 
 
-def l2_error(mesh, u_h, case, quad_order=4, reference="u"):
+def l2_error(mesh, u_h, case, reference="u"):
     """L2 distance between a nodal field and the pulled-back exact field.
 
     Integrates (u_h - u_exact(closest_point(x)))^2 over the mesh with
-    symmetric triangle quadrature.
+    the 6-point quadrature rule.
 
     Parameters
     ----------
     mesh : TriMesh
     u_h : ndarray, shape (n,)
     case : SurfaceCase
-    quad_order : {2, 4}
     reference : {"u", "lap_u"}
         Compare against exact_u (default) or exact_lap_u.
 
@@ -185,11 +160,11 @@ def l2_error(mesh, u_h, case, quad_order=4, reference="u"):
     if exact is None:
         raise ValueError(
             f"reference must be 'u' or 'lap_u', got {reference!r}")
-    (err,), _ = _measure(mesh, case, quad_order, [(_l2_sq, u_h, exact)])
+    (err,), _ = _measure(mesh, case, [(_l2_sq, u_h, exact)])
     return err
 
 
-def h1_error(mesh, u_h, case, quad_order=4):
+def h1_error(mesh, u_h, case):
     """L2 distance between the mesh gradient and the exact gradient.
 
     The per-face constant gradient of u_h is compared against the exact
@@ -197,12 +172,11 @@ def h1_error(mesh, u_h, case, quad_order=4):
     gradient projected onto the face plane.
     """
     u_h = np.asarray(u_h, dtype=float)
-    (err,), _ = _measure(mesh, case, quad_order,
-                         [(_h1_sq, u_h, case.exact_grad_u)])
+    (err,), _ = _measure(mesh, case, [(_h1_sq, u_h, case.exact_grad_u)])
     return err
 
 
-def certify_quality(mesh, case, quad_order=4):
+def certify_quality(mesh, case):
     """Shape-regularity and surface-approximation quality of one mesh.
 
     Returns
@@ -212,30 +186,30 @@ def certify_quality(mesh, case, quad_order=4):
         distance to the surface, and the maximal face-normal deviation
         from the surface normal at the projected centroid.
     """
-    return _measure(mesh, case, quad_order, certify=True)[1]
+    return _measure(mesh, case, certify=True)[1]
 
 
-def _l2_sq(mesh, faces, projected, u_h, exact, bary, weights):
+def _l2_sq(mesh, faces, projected, u_h, exact):
     """Per-face quadrature of (u_h - exact)^2, per unit area."""
-    vals_exact = np.asarray(exact(projected)).reshape(-1, weights.size)
-    vals_h = np.einsum("qk,fk->fq", bary, u_h[mesh.faces[faces]])
-    return np.sum((vals_h - vals_exact) ** 2 * weights[None, :], axis=1)
+    vals_exact = np.asarray(exact(projected)).reshape(-1, _QUAD_WEIGHTS.size)
+    vals_h = np.einsum("qk,fk->fq", _QUAD_POINTS, u_h[mesh.faces[faces]])
+    return np.sum((vals_h - vals_exact) ** 2 * _QUAD_WEIGHTS[None, :], axis=1)
 
 
-def _h1_sq(mesh, faces, projected, u_h, exact_grad, bary, weights):
+def _h1_sq(mesh, faces, projected, u_h, exact_grad):
     """Per-face quadrature of |grad u_h - exact_grad|^2, per unit area,
     with exact_grad projected onto the face plane."""
     grads = p1_gradients(mesh, u_h, faces)            # (b, 3)
     g_exact = np.asarray(exact_grad(projected))
-    g_exact = g_exact.reshape(-1, weights.size, 3)    # (b, q, 3)
+    g_exact = g_exact.reshape(-1, _QUAD_WEIGHTS.size, 3)    # (b, q, 3)
     normals = mesh.face_normals[faces]
     g_tan = g_exact - np.einsum("fqd,fd->fq", g_exact,
                                 normals)[:, :, None] * normals[:, None, :]
     diff = grads[:, None, :] - g_tan
-    return np.sum(np.sum(diff**2, axis=2) * weights[None, :], axis=1)
+    return np.sum(np.sum(diff**2, axis=2) * _QUAD_WEIGHTS[None, :], axis=1)
 
 
-def _measure(mesh, case, quad_order, norms=(), certify=False):
+def _measure(mesh, case, norms=(), certify=False):
     """Error norms and the quality certificate of a mesh in one pass
     over its face blocks.
 
@@ -256,13 +230,11 @@ def _measure(mesh, case, quad_order, norms=(), certify=False):
         One per norm.
     quality : QualityRecord or None
     """
-    bary, weights = triangle_quadrature(quad_order)
     sq = np.empty((len(norms), mesh.n_faces))
     dist, angle = [], []
-    for faces, points, projected in _face_blocks(mesh, case, bary):
+    for faces, points, projected in _face_blocks(mesh, case):
         for row, (kernel, u_h, exact) in zip(sq, norms):
-            row[faces] = kernel(mesh, faces, projected, u_h, exact, bary,
-                                weights)
+            row[faces] = kernel(mesh, faces, projected, u_h, exact)
         if certify:
             dist.append(np.linalg.norm(points - projected, axis=1).max())
             centroids = mesh.vertices[mesh.faces[faces]].mean(axis=1)
@@ -346,28 +318,7 @@ def fit_quality_rates(hs, qualities, **series):
     return fits
 
 
-def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
-    """Solve the mixed problem with the solver the mesh calls for.
-
-    Meshes with boundary get the clamped solve of
-    :func:`solve_mixed_dirichlet` in ``mass_mode``, closed meshes the
-    double-Poisson solve of :func:`solve_mixed_closed`.
-
-    Raises
-    ------
-    ValueError
-        For the lumped mode on a closed mesh, which has no lumped path;
-        and the errors of the solver.
-    """
-    if not mesh.is_closed:
-        return solve_mixed_dirichlet(mesh, f, tol=tol, mass_mode=mass_mode)
-    if mass_mode == "lumped":
-        raise ValueError("the lumped mass mode needs a bounded mesh")
-    return solve_mixed_closed(mesh, f, tol=tol)
-
-
-def run_level(family, level, tol=DEFAULT_TOL, quad_order=4,
-              mass_mode="consistent"):
+def run_level(family, level, tol=DEFAULT_TOL, mass_mode="consistent"):
     """Solve one refinement level and collect its ErrorRecord.
 
     The three error norms and the quality certificate come from one
@@ -388,28 +339,34 @@ def run_level(family, level, tol=DEFAULT_TOL, quad_order=4,
         raise type(exc)(f"{family.label} level {level} "
                         f"({mesh.n_vertices} vertices): {exc}") from exc
     (l2_u1, h1_u1, l2_u2), quality = _measure(
-        mesh, case, quad_order,
+        mesh, case,
         [(_l2_sq, sol.u1, case.exact_u), (_h1_sq, sol.u1, case.exact_grad_u),
          (_l2_sq, sol.u2, case.exact_lap_u)], certify=True)
     return ErrorRecord(family.label, level, max_edge_length(mesh),
                        mesh.n_vertices, l2_u1, h1_u1, l2_u2, quality)
 
 
-def run_study(family, tol=DEFAULT_TOL, quad_order=4,
-              mass_mode="consistent"):
+def check_levels(levels):
+    """Require at least 3 levels (else InsufficientLevelsError),
+    strictly increasing (else ValueError)."""
+    if len(levels) < 3:
+        raise InsufficientLevelsError(
+            f"a study needs at least 3 levels, got {list(levels)}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(
+            f"a study needs strictly increasing levels, got {list(levels)}")
+
+
+def run_study(family, tol=DEFAULT_TOL, mass_mode="consistent"):
     """Run a full convergence study over a refinement family, level by
-    level in order.
+    level in order, after :func:`check_levels` accepts its levels.
 
     Returns
     -------
     ConvergenceReport
     """
-    records = [run_level(family, lv, tol, quad_order, mass_mode)
-               for lv in family.levels]
-    hs = [r.h for r in records]
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError(
-            f"refinement family h values not strictly decreasing: {hs}")
+    check_levels(family.levels)
+    records = [run_level(family, lv, tol, mass_mode) for lv in family.levels]
     return fit_rates(records, family.label)
 
 
@@ -510,15 +467,16 @@ def write_rates_csv(path, report):
 # High-resolution discrete reference for the lantern experiment
 
 def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
-                              rhs_value=24.0, tol=DEFAULT_TOL):
+                              tol=DEFAULT_TOL):
     """Cylinder case whose reference fields come from a fine solve.
 
-    Solves the clamped problem with constant right-hand side on a fine
-    shape-regular lantern (m = 2 n_ref) and exposes the discrete u1,
-    its chart gradient and the discrete u2 as the "exact" fields of a
-    new SurfaceCase.  This mirrors measuring errors against a
-    numerically computed high-resolution solution instead of the
-    manufactured one.
+    Solves the clamped problem with the constant load of
+    :func:`~biharm.surfaces.cylinder_case` on a fine shape-regular
+    lantern (m = 2 n_ref) and exposes the discrete u1, its chart
+    gradient and the discrete u2 as the "exact" fields of a new
+    SurfaceCase, whose load is the cylinder case's.  This mirrors
+    measuring errors against a numerically computed high-resolution
+    solution instead of the manufactured one.
 
     The fine mesh and the constant load are invariant under the
     rotation by 2 pi / m, which maps every vertex ring onto itself, so
@@ -536,8 +494,8 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     base = cylinder_case(radius, height)
     m_ref = 2 * int(n_ref)
     fine = gen_schwarz_lantern(m_ref, n_ref, radius, height)
-    f = np.full(fine.n_vertices, float(rhs_value))
-    sol = solve_mixed_dirichlet(fine, f, tol=tol)
+    sol = solve_mixed_dirichlet(fine, interpolate(fine, base.exact_f),
+                                tol=tol)
 
     # Vertex j m + k is vertex k of ring j.
     z_ring = fine.vertices[::m_ref, 2]
@@ -560,4 +518,4 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
         exact_u=lambda p: np.interp(z_of(p), z_ring, u1_ring),
         exact_grad_u=grad_field,
         exact_lap_u=lambda p: np.interp(z_of(p), z_ring, u2_ring),
-        exact_f=lambda p: np.full(np.shape(p)[:-1], float(rhs_value)))
+        exact_f=base.exact_f)

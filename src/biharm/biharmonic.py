@@ -22,6 +22,8 @@ and the mean is removed from each result.
 
 Every solver reads S, M, the dof split and the factors from one
 :class:`~biharm.fem.MeshOperators` bundle built inside the solve.
+:func:`solve_mixed` is the one dispatch to the solver a mesh calls
+for, which the studies and the CLI share.
 
 Each solve checks its two equations (the variational identities of the
 clamped problem, the Poisson identities of the closed one) apart by
@@ -340,3 +342,22 @@ def solve_mixed_closed(mesh, f, tol=DEFAULT_TOL):
     return MixedSolution(u1, u2, SolveReport("spd_factor", 0, max(res1, res2)),
                          "consistent", f_mean_removed=mean)
 
+
+def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
+    """Solve the mixed problem with the solver the mesh calls for.
+
+    Meshes with boundary get the clamped solve of
+    :func:`solve_mixed_dirichlet` in ``mass_mode``, closed meshes the
+    double-Poisson solve of :func:`solve_mixed_closed`.
+
+    Raises
+    ------
+    ValueError
+        For the lumped mode on a closed mesh, which has no lumped path;
+        and the errors of the solver.
+    """
+    if not mesh.is_closed:
+        return solve_mixed_dirichlet(mesh, f, tol=tol, mass_mode=mass_mode)
+    if mass_mode == "lumped":
+        raise ValueError("the lumped mass mode needs a bounded mesh")
+    return solve_mixed_closed(mesh, f, tol=tol)

@@ -20,15 +20,16 @@ import sys
 import numpy as np
 
 from .analysis import (ACCEPTANCE_GATES, SIGMA_THRESHOLD, certify_quality,
-                       fit_quality_rates, gate_failures, run_study,
-                       solve_mixed, write_quality_csv, write_rates_csv,
+                       check_levels, fit_quality_rates, gate_failures,
+                       run_study, write_quality_csv, write_rates_csv,
                        write_report_csv, lantern_highres_reference,
                        ErrorRecord)
+from .biharmonic import solve_mixed
 from .fem import interpolate
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
 from .mesh import max_edge_length, read_obj, write_obj
-from .surfaces import (cap_family, lantern_family, real_harmonic,
-                       sphere_family)
+from .surfaces import (LANTERN_COUPLINGS, cap_family, lantern_family,
+                       real_harmonic, sphere_family)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,9 +41,8 @@ class ConfigError(Exception):
     """Invalid configuration, flags or input files."""
 
 
-_COMMON_FIELDS = {"case", "mass_mode", "tol", "quad_order", "out"}
-_DEFAULTS = {"mass_mode": "consistent", "tol": DEFAULT_TOL, "quad_order": 4,
-             "out": "out"}
+# The fields common to every case, besides "case", with their defaults.
+_DEFAULTS = {"mass_mode": "consistent", "tol": DEFAULT_TOL, "out": "out"}
 
 # One entry per case kind: the field holding its levels, its fields
 # (the level field included) with their defaults, the default
@@ -73,32 +73,10 @@ _FIELD_DEFAULTS = dict(chain(_DEFAULTS.items(),
                              *(c.fields.items() for c in _CASES.values())))
 
 
-class StudyConfig:
-    """Validated study parameters merged from defaults, JSON and flags."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def case_kind(self):
-        return self.values.get("case")
-
-    @property
-    def spec(self):
-        return _CASES[self.case_kind]
-
-    def levels(self):
-        return self.values[self.spec.level_field]
-
-    def family(self):
-        return self.spec.family(self.values)
-
-
 def _load_config(args):
-    """Merge defaults, JSON config file and explicit flags."""
+    """Merge defaults, JSON config file and explicit flags into the
+    validated values of every field, and return them with the
+    ``_CASES`` entry of their case, or None if no case was given."""
     provided = {}
     if getattr(args, "config", None):
         try:
@@ -110,7 +88,7 @@ def _load_config(args):
             raise ConfigError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = _COMMON_FIELDS | set(_FIELD_DEFAULTS)
+        known = {"case", *_FIELD_DEFAULTS}
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
@@ -131,7 +109,7 @@ def _load_config(args):
         provided[_CASES[case].level_field] = args.levels
 
     if case is not None:
-        allowed = _COMMON_FIELDS | set(_CASES[case].fields)
+        allowed = {"case", *_DEFAULTS, *_CASES[case].fields}
         for key in provided:
             if key not in allowed:
                 raise ConfigError(
@@ -140,14 +118,14 @@ def _load_config(args):
     values = dict(_FIELD_DEFAULTS, case=None)
     values.update(provided)
     _validate(values)
-    return StudyConfig(values)
+    return values, _CASES.get(case)
 
 
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
                list: "a list"}
 # The values each field with a fixed set of them may take.
-_CHOICES = {"quad_order": (2, 4), "mass_mode": ("consistent", "lumped"),
-            "coupling": ("linear", "quadratic"),
+_CHOICES = {"mass_mode": ("consistent", "lumped"),
+            "coupling": tuple(LANTERN_COUPLINGS),
             "reference": ("manufactured", "highres")}
 
 
@@ -176,17 +154,6 @@ def _validate(values):
         if not all(_has_type_of(v, 0) and v >= 0 for v in levels):
             raise ConfigError(f"{field} must be a list of nonnegative "
                               f"integers, got {levels!r}")
-
-
-def _require_levels(cfg):
-    levels = cfg.levels()
-    if len(levels) < 3:
-        raise ConfigError(
-            f"converge needs at least 3 levels, got {list(levels)}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(
-            f"converge needs strictly increasing levels, got {list(levels)}")
-    return levels
 
 
 def _parse_levels(text):
@@ -342,16 +309,15 @@ def _svg_loglog(path, report, guide_slopes):
 # Subcommands
 
 def cmd_solve(args):
-    cfg = _load_config(args)
+    cfg, spec = _load_config(args)
     if args.mesh is not None:
         if not os.path.exists(args.mesh):
             raise ConfigError(f"mesh file not found: {args.mesh}")
         mesh = read_obj(args.mesh)
         case = None
-    elif cfg.case_kind is not None:
-        family = cfg.family()
-        mesh = family.build(args.n if args.n is not None
-                            else cfg.spec.solve_n)
+    elif spec is not None:
+        family = spec.family(cfg)
+        mesh = family.build(args.n if args.n is not None else spec.solve_n)
         case = family.case
     else:
         raise ConfigError("solve needs --mesh FILE or --case KIND")
@@ -380,24 +346,24 @@ def cmd_solve(args):
 
 
 def cmd_converge(args):
-    cfg = _load_config(args)
-    if cfg.case_kind is None:
+    cfg, spec = _load_config(args)
+    if spec is None:
         raise ConfigError("converge needs --case KIND (or a config file)")
-    levels = _require_levels(cfg)
-    family = cfg.family()
-    if cfg.case_kind == "lantern" and cfg["reference"] == "highres":
+    levels = cfg[spec.level_field]
+    check_levels(levels)
+    family = spec.family(cfg)
+    if cfg["case"] == "lantern" and cfg["reference"] == "highres":
         ref = lantern_highres_reference(cfg["R"], cfg["H"],
                                         n_ref=2 * max(levels),
                                         tol=cfg["tol"])
         family = family.with_case(ref, label=family.label + "-highres")
-    report = run_study(family, tol=cfg["tol"], quad_order=cfg["quad_order"],
-                       mass_mode=cfg["mass_mode"])
+    report = run_study(family, tol=cfg["tol"], mass_mode=cfg["mass_mode"])
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     write_report_csv(os.path.join(out, "report.csv"), report.records)
     write_rates_csv(os.path.join(out, "rates.csv"), report)
-    _svg_loglog(os.path.join(out, "plot.svg"), report, cfg.spec.guides)
+    _svg_loglog(os.path.join(out, "plot.svg"), report, spec.guides)
 
     print(f"case {report.case}: {len(report.records)} levels, "
           f"dofs {report.records[0].dofs}..{report.records[-1].dofs}")
@@ -423,23 +389,22 @@ def cmd_converge(args):
 
 
 def cmd_quality(args):
-    cfg = _load_config(args)
+    cfg, spec = _load_config(args)
     out = cfg["out"]
-    family = cfg.family() if cfg.case_kind is not None else None
+    family = spec.family(cfg) if spec is not None else None
     if args.mesh is not None:
         if not os.path.exists(args.mesh):
             raise ConfigError(f"mesh file not found: {args.mesh}")
         if family is None:
             raise ConfigError("quality on an OBJ mesh needs --case KIND")
-        label, meshes = cfg.case_kind, [(0, read_obj(args.mesh))]
+        label, meshes = cfg["case"], [(0, read_obj(args.mesh))]
     elif family is not None:
         label, meshes = family.label, family.meshes()
     else:
         raise ConfigError("quality needs --mesh FILE or --case KIND")
     records = [ErrorRecord(label, level, max_edge_length(mesh),
                            mesh.n_vertices, 0.0, 0.0, 0.0,
-                           certify_quality(mesh, family.case,
-                                           cfg["quad_order"]))
+                           certify_quality(mesh, family.case))
                for level, mesh in meshes]
 
     fits = None
@@ -499,8 +464,6 @@ def _build_parser():
         p.add_argument("--mass", dest="mass_mode",
                        choices=_CHOICES["mass_mode"])
         p.add_argument("--tol", type=float)
-        p.add_argument("--quad", dest="quad_order", type=int,
-                       choices=_CHOICES["quad_order"])
         p.add_argument("--out", help="output directory")
 
     p_solve = sub.add_parser("solve", help="solve one problem instance")

@@ -8,8 +8,9 @@ exact solution u with its surface gradient, Laplacian and bi-Laplacian.
 The Laplacian follows the positive semidefinite sign convention
 (Delta = -div grad), so ``exact_f`` is Delta(Delta u) in that sign.
 
-All case functions are pure and vectorized: they accept a single point
-of shape (3,) or a batch of shape (n, 3).
+All case functions are pure and vectorized: they accept points of any
+leading shape (..., 3), a single point of shape (3,) included, and
+return one value or vector per point.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ class InvalidAngleError(ValueError):
 
 
 class InvalidDimensionError(ValueError):
-    """Nonpositive cylinder radius or height."""
+    """Radius or cylinder height not positive and finite."""
 
 
 class InvalidDegreeError(ValueError):
@@ -83,35 +84,34 @@ class SurfaceCase:
         return f"SurfaceCase({self.kind}, {inner})"
 
 
-def _as_batch(p):
-    pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    return np.atleast_2d(pts), single
-
-
-def _unbatch(values, single):
-    return values[0] if single else values
+def _dimension(name, value):
+    """``value`` as a float, if 0 < value < inf."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise InvalidDimensionError(
+            f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _sphere_project(radius):
     def project(p):
-        pts, single = _as_batch(p)
-        norms = np.linalg.norm(pts, axis=1)
+        pts = np.asarray(p, dtype=float)
+        norms = np.linalg.norm(pts, axis=-1)
         if np.any(norms == 0.0):
             raise OutsideReachError(
                 "closest point on the sphere undefined at the center")
-        return _unbatch(pts * (radius / norms)[:, None], single)
+        return pts * (radius / norms)[..., None]
     return project
 
 
 def _sphere_normal():
     def normal(p):
-        pts, single = _as_batch(p)
-        norms = np.linalg.norm(pts, axis=1)
+        pts = np.asarray(p, dtype=float)
+        norms = np.linalg.norm(pts, axis=-1)
         if np.any(norms == 0.0):
             raise OutsideReachError(
                 "surface normal undefined at the sphere center")
-        return _unbatch(pts / norms[:, None], single)
+        return pts / norms[..., None]
     return normal
 
 
@@ -136,43 +136,37 @@ def cap_case(radius, theta0):
     -------
     SurfaceCase
     """
-    radius = float(radius)
     theta0 = float(theta0)
     if not 0.0 < theta0 < np.pi:
         raise InvalidAngleError(
             f"opening angle must lie in (0, pi), got {theta0}")
-    if radius <= 0.0:
-        raise InvalidDimensionError(f"radius must be positive, got {radius}")
+    radius = _dimension("radius", radius)
     c = np.cos(theta0)
 
-    def costheta(pts):
-        return pts[:, 2] / np.linalg.norm(pts, axis=1)
+    def costheta(p):
+        pts = np.asarray(p, dtype=float)
+        return pts[..., 2] / np.linalg.norm(pts, axis=-1)
 
     def exact_u(p):
-        pts, single = _as_batch(p)
-        x = costheta(pts)
-        return _unbatch((x - c) ** 2, single)
+        return (costheta(p) - c) ** 2
 
     def exact_grad_u(p):
-        pts, single = _as_batch(p)
-        norms = np.linalg.norm(pts, axis=1)
-        unit = pts / norms[:, None]
-        x = unit[:, 2]
+        pts = np.asarray(p, dtype=float)
+        norms = np.linalg.norm(pts, axis=-1)
+        unit = pts / norms[..., None]
+        x = unit[..., 2]
         ez = np.zeros_like(pts)
-        ez[:, 2] = 1.0
-        grad = (2.0 / radius) * (x - c)[:, None] * (ez - x[:, None] * unit)
-        return _unbatch(grad, single)
+        ez[..., 2] = 1.0
+        return ((2.0 / radius) * (x - c)[..., None]
+                * (ez - x[..., None] * unit))
 
     def exact_lap_u(p):
-        pts, single = _as_batch(p)
-        x = costheta(pts)
-        return _unbatch((6.0 * x**2 - 4.0 * c * x - 2.0) / radius**2, single)
+        x = costheta(p)
+        return (6.0 * x**2 - 4.0 * c * x - 2.0) / radius**2
 
     def exact_f(p):
-        pts, single = _as_batch(p)
-        x = costheta(pts)
-        return _unbatch((36.0 * x**2 - 8.0 * c * x - 12.0) / radius**4,
-                        single)
+        x = costheta(p)
+        return (36.0 * x**2 - 8.0 * c * x - 12.0) / radius**4
 
     return SurfaceCase("cap", {"radius": radius, "theta0": theta0}, True,
                        _sphere_project(radius), _sphere_normal(),
@@ -192,57 +186,50 @@ def cylinder_case(radius, height):
     -------
     SurfaceCase
     """
-    radius = float(radius)
-    height = float(height)
-    if radius <= 0.0 or height <= 0.0:
-        raise InvalidDimensionError(
-            f"cylinder needs positive radius and height, got "
-            f"R={radius}, H={height}")
+    radius = _dimension("radius", radius)
+    height = _dimension("height", height)
     a = 0.5 * height
 
     def project(p):
-        pts, single = _as_batch(p)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
+        pts = np.asarray(p, dtype=float)
+        rho = np.hypot(pts[..., 0], pts[..., 1])
         if np.any(rho == 0.0):
             raise OutsideReachError(
                 "closest point on the cylinder undefined on the axis")
         out = np.empty_like(pts)
-        out[:, 0] = pts[:, 0] * (radius / rho)
-        out[:, 1] = pts[:, 1] * (radius / rho)
-        out[:, 2] = np.clip(pts[:, 2], -a, a)
-        return _unbatch(out, single)
+        out[..., 0] = pts[..., 0] * (radius / rho)
+        out[..., 1] = pts[..., 1] * (radius / rho)
+        out[..., 2] = np.clip(pts[..., 2], -a, a)
+        return out
 
     def normal(p):
-        pts, single = _as_batch(p)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
+        pts = np.asarray(p, dtype=float)
+        rho = np.hypot(pts[..., 0], pts[..., 1])
         if np.any(rho == 0.0):
             raise OutsideReachError(
                 "surface normal undefined on the cylinder axis")
         out = np.zeros_like(pts)
-        out[:, 0] = pts[:, 0] / rho
-        out[:, 1] = pts[:, 1] / rho
-        return _unbatch(out, single)
+        out[..., 0] = pts[..., 0] / rho
+        out[..., 1] = pts[..., 1] / rho
+        return out
 
     def exact_u(p):
-        pts, single = _as_batch(p)
-        z = pts[:, 2]
-        return _unbatch((z**2 - a**2) ** 2, single)
+        z = np.asarray(p, dtype=float)[..., 2]
+        return (z**2 - a**2) ** 2
 
     def exact_grad_u(p):
-        pts, single = _as_batch(p)
-        z = pts[:, 2]
+        pts = np.asarray(p, dtype=float)
+        z = pts[..., 2]
         grad = np.zeros_like(pts)
-        grad[:, 2] = 4.0 * z * (z**2 - a**2)
-        return _unbatch(grad, single)
+        grad[..., 2] = 4.0 * z * (z**2 - a**2)
+        return grad
 
     def exact_lap_u(p):
-        pts, single = _as_batch(p)
-        z = pts[:, 2]
-        return _unbatch(4.0 * a**2 - 12.0 * z**2, single)
+        z = np.asarray(p, dtype=float)[..., 2]
+        return 4.0 * a**2 - 12.0 * z**2
 
     def exact_f(p):
-        pts, single = _as_batch(p)
-        return _unbatch(np.full(pts.shape[0], 24.0), single)
+        return np.full(np.shape(p)[:-1], 24.0)
 
     return SurfaceCase("cylinder", {"radius": radius, "height": height},
                        True, project, normal,
@@ -265,13 +252,13 @@ def real_harmonic(degree, order):
             f"need degree l >= 0 and |m| <= l, got l={l}, m={m}")
 
     def harmonic(p):
-        pts, single = _as_batch(p)
-        unit = pts / np.linalg.norm(pts, axis=1)[:, None]
-        ct = np.clip(unit[:, 2], -1.0, 1.0)
-        phi = np.arctan2(unit[:, 1], unit[:, 0])
+        pts = np.asarray(p, dtype=float)
+        unit = pts / np.linalg.norm(pts, axis=-1)[..., None]
+        ct = np.clip(unit[..., 2], -1.0, 1.0)
+        phi = np.arctan2(unit[..., 1], unit[..., 0])
         legendre = lpmv(ma, l, ct)
         trig = np.cos(m * phi) if m >= 0 else np.sin(ma * phi)
-        return _unbatch(legendre * trig, single)
+        return legendre * trig
 
     return harmonic
 
@@ -289,11 +276,11 @@ def _harmonic_surface_gradient(degree, order, radius):
     ma = abs(m)
 
     def gradient(p):
-        pts, single = _as_batch(p)
-        unit = pts / np.linalg.norm(pts, axis=1)[:, None]
-        ct = np.clip(unit[:, 2], -1.0, 1.0)
+        pts = np.asarray(p, dtype=float)
+        unit = pts / np.linalg.norm(pts, axis=-1)[..., None]
+        ct = np.clip(unit[..., 2], -1.0, 1.0)
         st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
-        phi = np.arctan2(unit[:, 1], unit[:, 0])
+        phi = np.arctan2(unit[..., 1], unit[..., 0])
         cp, sp = np.cos(phi), np.sin(phi)
         ok = st > 1e-14
         st_safe = np.where(ok, st, 1.0)
@@ -310,13 +297,12 @@ def _harmonic_surface_gradient(degree, order, radius):
             trig = np.sin(ma * phi)
             dtrig = ma * np.cos(ma * phi)
 
-        theta_hat = np.stack([ct * cp, ct * sp, -st], axis=1)
-        phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+        theta_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
         comp_theta = dp_dtheta * trig
         comp_phi = np.where(ok, legendre * dtrig / st_safe, 0.0)
-        grad = (comp_theta[:, None] * theta_hat
-                + comp_phi[:, None] * phi_hat) / radius
-        return _unbatch(grad, single)
+        return (comp_theta[..., None] * theta_hat
+                + comp_phi[..., None] * phi_hat) / radius
 
     return gradient
 
@@ -340,14 +326,12 @@ def sphere_case(radius, degree, order):
     -------
     SurfaceCase
     """
-    radius = float(radius)
     l, m = int(degree), int(order)
     harmonic = real_harmonic(l, m)
     if l < 1:
         raise InvalidDegreeError(
             f"the sphere case needs degree l >= 1, got l={l}")
-    if radius <= 0.0:
-        raise InvalidDimensionError(f"radius must be positive, got {radius}")
+    radius = _dimension("radius", radius)
     eig = l * (l + 1)
     harmonic_grad = _harmonic_surface_gradient(l, m, radius)
 
@@ -537,10 +521,8 @@ def gen_schwarz_lantern(m, n, radius=1.0, height=2.0):
     if m < 3 or n < 2:
         raise InvalidCountsError(
             f"lantern needs m >= 3 and n >= 2, got m={m}, n={n}")
-    if radius <= 0.0 or height <= 0.0:
-        raise InvalidDimensionError(
-            f"cylinder needs positive radius and height, got "
-            f"R={radius}, H={height}")
+    radius = _dimension("radius", radius)
+    height = _dimension("height", height)
     j = np.repeat(np.arange(n + 1), m)
     phis = (2.0 * np.pi * np.tile(np.arange(m), n + 1) + np.pi * (j % 2)) / m
     verts = np.stack([radius * np.cos(phis), radius * np.sin(phis),
@@ -606,7 +588,7 @@ def sphere_family(degree, order, subdiv_levels, radius=1.0):
 
 # Lantern level n -> (vertices per ring, bands), and the smallest level
 # the generator accepts.
-_LANTERN_COUPLINGS = {
+LANTERN_COUPLINGS = {
     "linear": (lambda n: (2 * n, n), 2),
     "quadratic": (lambda n: (n, n * n), 3),
 }
@@ -628,10 +610,10 @@ def lantern_family(coupling, n_levels, radius=1.0, height=2.0):
 
     The level n must be at least 2 (linear) or 3 (quadratic).
     """
-    if coupling not in _LANTERN_COUPLINGS:
+    if coupling not in LANTERN_COUPLINGS:
         raise ValueError(f"coupling must be linear or quadratic, "
                          f"got {coupling!r}")
-    counts, min_level = _LANTERN_COUPLINGS[coupling]
+    counts, min_level = LANTERN_COUPLINGS[coupling]
     case = cylinder_case(radius, height)
 
     def builder(n):

@@ -9,15 +9,15 @@ from biharm.analysis import (ConvergenceReport, ErrorRecord,
                              InsufficientLevelsError, QualityRecord,
                              certify_quality, fit_quality_rates, fit_rates,
                              h1_error, l2_error, lantern_highres_reference,
-                             run_level, run_study, solve_mixed,
-                             triangle_quadrature,
-                             write_quality_csv, write_rates_csv,
-                             write_report_csv)
+                             run_level, run_study, write_quality_csv,
+                             write_rates_csv, write_report_csv)
+from biharm.biharmonic import solve_mixed
 from biharm.fem import interpolate
 from biharm.mesh import build_mesh
-from biharm.surfaces import (cap_case, cap_family, cylinder_case,
-                             gen_cap_mesh, gen_icosphere, gen_schwarz_lantern,
-                             lantern_family, sphere_case, sphere_family)
+from biharm.surfaces import (RefinementFamily, cap_case, cap_family,
+                             cylinder_case, gen_cap_mesh, gen_icosphere,
+                             gen_schwarz_lantern, lantern_family, sphere_case,
+                             sphere_family)
 
 from conftest import flat_case, grid_mesh, single_triangle
 from helpers import read_quality_csv, read_rates_csv, read_report_csv
@@ -31,11 +31,11 @@ def bary_integral(a, b, c):
 
 
 class TestQuadrature:
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_polynomial_exactness(self, order):
-        pts, w = triangle_quadrature(order)
+    @pytest.mark.parametrize("degree", [4])
+    def test_polynomial_exactness(self, degree):
+        pts, w = analysis._QUAD_POINTS, analysis._QUAD_WEIGHTS
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
-        for total in range(order + 1):
+        for total in range(degree + 1):
             for a in range(total + 1):
                 for b in range(total - a + 1):
                     c = total - a - b
@@ -43,15 +43,6 @@ class TestQuadrature:
                         w * pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
                     assert approx == pytest.approx(
                         bary_integral(a, b, c), abs=1e-14), (a, b, c)
-
-    def test_order_two_not_exact_at_degree_three(self):
-        pts, w = triangle_quadrature(2)
-        approx = np.sum(w * pts[:, 0] ** 3)
-        assert abs(approx - bary_integral(3, 0, 0)) > 1e-4
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            triangle_quadrature(3)
 
 
 def linear_flat_case():
@@ -109,12 +100,6 @@ class TestL2Error:
             f=lambda p: np.zeros(p.shape[:-1]))
         u_h = np.full(mesh.n_vertices, -2.0)
         assert l2_error(mesh, u_h, case, reference="lap_u") <= 1e-12
-
-    def test_invalid_quad_order(self):
-        mesh = grid_mesh(2)
-        with pytest.raises(ValueError):
-            l2_error(mesh, np.zeros(mesh.n_vertices), constant_one_case(),
-                     quad_order=5)
 
     def test_unknown_reference_names_allowed_values(self):
         mesh = grid_mesh(2)
@@ -291,6 +276,24 @@ class TestRunStudy:
         family = cap_family(np.pi / 3.0, [8, 16, 32, 64])
         report = run_study(family, mass_mode="lumped")
         assert all(np.isfinite(r.l2_u1) for r in report.records)
+
+    @pytest.mark.parametrize("levels, message", [
+        ((8, 4, 16), "strictly increasing levels, got [8, 4, 16]"),
+        ((8, 16), "at least 3 levels, got [8, 16]"),
+    ], ids=["not-increasing", "too-few"])
+    def test_levels_checked_before_any_mesh(self, levels, message):
+        built = []
+
+        def builder(rings):
+            built.append(rings)
+            return gen_cap_mesh(np.pi / 3.0, rings)
+
+        family = RefinementFamily("cap", cap_case(1.0, np.pi / 3.0), levels,
+                                  builder)
+        with pytest.raises(ValueError) as excinfo:
+            run_study(family)
+        assert message in str(excinfo.value)
+        assert built == []
 
     def test_run_level_single(self):
         family = lantern_family("linear", [4, 8, 16])

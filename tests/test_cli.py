@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -163,6 +164,25 @@ class TestSolve:
                      "--rhs", "const:1", "--tol", "1e-30",
                      "--out", str(tmp_path / "out")])
         assert code == 3
+
+
+class TestDimensions:
+    @pytest.mark.parametrize("args, name", [
+        (["solve", "--case", "cap", "--R", "nan"], "radius"),
+        (["solve", "--case", "sphere", "--R", "nan"], "radius"),
+        (["solve", "--case", "lantern", "--H", "inf"], "height"),
+        (["converge", "--case", "cap", "--levels", "8,16,32", "--R", "inf"],
+         "radius"),
+    ], ids=["cap-R-nan", "sphere-R-nan", "lantern-H-inf", "converge-R-inf"])
+    def test_nonfinite_dimension_exit_2(self, tmp_path, capsys, args, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {name} must be positive and finite"
+                in capsys.readouterr().err)
+        assert caught == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestConverge:

@@ -1,11 +1,13 @@
-"""Every demo runs to completion against the package in ``src``.
+"""Every demo, and every python example of README.md, runs to
+completion against the package in ``src``.
 
-Each demo is copied into a temporary directory and run from there, so a
-deleted or renamed public name fails here, and demos that write files
-write them next to the copy instead of into the repository.
+Each script is copied into a temporary directory and run from there, so
+a deleted or renamed public name fails here, and scripts that write
+files write them next to the copy instead of into the repository.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,3 +29,17 @@ def test_demo_runs(demo, tmp_path):
                             timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_examples_run(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for index, block in enumerate(blocks):
+        script = tmp_path / f"readme_{index}.py"
+        script.write_text(block)
+        result = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                                env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr

@@ -63,6 +63,29 @@ class TestClosestPoint:
         assert normals == pytest.approx(pts, abs=1e-12)
 
 
+class TestLeadingShape:
+    """Every field maps points of any leading shape, one point included,
+    to one value or vector per point."""
+
+    CASES = {"cap": cap_case(1.0, np.pi / 3.0),
+             "cylinder": cylinder_case(1.0, 2.0),
+             "sphere": sphere_case(1.0, 3, -2)}
+
+    @pytest.mark.parametrize("field", [
+        "closest_point", "normal_at", "exact_u", "exact_grad_u",
+        "exact_lap_u", "exact_f"])
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_grid_matches_rows_and_points(self, rng, kind, field):
+        evaluate = getattr(self.CASES[kind], field)
+        points = rng.normal(size=(5, 6, 3)) + np.array([0.5, 0.0, 0.0])
+        rows = evaluate(points.reshape(30, 3))
+        grid = evaluate(points)
+        assert grid.shape == (5, 6) + rows.shape[1:]
+        assert grid.reshape(rows.shape).tobytes() == rows.tobytes()
+        for point, row in zip(points.reshape(30, 3), rows):
+            assert np.asarray(evaluate(point)).tobytes() == row.tobytes()
+
+
 class TestCapCase:
     def test_pole_values(self):
         case = cap_case(1.0, np.pi / 3.0)
