@@ -12,9 +12,10 @@ Run:  python3 demos/single_solve_export.py
 import os
 
 import numpy as np
+from scipy.io import mmwrite
 
-from biharm import (export_matrix_market, gen_schwarz_lantern,
-                    saddle_system, solve_mixed_dirichlet, write_obj)
+from biharm import (gen_schwarz_lantern, saddle_system,
+                    solve_mixed_dirichlet, write_obj)
 
 out = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out, exist_ok=True)
@@ -32,8 +33,7 @@ print(f"solver: {sol.solve_report.method}, relative residual "
 
 write_obj(mesh, os.path.join(out, "lantern.obj"))
 matrix, rhs, ops = saddle_system(mesh, f)
-export_matrix_market(matrix, os.path.join(out, "saddle.mtx"),
-                     symmetric=True)
+mmwrite(os.path.join(out, "saddle.mtx"), matrix, symmetry="symmetric")
 with open(os.path.join(out, "solution.csv"), "w", encoding="utf-8") as fh:
     fh.write("vertex,u1,u2\n")
     for i, (a, b) in enumerate(zip(sol.u1, sol.u2)):

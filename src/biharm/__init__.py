@@ -17,9 +17,8 @@ from .mesh import (TriMesh, build_mesh, component_labels, max_edge_length,
                    read_obj, write_obj, MeshError, DegenerateFaceError,
                    NonManifoldEdgeError, InconsistentOrientationError,
                    UnreferencedVertexError, ComponentError)
-from .linalg import (SolveReport, build_csr, export_matrix_market,
-                     DimensionMismatchError, NotConvergedError,
-                     SingularError)
+from .linalg import (SolveReport, build_csr, DimensionMismatchError,
+                     NotConvergedError, SingularError)
 from .fem import (MeshOperators, assemble_stiffness, assemble_mass,
                   interpolate, p1_gradients)
 from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
@@ -45,7 +44,7 @@ __all__ = [
     "read_obj", "write_obj", "MeshError", "DegenerateFaceError",
     "NonManifoldEdgeError", "InconsistentOrientationError",
     "UnreferencedVertexError", "ComponentError",
-    "SolveReport", "build_csr", "export_matrix_market",
+    "SolveReport", "build_csr",
     "DimensionMismatchError", "NotConvergedError", "SingularError",
     "MeshOperators", "assemble_stiffness", "assemble_mass", "interpolate",
     "p1_gradients",

@@ -414,29 +414,28 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def write_report_csv(path, records):
-    """Write per-level error records in the report schema."""
+def _write_level_csv(path, header, records, norms):
+    """One row per record: level fields, the ``norms`` named, quality."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_HEADER + "\n")
+        fh.write(header + "\n")
         for r in records:
             q = r.quality
             fields = [r.case, str(r.level), _fmt(r.h), str(r.dofs),
-                      _fmt(r.l2_u1), _fmt(r.h1_u1), _fmt(r.l2_u2),
+                      *(_fmt(getattr(r, name)) for name in norms),
                       _fmt(q.kappa_min), _fmt(q.K_max),
                       _fmt(q.max_distance), _fmt(q.max_normal_angle)]
             fh.write(",".join(fields) + "\n")
+
+
+def write_report_csv(path, records):
+    """Write per-level error records in the report schema."""
+    _write_level_csv(path, REPORT_HEADER, records,
+                     ("l2_u1", "h1_u1", "l2_u2"))
 
 
 def write_quality_csv(path, records):
     """Write per-level quality fields only."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(QUALITY_HEADER + "\n")
-        for r in records:
-            q = r.quality
-            fields = [r.case, str(r.level), _fmt(r.h), str(r.dofs),
-                      _fmt(q.kappa_min), _fmt(q.K_max),
-                      _fmt(q.max_distance), _fmt(q.max_normal_angle)]
-            fh.write(",".join(fields) + "\n")
+    _write_level_csv(path, QUALITY_HEADER, records, ())
 
 
 def write_rates_csv(path, report):

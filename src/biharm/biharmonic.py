@@ -20,7 +20,7 @@ stiffness grounded at vertex 0, which is positive definite: each
 right-hand side is first projected onto the range of the stiffness,
 and the mean is removed from each result.
 
-Every solver reads S, M, the dof split and the factors from one
+Every solver reads S, M, the dof split and the one factor from one
 :class:`~biharm.fem.MeshOperators` bundle built inside the solve.
 :func:`solve_mixed` is the one dispatch to the solver a mesh calls
 for, which the studies and the CLI share.
@@ -92,20 +92,18 @@ def _check_field(mesh, f):
     return f
 
 
-def _check_clamped_components(mesh):
-    """Reject a mesh with a connected component that has no boundary.
-
-    The clamped problem fixes u1 on the boundary only, so a closed
-    component would leave its constants free and S_II singular.
-    """
+def _check_components(mesh):
+    """Reject a mesh of more than one component unless each has
+    boundary vertices: a closed second component would leave its
+    constants free and the factored stiffness singular."""
     count, labels = component_labels(mesh)
     if count > 1:
         closed = count - np.unique(labels[mesh.boundary_vertices]).size
         if closed:
             raise ComponentError(
                 f"mesh has {count} connected components and {closed} of "
-                f"them have no boundary vertices; the clamped problem "
-                f"needs a boundary on each")
+                f"them have no boundary vertices; a mesh of more than one "
+                f"component needs a boundary on each")
 
 
 def saddle_system(mesh, f):
@@ -171,7 +169,7 @@ def _condensed_clamped(ops, mass, load, tol):
     s_bb = ops.stiffness[boundary, :][:, boundary]
     curve_mass = assemble_boundary_mass(ops.mesh)[boundary, :][:, boundary]
     shift = (_DTN_SHIFT / curve_mass.sum()) * curve_mass
-    factor = ops.interior_factor
+    factor = ops.factor
 
     def extend(lam):
         u = np.zeros(n)
@@ -264,7 +262,7 @@ def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     if mesh.is_closed:
         raise NoBoundaryError(
             "mesh has no boundary; use solve_mixed_closed")
-    _check_clamped_components(mesh)
+    _check_components(mesh)
     f = _check_field(mesh, f)
     ops = MeshOperators(mesh)
     load = ops.mass[ops.interior, :] @ f
@@ -314,11 +312,7 @@ def solve_mixed_closed(mesh, f, tol=DEFAULT_TOL):
     if not mesh.is_closed:
         raise HasBoundaryError(
             "mesh has a boundary; use solve_mixed_dirichlet")
-    count, _ = component_labels(mesh)
-    if count > 1:
-        raise ComponentError(
-            f"closed mesh has {count} connected components; the closed "
-            f"solver needs a connected mesh")
+    _check_components(mesh)
     f = _check_field(mesh, f)
     ops = MeshOperators(mesh)
     # Means are taken with numpy's pairwise sums, not BLAS dot products,
@@ -331,7 +325,7 @@ def solve_mixed_closed(mesh, f, tol=DEFAULT_TOL):
     def poisson(rhs, label):
         rhs = rhs - (rhs.sum() / total) * border
         u = np.zeros(mesh.n_vertices)
-        u[1:] = ops.grounded_factor.solve(rhs[1:])
+        u[ops.free] = ops.factor.solve(rhs[ops.free])
         u -= np.sum(border * u) / total
         return u, check_residual(ops.stiffness @ u, rhs, tol,
                                  f"{label} identity of the closed solve "

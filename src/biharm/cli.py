@@ -27,7 +27,7 @@ from .analysis import (ACCEPTANCE_GATES, SIGMA_THRESHOLD, certify_quality,
 from .biharmonic import solve_mixed
 from .fem import interpolate
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
-from .mesh import max_edge_length, read_obj, write_obj
+from .mesh import max_edge_length, read_obj, write_obj, write_rows
 from .surfaces import (LANTERN_COUPLINGS, cap_family, lantern_family,
                        real_harmonic, sphere_family)
 
@@ -82,8 +82,6 @@ def _load_config(args):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
@@ -164,13 +162,15 @@ def _parse_levels(text):
             f"levels must be comma-separated integers, got {text!r}")
 
 
-def _rhs_field(text, mesh):
+def _rhs_field(text):
+    """The right-hand side function that ``--rhs`` names."""
     kind, _, rest = text.partition(":")
     if kind == "const":
         try:
-            return np.full(mesh.n_vertices, float(rest))
+            value = float(rest)
         except ValueError:
             raise ConfigError(f"bad constant right-hand side {text!r}")
+        return lambda points: np.full(len(points), value)
     if kind == "harmonic":
         try:
             l_str, m_str = rest.split(",")
@@ -179,26 +179,17 @@ def _rhs_field(text, mesh):
             raise ConfigError(
                 f"harmonic right-hand side must be harmonic:l,m, "
                 f"got {text!r}")
-        return interpolate(mesh, real_harmonic(degree, order))
+        return real_harmonic(degree, order)
     raise ConfigError(
         f"right-hand side must be const:VALUE or harmonic:l,m, got {text!r}")
 
 
-# Rows formatted per write in _write_solution_csv.
-_CSV_BLOCK_ROWS = 4096
-
-
 def _write_solution_csv(path, u1, u2):
-    """One ``vertex,u1,u2`` row per vertex, values to 12 significant
-    digits, formatted and written a few thousand rows at a time."""
+    """One ``vertex,u1,u2`` row per vertex, values to 12 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("vertex,u1,u2\n")
-        for start in range(0, u1.shape[0], _CSV_BLOCK_ROWS):
-            rows = range(start, min(start + _CSV_BLOCK_ROWS, u1.shape[0]))
-            block = zip(rows, u1[rows.start:rows.stop].tolist(),
-                        u2[rows.start:rows.stop].tolist())
-            fh.write("%d,%.12g,%.12g\n" * len(rows)
-                     % tuple(chain.from_iterable(block)))
+        write_rows(fh, "%d,%.12g,%.12g\n",
+                   np.column_stack([np.arange(u1.shape[0]), u1, u2]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +302,27 @@ def _svg_loglog(path, report, guide_slopes):
 def cmd_solve(args):
     cfg, spec = _load_config(args)
     if args.mesh is not None:
-        if not os.path.exists(args.mesh):
-            raise ConfigError(f"mesh file not found: {args.mesh}")
-        mesh = read_obj(args.mesh)
-        case = None
+        family = None
     elif spec is not None:
         family = spec.family(cfg)
-        mesh = family.build(args.n if args.n is not None else spec.solve_n)
-        case = family.case
     else:
         raise ConfigError("solve needs --mesh FILE or --case KIND")
-
     if args.rhs is not None:
-        f = _rhs_field(args.rhs, mesh)
-    elif case is not None:
-        f = interpolate(mesh, case.exact_f)
+        rhs = _rhs_field(args.rhs)
+    elif family is not None:
+        rhs = family.case.exact_f
     else:
         raise ConfigError("solve with --mesh needs --rhs const:VALUE or "
                           "harmonic:l,m")
 
-    sol = solve_mixed(mesh, f, cfg["tol"], cfg["mass_mode"])
-
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
+    if family is None:
+        mesh = read_obj(args.mesh)
+    else:
+        mesh = family.build(args.n if args.n is not None else spec.solve_n)
+    sol = solve_mixed(mesh, interpolate(mesh, rhs), cfg["tol"],
+                      cfg["mass_mode"])
     _write_solution_csv(os.path.join(out, "solution.csv"), sol.u1, sol.u2)
     if args.write_mesh:
         write_obj(mesh, os.path.join(out, "mesh.obj"))
@@ -352,6 +341,8 @@ def cmd_converge(args):
     levels = cfg[spec.level_field]
     check_levels(levels)
     family = spec.family(cfg)
+    out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
     if cfg["case"] == "lantern" and cfg["reference"] == "highres":
         ref = lantern_highres_reference(cfg["R"], cfg["H"],
                                         n_ref=2 * max(levels),
@@ -359,8 +350,6 @@ def cmd_converge(args):
         family = family.with_case(ref, label=family.label + "-highres")
     report = run_study(family, tol=cfg["tol"], mass_mode=cfg["mass_mode"])
 
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     write_report_csv(os.path.join(out, "report.csv"), report.records)
     write_rates_csv(os.path.join(out, "rates.csv"), report)
     _svg_loglog(os.path.join(out, "plot.svg"), report, spec.guides)
@@ -390,18 +379,21 @@ def cmd_converge(args):
 
 def cmd_quality(args):
     cfg, spec = _load_config(args)
+    if spec is None:
+        raise ConfigError("quality on an OBJ mesh needs --case KIND"
+                          if args.mesh is not None else
+                          "quality needs --mesh FILE or --case KIND")
+    family = spec.family(cfg)
+    levels = cfg[spec.level_field]
+    if args.mesh is None and (not levels or len(set(levels)) < len(levels)):
+        raise ConfigError(f"quality needs one or more distinct levels, "
+                          f"got {levels}")
     out = cfg["out"]
-    family = spec.family(cfg) if spec is not None else None
+    os.makedirs(out, exist_ok=True)
     if args.mesh is not None:
-        if not os.path.exists(args.mesh):
-            raise ConfigError(f"mesh file not found: {args.mesh}")
-        if family is None:
-            raise ConfigError("quality on an OBJ mesh needs --case KIND")
         label, meshes = cfg["case"], [(0, read_obj(args.mesh))]
-    elif family is not None:
-        label, meshes = family.label, family.meshes()
     else:
-        raise ConfigError("quality needs --mesh FILE or --case KIND")
+        label, meshes = family.label, family.meshes()
     records = [ErrorRecord(label, level, max_edge_length(mesh),
                            mesh.n_vertices, 0.0, 0.0, 0.0,
                            certify_quality(mesh, family.case))
@@ -411,7 +403,6 @@ def cmd_quality(args):
     if len(records) >= 3:
         fits = fit_quality_rates([r.h for r in records],
                                  [r.quality for r in records])
-    os.makedirs(out, exist_ok=True)
     write_quality_csv(os.path.join(out, "quality.csv"), records)
     for r in records:
         q = r.quality
@@ -503,6 +494,10 @@ def main(argv=None):
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+              else f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotConvergedError, SingularError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -3,8 +3,8 @@
 Provides the cotangent stiffness matrix, consistent and lumped mass
 matrices, the mass matrix of the boundary curve, the operator bundle of
 one mesh (stiffness, consistent mass, interior/boundary dof split and
-the sparse factors the solvers share), nodal interpolation and per-face
-gradients of piecewise-linear fields.
+the one sparse stiffness factor the solvers share), nodal interpolation
+and per-face gradients of piecewise-linear fields.
 
 Sign convention: the stiffness matrix S is positive semidefinite, so the
 weak form pairs with the geometric Laplacian -div grad.  The constant
@@ -105,11 +105,11 @@ class MeshOperators:
 
     ``stiffness`` S, consistent ``mass`` M, the sorted ``interior`` and
     ``boundary`` vertex indices and ``b_block`` B = S[interior, :] (S
-    itself on a closed mesh).  The :func:`factor_spd` factors of S_II
-    (``interior_factor``) and of S[1:, 1:], grounded at vertex 0
-    (``grounded_factor``), are built on first use.  The bundle alone
-    decides which matrix is ordered by which points; a solve builds its
-    own and drops it on return, so no factor outlives the solve.
+    itself on a closed mesh).  The :func:`factor_spd` ``factor`` of
+    S[free, free], ``free`` the interior vertices (every vertex but the
+    grounded vertex 0 on a closed mesh), is built on first use.  The
+    bundle alone decides which matrix is ordered by which points; a
+    solve builds its own and drops it on return, so no factor outlives it.
     """
 
     def __init__(self, mesh):
@@ -122,15 +122,12 @@ class MeshOperators:
         self.interior = np.flatnonzero(interior)
         self.b_block = (self.stiffness[self.interior, :]
                         if self.boundary.size else self.stiffness)
+        self.free = self.interior if self.boundary.size else self.interior[1:]
 
     @cached_property
-    def interior_factor(self):
-        return factor_spd(self.b_block[:, self.interior],
-                          self.mesh.vertices[self.interior])
-
-    @cached_property
-    def grounded_factor(self):
-        return factor_spd(self.stiffness[1:, 1:], self.mesh.vertices[1:])
+    def factor(self):
+        return factor_spd(self.stiffness[self.free, :][:, self.free],
+                          self.mesh.vertices[self.free])
 
 
 def nodal_field(mesh, u):

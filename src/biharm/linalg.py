@@ -1,16 +1,15 @@
 """Sparse linear algebra kernels for the finite element solvers.
 
-Thin layer over scipy.sparse: CSR assembly from triplets, a sparse
+Thin layer over scipy.sparse: CSR assembly from triplets and a sparse
 factor of symmetric positive definite matrices, ordered by geometric
-nested dissection of the unknowns' coordinates, and Matrix Market
-export.  The factor's accuracy is not checked here: its
-callers verify each equation they solve with :func:`check_residual`.
+nested dissection of the unknowns' coordinates.  The factor's accuracy
+is not checked here: its callers verify each equation they solve with
+:func:`check_residual`.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.io import mmwrite
 
 
 class DimensionMismatchError(ValueError):
@@ -225,12 +224,3 @@ def factor_spd(matrix, points):
             f"{matrix.shape[0]} SPD matrix failed: {exc}") from exc
     return _PermutedFactor(lu, perm)
 
-
-def export_matrix_market(matrix, path, symmetric=True):
-    """Write a sparse matrix in MatrixMarket coordinate format.
-
-    With ``symmetric=True`` the file declares symmetric storage
-    (header ``%%MatrixMarket matrix coordinate real symmetric``).
-    """
-    mmwrite(str(path), sp.coo_matrix(matrix),
-            symmetry="symmetric" if symmetric else "general")

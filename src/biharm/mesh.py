@@ -1,5 +1,5 @@
 """Triangle surface meshes: validation, per-face geometry, boundary
-extraction, connected components and OBJ round-trip I/O.
+extraction, connected components, OBJ round-trip I/O and row writing.
 
 A mesh is a pair of arrays, ``vertices`` with shape (n, 3) and ``faces``
 with shape (F, 3).  Faces store vertex indices counterclockwise as seen
@@ -277,7 +277,7 @@ _BLANK_CODES = np.array([ord(c) for c in _BLANKS], dtype=np.uint32)
 # A token that starts with "/" keeps it and so fails to parse, as the
 # empty index in front of it does.
 _INDEX_SUFFIX = re.compile(r"(?<=[^\s/])/\S*")
-# Rows formatted per write in write_obj.
+# Rows formatted per write in write_rows.
 _WRITE_BLOCK_ROWS = 4096
 
 
@@ -398,17 +398,21 @@ def read_obj(path):
     return build_mesh(vertices, faces - 1)
 
 
+def write_rows(fh, row_format, rows):
+    """Write one ``row_format`` line per row of the 2D array ``rows``,
+    formatted with one ``%`` per block of a few thousand rows."""
+    for start in range(0, rows.shape[0], _WRITE_BLOCK_ROWS):
+        block = rows[start:start + _WRITE_BLOCK_ROWS]
+        fh.write(row_format * block.shape[0]
+                 % tuple(block.ravel().tolist()))
+
+
 def write_obj(mesh, path):
     """Write a mesh as Wavefront OBJ with full float precision.
 
     Coordinates are printed with 17 significant digits so that a
     read/write round trip reproduces the vertex array bit for bit.
-    Rows are formatted and written a few thousand at a time.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for row_format, rows in (("v %.17g %.17g %.17g\n", mesh.vertices),
-                                 ("f %d %d %d\n", mesh.faces + 1)):
-            for start in range(0, rows.shape[0], _WRITE_BLOCK_ROWS):
-                block = rows[start:start + _WRITE_BLOCK_ROWS]
-                fh.write(row_format * block.shape[0]
-                         % tuple(block.ravel().tolist()))
+        write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
+        write_rows(fh, "f %d %d %d\n", mesh.faces + 1)

@@ -368,7 +368,7 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     rings : int
         Number of concentric rings, at least 2.
     radius : float
-        Sphere radius.
+        Sphere radius, positive and finite.
 
     Returns
     -------
@@ -381,6 +381,7 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     if not 0.0 < float(theta0) < np.pi:
         raise InvalidAngleError(
             f"opening angle must lie in (0, pi), got {theta0}")
+    radius = _dimension("radius", radius)
 
     # Ring j holds vertices start[j-1] .. start[j-1] + 6j - 1; vertex 0
     # is the pole.  The per-vertex arrays skip the pole: entry p belongs
@@ -461,7 +462,7 @@ def gen_icosphere(subdivisions, radius=1.0):
     Each subdivision splits every face into four and pushes the new
     midpoint vertices back onto the sphere, giving 10*4^k + 2 vertices
     and 20*4^k faces at level k, all exactly at distance ``radius``
-    from the origin.
+    (positive and finite) from the origin.
 
     Returns
     -------
@@ -471,6 +472,7 @@ def gen_icosphere(subdivisions, radius=1.0):
     k = int(subdivisions)
     if k < 0:
         raise ValueError(f"subdivisions must be >= 0, got {k}")
+    radius = _dimension("radius", radius)
     verts = _project_to_sphere(_ICO_VERTS, radius)
     faces = _ICO_FACES
     for _ in range(k):

@@ -334,6 +334,24 @@ def solve_lumped(mesh, f, **kwargs):
     return solve_mixed_dirichlet(mesh, f, mass_mode="lumped", **kwargs)
 
 
+class TestComponentRule:
+    @pytest.mark.parametrize("closed", [1, 2],
+                             ids=["cap-and-sphere", "two-spheres"])
+    def test_both_solvers_raise_one_message(self, rng, closed):
+        # A cap beside a sphere goes to the clamped solver, two spheres
+        # to the closed one; one rule rejects both meshes.
+        first = (gen_cap_mesh(np.pi / 3.0, 3) if closed == 1
+                 else gen_icosphere(1))
+        mesh = disjoint_union(first, gen_icosphere(1))
+        solver = solve_mixed_dirichlet if closed == 1 else solve_mixed_closed
+        with pytest.raises(ComponentError) as info:
+            solver(mesh, rng.normal(size=mesh.n_vertices))
+        assert str(info.value) == (
+            f"mesh has 2 connected components and {closed} of them have no "
+            f"boundary vertices; a mesh of more than one component needs "
+            f"a boundary on each")
+
+
 class TestLumpedSchur:
     """The lumped mode runs the condensed clamped solve with M_L in
     place of M; the eliminated system is its oracle."""

@@ -14,8 +14,7 @@ import biharm
 from biharm import analysis, cli
 from biharm.analysis import ACCEPTANCE_GATES
 from biharm.cli import main
-from biharm.mesh import max_edge_length, read_obj, write_obj
-from biharm.surfaces import gen_cap_mesh
+from biharm.mesh import read_obj, write_obj
 
 from conftest import tetrahedron
 from helpers import (read_quality_csv, read_rates_csv, read_report_csv,
@@ -360,10 +359,23 @@ class TestQuality:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        h = max_edge_length(gen_cap_mesh(np.pi / 3.0, 8))
-        assert "mesh sizes h must be distinct" in err
-        assert f"{h:.6g}" in err
+        assert "quality needs one or more distinct levels" in err
+        assert "[8, 8, 8]" in err
         assert "sigma estimate" not in err
+
+    @pytest.mark.parametrize("levels", ["", "64,64,8"])
+    def test_levels_checked_before_any_mesh(self, tmp_path, capsys,
+                                            monkeypatch, levels):
+        calls = []
+        monkeypatch.setattr("biharm.surfaces.gen_cap_mesh",
+                            lambda *call: calls.append(call))
+        code = main(["quality", "--case", "cap", "--levels", levels,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert calls == []
+        assert "quality needs one or more distinct levels" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_single_mesh(self, tmp_path, tet_obj):
         out = tmp_path / "out"
@@ -372,6 +384,46 @@ class TestQuality:
         assert code == 0
         rows = read_quality_csv(out / "quality.csv")
         assert len(rows) == 1
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("args, flag", [
+        (["solve", "--rhs", "const:1"], "--mesh"),
+        (["quality", "--case", "cap"], "--mesh"),
+        (["converge"], "--config"),
+    ], ids=["solve-mesh", "quality-mesh", "converge-config"])
+    def test_directory_as_input_exit_2(self, tmp_path, capsys, args, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        code = main(args + [flag, str(folder), "--out",
+                            str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {folder}: Is a directory" in capsys.readouterr().err
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code = main(["converge", "--config", str(missing), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {missing}: No such file or directory"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--case", "cap"],
+        ["converge", "--case", "cap", "--levels", "8,16,32"],
+        ["quality", "--case", "cap"],
+    ], ids=["solve", "converge", "quality"])
+    def test_out_is_a_file_exit_2_before_any_mesh(self, tmp_path, capsys,
+                                                  monkeypatch, args):
+        calls = []
+        monkeypatch.setattr("biharm.surfaces.gen_cap_mesh",
+                            lambda *call: calls.append(call))
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(args + ["--out", str(out)])
+        assert code == 2
+        assert f"error: {out}: File exists" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestConfigFile:

@@ -124,17 +124,21 @@ class TestMeshOperators:
             return real_factor(matrix, points)
 
         monkeypatch.setattr("biharm.fem.factor_spd", counting_factor)
-        mesh = grid_mesh(4)
-        ops = MeshOperators(mesh)
-        assert calls == []
-        n, ni = mesh.n_vertices, len(ops.interior)
-        b = rng.normal(size=ni)
-        for _ in range(2):
-            x = ops.interior_factor.solve(b)
-            ops.grounded_factor.solve(np.ones(n - 1))
-        assert calls == [(ni, ni), (n - 1, n - 1)]
-        s_ii = ops.stiffness[ops.interior, :][:, ops.interior]
-        assert np.linalg.norm(s_ii @ x - b) <= 1e-12 * np.linalg.norm(b)
+        # The interior stiffness of a bounded mesh, the stiffness
+        # grounded at vertex 0 of a closed one.
+        for mesh, closed in ((grid_mesh(4), False), (gen_icosphere(2), True)):
+            calls.clear()
+            ops = MeshOperators(mesh)
+            assert calls == []
+            n = mesh.n_vertices
+            free = np.arange(1, n) if closed else ops.interior
+            assert np.array_equal(ops.free, free)
+            b = rng.normal(size=free.size)
+            for _ in range(2):
+                x = ops.factor.solve(b)
+            assert calls == [(free.size, free.size)]
+            s_ff = ops.stiffness[free, :][:, free]
+            assert np.linalg.norm(s_ff @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestInterpolate:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,11 +10,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biharm
 from biharm.fem import MeshOperators
 from biharm.linalg import (DimensionMismatchError, NotConvergedError,
                            SingularError, build_csr, check_residual,
-                           export_matrix_market, factor_spd,
-                           nested_dissection)
+                           factor_spd, nested_dissection)
 from biharm.surfaces import gen_cap_mesh
 
 from conftest import grid_mesh
@@ -53,7 +58,7 @@ class TestSolveSpd:
         ops = MeshOperators(mesh)
         a = ops.stiffness[np.ix_(ops.interior, ops.interior)].tocsr()
         b = np.ones(len(ops.interior))
-        x = ops.interior_factor.solve(b)
+        x = ops.factor.solve(b)
         y = dense_solve_oracle(a, b)
         assert x == pytest.approx(y, abs=1e-9)
 
@@ -211,16 +216,12 @@ class TestSparseHelpers:
                       np.array([1.0, 0.0]), (2, 2))
         assert a.nnz == 1
 
-    def test_matrix_market_symmetric_header(self, tmp_path):
-        a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        path = tmp_path / "a.mtx"
-        export_matrix_market(a, path, symmetric=True)
-        header = path.read_text().splitlines()[0]
-        assert header == "%%MatrixMarket matrix coordinate real symmetric"
-
-    def test_matrix_market_general_header(self, tmp_path):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        path = tmp_path / "a.mtx"
-        export_matrix_market(a, path, symmetric=False)
-        header = path.read_text().splitlines()[0]
-        assert header == "%%MatrixMarket matrix coordinate real general"
+    def test_import_leaves_scipy_io_unloaded(self):
+        src = str(Path(biharm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, biharm; print('scipy.io' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True, timeout=60)
+        assert done.stdout == "False\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -474,6 +476,20 @@ class TestSchwarzLantern:
             gen_schwarz_lantern(2, 4)
         with pytest.raises(InvalidCountsError):
             gen_schwarz_lantern(6, 1)
+
+
+class TestGeneratorRadius:
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("generate", [
+        lambda radius: gen_icosphere(2, radius),
+        lambda radius: gen_cap_mesh(1.0, 4, radius)],
+        ids=["icosphere", "cap"])
+    def test_invalid_radius(self, generate, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDimensionError,
+                               match="radius must be positive and finite"):
+                generate(radius)
 
 
 class TestRefinementFamilies:
