@@ -12,10 +12,11 @@ Run:  python3 demos/single_solve_export.py
 import os
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.io import mmwrite
 
-from biharm import (gen_schwarz_lantern, saddle_system,
-                    solve_mixed_dirichlet, write_obj)
+from biharm import (MeshOperators, gen_schwarz_lantern, solve_mixed_dirichlet,
+                    write_obj)
 
 out = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out, exist_ok=True)
@@ -32,7 +33,10 @@ print(f"solver: {sol.solve_report.method}, relative residual "
       f"{sol.solve_report.relative_residual:.2e}")
 
 write_obj(mesh, os.path.join(out, "lantern.obj"))
-matrix, rhs, ops = saddle_system(mesh, f)
+# The clamped saddle matrix [[0, B], [B^T, -M]], with B the interior rows
+# of the stiffness and M the consistent mass.
+ops = MeshOperators(mesh)
+matrix = sp.bmat([[None, ops.b_block], [ops.b_block.T, -ops.mass]], "csr")
 mmwrite(os.path.join(out, "saddle.mtx"), matrix, symmetry="symmetric")
 with open(os.path.join(out, "solution.csv"), "w", encoding="utf-8") as fh:
     fh.write("vertex,u1,u2\n")

@@ -29,7 +29,7 @@ from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
                        InvalidDimensionError, InvalidDegreeError,
                        TooFewRingsError, InvalidCountsError)
 from .biharmonic import (MixedSolution, solve_mixed, solve_mixed_dirichlet,
-                         solve_mixed_closed, saddle_system, NoBoundaryError,
+                         solve_mixed_closed, NoBoundaryError,
                          HasBoundaryError)
 from .analysis import (ErrorRecord, QualityRecord, ConvergenceReport,
                        RateFit, l2_error, h1_error, certify_quality,
@@ -55,8 +55,7 @@ __all__ = [
     "InvalidAngleError", "InvalidDimensionError", "InvalidDegreeError",
     "TooFewRingsError", "InvalidCountsError",
     "MixedSolution", "solve_mixed", "solve_mixed_dirichlet",
-    "solve_mixed_closed", "saddle_system", "NoBoundaryError",
-    "HasBoundaryError",
+    "solve_mixed_closed", "NoBoundaryError", "HasBoundaryError",
     "ErrorRecord", "QualityRecord", "ConvergenceReport", "RateFit",
     "l2_error", "h1_error", "certify_quality",
     "fit_rates", "fit_quality_rates", "run_level",

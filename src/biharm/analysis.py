@@ -85,10 +85,12 @@ class QualityRecord:
     K_max : float
         Maximum of circumradius / longest edge over faces.
     max_distance : float
-        Largest distance of a quadrature point to the surface.
+        Largest |d| over the quadrature points, d the signed distance
+        of the surface.
     max_normal_angle : float
         Largest angle (radians) between a face normal and the surface
-        normal at the projected face centroid.
+        normal grad d at the face centroid, which is the normal at its
+        closest point, as grad d is constant along normal lines.
     """
 
     def __init__(self, kappa_min, K_max, max_distance, max_normal_angle):
@@ -184,7 +186,7 @@ def certify_quality(mesh, case):
     QualityRecord
         kappa/K extrema over faces, the maximal quadrature-point
         distance to the surface, and the maximal face-normal deviation
-        from the surface normal at the projected centroid.
+        from the surface normal at the centroid.
     """
     return _measure(mesh, case, certify=True)[1]
 
@@ -236,9 +238,9 @@ def _measure(mesh, case, norms=(), certify=False):
         for row, (kernel, u_h, exact) in zip(sq, norms):
             row[faces] = kernel(mesh, faces, projected, u_h, exact)
         if certify:
-            dist.append(np.linalg.norm(points - projected, axis=1).max())
+            dist.append(np.abs(case.distance(points)[0]).max())
             centroids = mesh.vertices[mesh.faces[faces]].mean(axis=1)
-            surf_normals = case.normal_at(case.closest_point(centroids))
+            surf_normals = case.normal_at(centroids)
             dots = np.clip(np.einsum("fd,fd->f", mesh.face_normals[faces],
                                      surf_normals), -1.0, 1.0)
             angle.append(np.arccos(dots).max())
@@ -487,8 +489,8 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     Returns
     -------
     SurfaceCase
-        kind "cylinder-highres"; closest-point map and normals are the
-        cylinder's.
+        kind "cylinder-highres"; its signed distance, and so its
+        closest-point map and normals, are the cylinder's.
     """
     base = cylinder_case(radius, height)
     m_ref = 2 * int(n_ref)
@@ -503,7 +505,7 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     slope = np.diff(u1_ring) / np.diff(z_ring)
 
     def z_of(p):
-        return np.asarray(base.closest_point(p))[..., 2]
+        return np.asarray(p, dtype=float)[..., 2]
 
     def grad_field(p):
         band = np.clip(np.searchsorted(z_ring, z_of(p), "right") - 1,
@@ -513,7 +515,7 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     return SurfaceCase(
         "cylinder-highres",
         {"radius": radius, "height": height, "n_ref": n_ref},
-        True, base.closest_point, base.normal_at,
+        base.distance,
         exact_u=lambda p: np.interp(z_of(p), z_ring, u1_ring),
         exact_grad_u=grad_field,
         exact_lap_u=lambda p: np.interp(z_of(p), z_ring, u2_ring),

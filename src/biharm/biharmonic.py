@@ -1,8 +1,13 @@
 """Discrete mixed solvers for the biharmonic equation Delta^2 u = f.
 
 On meshes with boundary the clamped problem (u = du/dn = 0) is the
-coupled symmetric saddle point system in (u1, u2) of
-:func:`saddle_system`, with u2 = Delta u1 in the positive semidefinite
+coupled symmetric saddle point system in (u1, u2),
+
+    [ 0   B ] [u1]   [ M[interior, :] f ]
+    [ B^T -M ] [u2] = [        0         ]
+
+with S the cotangent stiffness, M the consistent mass, B the interior
+row slice of S, and u2 = Delta u1 in the positive semidefinite
 convention: u1 lives in the interior hat space, u2 in the full hat
 space, and the Neumann condition is not imposed explicitly; it is
 encoded by testing the second equation against all hat functions,
@@ -32,7 +37,6 @@ unit of length, and reports the larger residual.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (MeshOperators, assemble_boundary_mass, assemble_mass,
                   nodal_field)
@@ -104,31 +108,6 @@ def _check_components(mesh):
                 f"mesh has {count} connected components and {closed} of "
                 f"them have no boundary vertices; a mesh of more than one "
                 f"component needs a boundary on each")
-
-
-def saddle_system(mesh, f):
-    """Assemble the coupled saddle matrix and right-hand side.
-
-    With S the cotangent stiffness, M the consistent mass and B the
-    interior row slice of S, the system is
-
-        [ 0   B ] [u1]   [ M[interior, :] f ]
-        [ B^T -M ] [u2] = [        0         ]
-
-    Returns
-    -------
-    matrix : scipy.sparse.csr_matrix, shape (ni + n, ni + n)
-    rhs : ndarray
-    ops : MeshOperators
-        The operators it is built from; u1 is ordered by ``ops.interior``.
-    """
-    f = _check_field(mesh, f)
-    ops = MeshOperators(mesh)
-    b_block, mass = ops.b_block, ops.mass
-    matrix = sp.bmat([[None, b_block], [b_block.T, -mass]], format="csr")
-    rhs = np.concatenate([mass[ops.interior, :] @ f,
-                          np.zeros(mesh.n_vertices)])
-    return matrix, rhs, ops
 
 
 def _condensed_clamped(ops, mass, load, tol):
@@ -219,7 +198,7 @@ def _condensed_clamped(ops, mass, load, tol):
 def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     """Solve the clamped mixed biharmonic problem on a bounded mesh.
 
-    The saddle system of :func:`saddle_system` is condensed onto the
+    The saddle system of the module docstring is condensed onto the
     boundary values of u2: the interior stiffness S_II is factored
     once, and the boundary Schur complement is solved by CG
     preconditioned with the Dirichlet-to-Neumann map of the same factor

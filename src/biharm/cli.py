@@ -82,7 +82,7 @@ def _load_config(args):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -368,12 +368,16 @@ def read_obj(path):
     Raises
     ------
     ValueError
-        ``path:lineno: ...`` naming the first malformed record, or
-        ``path: no vertices found`` or ``path: no faces found``; and
-        the errors of :func:`build_mesh`.
+        ``path:lineno: ...`` naming the first malformed record,
+        ``path: no vertices found``, ``path: no faces found``, or
+        ``path: ...`` with the decoding error of a file that is not
+        UTF-8 text; and the errors of :func:`build_mesh`.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     v_lines, f_lines = _record_lines(text)
     try:
         if f_lines:

@@ -2,11 +2,16 @@
 generators for the three experiment families: spherical cap with
 boundary, closed sphere, and Schwarz lantern (inscribed cylinder).
 
-Each surface comes as a :class:`SurfaceCase` bundling the closest-point
-map onto the surface, the outward surface normal, and a manufactured
-exact solution u with its surface gradient, Laplacian and bi-Laplacian.
-The Laplacian follows the positive semidefinite sign convention
-(Delta = -div grad), so ``exact_f`` is Delta(Delta u) in that sign.
+Each surface comes as a :class:`SurfaceCase` bundling the signed
+distance d of the surface, and a manufactured exact solution u with its
+surface gradient, Laplacian and bi-Laplacian.  The closest point
+a(x) = x - d(x) grad d(x) and the normal grad d derive from d, as in
+Dziuk & Elliott (Acta Numerica 22, 2013).  The distance, and so the
+closest point, belong to the smooth extension of each surface: the
+whole sphere for the cap, the infinite cylinder for the lantern's
+cylinder.  The Laplacian follows the positive semidefinite sign
+convention (Delta = -div grad), so ``exact_f`` is Delta(Delta u) in
+that sign.
 
 All case functions are pure and vectorized: they accept points of any
 leading shape (..., 3), a single point of shape (3,) included, and
@@ -20,7 +25,10 @@ from .mesh import build_mesh
 
 
 class OutsideReachError(ValueError):
-    """Point has no well-defined closest surface point (center/axis)."""
+    """Point where the radial direction, and with it the gradient of the
+    signed distance, is undefined: the origin for the sphere, the
+    spherical harmonics and the cap, the axis for the cylinder.  The
+    closest point and the normal are undefined there."""
 
 
 class InvalidAngleError(ValueError):
@@ -46,18 +54,20 @@ class InvalidCountsError(ValueError):
 class SurfaceCase:
     """Analytic surface with a manufactured biharmonic solution.
 
+    The geometry is one signed distance d of the smooth surface the case
+    lies on (the whole sphere, the infinite cylinder), so the closest
+    point of a point beyond the cap's rim lies on the sphere, and that
+    of a point above the cylinder's rims keeps its height.
+
     Attributes
     ----------
     kind : str
         "sphere", "cap" or "cylinder".
     params : dict
         Defining parameters (radius, opening angle, ...).
-    has_boundary : bool
-    closest_point : callable
-        Maps ambient points onto the surface.
-    normal_at : callable
-        Outward unit normal of the surface at (the projection of) a
-        point.
+    distance : callable
+        Maps points to ``(d, grad_d)``: the signed distance, positive
+        on the outside, and its gradient, the outward unit normal.
     exact_u, exact_lap_u, exact_f : callable
         Manufactured solution, its Laplacian (positive semidefinite
         convention) and its bi-Laplacian, as scalar fields on the
@@ -67,17 +77,25 @@ class SurfaceCase:
         to the surface.
     """
 
-    def __init__(self, kind, params, has_boundary, closest_point, normal_at,
-                 exact_u, exact_grad_u, exact_lap_u, exact_f):
+    def __init__(self, kind, params, distance, exact_u, exact_grad_u,
+                 exact_lap_u, exact_f):
         self.kind = kind
         self.params = dict(params)
-        self.has_boundary = bool(has_boundary)
-        self.closest_point = closest_point
-        self.normal_at = normal_at
+        self.distance = distance
         self.exact_u = exact_u
         self.exact_grad_u = exact_grad_u
         self.exact_lap_u = exact_lap_u
         self.exact_f = exact_f
+
+    def closest_point(self, p):
+        """Closest point a(p) = p - d(p) grad d(p) on the surface."""
+        d, grad = self.distance(p)
+        return np.asarray(p, dtype=float) - d[..., None] * grad
+
+    def normal_at(self, p):
+        """Outward unit normal grad d(p), the same at every point of the
+        normal line through a surface point."""
+        return self.distance(p)[1]
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -93,26 +111,25 @@ def _dimension(name, value):
     return value
 
 
-def _sphere_project(radius):
-    def project(p):
-        pts = np.asarray(p, dtype=float)
-        norms = np.linalg.norm(pts, axis=-1)
-        if np.any(norms == 0.0):
-            raise OutsideReachError(
-                "closest point on the sphere undefined at the center")
-        return pts * (radius / norms)[..., None]
-    return project
+def _radial(p, where="at the origin (0, 0, 0)"):
+    """Lengths |p| and directions p/|p| of points of shape (..., 3).
+
+    Raises OutsideReachError, naming ``where``, if a point is zero.
+    """
+    pts = np.asarray(p, dtype=float)
+    norms = np.linalg.norm(pts, axis=-1)
+    if np.any(norms == 0.0):
+        raise OutsideReachError(
+            f"the radial direction p/|p| is undefined {where}")
+    return norms, pts / norms[..., None]
 
 
-def _sphere_normal():
-    def normal(p):
-        pts = np.asarray(p, dtype=float)
-        norms = np.linalg.norm(pts, axis=-1)
-        if np.any(norms == 0.0):
-            raise OutsideReachError(
-                "surface normal undefined at the sphere center")
-        return pts / norms[..., None]
-    return normal
+def _sphere_distance(radius):
+    """Signed distance d = |p| - R of the sphere, with grad d = p/|p|."""
+    def distance(p):
+        norms, unit = _radial(p)
+        return norms - radius, unit
+    return distance
 
 
 def cap_case(radius, theta0):
@@ -123,7 +140,8 @@ def cap_case(radius, theta0):
     u = (x - c)^2, which satisfies u = du/dtheta = 0 on the boundary
     circle.  Through the Legendre form of the axisymmetric Laplacian,
     Delta u = (6x^2 - 4cx - 2) / R^2 and
-    Delta^2 u = (36x^2 - 8cx - 12) / R^4.
+    Delta^2 u = (36x^2 - 8cx - 12) / R^4.  The signed distance is the
+    whole sphere's, d = |p| - R, as in :func:`sphere_case`.
 
     Parameters
     ----------
@@ -144,18 +162,15 @@ def cap_case(radius, theta0):
     c = np.cos(theta0)
 
     def costheta(p):
-        pts = np.asarray(p, dtype=float)
-        return pts[..., 2] / np.linalg.norm(pts, axis=-1)
+        return _radial(p)[1][..., 2]
 
     def exact_u(p):
         return (costheta(p) - c) ** 2
 
     def exact_grad_u(p):
-        pts = np.asarray(p, dtype=float)
-        norms = np.linalg.norm(pts, axis=-1)
-        unit = pts / norms[..., None]
+        unit = _radial(p)[1]
         x = unit[..., 2]
-        ez = np.zeros_like(pts)
+        ez = np.zeros_like(unit)
         ez[..., 2] = 1.0
         return ((2.0 / radius) * (x - c)[..., None]
                 * (ez - x[..., None] * unit))
@@ -168,9 +183,9 @@ def cap_case(radius, theta0):
         x = costheta(p)
         return (36.0 * x**2 - 8.0 * c * x - 12.0) / radius**4
 
-    return SurfaceCase("cap", {"radius": radius, "theta0": theta0}, True,
-                       _sphere_project(radius), _sphere_normal(),
-                       exact_u, exact_grad_u, exact_lap_u, exact_f)
+    return SurfaceCase("cap", {"radius": radius, "theta0": theta0},
+                       _sphere_distance(radius), exact_u, exact_grad_u,
+                       exact_lap_u, exact_f)
 
 
 def cylinder_case(radius, height):
@@ -180,7 +195,9 @@ def cylinder_case(radius, height):
     a = H/2 the 1D profile u = (z^2 - a^2)^2 solves the clamped
     biharmonic problem with the constant right-hand side f = 24
     (independent of R), and Delta u = 4a^2 - 12z^2 in the positive
-    semidefinite convention.
+    semidefinite convention.  The signed distance is that of the
+    infinite cylinder, d = rho - R with rho the distance to the axis, so
+    the closest point of any point off the axis keeps its height z.
 
     Returns
     -------
@@ -190,28 +207,10 @@ def cylinder_case(radius, height):
     height = _dimension("height", height)
     a = 0.5 * height
 
-    def project(p):
-        pts = np.asarray(p, dtype=float)
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        if np.any(rho == 0.0):
-            raise OutsideReachError(
-                "closest point on the cylinder undefined on the axis")
-        out = np.empty_like(pts)
-        out[..., 0] = pts[..., 0] * (radius / rho)
-        out[..., 1] = pts[..., 1] * (radius / rho)
-        out[..., 2] = np.clip(pts[..., 2], -a, a)
-        return out
-
-    def normal(p):
-        pts = np.asarray(p, dtype=float)
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        if np.any(rho == 0.0):
-            raise OutsideReachError(
-                "surface normal undefined on the cylinder axis")
-        out = np.zeros_like(pts)
-        out[..., 0] = pts[..., 0] / rho
-        out[..., 1] = pts[..., 1] / rho
-        return out
+    def distance(p):
+        rho, unit = _radial(np.asarray(p, dtype=float) * [1.0, 1.0, 0.0],
+                            "on the cylinder axis")
+        return rho - radius, unit
 
     def exact_u(p):
         z = np.asarray(p, dtype=float)[..., 2]
@@ -232,8 +231,7 @@ def cylinder_case(radius, height):
         return np.full(np.shape(p)[:-1], 24.0)
 
     return SurfaceCase("cylinder", {"radius": radius, "height": height},
-                       True, project, normal,
-                       exact_u, exact_grad_u, exact_lap_u, exact_f)
+                       distance, exact_u, exact_grad_u, exact_lap_u, exact_f)
 
 
 def real_harmonic(degree, order):
@@ -243,7 +241,8 @@ def real_harmonic(degree, order):
     Y = P_l^m(cos theta) cos(m phi) for m >= 0 and
     Y = P_l^|m|(cos theta) sin(|m| phi) for m < 0, evaluated on the
     radial projection of the input, so Y_2^0(p) = (3 z^2 - 1)/2 on the
-    unit sphere.  Raises InvalidDegreeError unless l >= 0 and |m| <= l.
+    unit sphere.  Raises InvalidDegreeError unless l >= 0 and |m| <= l;
+    the harmonic raises OutsideReachError at the origin.
     """
     l, m = int(degree), int(order)
     ma = abs(m)
@@ -252,8 +251,7 @@ def real_harmonic(degree, order):
             f"need degree l >= 0 and |m| <= l, got l={l}, m={m}")
 
     def harmonic(p):
-        pts = np.asarray(p, dtype=float)
-        unit = pts / np.linalg.norm(pts, axis=-1)[..., None]
+        unit = _radial(p)[1]
         ct = np.clip(unit[..., 2], -1.0, 1.0)
         phi = np.arctan2(unit[..., 1], unit[..., 0])
         legendre = lpmv(ma, l, ct)
@@ -276,8 +274,7 @@ def _harmonic_surface_gradient(degree, order, radius):
     ma = abs(m)
 
     def gradient(p):
-        pts = np.asarray(p, dtype=float)
-        unit = pts / np.linalg.norm(pts, axis=-1)[..., None]
+        unit = _radial(p)[1]
         ct = np.clip(unit[..., 2], -1.0, 1.0)
         st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
         phi = np.arctan2(unit[..., 1], unit[..., 0])
@@ -347,9 +344,9 @@ def sphere_case(radius, degree, order):
     def exact_f(p):
         return harmonic(p)
 
-    return SurfaceCase("sphere", {"radius": radius, "l": l, "m": m}, False,
-                       _sphere_project(radius), _sphere_normal(),
-                       exact_u, exact_grad_u, exact_lap_u, exact_f)
+    return SurfaceCase("sphere", {"radius": radius, "l": l, "m": m},
+                       _sphere_distance(radius), exact_u, exact_grad_u,
+                       exact_lap_u, exact_f)
 
 
 def gen_cap_mesh(theta0, rings, radius=1.0):

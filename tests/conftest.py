@@ -48,19 +48,11 @@ def tetrahedron():
 def flat_case(u, grad_u, lap_u, f):
     """SurfaceCase for the z = 0 plane with prescribed fields."""
 
-    def project(p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float)).copy()
-        pts[:, 2] = 0.0
-        return pts[0] if np.asarray(p).ndim == 1 else pts
+    def distance(p):
+        pts = np.asarray(p, dtype=float)
+        return pts[..., 2], np.broadcast_to([0.0, 0.0, 1.0], pts.shape)
 
-    def normal(p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        out = np.zeros_like(pts)
-        out[:, 2] = 1.0
-        return out[0] if np.asarray(p).ndim == 1 else out
-
-    return SurfaceCase("flat", {}, True, project, normal,
-                       u, grad_u, lap_u, f)
+    return SurfaceCase("flat", {}, distance, u, grad_u, lap_u, f)
 
 
 @pytest.fixture

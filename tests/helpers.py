@@ -1,8 +1,9 @@
 """Reference solvers and readers that only the tests use.
 
-The dense solve and the discrete Laplacian are oracles for the sparse
-paths on small problems; the readers parse the CSV files the package
-writes back into records, so the tests can compare them.
+The dense solve, the saddle matrix and the discrete Laplacian are
+oracles for the sparse paths on small problems; the readers parse the
+CSV files the package writes back into records, so the tests can
+compare them.
 """
 
 import csv
@@ -44,6 +45,31 @@ def dense_solve_oracle(matrix, b):
     if not np.all(np.isfinite(x)):
         raise SingularError("dense solve produced non-finite entries")
     return x
+
+
+def saddle_system(mesh, f):
+    """Assemble the coupled saddle matrix and right-hand side.
+
+    With S the cotangent stiffness, M the consistent mass and B the
+    interior row slice of S, the system is
+
+        [ 0   B ] [u1]   [ M[interior, :] f ]
+        [ B^T -M ] [u2] = [        0         ]
+
+    Returns
+    -------
+    matrix : scipy.sparse.csr_matrix, shape (ni + n, ni + n)
+    rhs : ndarray
+    ops : MeshOperators
+        The operators it is built from; u1 is ordered by ``ops.interior``.
+    """
+    f = nodal_field(mesh, f)
+    ops = MeshOperators(mesh)
+    b_block, mass = ops.b_block, ops.mass
+    matrix = sp.bmat([[None, b_block], [b_block.T, -mass]], format="csr")
+    rhs = np.concatenate([mass[ops.interior, :] @ f,
+                          np.zeros(mesh.n_vertices)])
+    return matrix, rhs, ops
 
 
 def discrete_laplacian(mesh, u1, tol=DEFAULT_TOL):

@@ -15,8 +15,7 @@ import pytest
 
 from biharm.analysis import (fit_quality_rates, gate_failures, l2_error,
                              run_study)
-from biharm.biharmonic import (saddle_system, solve_mixed_closed,
-                               solve_mixed_dirichlet)
+from biharm.biharmonic import solve_mixed_closed, solve_mixed_dirichlet
 from biharm.cli import main
 from biharm.fem import (assemble_mass, assemble_stiffness, interpolate,
                         p1_gradients)
@@ -27,7 +26,8 @@ from biharm.surfaces import (cap_case, cap_family, cylinder_case,
 
 from conftest import grid_mesh, tetrahedron
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
-from helpers import dense_solve_oracle, discrete_laplacian, read_report_csv
+from helpers import (dense_solve_oracle, discrete_laplacian, read_report_csv,
+                     saddle_system)
 
 
 def announce(number, name, failures, details=""):

@@ -429,7 +429,6 @@ class TestHighresReference:
         case = lantern_highres_reference(n_ref=16)
         base = cylinder_case(1.0, 2.0)
         assert case.kind == "cylinder-highres"
-        assert case.has_boundary
 
         phi = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False) + 0.13
         equator = np.stack([np.cos(phi), np.sin(phi), np.zeros(10)], axis=1)

@@ -5,8 +5,7 @@ import scipy.sparse.linalg as spla
 import biharm.biharmonic as biharmonic
 from biharm import linalg
 from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
-                               saddle_system, solve_mixed_closed,
-                               solve_mixed_dirichlet)
+                               solve_mixed_closed, solve_mixed_dirichlet)
 from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
                         interpolate)
 from biharm.linalg import NotConvergedError
@@ -15,7 +14,7 @@ from biharm.surfaces import (cylinder_case, gen_cap_mesh, gen_icosphere,
                              gen_schwarz_lantern, real_harmonic, sphere_case)
 
 from conftest import single_triangle, tetrahedron
-from helpers import dense_solve_oracle, discrete_laplacian
+from helpers import dense_solve_oracle, discrete_laplacian, saddle_system
 
 
 def disjoint_union(*meshes):

@@ -16,7 +16,7 @@ from biharm.analysis import ACCEPTANCE_GATES
 from biharm.cli import main
 from biharm.mesh import read_obj, write_obj
 
-from conftest import tetrahedron
+from conftest import grid_mesh, tetrahedron
 from helpers import (read_quality_csv, read_rates_csv, read_report_csv,
                      read_solution_csv)
 
@@ -56,6 +56,15 @@ class TestSolve:
         u1, u2 = read_solution_csv(out / "solution.csv")
         assert len(u1) == 162
         assert np.max(np.abs(u1)) > 0.0
+
+    def test_harmonic_rhs_on_mesh_through_origin_exit_2(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "flat.obj"
+        write_obj(grid_mesh(2), path)
+        code = main(["solve", "--mesh", str(path), "--rhs", "harmonic:2,0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "undefined at the origin (0, 0, 0)" in capsys.readouterr().err
 
     def test_write_mesh(self, tmp_path):
         out = tmp_path / "out"
@@ -399,6 +408,20 @@ class TestFileErrors:
                             str(tmp_path / "out")])
         assert code == 2
         assert f"error: {folder}: Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag, name", [
+        (["solve", "--rhs", "const:1"], "--mesh", "bad.obj"),
+        (["converge"], "--config", "bad.json"),
+    ], ids=["solve-mesh", "converge-config"])
+    def test_not_utf8_names_file_exit_2(self, tmp_path, capsys, args, flag,
+                                        name):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\n")
+        code = main(args + [flag, str(bad), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "can't decode byte 0xff" in err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

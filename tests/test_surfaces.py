@@ -12,6 +12,7 @@ from biharm.surfaces import (InvalidAngleError, InvalidCountsError,
                              lantern_family, real_harmonic, sphere_case,
                              sphere_family)
 
+from conftest import flat_case
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
 
 
@@ -32,10 +33,12 @@ class TestClosestPoint:
         p = case.closest_point(np.array([2.0, 0.0, 0.3]))
         assert p == pytest.approx([1.0, 0.0, 0.3])
 
-    def test_cylinder_axial_clamp(self):
+    def test_cylinder_keeps_height_beyond_rims(self):
+        # The distance is that of the infinite cylinder, as the cap's is
+        # that of the whole sphere.
         case = cylinder_case(1.0, 2.0)
         p = case.closest_point(np.array([2.0, 0.0, 5.0]))
-        assert p == pytest.approx([1.0, 0.0, 1.0])
+        assert p == pytest.approx([1.0, 0.0, 5.0])
 
     def test_idempotent(self, rng):
         cases = [cap_case(1.0, np.pi / 3.0), sphere_case(1.0, 2, 0),
@@ -53,7 +56,7 @@ class TestClosestPoint:
 
     def test_cylinder_axis_outside_reach(self):
         case = cylinder_case(1.0, 2.0)
-        with pytest.raises(OutsideReachError):
+        with pytest.raises(OutsideReachError, match="cylinder axis"):
             case.closest_point(np.array([0.0, 0.0, 0.5]))
 
     def test_normal_at_unit_length(self, rng):
@@ -65,27 +68,75 @@ class TestClosestPoint:
         assert normals == pytest.approx(pts, abs=1e-12)
 
 
+class TestDistance:
+    """The signed distance d of each surface, at points up to a few
+    radii away and off the center and the axis, with R its length
+    scale."""
+
+    CASES = {"sphere": (sphere_case(2.5, 2, 0), 2.5),
+             "cap": (cap_case(2.5, 1.0), 2.5),
+             "cylinder": (cylinder_case(2.5, 2.0), 2.5),
+             "flat": (flat_case(None, None, None, None), 1.0)}
+
+    @pytest.fixture(params=list(CASES))
+    def surface(self, request, rng):
+        case, radius = self.CASES[request.param]
+        pts = radius * rng.normal(size=(400, 3))
+        pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 0.2 * radius]
+        return case, radius, pts
+
+    def test_gradient_matches_central_differences(self, surface):
+        case, radius, pts = surface
+        step = 1e-6 * radius
+        fd = np.stack([
+            (case.distance(pts + step * e)[0]
+             - case.distance(pts - step * e)[0]) / (2.0 * step)
+            for e in np.eye(3)], axis=-1)
+        assert np.max(np.abs(fd - case.distance(pts)[1])) <= 1e-8
+
+    def test_gradient_unit_length(self, surface):
+        case, _, pts = surface
+        lengths = np.linalg.norm(case.distance(pts)[1], axis=-1)
+        assert np.max(np.abs(lengths - 1.0)) <= 1e-14
+
+    def test_closest_point_on_surface(self, surface):
+        case, radius, pts = surface
+        d = case.distance(case.closest_point(pts))[0]
+        assert np.max(np.abs(d)) <= 1e-12 * radius
+
+    def test_gradient_constant_along_normal_lines(self, surface, rng):
+        case, radius, pts = surface
+        normals = case.distance(pts)[1]
+        t = radius * rng.uniform(-0.1, 1.0, size=(len(pts), 1))
+        moved = case.distance(pts + t * normals)[1]
+        assert np.max(np.abs(moved - normals)) <= 1e-14
+
+
 class TestLeadingShape:
     """Every field maps points of any leading shape, one point included,
-    to one value or vector per point."""
+    to one value or vector per point; the distance to a pair of them."""
 
     CASES = {"cap": cap_case(1.0, np.pi / 3.0),
              "cylinder": cylinder_case(1.0, 2.0),
              "sphere": sphere_case(1.0, 3, -2)}
 
     @pytest.mark.parametrize("field", [
-        "closest_point", "normal_at", "exact_u", "exact_grad_u",
-        "exact_lap_u", "exact_f"])
+        "distance", "closest_point", "normal_at", "exact_u",
+        "exact_grad_u", "exact_lap_u", "exact_f"])
     @pytest.mark.parametrize("kind", list(CASES))
     def test_grid_matches_rows_and_points(self, rng, kind, field):
-        evaluate = getattr(self.CASES[kind], field)
+        def evaluate(p):
+            value = getattr(self.CASES[kind], field)(p)
+            return value if isinstance(value, tuple) else (value,)
+
         points = rng.normal(size=(5, 6, 3)) + np.array([0.5, 0.0, 0.0])
-        rows = evaluate(points.reshape(30, 3))
-        grid = evaluate(points)
-        assert grid.shape == (5, 6) + rows.shape[1:]
-        assert grid.reshape(rows.shape).tobytes() == rows.tobytes()
-        for point, row in zip(points.reshape(30, 3), rows):
-            assert np.asarray(evaluate(point)).tobytes() == row.tobytes()
+        for part, (rows, grid) in enumerate(
+                zip(evaluate(points.reshape(30, 3)), evaluate(points))):
+            assert grid.shape == (5, 6) + rows.shape[1:]
+            assert grid.reshape(rows.shape).tobytes() == rows.tobytes()
+            for point, row in zip(points.reshape(30, 3), rows):
+                single = np.asarray(evaluate(point)[part])
+                assert single.tobytes() == row.tobytes()
 
 
 class TestCapCase:
@@ -240,6 +291,13 @@ class TestSphereCase:
         with pytest.raises(InvalidDegreeError,
                            match=f"got l={degree}, m={order}"):
             real_harmonic(degree, order)
+
+    def test_harmonic_at_origin_outside_reach(self):
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideReachError, match="origin"):
+                real_harmonic(2, 0)(pts)
 
     def test_harmonic_degree_zero_is_constant(self):
         pts = np.random.default_rng(3).normal(size=(20, 3))
