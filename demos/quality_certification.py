@@ -7,7 +7,7 @@ The quality certificate measures, per mesh,
 
 * kappa_min: worst inradius / longest-edge ratio (shape regularity),
 * K_max: worst circumradius / longest-edge ratio,
-* max_distance: largest quadrature-point distance to the surface,
+* max_dist: largest quadrature-point distance to the surface,
 * max_normal_angle: largest angle between face and surface normals,
 
 and across a family fits the decay exponents gamma (distance ~ h^gamma)
@@ -18,13 +18,12 @@ inscribed icospheres deliver gamma near 2 and epsilon near 1.
 Run:  python3 demos/quality_certification.py
 """
 
-from biharm import (certify_quality, fit_quality_rates, gen_icosphere,
+from biharm import (LevelRecord, certify_quality, fit_rates, gen_icosphere,
                     max_edge_length, sphere_case)
 from biharm.analysis import SIGMA_THRESHOLD
 
 case = sphere_case(1.0, 2, 0)
-hs = []
-qualities = []
+records = []
 print("inscribed icospheres against the unit sphere")
 print(f"{'level':>5} {'h':>9} {'kappa_min':>10} {'max_dist':>11} "
       f"{'max_angle':>11}")
@@ -32,16 +31,16 @@ for level in range(5):
     mesh = gen_icosphere(level)
     q = certify_quality(mesh, case)
     h = max_edge_length(mesh)
-    hs.append(h)
-    qualities.append(q)
-    print(f"{level:5d} {h:9.4f} {q.kappa_min:10.4f} {q.max_distance:11.3e} "
+    records.append(LevelRecord("sphere", level, h, mesh.n_vertices, q))
+    print(f"{level:5d} {h:9.4f} {q.kappa_min:10.4f} {q.max_dist:11.3e} "
           f"{q.max_normal_angle:11.3e}")
 
-fits = fit_quality_rates(hs, qualities)
-print(f"\ngamma (distance decay)   {fits['gamma'].slope:5.2f}")
-print(f"epsilon (normal decay)   {fits['epsilon'].slope:5.2f}")
-print(f"sigma = min(gamma, 2 epsilon) = {fits['sigma']:.2f}  "
-      f"({'ok' if fits['sigma'] >= SIGMA_THRESHOLD else 'below threshold'})")
+report = fit_rates(records)
+sigma = report.sigma_estimate
+print(f"\ngamma (distance decay)   {report.rates['gamma'].slope:5.2f}")
+print(f"epsilon (normal decay)   {report.rates['epsilon'].slope:5.2f}")
+print(f"sigma = min(gamma, 2 epsilon) = {sigma:.2f}  "
+      f"({'ok' if sigma >= SIGMA_THRESHOLD else 'below threshold'})")
 print("\nkappa_min settles near 0.255: subdivision does not degrade the")
 print("icosahedron's shape regularity, and the inscribed vertices give")
 print("quadratic distance decay for free.")

@@ -31,11 +31,11 @@ from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
 from .biharmonic import (MixedSolution, solve_mixed, solve_mixed_dirichlet,
                          solve_mixed_closed, NoBoundaryError,
                          HasBoundaryError)
-from .analysis import (ErrorRecord, QualityRecord, ConvergenceReport,
+from .analysis import (LevelRecord, QualityRecord, ConvergenceReport,
                        RateFit, l2_error, h1_error, certify_quality,
-                       fit_rates, fit_quality_rates, run_level, run_study,
-                       write_report_csv, write_quality_csv, write_rates_csv,
-                       lantern_highres_reference, InsufficientLevelsError)
+                       fit_rates, run_level, run_study, write_levels_csv,
+                       write_rates_csv, lantern_highres_reference,
+                       InsufficientLevelsError)
 
 __version__ = "0.1.0"
 
@@ -56,10 +56,9 @@ __all__ = [
     "TooFewRingsError", "InvalidCountsError",
     "MixedSolution", "solve_mixed", "solve_mixed_dirichlet",
     "solve_mixed_closed", "NoBoundaryError", "HasBoundaryError",
-    "ErrorRecord", "QualityRecord", "ConvergenceReport", "RateFit",
-    "l2_error", "h1_error", "certify_quality",
-    "fit_rates", "fit_quality_rates", "run_level",
-    "run_study", "write_report_csv", "write_quality_csv",
-    "write_rates_csv", "lantern_highres_reference",
+    "LevelRecord", "QualityRecord", "ConvergenceReport", "RateFit",
+    "l2_error", "h1_error", "certify_quality", "fit_rates", "run_level",
+    "run_study", "write_levels_csv", "write_rates_csv",
+    "lantern_highres_reference",
     "InsufficientLevelsError",
 ]

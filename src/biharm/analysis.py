@@ -18,6 +18,7 @@ solves each level with :func:`~biharm.biharmonic.solve_mixed`.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,7 +30,20 @@ from .surfaces import SurfaceCase, cylinder_case, gen_schwarz_lantern
 
 
 class InsufficientLevelsError(ValueError):
-    """Rate fitting needs at least three refinement levels."""
+    """Rate fitting needs ``MIN_LEVELS`` refinement levels of distinct
+    mesh size, and two nonzero values in each column it fits."""
+
+
+# The columns of the level table: those naming a level, the error norms
+# a study measures on it, and the quality certificate.
+LEVEL = ("case", "level", "h", "dofs")
+NORMS = ("l2_u1", "h1_u1", "l2_u2")
+QUALITY = ("kappa_min", "K_max", "max_dist", "max_normal_angle")
+# The decay exponent that a rate fit estimates from each surface
+# approximation column.
+EXPONENTS = {"gamma": "max_dist", "epsilon": "max_normal_angle"}
+# The fewest levels a study or a rate fit accepts.
+MIN_LEVELS = 3
 
 
 # Dunavant's symmetric degree-4 rule on the reference triangle:
@@ -74,7 +88,7 @@ def _face_blocks(mesh, case):
         yield faces, points, case.closest_point(points)
 
 
-class QualityRecord:
+class QualityRecord(namedtuple("QualityRecord", QUALITY)):
     """Mesh-quality summary for one mesh against its surface.
 
     Attributes
@@ -84,7 +98,7 @@ class QualityRecord:
         regularity; equilateral triangles attain 1/(2 sqrt 3)).
     K_max : float
         Maximum of circumradius / longest edge over faces.
-    max_distance : float
+    max_dist : float
         Largest |d| over the quadrature points, d the signed distance
         of the surface.
     max_normal_angle : float
@@ -93,50 +107,38 @@ class QualityRecord:
         closest point, as grad d is constant along normal lines.
     """
 
-    def __init__(self, kappa_min, K_max, max_distance, max_normal_angle):
-        self.kappa_min = float(kappa_min)
-        self.K_max = float(K_max)
-        self.max_distance = float(max_distance)
-        self.max_normal_angle = float(max_normal_angle)
+    __slots__ = ()
 
 
-class ErrorRecord:
-    """Errors and quality of one refinement level."""
+class LevelRecord(namedtuple("LevelRecord", (*LEVEL, "quality", *NORMS),
+                             defaults=(None,) * len(NORMS))):
+    """One row of the level table: a refinement level, its
+    :class:`QualityRecord` and the error norms measured on it.  A level
+    that was only certified has None norms."""
 
-    def __init__(self, case, level, h, dofs, l2_u1, h1_u1, l2_u2, quality):
-        self.case = str(case)
-        self.level = int(level)
-        self.h = float(h)
-        self.dofs = int(dofs)
-        self.l2_u1 = float(l2_u1)
-        self.h1_u1 = float(h1_u1)
-        self.l2_u2 = float(l2_u2)
-        self.quality = quality
+    __slots__ = ()
 
 
-class RateFit:
-    """Least-squares slope of log(value) against log(h)."""
+class RateFit(namedtuple("RateFit", ("slope", "residual"))):
+    """Least-squares slope of log(value) against log(h), and the RMS
+    residual of the fit."""
 
-    def __init__(self, slope, residual):
-        self.slope = float(slope)
-        self.residual = float(residual)
+    __slots__ = ()
 
     def __repr__(self):
         return f"RateFit(slope={self.slope:.3f}, residual={self.residual:.3f})"
 
 
-class ConvergenceReport:
+class ConvergenceReport(namedtuple(
+        "ConvergenceReport", ("case", "records", "rates", "sigma_estimate"))):
     """Per-level records plus fitted convergence rates.
 
-    ``rates`` maps "l2_u1", "h1_u1", "l2_u2", "gamma" and "epsilon" to
-    :class:`RateFit`; ``sigma_estimate`` is min(gamma, 2 epsilon).
+    ``rates`` maps each error norm of ``NORMS`` that the records carry,
+    then each exponent of ``EXPONENTS``, to its :class:`RateFit`;
+    ``sigma_estimate`` is min(gamma, 2 epsilon).
     """
 
-    def __init__(self, case, records, rates, sigma_estimate):
-        self.case = case
-        self.records = list(records)
-        self.rates = rates
-        self.sigma_estimate = sigma_estimate
+    __slots__ = ()
 
 
 def l2_error(mesh, u_h, case, reference="u"):
@@ -247,81 +249,78 @@ def _measure(mesh, case, norms=(), certify=False):
     errors = [float(np.sqrt(np.sum(mesh.face_areas * row))) for row in sq]
     if not certify:
         return errors, None
-    return errors, QualityRecord(
+    return errors, QualityRecord(*map(float, (
         inradius_ratios(mesh).min(), circumradius_ratios(mesh).max(),
-        np.max(dist), np.max(angle))
+        np.max(dist), np.max(angle))))
 
 
-def _fit_loglog(h, values, n_fit):
-    """Slope and RMS residual of log(values) vs log(h), finest n_fit."""
-    h = np.asarray(h, dtype=float)[-n_fit:]
-    v = np.maximum(np.asarray(values, dtype=float)[-n_fit:], 1e-300)
-    logs_h = np.log(h)
-    logs_v = np.log(v)
+def _fit_loglog(h, values, column):
+    """Slope and RMS residual of log(values) against log(h), over the
+    levels where the value is not zero: an exact zero, such as the
+    normal angle of an icosahedron inscribed in its sphere, has no log."""
+    h, values = np.asarray(h), np.asarray(values)
+    keep = values != 0
+    if keep.sum() < 2:
+        raise InsufficientLevelsError(
+            f"fitting {column} needs 2 levels with a nonzero value, got "
+            f"{keep.sum()}")
+    logs_h, logs_v = np.log(h[keep]), np.log(values[keep])
     coeffs = np.polyfit(logs_h, logs_v, 1)
     fitted = np.polyval(coeffs, logs_h)
     rms = float(np.sqrt(np.mean((logs_v - fitted) ** 2)))
     return RateFit(float(coeffs[0]), rms)
 
 
-def fit_rates(records, case=""):
-    """Fit convergence rates across a refinement family.
+def _norms(records):
+    """The error norms that every record carries."""
+    return [name for name in NORMS
+            if all(getattr(r, name) is not None for r in records)]
 
-    The three error norms are fitted by :func:`fit_quality_rates`,
-    with the same checks and rule as gamma, epsilon and sigma.
+
+def fit_rates(records):
+    """Fit convergence rates over ``MIN_LEVELS`` or more levels of
+    distinct mesh size h.
+
+    Each slope is fitted on the finest ceil(levels/2) + 1 levels (coarse
+    preasymptotic levels pollute it): one per error norm that every
+    record carries, and the exponents gamma (decay of max_dist) and
+    epsilon (decay of max_normal_angle).  sigma = min(gamma, 2 epsilon).
 
     Parameters
     ----------
-    records : sequence of ErrorRecord
-        The report keeps their order.
-    case : str
-        Case descriptor for the report; the first record's by default.
+    records : sequence of LevelRecord
+        The report keeps their order, and takes its case from the first.
 
     Returns
     -------
     ConvergenceReport
     """
-    rates = fit_quality_rates(
-        [r.h for r in records], [r.quality for r in records],
-        **{name: [getattr(r, name) for r in records]
-           for name in ("l2_u1", "h1_u1", "l2_u2")})
-    sigma = rates.pop("sigma")
-    return ConvergenceReport(case or records[0].case, records, rates, sigma)
-
-
-def fit_quality_rates(hs, qualities, **series):
-    """Fit decay rates over at least three levels of distinct mesh size h.
-
-    Each slope is fitted on the finest ceil(levels/2) + 1 levels (coarse
-    preasymptotic levels pollute it).  Returns a dict of RateFit entries
-    "gamma" (decay of max_distance), "epsilon" (decay of
-    max_normal_angle) and one per keyword ``series`` of per-level
-    values, plus the scalar "sigma" = min(gamma, 2 epsilon).  All
-    per-level inputs are in the order of ``hs``.
-    """
+    hs = [r.h for r in records]
     n = len(hs)
-    if n < 3:
+    if n < MIN_LEVELS:
         raise InsufficientLevelsError(
-            f"rate fitting needs >= 3 levels, got {n}")
+            f"rate fitting needs >= {MIN_LEVELS} levels, got {n}")
     values, counts = np.unique(hs, return_counts=True)
     if counts.max() > 1:
         repeated = ", ".join(f"{h:.6g}" for h in values[counts > 1])
         raise InsufficientLevelsError(
             f"mesh sizes h must be distinct, got h = {repeated} at "
             f"more than one level")
-    order = np.argsort(hs)[::-1]
     n_fit = min(n, math.ceil(n / 2) + 1)
-    series["gamma"] = [q.max_distance for q in qualities]
-    series["epsilon"] = [q.max_normal_angle for q in qualities]
-    fits = {name: _fit_loglog([hs[i] for i in order],
-                              [vals[i] for i in order], n_fit)
-            for name, vals in series.items()}
-    fits["sigma"] = min(fits["gamma"].slope, 2.0 * fits["epsilon"].slope)
-    return fits
+    finest = [records[i] for i in np.argsort(hs)[:n_fit][::-1]]
+    h_fit = [r.h for r in finest]
+    rates = {name: _fit_loglog(h_fit, [getattr(r, name) for r in finest],
+                               name)
+             for name in _norms(records)}
+    for name, column in EXPONENTS.items():
+        rates[name] = _fit_loglog(
+            h_fit, [getattr(r.quality, column) for r in finest], column)
+    sigma = min(rates["gamma"].slope, 2.0 * rates["epsilon"].slope)
+    return ConvergenceReport(records[0].case, list(records), rates, sigma)
 
 
 def run_level(family, level, tol=DEFAULT_TOL, mass_mode="consistent"):
-    """Solve one refinement level and collect its ErrorRecord.
+    """Solve one refinement level and collect its LevelRecord.
 
     The three error norms and the quality certificate come from one
     pass over the face blocks of the mesh.
@@ -344,16 +343,16 @@ def run_level(family, level, tol=DEFAULT_TOL, mass_mode="consistent"):
         mesh, case,
         [(_l2_sq, sol.u1, case.exact_u), (_h1_sq, sol.u1, case.exact_grad_u),
          (_l2_sq, sol.u2, case.exact_lap_u)], certify=True)
-    return ErrorRecord(family.label, level, max_edge_length(mesh),
-                       mesh.n_vertices, l2_u1, h1_u1, l2_u2, quality)
+    return LevelRecord(family.label, level, max_edge_length(mesh),
+                       mesh.n_vertices, quality, l2_u1, h1_u1, l2_u2)
 
 
 def check_levels(levels):
-    """Require at least 3 levels (else InsufficientLevelsError),
-    strictly increasing (else ValueError)."""
-    if len(levels) < 3:
+    """Require at least ``MIN_LEVELS`` levels (else
+    InsufficientLevelsError), strictly increasing (else ValueError)."""
+    if len(levels) < MIN_LEVELS:
         raise InsufficientLevelsError(
-            f"a study needs at least 3 levels, got {list(levels)}")
+            f"a study needs at least {MIN_LEVELS} levels, got {list(levels)}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(
             f"a study needs strictly increasing levels, got {list(levels)}")
@@ -369,7 +368,7 @@ def run_study(family, tol=DEFAULT_TOL, mass_mode="consistent"):
     """
     check_levels(family.levels)
     records = [run_level(family, lv, tol, mass_mode) for lv in family.levels]
-    return fit_rates(records, family.label)
+    return fit_rates(records)
 
 
 # ---------------------------------------------------------------------------
@@ -406,38 +405,22 @@ def gate_failures(report, gate):
 # ---------------------------------------------------------------------------
 # CSV serialization (12 significant digits, stable layout)
 
-REPORT_HEADER = ("case,level,h,dofs,l2_u1,h1_u1,l2_u2,"
-                 "kappa_min,K_max,max_dist,max_normal_angle")
-QUALITY_HEADER = "case,level,h,dofs,kappa_min,K_max,max_dist,max_normal_angle"
-RATES_HEADER = "norm,slope,residual,flag"
-
-
 def _fmt(x):
     return f"{x:.12g}"
 
 
-def _write_level_csv(path, header, records, norms):
-    """One row per record: level fields, the ``norms`` named, quality."""
+def write_levels_csv(path, records):
+    """Write the level table: one row per record, with the level
+    columns, the error norms that every record carries and the quality
+    columns."""
+    norms = _norms(records)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join((*LEVEL, *norms, *QUALITY)) + "\n")
         for r in records:
-            q = r.quality
             fields = [r.case, str(r.level), _fmt(r.h), str(r.dofs),
                       *(_fmt(getattr(r, name)) for name in norms),
-                      _fmt(q.kappa_min), _fmt(q.K_max),
-                      _fmt(q.max_distance), _fmt(q.max_normal_angle)]
+                      *map(_fmt, r.quality)]
             fh.write(",".join(fields) + "\n")
-
-
-def write_report_csv(path, records):
-    """Write per-level error records in the report schema."""
-    _write_level_csv(path, REPORT_HEADER, records,
-                     ("l2_u1", "h1_u1", "l2_u2"))
-
-
-def write_quality_csv(path, records):
-    """Write per-level quality fields only."""
-    _write_level_csv(path, QUALITY_HEADER, records, ())
 
 
 def write_rates_csv(path, report):
@@ -449,16 +432,12 @@ def write_rates_csv(path, report):
     fails).
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RATES_HEADER + "\n")
-        for name in ("l2_u1", "h1_u1", "l2_u2"):
-            fit = report.rates[name]
-            flag = ("non-convergent" if fit.slope <= NONCONVERGENT_SLOPE
-                    else "ok")
+        fh.write(",".join(("norm", *RateFit._fields, "flag")) + "\n")
+        for name, fit in report.rates.items():
+            flag = ("non-convergent" if name in NORMS
+                    and fit.slope <= NONCONVERGENT_SLOPE else "ok")
             fh.write(f"{name},{_fmt(fit.slope)},{_fmt(fit.residual)},"
                      f"{flag}\n")
-        for name in ("gamma", "epsilon"):
-            fit = report.rates[name]
-            fh.write(f"{name},{_fmt(fit.slope)},{_fmt(fit.residual)},ok\n")
         flag = ("ok" if report.sigma_estimate >= SIGMA_THRESHOLD
                 else "warning")
         fh.write(f"sigma,{_fmt(report.sigma_estimate)},,{flag}\n")

@@ -19,11 +19,11 @@ import sys
 
 import numpy as np
 
-from .analysis import (ACCEPTANCE_GATES, SIGMA_THRESHOLD, certify_quality,
-                       check_levels, fit_quality_rates, gate_failures,
-                       run_study, write_quality_csv, write_rates_csv,
-                       write_report_csv, lantern_highres_reference,
-                       ErrorRecord)
+from .analysis import (ACCEPTANCE_GATES, MIN_LEVELS, NORMS, QUALITY,
+                       SIGMA_THRESHOLD, LevelRecord, certify_quality,
+                       check_levels, fit_rates, gate_failures,
+                       lantern_highres_reference, run_study,
+                       write_levels_csv, write_rates_csv)
 from .biharmonic import solve_mixed
 from .fem import interpolate
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
@@ -195,8 +195,7 @@ def _write_solution_csv(path, u1, u2):
 # ---------------------------------------------------------------------------
 # SVG loglog plot
 
-_SERIES_STYLE = [("l2_u1", "#1f77b4"), ("h1_u1", "#2ca02c"),
-                 ("l2_u2", "#d62728")]
+_SERIES_STYLE = list(zip(NORMS, ("#1f77b4", "#2ca02c", "#d62728")))
 
 
 def _svg_loglog(path, report, guide_slopes):
@@ -350,14 +349,13 @@ def cmd_converge(args):
         family = family.with_case(ref, label=family.label + "-highres")
     report = run_study(family, tol=cfg["tol"], mass_mode=cfg["mass_mode"])
 
-    write_report_csv(os.path.join(out, "report.csv"), report.records)
+    write_levels_csv(os.path.join(out, "report.csv"), report.records)
     write_rates_csv(os.path.join(out, "rates.csv"), report)
     _svg_loglog(os.path.join(out, "plot.svg"), report, spec.guides)
 
     print(f"case {report.case}: {len(report.records)} levels, "
           f"dofs {report.records[0].dofs}..{report.records[-1].dofs}")
-    for name in ("l2_u1", "h1_u1", "l2_u2", "gamma", "epsilon"):
-        fit = report.rates[name]
+    for name, fit in report.rates.items():
         print(f"  {name:8s} slope {fit.slope:6.3f}  "
               f"(fit residual {fit.residual:.3f})")
     print(f"  sigma estimate {report.sigma_estimate:.3f}")
@@ -394,29 +392,24 @@ def cmd_quality(args):
         label, meshes = cfg["case"], [(0, read_obj(args.mesh))]
     else:
         label, meshes = family.label, family.meshes()
-    records = [ErrorRecord(label, level, max_edge_length(mesh),
-                           mesh.n_vertices, 0.0, 0.0, 0.0,
-                           certify_quality(mesh, family.case))
+    records = [LevelRecord(label, level, max_edge_length(mesh),
+                           mesh.n_vertices, certify_quality(mesh, family.case))
                for level, mesh in meshes]
 
-    fits = None
-    if len(records) >= 3:
-        fits = fit_quality_rates([r.h for r in records],
-                                 [r.quality for r in records])
-    write_quality_csv(os.path.join(out, "quality.csv"), records)
+    report = fit_rates(records) if len(records) >= MIN_LEVELS else None
+    write_levels_csv(os.path.join(out, "quality.csv"), records)
     for r in records:
-        q = r.quality
-        print(f"level {r.level}: h = {r.h:.4g}, kappa_min = "
-              f"{q.kappa_min:.4f}, K_max = {q.K_max:.4f}, max_dist = "
-              f"{q.max_distance:.3e}, max_normal_angle = "
-              f"{q.max_normal_angle:.3e}")
-    if fits is not None:
-        print(f"  gamma estimate {fits['gamma'].slope:.3f}, "
-              f"epsilon estimate {fits['epsilon'].slope:.3f}, "
-              f"sigma estimate {fits['sigma']:.3f}")
-        if fits["sigma"] < SIGMA_THRESHOLD:
+        cells = (f"{name} = {value:{fmt}}" for name, fmt, value in
+                 zip(QUALITY, (".4f", ".4f", ".3e", ".3e"), r.quality))
+        print(f"level {r.level}: h = {r.h:.4g}, {', '.join(cells)}")
+    if report is not None:
+        rates, sigma = report.rates, report.sigma_estimate
+        print(f"  gamma estimate {rates['gamma'].slope:.3f}, "
+              f"epsilon estimate {rates['epsilon'].slope:.3f}, "
+              f"sigma estimate {sigma:.3f}")
+        if sigma < SIGMA_THRESHOLD:
             num, den = SIGMA_THRESHOLD.as_integer_ratio()
-            print(f"warning: sigma estimate {fits['sigma']:.3f} below "
+            print(f"warning: sigma estimate {sigma:.3f} below "
                   f"{num}/{den}; surface approximation conditions fail",
                   file=sys.stderr)
     print(f"wrote quality.csv in {out}")

@@ -208,11 +208,12 @@ def factor_spd(matrix, points):
 
     Raises
     ------
+    DimensionMismatchError
+        From :func:`nested_dissection`, if the matrix is not square or
+        ``points`` has not one row per unknown.
     SingularError
         If SuperLU meets an exactly zero pivot.
     """
-    if matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatchError(f"matrix is not square: {matrix.shape}")
     perm = nested_dissection(matrix, points)
     permuted = sp.csc_matrix(sp.csr_matrix(matrix)[perm][:, perm])
     try:

@@ -11,7 +11,7 @@ import csv
 import numpy as np
 import scipy.sparse as sp
 
-from biharm.analysis import ErrorRecord, QualityRecord
+from biharm.analysis import NORMS, QUALITY, LevelRecord, QualityRecord
 from biharm.fem import MeshOperators, nodal_field
 from biharm.linalg import (DEFAULT_TOL, DimensionMismatchError, SingularError,
                            check_residual, factor_spd)
@@ -101,27 +101,16 @@ def discrete_laplacian(mesh, u1, tol=DEFAULT_TOL):
     return v
 
 
-def _quality(row):
-    return QualityRecord(float(row["kappa_min"]), float(row["K_max"]),
-                         float(row["max_dist"]),
-                         float(row["max_normal_angle"]))
-
-
-def read_report_csv(path):
-    """Parse a report CSV back into ErrorRecord objects."""
+def read_levels_csv(path):
+    """Parse a level table (report or quality CSV) back into
+    LevelRecord objects; norms the table lacks are None."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [ErrorRecord(row["case"], int(row["level"]), float(row["h"]),
-                            int(row["dofs"]), float(row["l2_u1"]),
-                            float(row["h1_u1"]), float(row["l2_u2"]),
-                            _quality(row))
-                for row in csv.DictReader(fh)]
-
-
-def read_quality_csv(path):
-    """Parse a quality CSV into (case, level, h, dofs, QualityRecord)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [(row["case"], int(row["level"]), float(row["h"]),
-                 int(row["dofs"]), _quality(row))
+        return [LevelRecord(
+                    row["case"], int(row["level"]), float(row["h"]),
+                    int(row["dofs"]),
+                    QualityRecord(*(float(row[name]) for name in QUALITY)),
+                    **{name: float(row[name]) for name in NORMS
+                       if name in row})
                 for row in csv.DictReader(fh)]
 
 

@@ -13,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from biharm.analysis import (fit_quality_rates, gate_failures, l2_error,
-                             run_study)
+from biharm.analysis import gate_failures, l2_error, run_study
 from biharm.biharmonic import solve_mixed_closed, solve_mixed_dirichlet
 from biharm.cli import main
 from biharm.fem import (assemble_mass, assemble_stiffness, interpolate,
@@ -26,7 +25,7 @@ from biharm.surfaces import (cap_case, cap_family, cylinder_case,
 
 from conftest import grid_mesh, tetrahedron
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
-from helpers import (dense_solve_oracle, discrete_laplacian, read_report_csv,
+from helpers import (dense_solve_oracle, discrete_laplacian, read_levels_csv,
                      saddle_system)
 
 
@@ -287,7 +286,7 @@ def test_criterion_7_determinism(tmp_path):
         for name in ("report.csv", "rates.csv"):
             same = (out1 / name).read_bytes() == (out2 / name).read_bytes()
             check(failures, same, f"{name} differs between runs")
-        records = read_report_csv(out1 / "report.csv")
+        records = read_levels_csv(out1 / "report.csv")
         check(failures, len(records) == 3, "report.csv does not parse back")
     announce(7, "determinism", failures,
              "repeated converge runs compared byte for byte")

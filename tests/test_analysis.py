@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from biharm import analysis
-from biharm.analysis import (ConvergenceReport, ErrorRecord,
-                             InsufficientLevelsError, QualityRecord,
-                             certify_quality, fit_quality_rates, fit_rates,
+from biharm.analysis import (NORMS, ConvergenceReport,
+                             InsufficientLevelsError, LevelRecord,
+                             QualityRecord, certify_quality, fit_rates,
                              h1_error, l2_error, lantern_highres_reference,
-                             run_level, run_study, write_quality_csv,
-                             write_rates_csv, write_report_csv)
+                             run_level, run_study, write_levels_csv,
+                             write_rates_csv)
 from biharm.biharmonic import solve_mixed
 from biharm.fem import interpolate
 from biharm.mesh import build_mesh
@@ -20,7 +20,7 @@ from biharm.surfaces import (RefinementFamily, cap_case, cap_family,
                              sphere_family)
 
 from conftest import flat_case, grid_mesh, single_triangle
-from helpers import read_quality_csv, read_rates_csv, read_report_csv
+from helpers import read_levels_csv, read_rates_csv
 
 
 def bary_integral(a, b, c):
@@ -142,7 +142,7 @@ class TestCertifyQuality:
         assert q.kappa_min == pytest.approx(1.0 / (2.0 * np.sqrt(3.0)),
                                             abs=1e-12)
         assert q.K_max == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
-        assert q.max_distance <= 1e-14
+        assert q.max_dist <= 1e-14
         assert q.max_normal_angle <= 1e-7
 
     def test_icosphere_distance_and_normal_decay(self):
@@ -151,7 +151,7 @@ class TestCertifyQuality:
         angles = []
         for level in (1, 2, 3):
             q = certify_quality(gen_icosphere(level), case)
-            dists.append(q.max_distance)
+            dists.append(q.max_dist)
             angles.append(q.max_normal_angle)
         assert dists[1] < 0.35 * dists[0]
         assert dists[2] < 0.35 * dists[1]
@@ -185,25 +185,24 @@ class TestCertifyQuality:
         q2 = certify_quality(moved, case)
         assert q2.kappa_min == pytest.approx(q1.kappa_min, abs=1e-10)
         assert q2.K_max == pytest.approx(q1.K_max, abs=1e-10)
-        assert q2.max_distance == pytest.approx(q1.max_distance, abs=1e-10)
+        assert q2.max_dist == pytest.approx(q1.max_dist, abs=1e-10)
         assert q2.max_normal_angle == pytest.approx(q1.max_normal_angle,
                                                     abs=1e-8)
 
 
 def synthetic_records(hs, slopes, case="synthetic"):
-    """ErrorRecords following exact power laws err = h^slope per norm."""
+    """LevelRecords following exact power laws err = h^slope per norm."""
     records = []
     for i, h in enumerate(hs):
         quality = QualityRecord(
             kappa_min=0.3, K_max=0.6,
-            max_distance=h ** slopes.get("gamma", 2.0),
+            max_dist=h ** slopes.get("gamma", 2.0),
             max_normal_angle=h ** slopes.get("epsilon", 1.0))
-        records.append(ErrorRecord(
-            case, i, h, 100 * (i + 1),
+        records.append(LevelRecord(
+            case, i, h, 100 * (i + 1), quality,
             h ** slopes.get("l2_u1", 1.0),
             h ** slopes.get("h1_u1", 0.75),
-            h ** slopes.get("l2_u2", 0.5),
-            quality))
+            h ** slopes.get("l2_u2", 0.5)))
     return records
 
 
@@ -230,7 +229,7 @@ class TestFitRates:
     def test_finest_subset_ignores_preasymptotic_levels(self):
         records = synthetic_records([0.4, 0.2, 0.1, 0.05, 0.025],
                                     {"l2_u1": 2.0})
-        records[0].l2_u1 = 10.0
+        records[0] = records[0]._replace(l2_u1=10.0)
         report = fit_rates(records)
         assert report.rates["l2_u1"].slope == pytest.approx(2.0, abs=1e-10)
 
@@ -252,13 +251,46 @@ class TestFitRates:
         for name in ("l2_u1", "h1_u1", "l2_u2"):
             assert report.rates[name].slope <= 3.0
 
-    def test_fit_quality_rates_standalone(self):
-        hs = [0.1, 0.05, 0.025]
-        qualities = [QualityRecord(0.3, 0.6, h ** 2, h) for h in hs]
-        out = fit_quality_rates(hs, qualities)
-        assert out["gamma"].slope == pytest.approx(2.0, abs=1e-12)
-        assert out["epsilon"].slope == pytest.approx(1.0, abs=1e-12)
-        assert out["sigma"] == pytest.approx(2.0, abs=1e-12)
+    def test_certified_only_records(self):
+        records = [LevelRecord("synthetic", i, h, 10, QualityRecord(
+                       0.3, 0.6, h ** 2, h))
+                   for i, h in enumerate([0.1, 0.05, 0.025])]
+        report = fit_rates(records)
+        assert list(report.rates) == ["gamma", "epsilon"]
+        assert report.rates["gamma"].slope == pytest.approx(2.0, abs=1e-12)
+        assert report.rates["epsilon"].slope == pytest.approx(1.0, abs=1e-12)
+        assert report.sigma_estimate == pytest.approx(2.0, abs=1e-12)
+        assert report.case == "synthetic"
+
+    def test_zero_value_left_out_of_its_fit(self):
+        # The icosahedron's faces are tangent to the sphere at their
+        # centroids, so its max_normal_angle is exactly 0; clamping it to
+        # a tiny positive value instead drives epsilon to about -565.
+        records = run_study(sphere_family(2, 0, [0, 1, 2])).records
+        assert records[0].quality.max_normal_angle == 0.0
+        report = fit_rates(records)
+        fine = records[1:]
+        expected = (math.log(fine[1].quality.max_normal_angle
+                             / fine[0].quality.max_normal_angle)
+                    / math.log(fine[1].h / fine[0].h))
+        assert report.rates["epsilon"].slope == pytest.approx(expected,
+                                                              rel=1e-12)
+        assert report.rates["epsilon"].slope == pytest.approx(0.729, abs=1e-3)
+        assert report.sigma_estimate == pytest.approx(
+            2.0 * report.rates["epsilon"].slope, rel=1e-12)
+
+    def test_column_with_one_nonzero_value_rejected(self):
+        records = synthetic_records([0.1, 0.05, 0.025], {})
+        records = [r._replace(quality=r.quality._replace(max_normal_angle=0.0))
+                   for r in records[:2]] + records[2:]
+        with pytest.raises(InsufficientLevelsError, match="max_normal_angle"):
+            fit_rates(records)
+
+    def test_norms_fitted_only_where_every_record_carries_them(self):
+        records = synthetic_records([0.1, 0.05, 0.025], {})
+        records[1] = records[1]._replace(h1_u1=None)
+        report = fit_rates(records)
+        assert list(report.rates) == ["l2_u1", "l2_u2", "gamma", "epsilon"]
 
 
 class TestRunStudy:
@@ -304,10 +336,8 @@ class TestRunStudy:
 
 
 def record_fields(record):
-    q = record.quality
-    return (record.case, record.level, record.h, record.dofs, record.l2_u1,
-            record.h1_u1, record.l2_u2, q.kappa_min, q.K_max,
-            q.max_distance, q.max_normal_angle)
+    return (*record[:4], *(getattr(record, name) for name in NORMS),
+            *record.quality)
 
 
 class TestBlockedPass:
@@ -338,7 +368,7 @@ class TestBlockedPass:
         assert record_fields(record)[4:] == (
             l2_error(mesh, sol.u1, case), h1_error(mesh, sol.u1, case),
             l2_error(mesh, sol.u2, case, reference="lap_u"),
-            q.kappa_min, q.K_max, q.max_distance, q.max_normal_angle)
+            *q)
 
     def test_h1_error_memory_bounded_per_face(self):
         # Holding every quadrature point of the mesh at once took about
@@ -358,10 +388,10 @@ class TestBlockedPass:
 class TestCsvRoundTrips:
     def test_report_round_trip(self, tmp_path):
         records = synthetic_records([0.1, 0.05, 0.025], {})
-        records[0].l2_u1 = 1.0 / 3.0
+        records[0] = records[0]._replace(l2_u1=1.0 / 3.0)
         path = tmp_path / "report.csv"
-        write_report_csv(path, records)
-        back = read_report_csv(path)
+        write_levels_csv(path, records)
+        back = read_levels_csv(path)
         assert len(back) == 3
         for a, b in zip(records, back):
             assert b.case == a.case
@@ -375,29 +405,33 @@ class TestCsvRoundTrips:
     def test_twelve_significant_digits(self, tmp_path):
         records = synthetic_records([1.0 / 3.0, 0.05, 0.025], {})
         path = tmp_path / "report.csv"
-        write_report_csv(path, records)
+        write_levels_csv(path, records)
         text = path.read_text()
         assert "0.333333333333" in text
 
     def test_report_header(self, tmp_path):
         records = synthetic_records([0.1, 0.05, 0.025], {})
         path = tmp_path / "report.csv"
-        write_report_csv(path, records)
+        write_levels_csv(path, records)
         first = path.read_text().splitlines()[0]
         assert first == ("case,level,h,dofs,l2_u1,h1_u1,l2_u2,"
                          "kappa_min,K_max,max_dist,max_normal_angle")
 
     def test_quality_round_trip(self, tmp_path):
-        records = synthetic_records([0.1, 0.05, 0.025], {})
+        records = [r._replace(**dict.fromkeys(NORMS))
+                   for r in synthetic_records([0.1, 0.05, 0.025], {})]
         path = tmp_path / "quality.csv"
-        write_quality_csv(path, records)
-        back = read_quality_csv(path)
+        write_levels_csv(path, records)
+        assert path.read_text().splitlines()[0] == (
+            "case,level,h,dofs,kappa_min,K_max,max_dist,max_normal_angle")
+        back = read_levels_csv(path)
         assert len(back) == 3
-        case, level, h, dofs, quality = back[1]
-        assert case == "synthetic"
-        assert level == 1
-        assert h == pytest.approx(0.05, rel=1e-11)
-        assert quality.max_normal_angle == pytest.approx(0.05, rel=1e-11)
+        assert back[1].case == "synthetic"
+        assert back[1].level == 1
+        assert back[1].h == pytest.approx(0.05, rel=1e-11)
+        assert back[1].l2_u1 is None
+        assert back[1].quality.max_normal_angle == pytest.approx(
+            0.05, rel=1e-11)
 
     def test_rates_flags(self, tmp_path):
         good = fit_rates(synthetic_records(

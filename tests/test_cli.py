@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -17,8 +18,7 @@ from biharm.cli import main
 from biharm.mesh import read_obj, write_obj
 
 from conftest import grid_mesh, tetrahedron
-from helpers import (read_quality_csv, read_rates_csv, read_report_csv,
-                     read_solution_csv)
+from helpers import read_levels_csv, read_rates_csv, read_solution_csv
 
 
 @pytest.fixture
@@ -199,7 +199,7 @@ class TestConverge:
         code = main(["converge", "--case", "cap", "--levels", "2,4,8",
                      "--out", str(out)])
         assert code == 0
-        records = read_report_csv(out / "report.csv")
+        records = read_levels_csv(out / "report.csv")
         assert len(records) == 3
         assert all(r.case == "cap" for r in records)
         rates = read_rates_csv(out / "rates.csv")
@@ -231,7 +231,7 @@ class TestConverge:
         code = main(["converge", "--case", case, "--mass", "lumped",
                      "--out", str(out)])
         assert code == 0
-        assert len(read_report_csv(out / "report.csv")) == 4
+        assert len(read_levels_csv(out / "report.csv")) == 4
 
     def test_lumped_on_sphere_exit_2(self, tmp_path, capsys):
         code = main(["solve", "--case", "sphere", "--mass", "lumped",
@@ -312,7 +312,7 @@ class TestConverge:
                      "highres", "--levels", "4,8,16", "--check",
                      "--out", str(out)])
         assert code == 0
-        records = read_report_csv(out / "report.csv")
+        records = read_levels_csv(out / "report.csv")
         assert [r.case for r in records] == ["lantern-linear-highres"] * 3
 
     def test_bad_tolerance_exit_2(self, tmp_path):
@@ -330,17 +330,14 @@ class TestQuality:
         captured = capsys.readouterr()
         assert "gamma estimate" in captured.out
         assert "warning" not in captured.err
-        rows = read_quality_csv(out / "quality.csv")
-        assert len(rows) == 5
-        hs = [row[2] for row in rows]
-        qualities = [row[4] for row in rows]
-        from biharm.analysis import fit_quality_rates
-        fits = fit_quality_rates(hs, qualities)
-        assert fits["gamma"].slope >= 1.9
+        records = read_levels_csv(out / "quality.csv")
+        assert len(records) == 5
+        report = analysis.fit_rates(records)
+        assert report.rates["gamma"].slope >= 1.9
         # The epsilon fit over these five levels lands just below 0.9
         # (0.898 measured); it keeps rising toward 1 on finer levels.
-        assert fits["epsilon"].slope >= 0.85
-        assert fits["sigma"] >= 1.5
+        assert report.rates["epsilon"].slope >= 0.85
+        assert report.sigma_estimate >= 1.5
 
     def test_quadratic_lantern_quality_has_large_sigma(self, tmp_path,
                                                        capsys):
@@ -358,8 +355,8 @@ class TestQuality:
         captured = capsys.readouterr()
         assert "warning: sigma estimate" in captured.err
         assert "below 3/2" in captured.err
-        rows = read_quality_csv(out / "quality.csv")
-        kappas = [row[4].kappa_min for row in rows]
+        kappas = [r.quality.kappa_min
+                  for r in read_levels_csv(out / "quality.csv")]
         assert kappas[2] < 0.6 * kappas[0]
 
     def test_repeated_levels_exit_2(self, tmp_path, capsys):
@@ -391,8 +388,20 @@ class TestQuality:
         code = main(["quality", "--mesh", str(tet_obj), "--case", "sphere",
                      "--out", str(out)])
         assert code == 0
-        rows = read_quality_csv(out / "quality.csv")
-        assert len(rows) == 1
+        assert len(read_levels_csv(out / "quality.csv")) == 1
+
+    def test_cells_match_converge_report(self, tmp_path):
+        # Both commands write the one level table; a certified level
+        # carries the same cells as a solved one, without the norms.
+        args = ["--case", "cap", "--levels", "8,16,32", "--out"]
+        assert main(["quality", *args, str(tmp_path / "q")]) == 0
+        assert main(["converge", *args, str(tmp_path / "c")]) == 0
+        with open(tmp_path / "q" / "quality.csv", encoding="utf-8") as fh:
+            quality = list(csv.DictReader(fh))
+        with open(tmp_path / "c" / "report.csv", encoding="utf-8") as fh:
+            report = list(csv.DictReader(fh))
+        assert len(quality) == 3
+        assert quality == [{k: row[k] for k in quality[0]} for row in report]
 
 
 class TestFileErrors:

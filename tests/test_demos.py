@@ -1,5 +1,6 @@
 """Every demo, and every python example of README.md, runs to
-completion against the package in ``src``.
+completion against the package in ``src``, and every name the package
+exports resolves.
 
 Each script is copied into a temporary directory and run from there, so
 a deleted or renamed public name fails here, and scripts that write
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import biharm
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -43,3 +46,11 @@ def test_readme_examples_run(tmp_path):
                                 env=env, capture_output=True, text=True,
                                 timeout=300)
         assert result.returncode == 0, result.stderr
+
+
+def test_exported_names_resolve():
+    namespace = {}
+    exec("from biharm import *", namespace)
+    assert len(set(biharm.__all__)) == len(biharm.__all__)
+    for name in biharm.__all__:
+        assert namespace[name] is getattr(biharm, name)
