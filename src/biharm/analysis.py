@@ -67,25 +67,9 @@ _QUAD_WEIGHTS = np.array([0.223381589678011, 0.223381589678011,
 # 6.4, 10.4, 18.6 MiB (cap rings 128) and 8.7, 15.4, 28.8 MiB
 # (icosphere 6), against 92 and 130 MiB for the whole mesh at once.
 _FACE_BLOCK = 4096
-
-
-def _face_blocks(mesh, case):
-    """Quadrature points of a mesh and their closest points on a
-    surface, one block of at most ``_FACE_BLOCK`` faces at a time.
-
-    Yields
-    ------
-    faces : slice
-        The faces of the block.
-    points, projected : ndarray, shape (b * q, 3)
-        Their points at ``_QUAD_POINTS``, face by face, and the closest
-        points on the surface of ``case``.
-    """
-    for start in range(0, mesh.n_faces, _FACE_BLOCK):
-        faces = slice(start, min(start + _FACE_BLOCK, mesh.n_faces))
-        points = np.matmul(_QUAD_POINTS, mesh.vertices[mesh.faces[faces]])
-        points = points.reshape(-1, 3)
-        yield faces, points, case.closest_point(points)
+# Positions of u, grad u and Delta u in what ``SurfaceCase.solution``
+# returns.
+_U, _GRAD_U, _LAP_U = range(3)
 
 
 class QualityRecord(namedtuple("QualityRecord", QUALITY)):
@@ -160,11 +144,11 @@ def l2_error(mesh, u_h, case, reference="u"):
     float
     """
     u_h = nodal_field(mesh, u_h)
-    exact = {"u": case.exact_u, "lap_u": case.exact_lap_u}.get(reference)
-    if exact is None:
+    field = {"u": _U, "lap_u": _LAP_U}.get(reference)
+    if field is None:
         raise ValueError(
             f"reference must be 'u' or 'lap_u', got {reference!r}")
-    (err,), _ = _measure(mesh, case, [(_l2_sq, u_h, exact)])
+    (err,), _ = _measure(mesh, case, [(_l2_sq, u_h, field)])
     return err
 
 
@@ -176,7 +160,7 @@ def h1_error(mesh, u_h, case):
     gradient projected onto the face plane.
     """
     u_h = np.asarray(u_h, dtype=float)
-    (err,), _ = _measure(mesh, case, [(_h1_sq, u_h, case.exact_grad_u)])
+    (err,), _ = _measure(mesh, case, [(_h1_sq, u_h, _GRAD_U)])
     return err
 
 
@@ -193,18 +177,18 @@ def certify_quality(mesh, case):
     return _measure(mesh, case, certify=True)[1]
 
 
-def _l2_sq(mesh, faces, projected, u_h, exact):
+def _l2_sq(mesh, faces, u_h, exact):
     """Per-face quadrature of (u_h - exact)^2, per unit area."""
-    vals_exact = np.asarray(exact(projected)).reshape(-1, _QUAD_WEIGHTS.size)
+    vals_exact = np.asarray(exact).reshape(-1, _QUAD_WEIGHTS.size)
     vals_h = np.einsum("qk,fk->fq", _QUAD_POINTS, u_h[mesh.faces[faces]])
     return np.sum((vals_h - vals_exact) ** 2 * _QUAD_WEIGHTS[None, :], axis=1)
 
 
-def _h1_sq(mesh, faces, projected, u_h, exact_grad):
+def _h1_sq(mesh, faces, u_h, exact_grad):
     """Per-face quadrature of |grad u_h - exact_grad|^2, per unit area,
     with exact_grad projected onto the face plane."""
     grads = p1_gradients(mesh, u_h, faces)            # (b, 3)
-    g_exact = np.asarray(exact_grad(projected))
+    g_exact = np.asarray(exact_grad)
     g_exact = g_exact.reshape(-1, _QUAD_WEIGHTS.size, 3)    # (b, q, 3)
     normals = mesh.face_normals[faces]
     g_tan = g_exact - np.einsum("fqd,fd->fq", g_exact,
@@ -215,16 +199,22 @@ def _h1_sq(mesh, faces, projected, u_h, exact_grad):
 
 def _measure(mesh, case, norms=(), certify=False):
     """Error norms and the quality certificate of a mesh in one pass
-    over its face blocks.
+    over blocks of at most ``_FACE_BLOCK`` faces.
 
-    The per-face values of every norm fill whole-mesh arrays, summed
-    once at the end, so the result does not depend on the block size.
+    Each block evaluates the signed distance once, at its quadrature
+    points and, to certify, at its face centroids; the closest points
+    and the distances of the certificate both come from that d.  The
+    exact fields come from one ``case.solution`` call at the closest
+    points.  The per-face values of every norm fill whole-mesh arrays,
+    summed once at the end, so the result does not depend on the block
+    size.
 
     Parameters
     ----------
-    norms : sequence of (kernel, u_h, exact)
-        ``_l2_sq`` or ``_h1_sq``, a nodal field and the exact field it
-        is measured against.
+    norms : sequence of (kernel, u_h, field)
+        ``_l2_sq`` or ``_h1_sq``, a nodal field and the index (``_U``,
+        ``_GRAD_U`` or ``_LAP_U``) of the exact field it is measured
+        against.
     certify : bool
         Also certify the mesh against the surface of ``case``.
 
@@ -236,15 +226,23 @@ def _measure(mesh, case, norms=(), certify=False):
     """
     sq = np.empty((len(norms), mesh.n_faces))
     dist, angle = [], []
-    for faces, points, projected in _face_blocks(mesh, case):
-        for row, (kernel, u_h, exact) in zip(sq, norms):
-            row[faces] = kernel(mesh, faces, projected, u_h, exact)
+    for start in range(0, mesh.n_faces, _FACE_BLOCK):
+        faces = slice(start, min(start + _FACE_BLOCK, mesh.n_faces))
+        corners = mesh.vertices[mesh.faces[faces]]
+        points = np.matmul(_QUAD_POINTS, corners).reshape(-1, 3)
+        n_points = points.shape[0]
         if certify:
-            dist.append(np.abs(case.distance(points)[0]).max())
-            centroids = mesh.vertices[mesh.faces[faces]].mean(axis=1)
-            surf_normals = case.normal_at(centroids)
+            points = np.concatenate([points, corners.mean(axis=1)])
+        d, grad = case.distance(points)
+        if norms:
+            fields = case.solution(points[:n_points] - d[:n_points, None]
+                                   * grad[:n_points])
+            for row, (kernel, u_h, field) in zip(sq, norms):
+                row[faces] = kernel(mesh, faces, u_h, fields[field])
+        if certify:
+            dist.append(np.abs(d[:n_points]).max())
             dots = np.clip(np.einsum("fd,fd->f", mesh.face_normals[faces],
-                                     surf_normals), -1.0, 1.0)
+                                     grad[n_points:]), -1.0, 1.0)
             angle.append(np.arccos(dots).max())
     errors = [float(np.sqrt(np.sum(mesh.face_areas * row))) for row in sq]
     if not certify:
@@ -340,9 +338,8 @@ def run_level(family, level, tol=DEFAULT_TOL, mass_mode="consistent"):
         raise type(exc)(f"{family.label} level {level} "
                         f"({mesh.n_vertices} vertices): {exc}") from exc
     (l2_u1, h1_u1, l2_u2), quality = _measure(
-        mesh, case,
-        [(_l2_sq, sol.u1, case.exact_u), (_h1_sq, sol.u1, case.exact_grad_u),
-         (_l2_sq, sol.u2, case.exact_lap_u)], certify=True)
+        mesh, case, [(_l2_sq, sol.u1, _U), (_h1_sq, sol.u1, _GRAD_U),
+                     (_l2_sq, sol.u2, _LAP_U)], certify=True)
     return LevelRecord(family.label, level, max_edge_length(mesh),
                        mesh.n_vertices, quality, l2_u1, h1_u1, l2_u2)
 
@@ -483,19 +480,14 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     u2_ring = sol.u2.reshape(-1, m_ref).mean(axis=1)
     slope = np.diff(u1_ring) / np.diff(z_ring)
 
-    def z_of(p):
-        return np.asarray(p, dtype=float)[..., 2]
-
-    def grad_field(p):
-        band = np.clip(np.searchsorted(z_ring, z_of(p), "right") - 1,
-                       0, n_ref - 1)
-        return np.multiply.outer(slope[band], [0.0, 0.0, 1.0])
+    def solution(p):
+        z = np.asarray(p, dtype=float)[..., 2]
+        band = np.clip(np.searchsorted(z_ring, z, "right") - 1, 0, n_ref - 1)
+        return (np.interp(z, z_ring, u1_ring),
+                np.multiply.outer(slope[band], [0.0, 0.0, 1.0]),
+                np.interp(z, z_ring, u2_ring))
 
     return SurfaceCase(
         "cylinder-highres",
         {"radius": radius, "height": height, "n_ref": n_ref},
-        base.distance,
-        exact_u=lambda p: np.interp(z_of(p), z_ring, u1_ring),
-        exact_grad_u=grad_field,
-        exact_lap_u=lambda p: np.interp(z_of(p), z_ring, u2_ring),
-        exact_f=base.exact_f)
+        base.distance, solution, base.exact_f)

@@ -94,13 +94,16 @@ def nested_dissection(matrix, points):
 
     Every subdomain (initially all vertices) with more than ``_ND_LEAF``
     vertices is split at the median of its coordinates along its axis
-    of largest variance.  The separator is one-sided: the low-side
-    vertices with a high-side neighbour in the graph of ``matrix``.  A
-    subdomain is ordered as its low part, then its high part, then its
-    separator; leaves keep their index order.  All subdomains of one
-    level are split together, so the work per level is a few passes
-    over the vertices and edges (A. George, "Nested dissection of a
-    regular finite element mesh", SIAM J. Numer. Anal. 10, 1973).
+    of largest variance, ties between equal coordinates broken by
+    vertex index.  The separator is one-sided: the low-side vertices
+    with a high-side neighbour in the graph of ``matrix``.  A subdomain
+    is ordered as its low part, then its high part, then its separator;
+    leaves keep their index order.  All subdomains of one level are
+    split together, so the work per level is a few passes over the
+    vertices still being dissected and over the edges (A. George,
+    "Nested dissection of a regular finite element mesh", SIAM J.
+    Numer. Anal. 10, 1973).  Each axis is ranked once, so a level finds
+    its medians with one sort of integer keys.
 
     The order is a permutation for any ``points``, including repeated
     coordinates and disconnected graphs; the points only decide how
@@ -126,47 +129,53 @@ def nested_dissection(matrix, points):
             f"cannot order a {matrix.shape} matrix by points of shape "
             f"{points.shape}")
     graph = sp.triu(matrix, k=1, format="coo")
-    rows, cols = graph.row, graph.col
-    # dom: subdomain of each vertex still to be dissected, -1 once it is
-    # in a separator or a leaf.  key: base-3 digits (0 low, 1 high,
-    # 2 separator) of the vertex's path through the dissection tree.
-    dom = np.zeros(n, dtype=np.int64) if n > _ND_LEAF else np.full(n, -1)
+    rows, cols = graph.row.astype(np.intp), graph.col.astype(np.intp)
+    # rank[a * n + i]: position of vertex i in the order of axis a, so
+    # comparing ranks compares (coordinate, index).
+    rank = np.empty(points.shape[::-1], dtype=np.int64)
+    for r, c in zip(rank, points.T):
+        r[np.argsort(c, kind="stable")] = np.arange(n)
+    rank = rank.ravel()
+    # key: base-3 digits (0 low, 1 high, 2 separator) of each vertex's
+    # path through the dissection tree.  code: 2 dom + side of each
+    # vertex still to be dissected, -1 once it is in a separator or a
+    # leaf, so an edge joins the two sides of one subdomain exactly
+    # when its end codes differ in the last bit only.  A separator
+    # vertex leaves the dissection, so its flag is never read again.
     key = np.zeros(n, dtype=np.int64)
-    while True:
-        active = np.flatnonzero(dom >= 0)
-        if active.size == 0:
-            break
-        d = dom[active]
-        count = np.bincount(d)
-        pts = points[active]
-        mean = np.stack([np.bincount(d, weights=c) for c in pts.T],
-                        axis=1) / np.maximum(count, 1)[:, None]
-        spread = np.stack([np.bincount(d, weights=c * c)
-                           for c in (pts - mean[d]).T], axis=1)
-        coord = pts[np.arange(active.size), np.argmax(spread, axis=1)[d]]
-        order = np.lexsort((coord, d))
-        rank = np.empty(active.size, dtype=np.int64)
-        rank[order] = np.arange(active.size) - (np.cumsum(count)
-                                                - count)[d[order]]
-        side = np.full(n, -1, dtype=np.int64)
-        side[active] = rank >= count[d] // 2
-        # Edges inside one subdomain of this level; edges already cut
-        # never join a subdomain again.
-        dom_rows = dom[rows]
-        inside = (dom_rows >= 0) & (dom_rows == dom[cols])
-        rows, cols = rows[inside], cols[inside]
-        cut = side[rows] != side[cols]
-        u, v = rows[cut], cols[cut]
-        separator = np.zeros(n, dtype=bool)
-        separator[np.where(side[u] == 0, u, v)] = True
-        digit = side[active]
+    code = np.full(n, -1, dtype=np.intp)
+    separator = np.zeros(n, dtype=bool)
+    # The vertices still to be dissected, their subdomains, the
+    # subdomain sizes and the vertices' coordinates, one row per axis.
+    active = np.arange(n if n > _ND_LEAF else 0)
+    dom = np.zeros(active.size, dtype=np.intp)
+    count = np.array([active.size])
+    pts = points[active].T.copy()
+    while active.size:
+        mean = np.stack([np.bincount(dom, weights=c, minlength=count.size)
+                         for c in pts], axis=1) / np.maximum(count, 1)[:, None]
+        spread = np.stack([np.bincount(dom, weights=(c - m[dom]) ** 2,
+                                       minlength=count.size)
+                           for c, m in zip(pts, mean.T)], axis=1)
+        keys = dom * n + rank[np.argmax(spread, axis=1)[dom] * n + active]
+        median = np.sort(keys)[np.cumsum(count) - count + count // 2]
+        high = keys >= median[dom]
+        code[active] = 2 * dom + high
+        ends = code[rows]
+        pair = (ends ^ 1) == code[cols]
+        separator[np.where(ends[pair] & 1, cols[pair], rows[pair])] = True
+        digit = high.astype(np.intp)
         digit[separator[active]] = 2
         key *= 3
         key[active] += digit
-        child = 2 * d + digit
+        child = 2 * dom + digit
         split = digit < 2
-        size = np.bincount(child[split], minlength=child.max() + 1)
-        dom[active] = np.where(split & (size[child] > _ND_LEAF), child, -1)
+        count = np.bincount(child[split], minlength=child.max() + 1)
+        keep = split & (count[child] > _ND_LEAF)
+        count = np.trim_zeros(np.where(count > _ND_LEAF, count, 0), "b")
+        code[active[~keep]] = -1
+        active, dom = active[keep], child[keep]
+        pts = np.compress(keep, pts, axis=1)
     return np.argsort(key, kind="stable")
 
 

@@ -116,27 +116,48 @@ def _face_geometry(vertices, faces):
     Edge k of a face is the edge opposite corner k.  Returns
     (areas, unit_normals, edge_lengths, cotangents); raises
     DegenerateFaceError when any face area is numerically zero relative
-    to its longest edge.
+    to its longest edge.  The arithmetic runs on one coordinate of one
+    edge of every face at a time, summing x, y and z in that order, and
+    the corners' (3, 3, F) array is reused for every product.
     """
-    p = vertices[faces]                 # (F, 3, 3)
+    # p[c, k]: coordinate c of corner k of every face.
+    p = np.take(np.ascontiguousarray(vertices.T), faces.T, axis=1)
     # Edge vector opposite corner k points from corner k+1 to corner k+2.
-    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]    # (F, 3, 3)
-    lengths = np.linalg.norm(e, axis=2)            # (F, 3)
-    cross = np.cross(e[:, 1, :], e[:, 2, :])       # = (p0-p2) x (p1-p0)
-    doubled = np.linalg.norm(cross, axis=1)
-    longest_sq = np.max(lengths, axis=1) ** 2
+    e = np.empty_like(p)
+    for k in range(3):
+        np.subtract(p[:, (k + 2) % 3], p[:, (k + 1) % 3], out=e[:, k])
+    work = np.multiply(e, e, out=p)
+    lengths = work[0] + work[1]                      # (3, F)
+    lengths += work[2]
+    np.sqrt(lengths, out=lengths)
+    # cross = e1 x e2 = (p0-p2) x (p1-p0)
+    a, b = e[:, 1], e[:, 2]
+    cross, tmp = np.empty_like(a), np.empty_like(a[0])
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(a[i], b[j], out=cross[k])
+        cross[k] -= np.multiply(a[j], b[i], out=tmp)
+    sq = np.multiply(cross, cross, out=work[0])
+    doubled = sq[0] + sq[1]
+    doubled += sq[2]
+    np.sqrt(doubled, out=doubled)
+    longest_sq = np.max(lengths, axis=0) ** 2
     bad = doubled <= 2.0 * _DEGENERATE_REL_AREA * longest_sq
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise DegenerateFaceError(
             f"face {idx} has (numerically) zero area")
     areas = 0.5 * doubled
-    normals = cross / doubled[:, None]
+    cross /= doubled
     # Angle at corner k: the edge vectors leaving corner k are e_{k+2}
     # and -e_{k+1}, hence cot_k = -(e_{k+1} . e_{k+2}) / (2 area).
-    dots = -np.sum(e[:, [1, 2, 0], :] * e[:, [2, 0, 1], :], axis=2)
-    cots = dots / doubled[:, None]
-    return areas, normals, lengths, cots
+    for k in range(3):
+        np.multiply(e[:, (k + 1) % 3], e[:, (k + 2) % 3], out=work[:, k])
+    cots = work[0] + work[1]
+    cots += work[2]
+    np.negative(cots, out=cots)
+    cots /= doubled
+    return areas, cross.T.copy(), lengths.T.copy(), cots.T.copy()
 
 
 def build_mesh(vertices, faces):
@@ -184,32 +205,35 @@ def build_mesh(vertices, faces):
 
     areas, normals, lengths, cots = _face_geometry(vertices, faces)
 
-    # Directed edges in traversal order, one triple per face.
+    # Directed edges in traversal order, one triple per face, sorted by
+    # their undirected key; each run of equal keys is one edge, and
+    # ``first`` holds the directed edge that starts it.
     directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                                faces[:, [2, 0]]], axis=0)
     lo = np.minimum(directed[:, 0], directed[:, 1])
     hi = np.maximum(directed[:, 0], directed[:, 1])
     keys = lo * np.int64(n) + hi
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq_keys, start, counts = np.unique(sorted_keys, return_index=True,
-                                         return_counts=True)
+    keys = keys[order]
+    runs = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+    start = np.flatnonzero(runs)
+    counts = np.diff(start, append=order.size)
+    first = order[start]
     if np.any(counts > 2):
-        k = uniq_keys[np.argmax(counts > 2)]
+        k = first[np.argmax(counts > 2)]
         raise NonManifoldEdgeError(
-            f"edge ({k // n}, {k % n}) shared by more than two faces")
+            f"edge ({lo[k]}, {hi[k]}) shared by more than two faces")
     # A manifold interior edge appears once in each direction.  Two
-    # identical directed copies mean the incident faces disagree on
-    # orientation.
-    interior = counts == 2
-    if np.any(interior):
-        first = order[start[interior]]
-        second = order[start[interior] + 1]
-        same = np.all(directed[first] == directed[second], axis=1)
-        if np.any(same):
-            a, b = directed[first[np.argmax(same)]]
-            raise InconsistentOrientationError(
-                f"faces disagree on orientation across edge ({a}, {b})")
+    # copies that start at the same vertex mean the incident faces
+    # disagree on orientation.
+    interior = start[counts == 2]
+    same = (directed[order[interior], 0]
+            == directed[order[interior + 1], 0])
+    if np.any(same):
+        a, b = directed[order[interior[np.argmax(same)]]]
+        raise InconsistentOrientationError(
+            f"faces disagree on orientation across edge ({a}, {b})")
 
     unreferenced = np.flatnonzero(np.bincount(faces.ravel(), minlength=n)
                                   == 0)
@@ -218,9 +242,8 @@ def build_mesh(vertices, faces):
             f"vertex {unreferenced[0]} belongs to no face "
             f"({unreferenced.size} unreferenced vertices)")
 
-    edges = np.stack([uniq_keys // n, uniq_keys % n], axis=1)
-    boundary_mask = counts == 1
-    boundary_edges = directed[order[start[boundary_mask]]]
+    edges = np.stack([lo[first], hi[first]], axis=1)
+    boundary_edges = directed[first[counts == 1]]
     if boundary_edges.size:
         boundary_vertices = np.unique(boundary_edges)
     else:

@@ -3,8 +3,9 @@ generators for the three experiment families: spherical cap with
 boundary, closed sphere, and Schwarz lantern (inscribed cylinder).
 
 Each surface comes as a :class:`SurfaceCase` bundling the signed
-distance d of the surface, and a manufactured exact solution u with its
-surface gradient, Laplacian and bi-Laplacian.  The closest point
+distance d of the surface, one function returning a manufactured exact
+solution u with its surface gradient and Laplacian, and its
+bi-Laplacian.  The closest point
 a(x) = x - d(x) grad d(x) and the normal grad d derive from d, as in
 Dziuk & Elliott (Acta Numerica 22, 2013).  The distance, and so the
 closest point, belong to the smooth extension of each surface: the
@@ -18,8 +19,9 @@ leading shape (..., 3), a single point of shape (3,) included, and
 return one value or vector per point.
 """
 
+import math
+
 import numpy as np
-from scipy.special import lpmv
 
 from .mesh import build_mesh
 
@@ -57,34 +59,36 @@ class SurfaceCase:
     The geometry is one signed distance d of the smooth surface the case
     lies on (the whole sphere, the infinite cylinder), so the closest
     point of a point beyond the cap's rim lies on the sphere, and that
-    of a point above the cylinder's rims keeps its height.
+    of a point above the cylinder's rims keeps its height.  The solution
+    is one function returning u, its surface gradient and its Laplacian
+    together, so a caller that needs all three, such as the error pass,
+    evaluates them once per point; ``exact_u``, ``exact_grad_u`` and
+    ``exact_lap_u`` derive from it, as ``closest_point`` and
+    ``normal_at`` derive from the distance.
 
     Attributes
     ----------
     kind : str
-        "sphere", "cap" or "cylinder".
+        "sphere", "cap", "cylinder" or "cylinder-highres".
     params : dict
         Defining parameters (radius, opening angle, ...).
     distance : callable
         Maps points to ``(d, grad_d)``: the signed distance, positive
         on the outside, and its gradient, the outward unit normal.
-    exact_u, exact_lap_u, exact_f : callable
-        Manufactured solution, its Laplacian (positive semidefinite
-        convention) and its bi-Laplacian, as scalar fields on the
-        surface.
-    exact_grad_u : callable
-        Surface gradient of the solution as ambient 3-vectors tangent
-        to the surface.
+    solution : callable
+        Maps points of the surface to ``(u, grad_u, lap_u)``: the
+        manufactured solution, its surface gradient as ambient
+        3-vectors tangent to the surface, and its Laplacian (positive
+        semidefinite convention).
+    exact_f : callable
+        Bi-Laplacian of the solution, the load of the problem.
     """
 
-    def __init__(self, kind, params, distance, exact_u, exact_grad_u,
-                 exact_lap_u, exact_f):
+    def __init__(self, kind, params, distance, solution, exact_f):
         self.kind = kind
         self.params = dict(params)
         self.distance = distance
-        self.exact_u = exact_u
-        self.exact_grad_u = exact_grad_u
-        self.exact_lap_u = exact_lap_u
+        self.solution = solution
         self.exact_f = exact_f
 
     def closest_point(self, p):
@@ -96,6 +100,18 @@ class SurfaceCase:
         """Outward unit normal grad d(p), the same at every point of the
         normal line through a surface point."""
         return self.distance(p)[1]
+
+    def exact_u(self, p):
+        """The solution u."""
+        return self.solution(p)[0]
+
+    def exact_grad_u(self, p):
+        """Surface gradient of u, tangent to the surface."""
+        return self.solution(p)[1]
+
+    def exact_lap_u(self, p):
+        """Laplacian of u (positive semidefinite convention)."""
+        return self.solution(p)[2]
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -161,31 +177,22 @@ def cap_case(radius, theta0):
     radius = _dimension("radius", radius)
     c = np.cos(theta0)
 
-    def costheta(p):
-        return _radial(p)[1][..., 2]
-
-    def exact_u(p):
-        return (costheta(p) - c) ** 2
-
-    def exact_grad_u(p):
+    def solution(p):
         unit = _radial(p)[1]
         x = unit[..., 2]
         ez = np.zeros_like(unit)
         ez[..., 2] = 1.0
-        return ((2.0 / radius) * (x - c)[..., None]
+        grad = ((2.0 / radius) * (x - c)[..., None]
                 * (ez - x[..., None] * unit))
-
-    def exact_lap_u(p):
-        x = costheta(p)
-        return (6.0 * x**2 - 4.0 * c * x - 2.0) / radius**2
+        return ((x - c) ** 2, grad,
+                (6.0 * x**2 - 4.0 * c * x - 2.0) / radius**2)
 
     def exact_f(p):
-        x = costheta(p)
+        x = _radial(p)[1][..., 2]
         return (36.0 * x**2 - 8.0 * c * x - 12.0) / radius**4
 
     return SurfaceCase("cap", {"radius": radius, "theta0": theta0},
-                       _sphere_distance(radius), exact_u, exact_grad_u,
-                       exact_lap_u, exact_f)
+                       _sphere_distance(radius), solution, exact_f)
 
 
 def cylinder_case(radius, height):
@@ -212,32 +219,70 @@ def cylinder_case(radius, height):
                             "on the cylinder axis")
         return rho - radius, unit
 
-    def exact_u(p):
-        z = np.asarray(p, dtype=float)[..., 2]
-        return (z**2 - a**2) ** 2
-
-    def exact_grad_u(p):
+    def solution(p):
         pts = np.asarray(p, dtype=float)
         z = pts[..., 2]
         grad = np.zeros_like(pts)
         grad[..., 2] = 4.0 * z * (z**2 - a**2)
-        return grad
-
-    def exact_lap_u(p):
-        z = np.asarray(p, dtype=float)[..., 2]
-        return 4.0 * a**2 - 12.0 * z**2
+        return (z**2 - a**2) ** 2, grad, 4.0 * a**2 - 12.0 * z**2
 
     def exact_f(p):
         return np.full(np.shape(p)[:-1], 24.0)
 
     return SurfaceCase("cylinder", {"radius": radius, "height": height},
-                       distance, exact_u, exact_grad_u, exact_lap_u, exact_f)
+                       distance, solution, exact_f)
+
+
+def _harmonic(degree, order, p, gradient=False):
+    """Real spherical harmonic of :func:`real_harmonic` at the radial
+    projections u = p/|p| of points, and with ``gradient`` its surface
+    gradient on the unit sphere.
+
+    In Cartesian form, Y = Q(u_z) Re (u_x + i u_y)^m for m >= 0 and
+    Q(u_z) Im (u_x + i u_y)^|m| for m < 0, where
+    P_l^|m|(z) = (1 - z^2)^(|m|/2) Q(z).  The polynomial Q follows the
+    three-term Legendre recurrence in l,
+    (l - |m|) Q_l = (2l - 1) z Q_{l-1} - (l + |m| - 1) Q_{l-2},
+    from Q_|m| = (-1)^m (2|m| - 1)!!.  The surface gradient is the
+    tangential part of the ambient gradient of that polynomial in u,
+    which is defined at the poles as well.
+    """
+    l, ma = degree, abs(order)
+    unit = _radial(p)[1]
+    x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
+    # (re, im) = (u_x + i u_y)^|m|, and (re_low, im_low) the power below.
+    re, im = np.ones_like(z), np.zeros_like(z)
+    re_low = im_low = 0.0
+    for _ in range(ma):
+        re_low, im_low = re, im
+        re, im = re * x - im * y, re * y + im * x
+    # Q and dQ/dz at degree k, and at degree k - 1.
+    q = np.full_like(z, (-1) ** ma * float(math.prod(range(1, 2 * ma, 2))))
+    q_low = dq = dq_low = 0.0
+    for k in range(ma + 1, l + 1):
+        a, b = 2 * k - 1, k + ma - 1
+        q_low, q, dq_low, dq = q, (a * z * q - b * q_low) / (k - ma), dq, (
+            a * (q + z * dq) - b * dq_low) / (k - ma)
+    trig = re if order >= 0 else im
+    if not gradient:
+        return q * trig
+    # d/dx and d/dy of Re w^|m| are |m| Re w^(|m|-1) and -|m| Im
+    # w^(|m|-1); those of Im w^|m| are |m| Im and |m| Re w^(|m|-1).
+    if order >= 0:
+        gx, gy = ma * q * re_low, -ma * q * im_low
+    else:
+        gx, gy = ma * q * im_low, ma * q * re_low
+    gz = dq * trig
+    radial = gx * x + gy * y + gz * z
+    return q * trig, np.stack([gx - radial * x, gy - radial * y,
+                               gz - radial * z], axis=-1)
 
 
 def real_harmonic(degree, order):
     """Real spherical harmonic Y_l^m as a function of ambient points.
 
-    Uses the unnormalized associated Legendre convention:
+    Uses the unnormalized associated Legendre convention, with the
+    Condon-Shortley phase:
     Y = P_l^m(cos theta) cos(m phi) for m >= 0 and
     Y = P_l^|m|(cos theta) sin(|m| phi) for m < 0, evaluated on the
     radial projection of the input, so Y_2^0(p) = (3 z^2 - 1)/2 on the
@@ -245,63 +290,10 @@ def real_harmonic(degree, order):
     the harmonic raises OutsideReachError at the origin.
     """
     l, m = int(degree), int(order)
-    ma = abs(m)
-    if l < 0 or ma > l:
+    if l < 0 or abs(m) > l:
         raise InvalidDegreeError(
             f"need degree l >= 0 and |m| <= l, got l={l}, m={m}")
-
-    def harmonic(p):
-        unit = _radial(p)[1]
-        ct = np.clip(unit[..., 2], -1.0, 1.0)
-        phi = np.arctan2(unit[..., 1], unit[..., 0])
-        legendre = lpmv(ma, l, ct)
-        trig = np.cos(m * phi) if m >= 0 else np.sin(ma * phi)
-        return legendre * trig
-
-    return harmonic
-
-
-def _harmonic_surface_gradient(degree, order, radius):
-    """Surface gradient of the real harmonic on the sphere of a radius.
-
-    Uses the derivative recurrence
-    d P_l^m(cos t)/dt = (l cos t P_l^m - (l+m) P_{l-1}^m) / sin t,
-    assembled in the local (theta_hat, phi_hat) frame.  Contributions
-    are zeroed at the poles, where the frame degenerates (the quadrature
-    points used by the error norms never hit the poles).
-    """
-    l, m = int(degree), int(order)
-    ma = abs(m)
-
-    def gradient(p):
-        unit = _radial(p)[1]
-        ct = np.clip(unit[..., 2], -1.0, 1.0)
-        st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
-        phi = np.arctan2(unit[..., 1], unit[..., 0])
-        cp, sp = np.cos(phi), np.sin(phi)
-        ok = st > 1e-14
-        st_safe = np.where(ok, st, 1.0)
-
-        legendre = lpmv(ma, l, ct)
-        legendre_lower = lpmv(ma, l - 1, ct) if l >= 1 else np.zeros_like(ct)
-        dp_dtheta = np.where(
-            ok, (l * ct * legendre - (l + ma) * legendre_lower) / st_safe,
-            0.0)
-        if m >= 0:
-            trig = np.cos(m * phi)
-            dtrig = -m * np.sin(m * phi)
-        else:
-            trig = np.sin(ma * phi)
-            dtrig = ma * np.cos(ma * phi)
-
-        theta_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-        comp_theta = dp_dtheta * trig
-        comp_phi = np.where(ok, legendre * dtrig / st_safe, 0.0)
-        return (comp_theta[..., None] * theta_hat
-                + comp_phi[..., None] * phi_hat) / radius
-
-    return gradient
+    return lambda p: _harmonic(l, m, p)
 
 
 def sphere_case(radius, degree, order):
@@ -330,23 +322,15 @@ def sphere_case(radius, degree, order):
             f"the sphere case needs degree l >= 1, got l={l}")
     radius = _dimension("radius", radius)
     eig = l * (l + 1)
-    harmonic_grad = _harmonic_surface_gradient(l, m, radius)
 
-    def exact_u(p):
-        return (radius**4 / eig**2) * harmonic(p)
-
-    def exact_grad_u(p):
-        return (radius**4 / eig**2) * harmonic_grad(p)
-
-    def exact_lap_u(p):
-        return (radius**2 / eig) * harmonic(p)
-
-    def exact_f(p):
-        return harmonic(p)
+    def solution(p):
+        value, grad = _harmonic(l, m, p, gradient=True)
+        return ((radius**4 / eig**2) * value,
+                (radius**4 / eig**2) * (grad / radius),
+                (radius**2 / eig) * value)
 
     return SurfaceCase("sphere", {"radius": radius, "l": l, "m": m},
-                       _sphere_distance(radius), exact_u, exact_grad_u,
-                       exact_lap_u, exact_f)
+                       _sphere_distance(radius), solution, harmonic)
 
 
 def gen_cap_mesh(theta0, rings, radius=1.0):

@@ -52,7 +52,10 @@ def flat_case(u, grad_u, lap_u, f):
         pts = np.asarray(p, dtype=float)
         return pts[..., 2], np.broadcast_to([0.0, 0.0, 1.0], pts.shape)
 
-    return SurfaceCase("flat", {}, distance, u, grad_u, lap_u, f)
+    def solution(p):
+        return u(p), grad_u(p), lap_u(p)
+
+    return SurfaceCase("flat", {}, distance, solution, f)
 
 
 @pytest.fixture

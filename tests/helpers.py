@@ -1,20 +1,27 @@
 """Reference solvers and readers that only the tests use.
 
 The dense solve, the saddle matrix and the discrete Laplacian are
-oracles for the sparse paths on small problems; the readers parse the
-CSV files the package writes back into records, so the tests can
-compare them.
+oracles for the sparse paths on small problems; the lexsort nested
+dissection and the per-face geometry in fancy-indexed (F, 3, 3) form
+are the references that the package's faster versions must match
+exactly; the readers parse the CSV files the package writes back into
+records, so the tests can compare them.
 """
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+import biharm
 from biharm.analysis import NORMS, QUALITY, LevelRecord, QualityRecord
 from biharm.fem import MeshOperators, nodal_field
-from biharm.linalg import (DEFAULT_TOL, DimensionMismatchError, SingularError,
-                           check_residual, factor_spd)
+from biharm.linalg import (_ND_LEAF, DEFAULT_TOL, DimensionMismatchError,
+                           SingularError, check_residual, factor_spd)
 
 
 def dense_solve_oracle(matrix, b):
@@ -135,3 +142,76 @@ def read_solution_csv(path):
             rows.append((float(a), float(b)))
     arr = np.asarray(rows)
     return arr[:, 0], arr[:, 1]
+
+
+def lexsort_nested_dissection(matrix, points):
+    """Reference for :func:`biharm.linalg.nested_dissection`: the same
+    dissection, with each level sorting the active vertices by
+    ``lexsort((coordinate, subdomain))`` and filtering the edges to
+    those inside one subdomain."""
+    points = np.asarray(points, dtype=float)
+    n = matrix.shape[0]
+    graph = sp.triu(matrix, k=1, format="coo")
+    rows, cols = graph.row, graph.col
+    dom = np.zeros(n, dtype=np.int64) if n > _ND_LEAF else np.full(n, -1)
+    key = np.zeros(n, dtype=np.int64)
+    while True:
+        active = np.flatnonzero(dom >= 0)
+        if active.size == 0:
+            break
+        d = dom[active]
+        count = np.bincount(d)
+        pts = points[active]
+        mean = np.stack([np.bincount(d, weights=c) for c in pts.T],
+                        axis=1) / np.maximum(count, 1)[:, None]
+        spread = np.stack([np.bincount(d, weights=c * c)
+                           for c in (pts - mean[d]).T], axis=1)
+        coord = pts[np.arange(active.size), np.argmax(spread, axis=1)[d]]
+        order = np.lexsort((coord, d))
+        rank = np.empty(active.size, dtype=np.int64)
+        rank[order] = np.arange(active.size) - (np.cumsum(count)
+                                                - count)[d[order]]
+        side = np.full(n, -1, dtype=np.int64)
+        side[active] = rank >= count[d] // 2
+        dom_rows = dom[rows]
+        inside = (dom_rows >= 0) & (dom_rows == dom[cols])
+        rows, cols = rows[inside], cols[inside]
+        cut = side[rows] != side[cols]
+        u, v = rows[cut], cols[cut]
+        separator = np.zeros(n, dtype=bool)
+        separator[np.where(side[u] == 0, u, v)] = True
+        digit = side[active]
+        digit[separator[active]] = 2
+        key *= 3
+        key[active] += digit
+        child = 2 * d + digit
+        split = digit < 2
+        size = np.bincount(child[split], minlength=child.max() + 1)
+        dom[active] = np.where(split & (size[child] > _ND_LEAF), child, -1)
+    return np.argsort(key, kind="stable")
+
+
+def fancy_face_geometry(vertices, faces):
+    """Reference for the arithmetic of :func:`biharm.mesh._face_geometry`
+    on arrays of shape (F, 3, 3): (areas, unit normals, edge lengths,
+    cotangents), without the degeneracy check."""
+    p = vertices[faces]
+    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    lengths = np.linalg.norm(e, axis=2)
+    cross = np.cross(e[:, 1, :], e[:, 2, :])
+    doubled = np.linalg.norm(cross, axis=1)
+    dots = -np.sum(e[:, [1, 2, 0], :] * e[:, [2, 0, 1], :], axis=2)
+    return (0.5 * doubled, cross / doubled[:, None], lengths,
+            dots / doubled[:, None])
+
+
+def loaded_by_import(module):
+    """Whether ``import biharm`` in a fresh interpreter loads ``module``."""
+    src = str(Path(biharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, biharm; print({module!r} in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True, timeout=60)
+    return {"True\n": True, "False\n": False}[done.stdout]

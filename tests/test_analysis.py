@@ -340,17 +340,22 @@ def record_fields(record):
             *record.quality)
 
 
+# One level of each family, with the cases the error pass handles.
+BLOCKED_LEVELS = {
+    "cap": (cap_family(np.pi / 3.0, [8]), 8),
+    "sphere": (sphere_family(3, -2, [2]), 2),
+    "lantern": (lantern_family("linear", [8]), 8),
+    "lantern-highres": (lantern_family("linear", [4]).with_case(
+        lantern_highres_reference(n_ref=16),
+        label="lantern-linear-highres"), 4),
+}
+
+
 class TestBlockedPass:
     """The norms and the certificate stream over blocks of faces."""
 
-    @pytest.mark.parametrize("family, level", [
-        (cap_family(np.pi / 3.0, [8]), 8),
-        (sphere_family(3, -2, [2]), 2),
-        (lantern_family("linear", [8]), 8),
-        (lantern_family("linear", [4]).with_case(
-            lantern_highres_reference(n_ref=16),
-            label="lantern-linear-highres"), 4),
-    ], ids=["cap", "sphere", "lantern", "lantern-highres"])
+    @pytest.mark.parametrize("family, level", BLOCKED_LEVELS.values(),
+                             ids=BLOCKED_LEVELS.keys())
     def test_records_independent_of_block_size(self, monkeypatch, family,
                                                level):
         expected = record_fields(run_level(family, level))
@@ -360,15 +365,37 @@ class TestBlockedPass:
         assert record_fields(run_level(family, level)) == expected
 
     def test_record_matches_public_functions(self):
-        family = cap_family(np.pi / 3.0, [8])
-        record = run_level(family, 8)
-        mesh, case = family.build(8), family.case
-        sol = solve_mixed(mesh, interpolate(mesh, case.exact_f))
-        q = certify_quality(mesh, case)
-        assert record_fields(record)[4:] == (
-            l2_error(mesh, sol.u1, case), h1_error(mesh, sol.u1, case),
-            l2_error(mesh, sol.u2, case, reference="lap_u"),
-            *q)
+        for family, level in BLOCKED_LEVELS.values():
+            record = run_level(family, level)
+            mesh, case = family.build(level), family.case
+            sol = solve_mixed(mesh, interpolate(mesh, case.exact_f))
+            q = certify_quality(mesh, case)
+            assert record_fields(record)[4:] == (
+                l2_error(mesh, sol.u1, case), h1_error(mesh, sol.u1, case),
+                l2_error(mesh, sol.u2, case, reference="lap_u"),
+                *q), family.label
+
+    @pytest.mark.parametrize("family, level", BLOCKED_LEVELS.values(),
+                             ids=BLOCKED_LEVELS.keys())
+    def test_one_distance_and_one_solution_per_block(self, monkeypatch,
+                                                     family, level):
+        calls = dict.fromkeys(("distance", "solution"), 0)
+
+        def counted(name):
+            field = getattr(family.case, name)
+
+            def wrapper(p):
+                calls[name] += 1
+                return field(p)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(family.case, name, counted(name))
+        monkeypatch.setattr(analysis, "_FACE_BLOCK", 16)
+        blocks = -(-family.build(level).n_faces // 16)
+        assert blocks > 1
+        run_level(family, level)
+        assert calls == {"distance": blocks, "solution": blocks}
 
     def test_h1_error_memory_bounded_per_face(self):
         # Holding every quadrature point of the mesh at once took about

@@ -14,8 +14,10 @@ from biharm.mesh import (DegenerateFaceError, InconsistentOrientationError,
                          build_mesh, circumradius_ratios, component_labels,
                          inradius_ratios, max_edge_length, read_obj,
                          write_obj)
+from biharm.surfaces import gen_cap_mesh
 
 from conftest import grid_mesh, single_triangle, tetrahedron
+from helpers import fancy_face_geometry
 
 
 def read_obj_per_line(path):
@@ -197,6 +199,30 @@ class TestTriangleGeometry:
             c = mesh.face_cotangents[0]
             total = c[0] * c[1] + c[1] * c[2] + c[2] * c[0]
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_faces=st.integers(1, 300),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_matches_fancy_indexed_reference(self, seed, n_faces, scale):
+        # Disjoint random triangles, every vertex used once.
+        rng = np.random.default_rng(seed)
+        vertices = rng.normal(size=(3 * n_faces, 3)) * scale
+        faces = rng.permutation(3 * n_faces).reshape(-1, 3)
+        mesh = build_mesh(vertices, faces)
+        for got, want in zip((mesh.face_areas, mesh.face_normals,
+                              mesh.face_edge_lengths, mesh.face_cotangents),
+                             fancy_face_geometry(vertices, faces)):
+            assert_bit_identical(got, want)
+
+    def test_edges_are_the_sorted_unique_pairs(self, rng):
+        cap = gen_cap_mesh(1.0, 6)
+        faces = cap.faces[rng.permutation(cap.n_faces)]
+        mesh = build_mesh(cap.vertices, faces)
+        pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+        assert np.array_equal(mesh.edges, uniq)
+        assert np.array_equal(np.sort(mesh.boundary_edges, axis=1),
+                              uniq[counts == 1])
 
 
 class TestMaxEdgeLength:

@@ -14,6 +14,7 @@ from biharm.surfaces import (InvalidAngleError, InvalidCountsError,
 
 from conftest import flat_case
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
+from helpers import loaded_by_import
 
 
 def cap_point(theta, phi=0.0, radius=1.0):
@@ -121,7 +122,7 @@ class TestLeadingShape:
              "sphere": sphere_case(1.0, 3, -2)}
 
     @pytest.mark.parametrize("field", [
-        "distance", "closest_point", "normal_at", "exact_u",
+        "distance", "closest_point", "normal_at", "solution", "exact_u",
         "exact_grad_u", "exact_lap_u", "exact_f"])
     @pytest.mark.parametrize("kind", list(CASES))
     def test_grid_matches_rows_and_points(self, rng, kind, field):
@@ -278,6 +279,40 @@ class TestSphereCase:
         lap_exact = case.exact_lap_u(pts)[2:-2]
         scale = np.max(np.abs(lap_exact))
         assert np.max(np.abs(lap_fd - lap_exact)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_gradient_at_poles_matches_central_differences(self, radius):
+        # exact_u is constant along rays, so on the sphere its ambient
+        # gradient is the surface gradient.  At the poles that of order
+        # |m| = 1 is not zero.
+        h = 1e-6 * radius
+        for degree, order in [(1, 1), (1, -1), (1, 0), (2, 1), (2, -1),
+                              (3, 2), (4, -3), (5, 1)]:
+            case = sphere_case(radius, degree, order)
+            for pole in ([0.0, 0.0, radius], [0.0, 0.0, -radius]):
+                pole = np.array(pole)
+                fd = [(case.exact_u(pole + h * e) - case.exact_u(pole - h * e))
+                      / (2.0 * h) for e in np.eye(3)]
+                assert case.exact_grad_u(pole) == pytest.approx(
+                    fd, abs=1e-7 * radius**3)
+
+    def test_harmonic_matches_lpmv(self, rng):
+        from scipy.special import lpmv
+        pts = rng.normal(size=(500, 3))
+        unit = pts / np.linalg.norm(pts, axis=1)[:, None]
+        theta = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
+        phi = np.arctan2(unit[:, 1], unit[:, 0])
+        pairs = [(l, m) for l in range(9) for m in range(-l, l + 1)]
+        for degree, order in pairs + [(60, 60), (60, -60)]:
+            trig = (np.cos(order * phi) if order >= 0
+                    else np.sin(-order * phi))
+            expected = lpmv(abs(order), degree, np.cos(theta)) * trig
+            got = real_harmonic(degree, order)(pts)
+            assert (np.max(np.abs(got - expected))
+                    <= 1e-12 * np.max(np.abs(expected)))
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        assert not loaded_by_import("scipy.special")
 
     def test_invalid_degree(self):
         with pytest.raises(InvalidDegreeError, match="l >= 1"):
