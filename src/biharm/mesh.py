@@ -117,8 +117,9 @@ def _face_geometry(vertices, faces):
     (areas, unit_normals, edge_lengths, cotangents); raises
     DegenerateFaceError when any face area is numerically zero relative
     to its longest edge.  The arithmetic runs on one coordinate of one
-    edge of every face at a time, summing x, y and z in that order, and
-    the corners' (3, 3, F) array is reused for every product.
+    edge of every face at a time, summing x, y and z in that order; the
+    corners' (3, 3, F) array is reused for every product, and the
+    (F, 3) results are written in place.
     """
     # p[c, k]: coordinate c of corner k of every face.
     p = np.take(np.ascontiguousarray(vertices.T), faces.T, axis=1)
@@ -127,37 +128,52 @@ def _face_geometry(vertices, faces):
     for k in range(3):
         np.subtract(p[:, (k + 2) % 3], p[:, (k + 1) % 3], out=e[:, k])
     work = np.multiply(e, e, out=p)
-    lengths = work[0] + work[1]                      # (3, F)
-    lengths += work[2]
+    lengths = np.empty(faces.shape)
+    for k, length in enumerate(lengths.T):
+        np.add(work[0, k], work[1, k], out=length)
+        length += work[2, k]
     np.sqrt(lengths, out=lengths)
-    # cross = e1 x e2 = (p0-p2) x (p1-p0)
+    # normal = e1 x e2 = (p0-p2) x (p1-p0), normalized below.
     a, b = e[:, 1], e[:, 2]
-    cross, tmp = np.empty_like(a), np.empty_like(a[0])
-    for k in range(3):
+    normals, tmp = np.empty(faces.shape), np.empty(len(faces))
+    for k, normal in enumerate(normals.T):
         i, j = (k + 1) % 3, (k + 2) % 3
-        np.multiply(a[i], b[j], out=cross[k])
-        cross[k] -= np.multiply(a[j], b[i], out=tmp)
-    sq = np.multiply(cross, cross, out=work[0])
+        np.multiply(a[i], b[j], out=normal)
+        normal -= np.multiply(a[j], b[i], out=tmp)
+    sq = np.multiply(normals.T, normals.T, out=work[0])
     doubled = sq[0] + sq[1]
     doubled += sq[2]
     np.sqrt(doubled, out=doubled)
-    longest_sq = np.max(lengths, axis=0) ** 2
+    longest_sq = np.max(lengths, axis=1) ** 2
     bad = doubled <= 2.0 * _DEGENERATE_REL_AREA * longest_sq
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise DegenerateFaceError(
             f"face {idx} has (numerically) zero area")
-    areas = 0.5 * doubled
-    cross /= doubled
+    normals /= doubled[:, None]
     # Angle at corner k: the edge vectors leaving corner k are e_{k+2}
     # and -e_{k+1}, hence cot_k = -(e_{k+1} . e_{k+2}) / (2 area).
-    for k in range(3):
-        np.multiply(e[:, (k + 1) % 3], e[:, (k + 2) % 3], out=work[:, k])
-    cots = work[0] + work[1]
-    cots += work[2]
+    cots = np.empty(faces.shape)
+    for k, cot in enumerate(cots.T):
+        prod = np.multiply(e[:, (k + 1) % 3], e[:, (k + 2) % 3], out=work[0])
+        np.add(prod[0], prod[1], out=cot)
+        cot += prod[2]
     np.negative(cots, out=cots)
-    cots /= doubled
-    return areas, cross.T.copy(), lengths.T.copy(), cots.T.copy()
+    cots /= doubled[:, None]
+    return 0.5 * doubled, normals, lengths, cots
+
+
+def _edge_runs(directed, n):
+    """Sort directed edges (rows of vertex pairs out of ``n`` vertices)
+    by undirected edge: their stable order, and the positions in it
+    where the run of copies of each edge starts."""
+    keys = np.minimum(directed[:, 0], directed[:, 1]) * np.int64(n)
+    keys += np.maximum(directed[:, 0], directed[:, 1])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    runs = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+    return order, np.flatnonzero(runs)
 
 
 def build_mesh(vertices, faces):
@@ -207,23 +223,18 @@ def build_mesh(vertices, faces):
 
     # Directed edges in traversal order, one triple per face, sorted by
     # their undirected key; each run of equal keys is one edge, and
-    # ``first`` holds the directed edge that starts it.
+    # ``first`` holds the directed copy that starts each run.
     directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                                faces[:, [2, 0]]], axis=0)
-    lo = np.minimum(directed[:, 0], directed[:, 1])
-    hi = np.maximum(directed[:, 0], directed[:, 1])
-    keys = lo * np.int64(n) + hi
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    runs = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
-    start = np.flatnonzero(runs)
+    order, start = _edge_runs(directed, n)
     counts = np.diff(start, append=order.size)
-    first = order[start]
+    first = directed[order[start]]
+    edges = np.stack([np.minimum(first[:, 0], first[:, 1]),
+                      np.maximum(first[:, 0], first[:, 1])], axis=1)
     if np.any(counts > 2):
-        k = first[np.argmax(counts > 2)]
+        lo, hi = edges[np.argmax(counts > 2)]
         raise NonManifoldEdgeError(
-            f"edge ({lo[k]}, {hi[k]}) shared by more than two faces")
+            f"edge ({lo}, {hi}) shared by more than two faces")
     # A manifold interior edge appears once in each direction.  Two
     # copies that start at the same vertex mean the incident faces
     # disagree on orientation.
@@ -242,8 +253,7 @@ def build_mesh(vertices, faces):
             f"vertex {unreferenced[0]} belongs to no face "
             f"({unreferenced.size} unreferenced vertices)")
 
-    edges = np.stack([lo[first], hi[first]], axis=1)
-    boundary_edges = directed[first[counts == 1]]
+    boundary_edges = first[counts == 1]
     if boundary_edges.size:
         boundary_vertices = np.unique(boundary_edges)
     else:

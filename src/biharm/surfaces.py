@@ -370,7 +370,6 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     j = np.arange(1, rings + 1)
     counts = 6 * j
     start = 1 + 3 * j * (j - 1)
-    ring = np.repeat(j, counts)
     index = np.arange(counts.sum()) - np.repeat(start - 1, counts)
     phis = 2.0 * np.pi * index / np.repeat(counts, counts)
     theta = theta0 * j / rings
@@ -380,6 +379,15 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
         np.stack([scaled_sin * np.cos(phis), scaled_sin * np.sin(phis),
                   np.repeat(radius * np.cos(theta), counts)], axis=1)])
 
+    return build_mesh(vertices, _stitch_rings(start, counts, phis))
+
+
+def _stitch_rings(start, counts, phis):
+    """Faces of the mesh of :func:`gen_cap_mesh` from its rings: the
+    first vertex and the vertex count of each ring, and the angle of
+    every vertex but the pole.  Only the faces outlive the call."""
+    rings = counts.size
+    ring = np.repeat(np.arange(1, rings + 1), counts)
     # Stitch ring j (inner) to ring j + 1 (outer) by merging the two
     # rings' "next angle" sequences, each ending at 2 pi; on a tie the
     # outer ring steps first.  Each step emits one triangle: an outer
@@ -408,7 +416,7 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
         np.stack([s_out + k, s_out + (k + 1) % n_out, s_in + i % n_in], 1))
     fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6),
                     1 + (np.arange(1, 7) % 6)], axis=1)
-    return build_mesh(vertices, np.concatenate([fan, stitched]))
+    return np.concatenate([fan, stitched])
 
 
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0
