@@ -163,19 +163,6 @@ def _face_geometry(vertices, faces):
     return 0.5 * doubled, normals, lengths, cots
 
 
-def _edge_runs(directed, n):
-    """Sort directed edges (rows of vertex pairs out of ``n`` vertices)
-    by undirected edge: their stable order, and the positions in it
-    where the run of copies of each edge starts."""
-    keys = np.minimum(directed[:, 0], directed[:, 1]) * np.int64(n)
-    keys += np.maximum(directed[:, 0], directed[:, 1])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    runs = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
-    return order, np.flatnonzero(runs)
-
-
 def build_mesh(vertices, faces):
     """Validate raw arrays and assemble a :class:`TriMesh`.
 
@@ -221,28 +208,35 @@ def build_mesh(vertices, faces):
 
     areas, normals, lengths, cots = _face_geometry(vertices, faces)
 
-    # Directed edges in traversal order, one triple per face, sorted by
-    # their undirected key; each run of equal keys is one edge, and
-    # ``first`` holds the directed copy that starts each run.
-    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
-                               faces[:, [2, 0]]], axis=0)
-    order, start = _edge_runs(directed, n)
-    counts = np.diff(start, append=order.size)
-    first = directed[order[start]]
-    edges = np.stack([np.minimum(first[:, 0], first[:, 1]),
-                      np.maximum(first[:, 0], first[:, 1])], axis=1)
+    # Each directed edge (the three of a face in traversal order) packed
+    # as 2 (lo n + hi) + (tail > head), sorted once: each run of equal
+    # undirected keys lo n + hi is one edge, and its last bit says which
+    # way a copy runs.
+    tail, head = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    packed = np.minimum(tail, head) * np.int64(n)
+    packed += np.maximum(tail, head)
+    packed *= 2
+    packed += tail > head
+    packed.sort()
+    keys = packed >> 1
+    runs = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+    start = np.flatnonzero(runs)
+    counts = np.diff(start, append=keys.size)
+    edges = np.stack(np.divmod(keys[start], n), axis=1)
+    # The first copy of each edge, the way it runs.
+    first = np.where((packed[start, None] & 1) == 1, edges[:, ::-1], edges)
     if np.any(counts > 2):
         lo, hi = edges[np.argmax(counts > 2)]
         raise NonManifoldEdgeError(
             f"edge ({lo}, {hi}) shared by more than two faces")
     # A manifold interior edge appears once in each direction.  Two
-    # copies that start at the same vertex mean the incident faces
-    # disagree on orientation.
-    interior = start[counts == 2]
-    same = (directed[order[interior], 0]
-            == directed[order[interior + 1], 0])
+    # copies that run the same way mean the incident faces disagree on
+    # orientation.
+    interior = counts == 2
+    same = packed[start[interior]] == packed[start[interior] + 1]
     if np.any(same):
-        a, b = directed[order[interior[np.argmax(same)]]]
+        a, b = first[interior][np.argmax(same)]
         raise InconsistentOrientationError(
             f"faces disagree on orientation across edge ({a}, {b})")
 
