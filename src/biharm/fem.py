@@ -169,8 +169,14 @@ def p1_gradients(mesh, u, faces=slice(None)):
     """
     u = nodal_field(mesh, u)
     tri = mesh.faces[faces]
-    p = mesh.vertices[tri]                             # (F, 3, 3)
-    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]        # edge opp. corner k
-    rot = np.cross(mesh.face_normals[faces][:, None, :], e)   # (F, 3, 3)
-    coeff = u[tri] / (2.0 * mesh.face_areas[faces])[:, None]
-    return np.sum(coeff[:, :, None] * rot, axis=1)
+    p = mesh.vertices[tri].T              # p[c, k]: coordinate c of corner k
+    n0, n1, n2 = mesh.face_normals[faces].T
+    coeff = (u[tri] / (2.0 * mesh.face_areas[faces])[:, None]).T
+    # Sum over corners k of coeff_k (normal x e_k), one coordinate of
+    # every face at a time.
+    for k in range(3):
+        e0, e1, e2 = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]   # edge opp. k
+        term = coeff[k] * np.stack([n1 * e2 - n2 * e1, n2 * e0 - n0 * e2,
+                                    n0 * e1 - n1 * e0])
+        grad = term if k == 0 else grad + term
+    return grad.T

@@ -144,7 +144,8 @@ def _face_geometry(vertices, faces):
     doubled = sq[0] + sq[1]
     doubled += sq[2]
     np.sqrt(doubled, out=doubled)
-    longest_sq = np.max(lengths, axis=1) ** 2
+    longest_sq = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]),
+                            lengths[:, 2]) ** 2
     bad = doubled <= 2.0 * _DEGENERATE_REL_AREA * longest_sq
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])

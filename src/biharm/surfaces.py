@@ -468,7 +468,8 @@ def gen_icosphere(subdivisions, radius=1.0):
         # Edges (v0, v1), (v1, v2), (v2, v0) of each face in turn; each
         # new midpoint is numbered by the first occurrence of its edge.
         ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        keys = ends.min(axis=1) * len(verts) + ends.max(axis=1)
+        keys = (np.minimum(ends[:, 0], ends[:, 1]) * len(verts)
+                + np.maximum(ends[:, 0], ends[:, 1]))
         _, first, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)
         order = np.argsort(first)
