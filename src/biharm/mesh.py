@@ -118,8 +118,7 @@ def _face_geometry(vertices, faces):
     DegenerateFaceError when any face area is numerically zero relative
     to its longest edge.  The arithmetic runs on one coordinate of one
     edge of every face at a time, summing x, y and z in that order; the
-    corners' (3, 3, F) array is reused for every product, and the
-    (F, 3) results are written in place.
+    corners' (3, 3, F) array is reused for the products.
     """
     # p[c, k]: coordinate c of corner k of every face.
     p = np.take(np.ascontiguousarray(vertices.T), faces.T, axis=1)
@@ -130,20 +129,15 @@ def _face_geometry(vertices, faces):
     work = np.multiply(e, e, out=p)
     lengths = np.empty(faces.shape)
     for k, length in enumerate(lengths.T):
-        np.add(work[0, k], work[1, k], out=length)
-        length += work[2, k]
-    np.sqrt(lengths, out=lengths)
+        np.sqrt(work[0, k] + work[1, k] + work[2, k], out=length)
     # normal = e1 x e2 = (p0-p2) x (p1-p0), normalized below.
     a, b = e[:, 1], e[:, 2]
-    normals, tmp = np.empty(faces.shape), np.empty(len(faces))
+    normals = np.empty(faces.shape)
     for k, normal in enumerate(normals.T):
         i, j = (k + 1) % 3, (k + 2) % 3
-        np.multiply(a[i], b[j], out=normal)
-        normal -= np.multiply(a[j], b[i], out=tmp)
+        np.subtract(a[i] * b[j], a[j] * b[i], out=normal)
     sq = np.multiply(normals.T, normals.T, out=work[0])
-    doubled = sq[0] + sq[1]
-    doubled += sq[2]
-    np.sqrt(doubled, out=doubled)
+    doubled = np.sqrt(sq[0] + sq[1] + sq[2])
     longest_sq = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]),
                             lengths[:, 2]) ** 2
     bad = doubled <= 2.0 * _DEGENERATE_REL_AREA * longest_sq
@@ -157,9 +151,7 @@ def _face_geometry(vertices, faces):
     cots = np.empty(faces.shape)
     for k, cot in enumerate(cots.T):
         prod = np.multiply(e[:, (k + 1) % 3], e[:, (k + 2) % 3], out=work[0])
-        np.add(prod[0], prod[1], out=cot)
-        cot += prod[2]
-    np.negative(cots, out=cots)
+        np.negative(prod[0] + prod[1] + prod[2], out=cot)
     cots /= doubled[:, None]
     return 0.5 * doubled, normals, lengths, cots
 

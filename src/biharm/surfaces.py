@@ -5,14 +5,13 @@ boundary, closed sphere, and Schwarz lantern (inscribed cylinder).
 Each surface comes as a :class:`SurfaceCase` bundling the signed
 distance d of the surface, one function returning a manufactured exact
 solution u with its surface gradient and Laplacian, and its
-bi-Laplacian.  The closest point
-a(x) = x - d(x) grad d(x) and the normal grad d derive from d, as in
-Dziuk & Elliott (Acta Numerica 22, 2013).  The distance, and so the
-closest point, belong to the smooth extension of each surface: the
-whole sphere for the cap, the infinite cylinder for the lantern's
-cylinder.  The Laplacian follows the positive semidefinite sign
-convention (Delta = -div grad), so ``exact_f`` is Delta(Delta u) in
-that sign.
+bi-Laplacian.  The closest point a(x) = x - d(x) grad d(x) and the
+normal grad d derive from d, as in Dziuk & Elliott (Acta Numerica 22,
+2013).  The distance, and so the closest point, belong to the smooth
+extension of each surface: the whole sphere for the cap, the infinite
+cylinder for the lantern's cylinder.  The Laplacian follows the
+positive semidefinite sign convention (Delta = -div grad), so
+``exact_f`` is Delta(Delta u) in that sign.
 
 All case functions are pure and vectorized: they accept points of any
 leading shape (..., 3), a single point of shape (3,) included, and
