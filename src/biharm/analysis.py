@@ -67,8 +67,7 @@ _QUAD_WEIGHTS = np.array([0.223381589678011, 0.223381589678011,
 # 6.4, 10.4, 18.6 MiB (cap rings 128) and 8.7, 15.4, 28.8 MiB
 # (icosphere 6), against 92 and 130 MiB for the whole mesh at once.
 _FACE_BLOCK = 4096
-# Positions of u, grad u and Delta u in what ``SurfaceCase.solution``
-# returns.
+# Positions of u, grad u and Delta u in ``SurfaceCase.solution(p)``.
 _U, _GRAD_U, _LAP_U = range(3)
 
 

@@ -128,8 +128,10 @@ def nested_dissection(matrix, points):
         raise DimensionMismatchError(
             f"cannot order a {matrix.shape} matrix by points of shape "
             f"{points.shape}")
-    graph = sp.triu(matrix, k=1, format="coo")
-    rows, cols = graph.row.astype(np.intp), graph.col.astype(np.intp)
+    graph = sp.coo_matrix(matrix)
+    upper = graph.row < graph.col
+    rows = graph.row[upper].astype(np.intp)
+    cols = graph.col[upper].astype(np.intp)
     # rank[a * n + i]: position of vertex i in the order of axis a, so
     # comparing ranks compares (coordinate, index).
     rank = np.empty(points.shape[::-1], dtype=np.int64)
@@ -172,9 +174,9 @@ def nested_dissection(matrix, points):
         split = digit < 2
         count = np.bincount(child[split], minlength=child.max() + 1)
         keep = split & (count[child] > _ND_LEAF)
-        count = np.trim_zeros(np.where(count > _ND_LEAF, count, 0), "b")
         code[active[~keep]] = -1
         active, dom = active[keep], child[keep]
+        count = np.where(count > _ND_LEAF, count, 0)[:dom.max(initial=-1) + 1]
         pts = np.compress(keep, pts, axis=1)
     return np.argsort(key, kind="stable")
 
