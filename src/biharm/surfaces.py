@@ -18,8 +18,6 @@ leading shape (..., 3), a single point of shape (3,) included, and
 return one value or vector per point.
 """
 
-import math
-
 import numpy as np
 
 from .mesh import build_mesh
@@ -237,27 +235,27 @@ def _harmonic(degree, order, p, gradient=False):
     projections u = p/|p| of points, and with ``gradient`` its surface
     gradient on the unit sphere.
 
-    In Cartesian form, Y = Q(u_z) Re (u_x + i u_y)^m for m >= 0 and
-    Q(u_z) Im (u_x + i u_y)^|m| for m < 0, where
-    P_l^|m|(z) = (1 - z^2)^(|m|/2) Q(z).  The polynomial Q follows the
-    three-term Legendre recurrence in l,
-    (l - |m|) Q_l = (2l - 1) z Q_{l-1} - (l + |m| - 1) Q_{l-2},
-    from Q_|m| = (-1)^m (2|m| - 1)!!.  The surface gradient is the
-    tangential part of the ambient gradient of that polynomial in u,
-    which is defined at the poles as well.
+    In Cartesian form, Y = Q(u_z) Re W for m >= 0 and Q(u_z) Im W for
+    m < 0, with W = (-1)^m (2|m| - 1)!! (u_x + i u_y)^|m|, built one
+    factor (1 - 2k)(u_x + i u_y) at a time so that it overflows only
+    where Y does.  Then P_l^|m|(z) = (-1)^m (2|m| - 1)!!
+    (1 - z^2)^(|m|/2) Q(z), and Q follows the three-term Legendre
+    recurrence in l, (l - |m|) Q_l = (2l - 1) z Q_{l-1}
+    - (l + |m| - 1) Q_{l-2}, from Q_|m| = 1.  The surface gradient is
+    the tangential part of the ambient gradient of that polynomial in
+    u, which is defined at the poles as well.
     """
     l, ma = degree, abs(order)
     unit = _radial(p)[1]
     x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
-    # (re, im) = (u_x + i u_y)^|m|, and (re_low, im_low) the power below.
+    # (re, im) = W, and (re_low, im_low) the same for |m| - 1.
     re, im = np.ones_like(z), np.zeros_like(z)
     re_low = im_low = 0.0
-    for _ in range(ma):
-        re_low, im_low = re, im
-        re, im = re * x - im * y, re * y + im * x
+    for k in range(1, ma + 1):
+        re_low, im_low, c = re, im, 1 - 2 * k
+        re, im = c * (re * x - im * y), c * (re * y + im * x)
     # Q and dQ/dz at degree k, and at degree k - 1.
-    q = np.full_like(z, (-1) ** ma * float(math.prod(range(1, 2 * ma, 2))))
-    q_low = dq = dq_low = 0.0
+    q, q_low, dq, dq_low = np.ones_like(z), 0.0, 0.0, 0.0
     for k in range(ma + 1, l + 1):
         a, b = 2 * k - 1, k + ma - 1
         q_low, q, dq_low, dq = q, (a * z * q - b * q_low) / (k - ma), dq, (
@@ -265,12 +263,13 @@ def _harmonic(degree, order, p, gradient=False):
     trig = re if order >= 0 else im
     if not gradient:
         return q * trig
-    # d/dx and d/dy of Re w^|m| are |m| Re w^(|m|-1) and -|m| Im
-    # w^(|m|-1); those of Im w^|m| are |m| Im and |m| Re w^(|m|-1).
+    # d/dx and d/dy of Re W are s Re W_low and -s Im W_low, those of Im W
+    # are s Im W_low and s Re W_low, with s = |m| (1 - 2|m|).
+    s = ma * (1 - 2 * ma)
     if order >= 0:
-        gx, gy = ma * q * re_low, -ma * q * im_low
+        gx, gy = s * q * re_low, -s * q * im_low
     else:
-        gx, gy = ma * q * im_low, ma * q * re_low
+        gx, gy = s * q * im_low, s * q * re_low
     gz = dq * trig
     radial = gx * x + gy * y + gz * z
     return q * trig, np.stack([gx - radial * x, gy - radial * y,

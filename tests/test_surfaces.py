@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -310,6 +311,16 @@ class TestSphereCase:
             got = real_harmonic(degree, order)(pts)
             assert (np.max(np.abs(got - expected))
                     <= 1e-12 * np.max(np.abs(expected)))
+
+    def test_harmonic_of_high_order_near_the_pole(self):
+        # (2m - 1)!! alone overflows a double at m = 200, the harmonic
+        # Y_m^m = (-1)^m (2m - 1)!! sin^m(theta) cos(m phi) near the
+        # pole does not.
+        m, s = 200, 0.01
+        p = np.array([s, 0.0, np.sqrt(1.0 - s * s)])
+        expected = math.exp(math.lgamma(2 * m + 1) - m * math.log(2.0)
+                            - math.lgamma(m + 1) + m * math.log(s))
+        assert real_harmonic(m, m)(p) == pytest.approx(expected, rel=1e-11)
 
     def test_import_leaves_scipy_special_unloaded(self):
         assert not loaded_by_import("scipy.special")
