@@ -172,11 +172,12 @@ def p1_gradients(mesh, u, faces=slice(None)):
     p = mesh.vertices[tri].T              # p[c, k]: coordinate c of corner k
     n0, n1, n2 = mesh.face_normals[faces].T
     coeff = (u[tri] / (2.0 * mesh.face_areas[faces])[:, None]).T
-    # Sum over corners k of coeff_k (normal x e_k), one coordinate of
-    # every face at a time.
-    for k in range(3):
+
+    def term(k):
+        """coeff_k (normal x e_k), one coordinate of every face at a
+        time."""
         e0, e1, e2 = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]   # edge opp. k
-        term = coeff[k] * np.stack([n1 * e2 - n2 * e1, n2 * e0 - n0 * e2,
+        return coeff[k] * np.stack([n1 * e2 - n2 * e1, n2 * e0 - n0 * e2,
                                     n0 * e1 - n1 * e0])
-        grad = term if k == 0 else grad + term
-    return grad.T
+
+    return (term(0) + term(1) + term(2)).T
