@@ -190,10 +190,11 @@ def _h1_sq(mesh, faces, u_h, exact_grad):
     g_exact = np.asarray(exact_grad)
     g_exact = g_exact.reshape(-1, _QUAD_WEIGHTS.size, 3)    # (b, q, 3)
     normals = mesh.face_normals[faces]
-    g_tan = g_exact - np.einsum("fqd,fd->fq", g_exact,
-                                normals)[:, :, None] * normals[:, None, :]
-    diff = grads[:, None, :] - g_tan
-    return np.sum(np.sum(diff**2, axis=2) * _QUAD_WEIGHTS[None, :], axis=1)
+    dots = np.einsum("fqd,fd->fq", g_exact, normals)
+    # |grads - (g_exact - dots normals)|^2, one coordinate at a time.
+    sq = [(grads[:, None, c] - (g_exact[..., c] - dots * normals[:, None, c]))
+          ** 2 for c in range(3)]
+    return np.sum((sq[0] + sq[1] + sq[2]) * _QUAD_WEIGHTS[None, :], axis=1)
 
 
 def _measure(mesh, case, norms=(), certify=False):
