@@ -236,14 +236,14 @@ def _harmonic(degree, order, p, gradient=False):
     gradient on the unit sphere.
 
     In Cartesian form, Y = Q(u_z) Re W for m >= 0 and Q(u_z) Im W for
-    m < 0, with W = (-1)^m (2|m| - 1)!! (u_x + i u_y)^|m|, built one
-    factor (1 - 2k)(u_x + i u_y) at a time so that it overflows only
-    where Y does.  Then P_l^|m|(z) = (-1)^m (2|m| - 1)!!
-    (1 - z^2)^(|m|/2) Q(z), and Q follows the three-term Legendre
-    recurrence in l, (l - |m|) Q_l = (2l - 1) z Q_{l-1}
-    - (l + |m| - 1) Q_{l-2}, from Q_|m| = 1.  The surface gradient is
+    m < 0, with W = (-1)^m (2|m| - 1)!! (u_x + i u_y)^|m| built one
+    factor (1 - 2k)(u_x + i u_y) at a time, so that it overflows only
+    where Y does (quietly: callers reject what is not finite), and
+    P_l^|m|(z) = (-1)^m (2|m| - 1)!! (1 - z^2)^(|m|/2) Q(z): Q follows
+    the Legendre recurrence (l - |m|) Q_l = (2l - 1) z Q_{l-1}
+    - (l + |m| - 1) Q_{l-2} from Q_|m| = 1.  The surface gradient is
     the tangential part of the ambient gradient of that polynomial in
-    u, which is defined at the poles as well.
+    u, defined at the poles as well.
     """
     l, ma = degree, abs(order)
     unit = _radial(p)[1]
@@ -253,7 +253,8 @@ def _harmonic(degree, order, p, gradient=False):
     re_low = im_low = 0.0
     for k in range(1, ma + 1):
         re_low, im_low, c = re, im, 1 - 2 * k
-        re, im = c * (re * x - im * y), c * (re * y + im * x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = c * (re * x - im * y), c * (re * y + im * x)
     # Q and dQ/dz at degree k, and at degree k - 1.
     q, q_low, dq, dq_low = np.ones_like(z), 0.0, 0.0, 0.0
     for k in range(ma + 1, l + 1):
