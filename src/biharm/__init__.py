@@ -6,7 +6,7 @@ The package solves Delta^2 u = f with clamped boundary conditions
 closed surfaces, using the mixed formulation with an auxiliary variable
 u2 = Delta u1 (positive semidefinite Laplacian convention); each solve
 reads one bundle of assembled operators and factors per mesh, and
-``solve_mixed`` picks the solver a mesh calls for.  It ships analytic
+``solve_mixed`` is the one solve for every mesh.  It ships analytic
 reference surfaces with manufactured solutions, mesh generators for the
 spherical cap, icosphere and Schwarz lantern experiment families, error
 norms under one 6-point quadrature rule, mesh-quality certification and

@@ -1,7 +1,7 @@
-"""Discrete mixed solvers for the biharmonic equation Delta^2 u = f.
+"""Discrete mixed solver for the biharmonic equation Delta^2 u = f.
 
-On meshes with boundary the clamped problem (u = du/dn = 0) is the
-coupled symmetric saddle point system in (u1, u2),
+The mixed problem is one symmetric saddle point system in (u1, u2) on
+every mesh,
 
     [ 0   B ] [u1]   [ M[interior, :] f ]
     [ B^T -M ] [u2] = [        0         ]
@@ -9,29 +9,26 @@ coupled symmetric saddle point system in (u1, u2),
 with S the cotangent stiffness, M the consistent mass, B the interior
 row slice of S, and u2 = Delta u1 in the positive semidefinite
 convention: u1 lives in the interior hat space, u2 in the full hat
-space, and the Neumann condition is not imposed explicitly; it is
-encoded by testing the second equation against all hat functions,
-including the boundary ones.  The system is solved by static
-condensation onto the boundary values of u2: one factorization of the
-interior stiffness, and preconditioned conjugate gradients on the
-boundary Schur complement (Glowinski & Pironneau, SIAM Review 21,
-1979).  The lumped-mass variant is the same system with the lumped
-mass matrix in place of the consistent one in the second equation, and
-is solved the same way.
+space.  With boundary this is the clamped problem (u = du/dn = 0): the
+Neumann condition is not imposed explicitly; it is encoded by testing
+the second equation against all hat functions, including the boundary
+ones.  The system is solved by static condensation onto the boundary
+values of u2: one factorization of the interior stiffness, and
+preconditioned conjugate gradients on the boundary Schur complement
+(Glowinski & Pironneau, SIAM Review 21, 1979).  The lumped-mass variant
+is the same system with the lumped mass matrix in place of the
+consistent one in the second equation, and is solved the same way.
 
-On closed meshes the problem decouples into two Poisson solves for
-fields of zero mass-weighted mean.  Both use one factorization of the
-stiffness grounded at vertex 0, which is positive definite: each
-right-hand side is first projected onto the range of the stiffness,
-and the mean is removed from each result.
+A closed mesh is the same problem with an empty boundary: B = S, there
+is nothing to condense, and the system decouples into two Poisson
+solves.  The constants in the kernel of S add one rule, kept by
+:class:`~biharm.fem.MeshOperators`: the load loses its M-weighted mean,
+each right-hand side is projected onto range(S) along M 1, and each
+solve, grounded at vertex 0, removes the mean from its result.
 
-Every solver reads S, M, the dof split and the one factor from one
-:class:`~biharm.fem.MeshOperators` bundle built inside the solve.
-:func:`solve_mixed` is the one dispatch to the solver a mesh calls
-for, which the studies and the CLI share.
-
-Each solve checks its two equations (the variational identities of the
-clamped problem, the Poisson identities of the closed one) apart by
+:func:`solve_mixed`, the one solve of the studies and the CLI, reads
+S, M, the dof split and the one factor from one bundle built inside the
+solve.  It checks the two variational identities apart by
 :func:`~biharm.linalg.check_residual`, so ``tol`` does not depend on the
 unit of length, and reports the larger residual.
 """
@@ -45,11 +42,11 @@ from .mesh import ComponentError, component_labels
 
 
 class NoBoundaryError(ValueError):
-    """Dirichlet solver called on a closed mesh."""
+    """Clamped-problem guard called on a closed mesh."""
 
 
 class HasBoundaryError(ValueError):
-    """Closed-surface solver called on a mesh with boundary."""
+    """Closed-surface guard called on a mesh with boundary."""
 
 
 # The boundary CG of the clamped solve takes 7-19 iterations on caps and
@@ -123,7 +120,8 @@ def _condensed_clamped(ops, mass, load, tol):
     two S_II solves for the product and one for the preconditioner.
     That is the Dirichlet-to-Neumann map S_BB - S_BI S_II^{-1} S_IB plus
     (10 / |Gamma|) times the boundary-curve mass, |Gamma| the boundary
-    length; both terms are unchanged when the mesh is scaled.
+    length; both terms are unchanged when the mesh is scaled.  On a
+    closed mesh there is no lam, and u2 is the first Poisson solve.
 
     The first identity B u2 = M_I: f and the interior rows of the
     second, B^T u1 = M u2, hold up to the accuracy of the factor; the
@@ -134,14 +132,18 @@ def _condensed_clamped(ops, mass, load, tol):
     on the cap family it leaves u1 and u2 closer to the exact discrete
     solution than a sparse LU of the saddle matrix does.
 
-    ``mass`` is M or M_L, and ``load`` is M_I: f.
+    ``mass`` is M or M_L, and ``load`` is M f over all vertices, as
+    :meth:`~biharm.fem.MeshOperators.project` leaves it.
 
     Returns
     -------
-    u1, u2 : ndarray, shape (n,)
+    u2 : ndarray, shape (n,)
     iterations : int
     """
+    u2 = ops.solve(load)
     interior, boundary = ops.interior, ops.boundary
+    if not boundary.size:
+        return u2, 0
     n = ops.mesh.n_vertices
     s_ib = ops.b_block[:, boundary]
     s_bi = s_ib.T.tocsr()
@@ -162,8 +164,6 @@ def _condensed_clamped(ops, mass, load, tol):
     def precondition(r):
         return s_bb @ r - s_bi @ factor.solve(s_ib @ r) + shift @ r
 
-    u2 = np.zeros(n)
-    u2[interior] = factor.solve(load)
     mass_u2 = mass @ u2
     r = -extend_adjoint(mass_u2)
     z = precondition(r)
@@ -190,20 +190,17 @@ def _condensed_clamped(ops, mass, load, tol):
         z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    u1 = np.zeros(n)
-    u1[interior] = factor.solve((mass @ u2)[interior])
-    return u1, u2, iterations
+    return u2, iterations
 
 
-def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
-    """Solve the clamped mixed biharmonic problem on a bounded mesh.
+def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
+    """Solve the mixed biharmonic problem on any mesh.
 
     The saddle system of the module docstring is condensed onto the
-    boundary values of u2: the interior stiffness S_II is factored
-    once, and the boundary Schur complement is solved by CG
-    preconditioned with the Dirichlet-to-Neumann map of the same factor
-    (see :func:`_condensed_clamped`).  Both variational identities,
-    B u2 = M[interior, :] f and B^T u1 = M u2, are then recomputed from
+    boundary values of u2, none on a closed mesh (see
+    :func:`_condensed_clamped`).  Both variational identities,
+    B u2 = M[interior, :] f and B^T u1 = M u2, their right-hand sides
+    taken through the bundle's constant rule, are then recomputed from
     the assembled blocks and checked to ``tol`` by
     :func:`check_residual`.  A mesh without interior vertices has the
     solution u1 = u2 = 0.
@@ -211,7 +208,6 @@ def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     Parameters
     ----------
     mesh : TriMesh
-        Mesh with nonempty boundary.
     f : ndarray, shape (n,)
         Nodal samples of the right-hand side.
     tol : float
@@ -220,117 +216,70 @@ def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
         Mass matrix in the second equation.  The load keeps the
         consistent mass in both modes, so the lumped solution solves
         B M_L^{-1} B^T u1 = M[interior, :] f with u2 = M_L^{-1} B^T u1.
+        M_L has the row sums of M, so M 1 projects both modes' loads.
 
     Returns
     -------
     MixedSolution
         Its ``solve_report`` has method "condensed_cg", the boundary CG
-        iteration count and the larger residual of the two identities.
+        iteration count (0 on a closed mesh) and the larger residual of
+        the two identities.
+
+    Raises
+    ------
+    ComponentError
+        If the mesh has more than one connected component and one of
+        them has no boundary vertices.
+    SingularError
+        If the stiffness S[free, free] cannot be factored.
+    NotConvergedError
+        If the boundary CG or either identity misses ``tol``.
+    """
+    _check_components(mesh)
+    f = _check_field(mesh, f)
+    ops = MeshOperators(mesh)
+    mass = (ops.mass if mass_mode == "consistent"
+            else assemble_mass(mesh, mass_mode))
+    mean = ops.mean(f)
+    load = ops.project(ops.mass @ (f - mean))
+    u2, iterations = _condensed_clamped(ops, mass, load, tol)
+    rhs = ops.project(mass @ u2)
+    u1 = ops.solve(rhs)
+
+    what = f"identity of the clamped solve on {mesh.n_vertices} vertices"
+    res = max(check_residual(ops.b_block @ u2, load[ops.interior], tol,
+                             "first " + what),
+              check_residual(ops.b_block.T @ u1[ops.interior], rhs, tol,
+                             "second " + what))
+    return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
+                         mass_mode, f_mean_removed=mean)
+
+
+def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
+    """:func:`solve_mixed` on a mesh with boundary: the clamped problem.
 
     Raises
     ------
     NoBoundaryError
         On closed meshes; use :func:`solve_mixed_closed`.
-    ComponentError
-        If a connected component of the mesh has no boundary vertices.
-    SingularError
-        If the interior stiffness cannot be factored.
-    NotConvergedError
-        If the boundary CG or either identity misses ``tol``.
     """
     if mesh.is_closed:
         raise NoBoundaryError(
             "mesh has no boundary; use solve_mixed_closed")
-    _check_components(mesh)
-    f = _check_field(mesh, f)
-    ops = MeshOperators(mesh)
-    load = ops.mass[ops.interior, :] @ f
-    mass = (ops.mass if mass_mode == "consistent"
-            else assemble_mass(mesh, mass_mode))
-    if ops.interior.size:
-        u1, u2, iterations = _condensed_clamped(ops, mass, load, tol)
-    else:
-        u1, u2, iterations = (np.zeros(mesh.n_vertices),
-                              np.zeros(mesh.n_vertices), 0)
-
-    what = f"identity of the clamped solve on {mesh.n_vertices} vertices"
-    res = max(check_residual(ops.b_block @ u2, load, tol, "first " + what),
-              check_residual(ops.b_block.T @ u1[ops.interior], mass @ u2, tol,
-                             "second " + what))
-    return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
-                         mass_mode)
+    return solve_mixed(mesh, f, tol=tol, mass_mode=mass_mode)
 
 
 def solve_mixed_closed(mesh, f, tol=DEFAULT_TOL):
-    """Solve the biharmonic problem on a closed mesh by double Poisson.
-
-    The right-hand side is projected onto zero M-weighted mean (the
-    problem quotients out constants); the removed component is recorded
-    in the returned solution.  Each Poisson problem S u = b is solved
-    with one shared factor of the stiffness grounded at vertex 0,
-    S[1:, 1:], after b is projected onto range(S) along M 1,
-
-        b <- b - (1^T b / 1^T M 1) M 1,
-
-    which is what the Lagrange row of the bordered system
-    [[S, M 1], [(M 1)^T, 0]] does.  The M-weighted mean is then removed
-    from u, so that 1^T M u = 0.  Each Poisson identity S u = b, with
-    the projected b, is checked to ``tol`` by :func:`check_residual`.
+    """:func:`solve_mixed` on a closed mesh with the consistent mass:
+    two Poisson solves for fields of zero M-weighted mean, the removed
+    mean of f recorded in the solution.
 
     Raises
     ------
     HasBoundaryError
         On meshes with boundary; use :func:`solve_mixed_dirichlet`.
-    ComponentError
-        If the mesh has more than one connected component.
-    SingularError
-        If the grounded stiffness cannot be factored.
-    NotConvergedError
-        If either Poisson identity misses ``tol``.
     """
     if not mesh.is_closed:
         raise HasBoundaryError(
             "mesh has a boundary; use solve_mixed_dirichlet")
-    _check_components(mesh)
-    f = _check_field(mesh, f)
-    ops = MeshOperators(mesh)
-    # Means are taken with numpy's pairwise sums, not BLAS dot products,
-    # whose summation order depends on the OpenBLAS thread count.
-    border = ops.mass @ np.ones(mesh.n_vertices)
-    total = float(border.sum())
-    mean = float(np.sum(border * f)) / total
-    f_tilde = f - mean
-
-    def poisson(rhs, label):
-        rhs = rhs - (rhs.sum() / total) * border
-        u = np.zeros(mesh.n_vertices)
-        u[ops.free] = ops.factor.solve(rhs[ops.free])
-        u -= np.sum(border * u) / total
-        return u, check_residual(ops.stiffness @ u, rhs, tol,
-                                 f"{label} identity of the closed solve "
-                                 f"on {mesh.n_vertices} vertices")
-
-    u2, res2 = poisson(ops.mass @ f_tilde, "first Poisson")
-    u1, res1 = poisson(ops.mass @ u2, "second Poisson")
-    return MixedSolution(u1, u2, SolveReport("spd_factor", 0, max(res1, res2)),
-                         "consistent", f_mean_removed=mean)
-
-
-def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
-    """Solve the mixed problem with the solver the mesh calls for.
-
-    Meshes with boundary get the clamped solve of
-    :func:`solve_mixed_dirichlet` in ``mass_mode``, closed meshes the
-    double-Poisson solve of :func:`solve_mixed_closed`.
-
-    Raises
-    ------
-    ValueError
-        For the lumped mode on a closed mesh, which has no lumped path;
-        and the errors of the solver.
-    """
-    if not mesh.is_closed:
-        return solve_mixed_dirichlet(mesh, f, tol=tol, mass_mode=mass_mode)
-    if mass_mode == "lumped":
-        raise ValueError("the lumped mass mode needs a bounded mesh")
-    return solve_mixed_closed(mesh, f, tol=tol)
+    return solve_mixed(mesh, f, tol=tol)

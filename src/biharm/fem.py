@@ -110,6 +110,10 @@ class MeshOperators:
     grounded vertex 0 on a closed mesh), is built on first use.  The
     bundle alone decides which matrix is ordered by which points; a
     solve builds its own and drops it on return, so no factor outlives it.
+
+    On a closed mesh the constants span the kernel of S; :meth:`mean`,
+    :meth:`project` and :meth:`solve` hold the one rule for them, which
+    does nothing on a mesh with boundary.
     """
 
     def __init__(self, mesh):
@@ -123,11 +127,40 @@ class MeshOperators:
         self.b_block = (self.stiffness[self.interior, :]
                         if self.boundary.size else self.stiffness)
         self.free = self.interior if self.boundary.size else self.interior[1:]
+        # M 1 on a closed mesh, None with a boundary.
+        self._border = (None if self.boundary.size
+                        else self.mass @ np.ones(mesh.n_vertices))
 
     @cached_property
     def factor(self):
         return factor_spd(self.stiffness[self.free, :][:, self.free],
                           self.mesh.vertices[self.free])
+
+    def mean(self, u):
+        """The M-weighted mean 1^T M u / 1^T M 1 of a nodal field on a
+        closed mesh, 0 with a boundary.  Its sums are numpy's pairwise
+        ones, not BLAS dot products, whose order depends on the
+        OpenBLAS thread count."""
+        if self._border is None:
+            return 0.0
+        return float(np.sum(self._border * u)) / float(self._border.sum())
+
+    def project(self, b):
+        """A load vector projected onto range(S) along M 1 on a closed
+        mesh, b - (1^T b / 1^T M 1) M 1; ``b`` itself with a boundary."""
+        if self._border is None:
+            return b
+        return b - (b.sum() / float(self._border.sum())) * self._border
+
+    def solve(self, b):
+        """The field u, zero off ``free``, with S[free, free] u[free] =
+        b[free] for a load vector ``b`` over all vertices, less its
+        :meth:`mean`.  For a ``b`` in range(S) on a closed mesh this is
+        the solution of S u = b with 1^T M u = 0."""
+        u = np.zeros(self.mesh.n_vertices)
+        u[self.free] = self.factor.solve(b[self.free])
+        u -= self.mean(u)
+        return u
 
 
 def nodal_field(mesh, u):

@@ -30,12 +30,11 @@ class SolveReport:
     Attributes
     ----------
     method : str
-        Identifier of the algorithm used: "condensed_cg" (the clamped
-        mixed solve: boundary CG over one factor of the interior
-        stiffness) or "spd_factor" (the closed mixed solve: one factor
-        of the grounded stiffness, see :func:`factor_spd`).
+        Identifier of the algorithm used: "condensed_cg" on every mesh
+        (the mixed solve: boundary CG, empty on a closed mesh, over one
+        :func:`factor_spd` factor of the stiffness).
     iterations : int
-        Iteration count; 0 for direct methods.
+        Iteration count of the boundary CG; 0 on a closed mesh.
     relative_residual : float
         The largest :func:`check_residual` of the equations the solve
         checked, each recomputed from the returned solution.

@@ -330,37 +330,36 @@ def _raise_first_bad_record(path, text):
     """Raise the error of the first malformed ``v`` or ``f`` line.
 
     Error reporting for :func:`read_obj` once its bulk parse has failed:
-    the lines are walked in order, and the first one that breaks a rule
-    is named with its line number.  Returns if no line does.
+    the lines are walked in order, and the first one that breaks a rule,
+    or has a number that ``float`` or ``int`` rejects, is named as
+    ``path:lineno: reason``.  Returns if no line does.
     """
     for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
-        if parts[:1] == ["v"]:
-            if len(parts) < 4:
-                raise ValueError(
-                    f"{path}:{lineno}: vertex record needs 3 coordinates")
-            numbers = parts[1:4]
+        try:
+            if parts[:1] == ["v"]:
+                if len(parts) < 4:
+                    raise ValueError("vertex record needs 3 coordinates")
+                numbers = parts[1:4]
+                for token in numbers:
+                    float(token)
+            elif parts[:1] == ["f"]:
+                if len(parts) != 4:
+                    raise ValueError("only triangular faces supported")
+                numbers = [token.split("/")[0] for token in parts[1:]]
+                for token in numbers:
+                    if int(token) <= 0:
+                        raise ValueError("face indices must be positive")
+                    if int(token) > np.iinfo(np.int64).max:
+                        raise ValueError(f"face index {token} is too large")
+            else:
+                continue
             for token in numbers:
-                float(token)
-        elif parts[:1] == ["f"]:
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: only triangular faces supported")
-            numbers = [token.split("/")[0] for token in parts[1:]]
-            for token in numbers:
-                if int(token) <= 0:
-                    raise ValueError(
-                        f"{path}:{lineno}: face indices must be positive")
-                if int(token) > np.iinfo(np.int64).max:
-                    raise ValueError(
-                        f"{path}:{lineno}: face index {token} is too large")
-        else:
-            continue
-        for token in numbers:
-            if not token.isascii() or "_" in token:
-                raise ValueError(
-                    f"{path}:{lineno}: number {token!r} is not written "
-                    f"in plain ASCII digits")
+                if not token.isascii() or "_" in token:
+                    raise ValueError(f"number {token!r} is not written in "
+                                     f"plain ASCII digits")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def read_obj(path):

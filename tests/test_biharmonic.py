@@ -5,7 +5,8 @@ import scipy.sparse.linalg as spla
 import biharm.biharmonic as biharmonic
 from biharm import linalg
 from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
-                               solve_mixed_closed, solve_mixed_dirichlet)
+                               solve_mixed, solve_mixed_closed,
+                               solve_mixed_dirichlet)
 from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
                         interpolate)
 from biharm.linalg import NotConvergedError
@@ -299,7 +300,7 @@ class TestClosed:
 
     def test_open_mesh_rejected(self):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
-        with pytest.raises(HasBoundaryError):
+        with pytest.raises(HasBoundaryError, match="use solve_mixed_dirichlet"):
             solve_mixed_closed(mesh, np.zeros(mesh.n_vertices))
 
     def test_disconnected_mesh_rejected(self, rng):
@@ -413,9 +414,50 @@ class TestLumpedSchur:
         assert diffs[2] < 0.5 * diffs[1]
 
     def test_closed_mesh_rejected(self):
+        # solve_mixed takes the lumped mode on a closed mesh; the guard
+        # of the clamped problem does not.
         mesh = gen_icosphere(1)
-        with pytest.raises(NoBoundaryError):
+        with pytest.raises(NoBoundaryError, match="use solve_mixed_closed"):
             solve_lumped(mesh, np.zeros(mesh.n_vertices))
+
+
+class TestLumpedClosed:
+    """On a closed mesh the lumped mode is the same solve with M_L in
+    the second equation and the same projection along M 1, since M_L
+    has the row sums of M."""
+
+    def test_matches_dense_oracle(self, rng):
+        mesh = gen_icosphere(2)
+        n = mesh.n_vertices
+        m = assemble_mass(mesh)
+        border = m @ np.ones(n)
+        bordered = np.block([[assemble_stiffness(mesh).toarray(),
+                              border[:, None]],
+                             [border[None, :], np.zeros((1, 1))]])
+
+        def poisson(b):
+            """u with S u = P b and 1^T M u = 0, P the projection onto
+            range(S) along M 1."""
+            projected = b - (b.sum() / border.sum()) * border
+            return dense_solve_oracle(bordered, np.append(projected, 0.0))[:n]
+
+        f = rng.normal(size=n)
+        sol = solve_mixed(mesh, f, mass_mode="lumped")
+        assert sol.mass_mode == "lumped"
+        u2 = poisson(m @ f)
+        u1 = poisson(assemble_mass(mesh, mode="lumped") @ u2)
+        for got, want in ((sol.u1, u1), (sol.u2, u2)):
+            assert (np.max(np.abs(got - want))
+                    <= 1e-10 * np.max(np.abs(want)))
+
+    def test_solve_mixed_is_the_closed_solve(self, rng):
+        mesh = gen_icosphere(2)
+        f = rng.normal(size=mesh.n_vertices)
+        a, b = solve_mixed(mesh, f), solve_mixed_closed(mesh, f)
+        assert a.u1.tobytes() == b.u1.tobytes()
+        assert a.u2.tobytes() == b.u2.tobytes()
+        assert a.f_mean_removed == b.f_mean_removed
+        assert a.solve_report.iterations == b.solve_report.iterations == 0
 
 
 class TestVariationalIdentities:
@@ -458,5 +500,6 @@ class TestVariationalIdentities:
         sphere = gen_icosphere(1)
         sol = solve_mixed_closed(sphere, interpolate(
             sphere, real_harmonic(2, 0)))
-        assert sol.solve_report.method == "spd_factor"
+        assert sol.solve_report.method == "condensed_cg"
+        assert sol.solve_report.iterations == 0
         assert sol.solve_report.relative_residual <= 1e-9

@@ -110,10 +110,14 @@ class TestSolve:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
-    def test_lumped_on_closed_mesh_exit_2(self, tmp_path, tet_obj):
+    def test_lumped_on_closed_mesh(self, tmp_path, tet_obj):
+        out = tmp_path / "out"
         code = main(["solve", "--mesh", str(tet_obj), "--rhs", "const:1",
-                     "--mass", "lumped", "--out", str(tmp_path / "out")])
-        assert code == 2
+                     "--mass", "lumped", "--out", str(out)])
+        assert code == 0
+        u1, u2 = read_solution_csv(out / "solution.csv")
+        assert np.max(np.abs(u1)) <= 1e-8
+        assert np.max(np.abs(u2)) <= 1e-8
 
     def test_obj_without_faces_exit_2(self, tmp_path, capsys):
         path = tmp_path / "points.obj"
@@ -233,17 +237,13 @@ class TestConverge:
         assert code == 0
         assert len(read_levels_csv(out / "report.csv")) == 4
 
-    def test_lumped_on_sphere_exit_2(self, tmp_path, capsys):
-        code = main(["solve", "--case", "sphere", "--mass", "lumped",
-                     "--out", str(tmp_path / "solve")])
-        assert code == 2
-        message = capsys.readouterr().err
-        assert "lumped" in message
+    def test_lumped_on_sphere_check(self, tmp_path, capsys):
+        out = tmp_path / "out"
         code = main(["converge", "--case", "sphere", "--mass", "lumped",
-                     "--levels", "2,3,4", "--out", str(tmp_path / "study")])
-        assert code == 2
-        assert capsys.readouterr().err == message
-        assert not (tmp_path / "study" / "report.csv").exists()
+                     "--check", "--out", str(out)])
+        assert code == 0
+        assert "acceptance gate passed" in capsys.readouterr().out
+        assert len(read_levels_csv(out / "report.csv")) == 4
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # OpenBLAS splits dot products of more than 10^4 entries over
@@ -456,6 +456,50 @@ class TestFileErrors:
         assert code == 2
         assert f"error: {out}: File exists" in capsys.readouterr().err
         assert calls == []
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("args, config, message", [
+        (["converge"], [], "config file must hold a JSON object"),
+        (["converge", "--levels", "8,16,32"], None,
+         "--levels requires --case"),
+        (["converge"], {"case": "lantern", "coupling": "cubic"},
+         "coupling must be linear or quadratic, got 'cubic'"),
+        (["converge"], {"case": "cap", "mass_mode": "diag"},
+         "mass_mode must be consistent or lumped, got 'diag'"),
+        (["converge", "--case", "cap", "--levels", "8,x"], None,
+         "argument --levels: levels must be comma-separated integers, "
+         "got '8,x'"),
+        (["solve", "--case", "cap", "--rhs", "const:abc"], None,
+         "bad constant right-hand side 'const:abc'"),
+        (["solve", "--case", "cap", "--rhs", "harmonic:2"], None,
+         "harmonic right-hand side must be harmonic:l,m, got 'harmonic:2'"),
+        (["solve"], None, "solve needs --mesh FILE or --case KIND"),
+        (["solve", "--mesh", "any.obj"], None,
+         "solve with --mesh needs --rhs const:VALUE or harmonic:l,m"),
+        (["converge"], None, "converge needs --case KIND (or a config file)"),
+        (["quality", "--mesh", "any.obj"], None,
+         "quality on an OBJ mesh needs --case KIND"),
+        (["quality"], None, "quality needs --mesh FILE or --case KIND"),
+    ], ids=["config-array", "levels-without-case", "coupling-cubic",
+            "mass-mode-diag", "levels-not-integers", "rhs-const-abc",
+            "rhs-harmonic-one-index", "solve-without-input",
+            "solve-mesh-without-rhs", "converge-without-case",
+            "quality-mesh-without-case", "quality-without-input"])
+    def test_exit_2_names_cause_before_out(self, tmp_path, capsys, args,
+                                           config, message):
+        if config is not None:
+            path = tmp_path / "study.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        out = tmp_path / "out"
+        try:
+            code = main(args + ["--out", str(out)])
+        except SystemExit as exc:         # argparse rejects a flag itself
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestConfigFile:

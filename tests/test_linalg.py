@@ -12,8 +12,7 @@ from biharm.linalg import (DimensionMismatchError, NotConvergedError,
 from biharm.surfaces import gen_cap_mesh, gen_icosphere, gen_schwarz_lantern
 
 from conftest import grid_mesh
-from helpers import (dense_solve_oracle, lexsort_nested_dissection,
-                     loaded_by_import)
+from helpers import dense_solve_oracle, lexsort_nested_dissection
 
 
 def poisson_1d(n):
@@ -237,6 +236,3 @@ class TestSparseHelpers:
         a = build_csr(np.array([0, 1]), np.array([0, 1]),
                       np.array([1.0, 0.0]), (2, 2))
         assert a.nnz == 1
-
-    def test_import_leaves_scipy_io_unloaded(self):
-        assert not loaded_by_import("scipy.io")

@@ -26,6 +26,14 @@ def read_obj_per_line(path):
     reproduce."""
     vertices = []
     faces = []
+
+    def number(kind, token):
+        """``kind(token)``, its error prefixed with the file and line."""
+        try:
+            return kind(token)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -35,8 +43,8 @@ def read_obj_per_line(path):
                 if len(parts) < 4:
                     raise ValueError(
                         f"{path}:{lineno}: vertex record needs 3 coordinates")
-                vertices.append([float(parts[1]), float(parts[2]),
-                                 float(parts[3])])
+                vertices.append([number(float, token)
+                                 for token in parts[1:4]])
             elif parts[0] == "f":
                 if len(parts) != 4:
                     raise ValueError(
@@ -44,7 +52,7 @@ def read_obj_per_line(path):
                 idx = []
                 for token in parts[1:]:
                     head = token.split("/")[0]
-                    i = int(head)
+                    i = number(int, head)
                     if i <= 0:
                         raise ValueError(
                             f"{path}:{lineno}: face indices must be positive")
@@ -342,11 +350,16 @@ class TestObjIO:
                  "4: face indices must be positive"),
                 (TRIANGLE + "f 1 2 99999999999999999999\n",
                  "4: face index 99999999999999999999 is too large"),
+                ("v 0 0 zero\n",
+                 "1: could not convert string to float: 'zero'"),
+                (TRIANGLE + "f 2 3 4.0\n",
+                 "4: invalid literal for int() with base 10: '4.0'"),
                 ("# empty\n", " no vertices found"),
                 ("v 0 0 0\n", " no faces found")]:
             path.write_text(text)
             with pytest.raises(ValueError,
-                               match=f"^{re.escape(str(path))}:?{message}"):
+                               match=f"^{re.escape(str(path))}:?"
+                                     f"{re.escape(message)}"):
                 read_obj(path)
 
     @settings(max_examples=300, deadline=None)

