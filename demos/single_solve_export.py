@@ -15,15 +15,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
 
-from biharm import (MeshOperators, gen_schwarz_lantern, solve_mixed_dirichlet,
-                    write_obj)
+from biharm import MeshOperators, gen_schwarz_lantern, solve_mixed, write_obj
 
 out = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out, exist_ok=True)
 
 mesh = gen_schwarz_lantern(m=32, n=16)
 f = np.full(mesh.n_vertices, 24.0)
-sol = solve_mixed_dirichlet(mesh, f)
+sol = solve_mixed(mesh, f)
 
 equator = np.abs(mesh.vertices[:, 2]) < 1e-12
 print(f"lantern with {mesh.n_vertices} vertices, {mesh.n_faces} faces")

@@ -22,7 +22,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .biharmonic import solve_mixed, solve_mixed_dirichlet
+from .biharmonic import solve_mixed
 from .fem import interpolate, nodal_field, p1_gradients
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
 from .mesh import circumradius_ratios, inradius_ratios, max_edge_length
@@ -471,8 +471,7 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     base = cylinder_case(radius, height)
     m_ref = 2 * int(n_ref)
     fine = gen_schwarz_lantern(m_ref, n_ref, radius, height)
-    sol = solve_mixed_dirichlet(fine, interpolate(fine, base.exact_f),
-                                tol=tol)
+    sol = solve_mixed(fine, interpolate(fine, base.exact_f), tol=tol)
 
     # Vertex j m + k is vertex k of ring j.
     z_ring = fine.vertices[::m_ref, 2]

@@ -41,14 +41,6 @@ from .linalg import DEFAULT_TOL, SolveReport, check_residual, NotConvergedError
 from .mesh import ComponentError, component_labels
 
 
-class NoBoundaryError(ValueError):
-    """Clamped-problem guard called on a closed mesh."""
-
-
-class HasBoundaryError(ValueError):
-    """Closed-surface guard called on a mesh with boundary."""
-
-
 # The boundary CG of the clamped solve takes 7-19 iterations on caps and
 # lanterns of every size up to 197k vertices, and 18-20 with lumped mass
 # on caps up to 49k; one that has not converged after this many fails.
@@ -253,33 +245,3 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
                              "second " + what))
     return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
                          mass_mode, f_mean_removed=mean)
-
-
-def solve_mixed_dirichlet(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
-    """:func:`solve_mixed` on a mesh with boundary: the clamped problem.
-
-    Raises
-    ------
-    NoBoundaryError
-        On closed meshes; use :func:`solve_mixed_closed`.
-    """
-    if mesh.is_closed:
-        raise NoBoundaryError(
-            "mesh has no boundary; use solve_mixed_closed")
-    return solve_mixed(mesh, f, tol=tol, mass_mode=mass_mode)
-
-
-def solve_mixed_closed(mesh, f, tol=DEFAULT_TOL):
-    """:func:`solve_mixed` on a closed mesh with the consistent mass:
-    two Poisson solves for fields of zero M-weighted mean, the removed
-    mean of f recorded in the solution.
-
-    Raises
-    ------
-    HasBoundaryError
-        On meshes with boundary; use :func:`solve_mixed_dirichlet`.
-    """
-    if not mesh.is_closed:
-        raise HasBoundaryError(
-            "mesh has a boundary; use solve_mixed_dirichlet")
-    return solve_mixed(mesh, f, tol=tol)

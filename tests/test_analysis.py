@@ -510,8 +510,7 @@ class TestHighresReference:
     def test_usable_for_error_measurement(self):
         case = lantern_highres_reference(n_ref=24)
         mesh = gen_schwarz_lantern(16, 8)
-        from biharm.biharmonic import solve_mixed_dirichlet
-        sol = solve_mixed_dirichlet(mesh, np.full(mesh.n_vertices, 24.0))
+        sol = solve_mixed(mesh, np.full(mesh.n_vertices, 24.0))
         err = l2_error(mesh, sol.u1, case)
         base_err = l2_error(mesh, sol.u1, cylinder_case(1.0, 2.0))
         assert err == pytest.approx(base_err, abs=0.05)
@@ -524,9 +523,8 @@ class TestHighresProfile:
     def test_profile_matches_chart_interpolant(self, rng):
         n_ref, m_ref, radius, a = 8, 16, 1.0, 1.0
         case = lantern_highres_reference(n_ref=n_ref)
-        from biharm.biharmonic import solve_mixed_dirichlet
         fine = gen_schwarz_lantern(m_ref, n_ref)
-        sol = solve_mixed_dirichlet(fine, np.full(fine.n_vertices, 24.0))
+        sol = solve_mixed(fine, np.full(fine.n_vertices, 24.0))
 
         # Random points off the surface, plus points next to the
         # phi = +-pi seam and on and next to both rims.
@@ -581,10 +579,9 @@ class TestHighresProfile:
         assert case.exact_grad_u(pts[0]).shape == (3,)
 
     def test_fine_solution_constant_on_rings(self):
-        from biharm.biharmonic import solve_mixed_dirichlet
         n_ref = 64
         fine = gen_schwarz_lantern(2 * n_ref, n_ref)
-        sol = solve_mixed_dirichlet(fine, np.full(fine.n_vertices, 24.0))
+        sol = solve_mixed(fine, np.full(fine.n_vertices, 24.0))
         for u in (sol.u1, sol.u2):
             rings = u.reshape(n_ref + 1, 2 * n_ref)
             spread = np.ptp(rings, axis=1).max()

@@ -1,21 +1,25 @@
+"""The one mixed solve, ``solve_mixed``, on meshes with and without
+boundary and in both mass modes.  Where a behaviour holds for every
+mesh kind or mass mode, one test runs it over all of them."""
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import biharm.biharmonic as biharmonic
 from biharm import linalg
-from biharm.biharmonic import (HasBoundaryError, NoBoundaryError,
-                               solve_mixed, solve_mixed_closed,
-                               solve_mixed_dirichlet)
+from biharm.biharmonic import solve_mixed
 from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
                         interpolate)
 from biharm.linalg import NotConvergedError
 from biharm.mesh import ComponentError, build_mesh
-from biharm.surfaces import (cylinder_case, gen_cap_mesh, gen_icosphere,
-                             gen_schwarz_lantern, real_harmonic, sphere_case)
+from biharm.surfaces import (cap_case, gen_cap_mesh, gen_icosphere,
+                             gen_schwarz_lantern, real_harmonic)
 
 from conftest import single_triangle, tetrahedron
 from helpers import dense_solve_oracle, discrete_laplacian, saddle_system
+
+MASS_MODES = ("consistent", "lumped")
 
 
 def disjoint_union(*meshes):
@@ -33,17 +37,27 @@ def l2m(mesh, field, mode="consistent"):
     return np.sqrt(max(field @ (m @ field), 0.0))
 
 
+def skew_load(mesh):
+    """A load without rotational symmetry.  An axisymmetric load excites
+    few boundary modes, so the boundary CG can finish in a step or two."""
+    x, y, z = mesh.vertices.T
+    return np.cos(3.0 * np.arctan2(y, x)) + np.exp(x) * y + z
+
+
 class TestDirichlet:
     def test_zero_rhs(self):
         mesh = gen_cap_mesh(np.pi / 3.0, 3)
-        sol = solve_mixed_dirichlet(mesh, np.zeros(mesh.n_vertices))
-        assert np.all(sol.u1 == 0.0)
-        assert np.all(sol.u2 == 0.0)
+        for mode in MASS_MODES:
+            sol = solve_mixed(mesh, np.zeros(mesh.n_vertices),
+                              mass_mode=mode)
+            assert np.all(sol.u1 == 0.0)
+            assert np.all(sol.u2 == 0.0)
+            assert sol.mass_mode == mode
 
     def test_matches_dense_oracle(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_mixed_dirichlet(mesh, f)
+        sol = solve_mixed(mesh, f)
         matrix, rhs, ops = saddle_system(mesh, f)
         x = dense_solve_oracle(matrix, rhs)
         n_i = len(ops.interior)
@@ -58,7 +72,7 @@ class TestDirichlet:
         rel_errors = []
         for n in (8, 16, 32):
             mesh = gen_schwarz_lantern(2 * n, n)
-            sol = solve_mixed_dirichlet(mesh, np.full(mesh.n_vertices, 24.0))
+            sol = solve_mixed(mesh, np.full(mesh.n_vertices, 24.0))
             equator = np.abs(mesh.vertices[:, 2]) < 1e-9
             assert equator.any()
             value = sol.u1[equator].mean()
@@ -70,13 +84,13 @@ class TestDirichlet:
     def test_boundary_entries_exactly_zero(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 3)
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_mixed_dirichlet(mesh, f)
+        sol = solve_mixed(mesh, f)
         assert np.all(sol.u1[mesh.boundary_vertices] == 0.0)
 
     def test_energy_identity(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 4)
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_mixed_dirichlet(mesh, f)
+        sol = solve_mixed(mesh, f)
         s = assemble_stiffness(mesh)
         m = assemble_mass(mesh)
         lhs = sol.u1 @ (s @ sol.u1)
@@ -86,57 +100,33 @@ class TestDirichlet:
 
     def test_u2_norm_stable_across_levels(self):
         norms = []
+        case = cap_case(1.0, np.pi / 3.0)
         for rings in (16, 32):
             mesh = gen_cap_mesh(np.pi / 3.0, rings)
-            from biharm.surfaces import cap_case
-            case = cap_case(1.0, np.pi / 3.0)
-            f = interpolate(mesh, case.exact_f)
-            sol = solve_mixed_dirichlet(mesh, f)
+            sol = solve_mixed(mesh, interpolate(mesh, case.exact_f))
             norms.append(l2m(mesh, sol.u2))
         assert abs(norms[1] - norms[0]) < 0.2 * norms[0]
-
-    def test_closed_mesh_rejected(self):
-        mesh = gen_icosphere(1)
-        with pytest.raises(NoBoundaryError):
-            solve_mixed_dirichlet(mesh, np.zeros(mesh.n_vertices))
-
-    def test_closed_component_rejected(self, rng):
-        # A disjoint closed sphere leaves S_II singular on its block.
-        mesh = disjoint_union(gen_cap_mesh(np.pi / 3.0, 3), gen_icosphere(1))
-        f = rng.normal(size=mesh.n_vertices)
-        for mode in ("consistent", "lumped"):
-            with pytest.raises(ComponentError,
-                               match="2 connected components and 1 of them "
-                                     "have no boundary vertices"):
-                solve_mixed_dirichlet(mesh, f, mass_mode=mode)
 
     def test_disjoint_bounded_components_solve_apart(self, rng):
         cap = gen_cap_mesh(np.pi / 3.0, 3)
         f = rng.normal(size=2 * cap.n_vertices)
-        both = solve_mixed_dirichlet(disjoint_union(cap, cap), f)
+        both = solve_mixed(disjoint_union(cap, cap), f)
         for half in (slice(0, cap.n_vertices), slice(cap.n_vertices, None)):
-            alone = solve_mixed_dirichlet(cap, f[half])
+            alone = solve_mixed(cap, f[half])
             assert np.allclose(both.u1[half], alone.u1, rtol=0, atol=1e-12)
 
     def test_deterministic(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 3)
         f = rng.normal(size=mesh.n_vertices)
-        a = solve_mixed_dirichlet(mesh, f)
-        b = solve_mixed_dirichlet(mesh, f)
+        a = solve_mixed(mesh, f)
+        b = solve_mixed(mesh, f)
         assert np.array_equal(a.u1, b.u1)
         assert np.array_equal(a.u2, b.u2)
 
 
 class TestCondensedDirichlet:
-    """The clamped solve condenses the saddle system onto the boundary
-    values of u2 and runs CG there.  An axisymmetric load excites few
-    boundary modes, so CG can finish in a step or two; these tests use
-    loads without that symmetry."""
-
-    @staticmethod
-    def skew_load(mesh):
-        x, y, z = mesh.vertices.T
-        return np.cos(3.0 * np.arctan2(y, x)) + np.exp(x) * y + z
+    """The solve condenses the saddle system onto the boundary values of
+    u2 and runs CG there; these tests use loads that keep CG busy."""
 
     @pytest.mark.parametrize("mesh_fn", [
         lambda: gen_cap_mesh(np.pi / 3.0, 24),
@@ -145,7 +135,7 @@ class TestCondensedDirichlet:
     def test_matches_direct_saddle_solve(self, mesh_fn, rng):
         mesh = mesh_fn()
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_mixed_dirichlet(mesh, f)
+        sol = solve_mixed(mesh, f)
         assert sol.solve_report.method == "condensed_cg"
         assert sol.solve_report.iterations > 1
         matrix, rhs, ops = saddle_system(mesh, f)
@@ -158,40 +148,47 @@ class TestCondensedDirichlet:
 
     def test_no_interior_vertex(self):
         mesh = single_triangle()
-        sol = solve_mixed_dirichlet(mesh, np.array([1.0, -2.0, 3.0]))
+        sol = solve_mixed(mesh, np.array([1.0, -2.0, 3.0]))
         assert np.all(sol.u1 == 0.0)
         assert np.all(sol.u2 == 0.0)
         assert sol.solve_report.relative_residual == 0.0
 
     def test_iterations_do_not_grow_with_refinement(self):
-        for rings in (16, 32, 64):
-            mesh = gen_cap_mesh(np.pi / 3.0, rings)
-            sol = solve_mixed_dirichlet(mesh, self.skew_load(mesh))
-            assert 1 < sol.solve_report.iterations <= 25
-            assert sol.solve_report.relative_residual <= 1e-10
+        # The cap study levels, in both mass modes.
+        for mode in MASS_MODES:
+            for rings in (8, 16, 32, 64):
+                mesh = gen_cap_mesh(np.pi / 3.0, rings)
+                report = solve_mixed(mesh, skew_load(mesh),
+                                     mass_mode=mode).solve_report
+                assert report.method == "condensed_cg"
+                assert 1 < report.iterations <= 25, (mode, rings)
+                assert report.relative_residual <= 1e-10, (mode, rings)
 
     def test_scaled_mesh_same_iterations(self):
         # Both sides of each identity scale alike under x -> c x, so
         # neither the residuals nor the boundary CG may see the unit of
-        # length.
+        # length; u2 scales like c^2 and u1 like c^4.
         for mesh in (gen_cap_mesh(np.pi / 3.0, 16),
-                     gen_schwarz_lantern(32, 16)):
-            f = self.skew_load(mesh)
-            reports = {}
+                     gen_schwarz_lantern(32, 16), gen_icosphere(3)):
+            f = skew_load(mesh)
+            base = solve_mixed(mesh, f)
             for scale in (1e-3, 1.0, 1e2, 1e3):
-                scaled = build_mesh(scale * mesh.vertices, mesh.faces)
-                reports[scale] = solve_mixed_dirichlet(scaled,
-                                                       f).solve_report
-            for scale, report in reports.items():
+                sol = solve_mixed(build_mesh(scale * mesh.vertices,
+                                             mesh.faces), f)
+                report = sol.solve_report
                 assert abs(report.iterations
-                           - reports[1.0].iterations) <= 1, scale
+                           - base.solve_report.iterations) <= 1, scale
                 assert report.relative_residual <= 1e-10, scale
+                for got, want in ((sol.u2, scale ** 2 * base.u2),
+                                  (sol.u1, scale ** 4 * base.u1)):
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-8 * np.linalg.norm(want)), scale
 
     def test_failed_boundary_cg_names_solve(self, monkeypatch):
         monkeypatch.setattr(biharmonic, "_BOUNDARY_CG_MAXITER", 5)
         mesh = gen_cap_mesh(np.pi / 3.0, 8)
         with pytest.raises(NotConvergedError) as info:
-            solve_mixed_dirichlet(mesh, self.skew_load(mesh), tol=1e-20)
+            solve_mixed(mesh, skew_load(mesh), tol=1e-20)
         msg = str(info.value)
         assert "boundary CG" in msg
         assert "after 5 iterations" in msg
@@ -211,12 +208,13 @@ class TestClosed:
 
         monkeypatch.setattr(linalg.spla, "splu", counting_splu)
         mesh = gen_icosphere(2)
-        solve_mixed_closed(mesh, interpolate(mesh, real_harmonic(2, 1)))
+        solve_mixed(mesh, interpolate(mesh, real_harmonic(2, 1)))
         assert calls == [(mesh.n_vertices - 1, mesh.n_vertices - 1)]
 
     def test_matches_dense_bordered_oracle(self, rng):
         # The grounded factor with projected loads solves the bordered
-        # system [[S, M 1], [(M 1)^T, 0]] of the zero-mean problem.
+        # system [[S, M 1], [(M 1)^T, 0]] in both mass modes: M_L has
+        # the row sums of M, so M 1 projects the lumped loads too.
         mesh = gen_icosphere(2)
         n = mesh.n_vertices
         m = assemble_mass(mesh)
@@ -224,22 +222,31 @@ class TestClosed:
         bordered = np.block([[assemble_stiffness(mesh).toarray(),
                               border[:, None]],
                              [border[None, :], np.zeros((1, 1))]])
-        for _ in range(3):
-            f = rng.normal(size=n)
-            sol = solve_mixed_closed(mesh, f)
-            f_tilde = f - (border @ f) / border.sum()
-            u2 = dense_solve_oracle(bordered, np.append(m @ f_tilde, 0.0))
-            u1 = dense_solve_oracle(bordered, np.append(m @ u2[:n], 0.0))
-            for got, want in ((sol.u1, u1[:n]), (sol.u2, u2[:n])):
-                assert (np.max(np.abs(got - want))
-                        <= 1e-10 * np.max(np.abs(want)))
+
+        def poisson(b):
+            """u with S u = P b and 1^T M u = 0, P the projection onto
+            range(S) along M 1."""
+            projected = b - (b.sum() / border.sum()) * border
+            return dense_solve_oracle(bordered, np.append(projected, 0.0))[:n]
+
+        for mode in MASS_MODES:
+            mass = assemble_mass(mesh, mode=mode)
+            for _ in range(3):
+                f = rng.normal(size=n)
+                sol = solve_mixed(mesh, f, mass_mode=mode)
+                assert sol.mass_mode == mode
+                u2 = poisson(m @ f)
+                u1 = poisson(mass @ u2)
+                for got, want in ((sol.u1, u1), (sol.u2, u2)):
+                    assert (np.max(np.abs(got - want))
+                            <= 1e-10 * np.max(np.abs(want))), mode
 
     def test_constant_rhs_projected_to_zero(self):
         # For 0.1, 1/3 and 7.77 the removed mean is inexact, so f minus
         # its mean is roundoff that the load projection must absorb.
         mesh = gen_icosphere(2)
         for value in (3.0, 0.1, 1.0 / 3.0, 7.77):
-            sol = solve_mixed_closed(mesh, np.full(mesh.n_vertices, value))
+            sol = solve_mixed(mesh, np.full(mesh.n_vertices, value))
             assert np.max(np.abs(sol.u1)) <= 1e-10
             assert np.max(np.abs(sol.u2)) <= 1e-10
             assert sol.f_mean_removed == pytest.approx(value, rel=1e-10)
@@ -250,7 +257,7 @@ class TestClosed:
         for level in (2, 3, 4):
             mesh = gen_icosphere(level)
             y = interpolate(mesh, real_harmonic(2, 0))
-            sol = solve_mixed_closed(mesh, y)
+            sol = solve_mixed(mesh, y)
             scale = l2m(mesh, y)
             errs_u1.append(l2m(mesh, sol.u1 - y / 36.0) / scale)
             errs_u2.append(l2m(mesh, sol.u2 - y / 6.0) / scale)
@@ -261,7 +268,7 @@ class TestClosed:
     def test_zero_mean_invariants(self, rng):
         mesh = gen_icosphere(2)
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_mixed_closed(mesh, f)
+        sol = solve_mixed(mesh, f)
         m = assemble_mass(mesh)
         ones = np.ones(mesh.n_vertices)
         for field in (sol.u1, sol.u2):
@@ -272,49 +279,43 @@ class TestClosed:
         mesh = gen_icosphere(2)
         y_fn = real_harmonic(2, 0)
         f = interpolate(mesh, y_fn)
-        sol = solve_mixed_closed(mesh, f)
+        sol = solve_mixed(mesh, f)
 
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        from biharm.mesh import build_mesh
         rotated = build_mesh(mesh.vertices @ q.T, mesh.faces)
-        sol_rot = solve_mixed_closed(rotated, f)
+        sol_rot = solve_mixed(rotated, f)
         scale = max(np.max(np.abs(sol.u1)), np.max(np.abs(sol.u2)))
         assert np.max(np.abs(sol_rot.u1 - sol.u1)) <= 1e-9 * scale
         assert np.max(np.abs(sol_rot.u2 - sol.u2)) <= 1e-9 * scale
 
-    def test_scaled_mesh(self):
-        # Under x -> c x, u2 scales like c^2 and u1 like c^4.
-        mesh = gen_icosphere(3)
-        f = interpolate(mesh, real_harmonic(2, 1)) + mesh.vertices[:, 0]
-        base = solve_mixed_closed(mesh, f)
-        for scale in (1e-3, 1e2, 1e3):
-            sol = solve_mixed_closed(
-                build_mesh(scale * mesh.vertices, mesh.faces), f)
-            assert sol.solve_report.relative_residual <= 1e-10
-            for got, want in ((sol.u2, scale ** 2 * base.u2),
-                              (sol.u1, scale ** 4 * base.u1)):
-                assert (np.linalg.norm(got - want)
-                        <= 1e-8 * np.linalg.norm(want))
-
-    def test_open_mesh_rejected(self):
-        mesh = gen_cap_mesh(np.pi / 3.0, 2)
-        with pytest.raises(HasBoundaryError, match="use solve_mixed_dirichlet"):
-            solve_mixed_closed(mesh, np.zeros(mesh.n_vertices))
-
-    def test_disconnected_mesh_rejected(self, rng):
-        # Grounding one vertex fixes the constant of one sphere only.
-        mesh = disjoint_union(gen_icosphere(2), gen_icosphere(2))
-        with pytest.raises(ComponentError, match="2 connected components"):
-            solve_mixed_closed(mesh, rng.normal(size=mesh.n_vertices))
-
     def test_tetrahedron_runs(self):
         mesh = tetrahedron()
         f = np.array([1.0, -1.0, 0.5, -0.5])
-        sol = solve_mixed_closed(mesh, f)
+        sol = solve_mixed(mesh, f)
         assert sol.u1.shape == (4,)
         assert np.isfinite(sol.u1).all()
+
+
+class TestComponentRule:
+    @pytest.mark.parametrize("closed", [1, 2],
+                             ids=["cap-and-sphere", "two-spheres"])
+    def test_both_solvers_raise_one_message(self, rng, closed):
+        # A closed component beside a cap leaves S_II singular on its
+        # block, and grounding one vertex fixes the constant of one
+        # sphere only; one rule rejects both meshes in both mass modes.
+        first = (gen_cap_mesh(np.pi / 3.0, 3) if closed == 1
+                 else gen_icosphere(1))
+        mesh = disjoint_union(first, gen_icosphere(1))
+        f = rng.normal(size=mesh.n_vertices)
+        for mode in MASS_MODES:
+            with pytest.raises(ComponentError) as info:
+                solve_mixed(mesh, f, mass_mode=mode)
+            assert str(info.value) == (
+                f"mesh has 2 connected components and {closed} of them "
+                f"have no boundary vertices; a mesh of more than one "
+                f"component needs a boundary on each")
 
 
 def eliminated_lumped_system(mesh, f):
@@ -330,43 +331,14 @@ def eliminated_lumped_system(mesh, f):
     return schur, rhs, b, lumped, interior
 
 
-def solve_lumped(mesh, f, **kwargs):
-    return solve_mixed_dirichlet(mesh, f, mass_mode="lumped", **kwargs)
-
-
-class TestComponentRule:
-    @pytest.mark.parametrize("closed", [1, 2],
-                             ids=["cap-and-sphere", "two-spheres"])
-    def test_both_solvers_raise_one_message(self, rng, closed):
-        # A cap beside a sphere goes to the clamped solver, two spheres
-        # to the closed one; one rule rejects both meshes.
-        first = (gen_cap_mesh(np.pi / 3.0, 3) if closed == 1
-                 else gen_icosphere(1))
-        mesh = disjoint_union(first, gen_icosphere(1))
-        solver = solve_mixed_dirichlet if closed == 1 else solve_mixed_closed
-        with pytest.raises(ComponentError) as info:
-            solver(mesh, rng.normal(size=mesh.n_vertices))
-        assert str(info.value) == (
-            f"mesh has 2 connected components and {closed} of them have no "
-            f"boundary vertices; a mesh of more than one component needs "
-            f"a boundary on each")
-
-
 class TestLumpedSchur:
     """The lumped mode runs the condensed clamped solve with M_L in
     place of M; the eliminated system is its oracle."""
 
-    def test_zero_rhs(self):
-        mesh = gen_cap_mesh(np.pi / 3.0, 3)
-        sol = solve_lumped(mesh, np.zeros(mesh.n_vertices))
-        assert np.all(sol.u1 == 0.0)
-        assert np.all(sol.u2 == 0.0)
-        assert sol.mass_mode == "lumped"
-
     def test_matches_dense_oracle_of_eliminated_system(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_lumped(mesh, f)
+        sol = solve_mixed(mesh, f, mass_mode="lumped")
 
         schur, rhs, b, lumped, interior = eliminated_lumped_system(mesh, f)
         u1_i = dense_solve_oracle(schur, rhs)
@@ -383,88 +355,31 @@ class TestLumpedSchur:
         # Jacobi-CG on this system, whose condition grows like h^-4,
         # stalled there.
         mesh = gen_cap_mesh(np.pi / 3.0, rings)
-        f = TestCondensedDirichlet.skew_load(mesh)
-        sol = solve_lumped(mesh, f)
+        f = skew_load(mesh)
+        sol = solve_mixed(mesh, f, mass_mode="lumped")
         schur, rhs, _, _, interior = eliminated_lumped_system(mesh, f)
         u1_i = spla.spsolve(schur.tocsc(), rhs)
         assert (np.linalg.norm(sol.u1[interior] - u1_i)
                 <= 1e-10 * np.linalg.norm(u1_i))
 
-    def test_iterations_bounded_on_cap_study_levels(self):
-        from biharm.surfaces import cap_case
-        case = cap_case(1.0, np.pi / 3.0)
-        for rings in (8, 16, 32, 64):
-            mesh = gen_cap_mesh(np.pi / 3.0, rings)
-            sol = solve_lumped(mesh, interpolate(mesh, case.exact_f))
-            assert sol.solve_report.method == "condensed_cg"
-            assert sol.solve_report.iterations <= 25
-            assert sol.solve_report.relative_residual <= 1e-10
-
     def test_difference_to_consistent_shrinks(self):
-        from biharm.surfaces import cap_case
         case = cap_case(1.0, np.pi / 3.0)
         diffs = []
         for rings in (4, 8, 16):
             mesh = gen_cap_mesh(np.pi / 3.0, rings)
             f = interpolate(mesh, case.exact_f)
-            a = solve_mixed_dirichlet(mesh, f)
-            b = solve_lumped(mesh, f)
+            a = solve_mixed(mesh, f)
+            b = solve_mixed(mesh, f, mass_mode="lumped")
             diffs.append(l2m(mesh, a.u1 - b.u1) / max(l2m(mesh, a.u1), 1e-30))
         assert diffs[1] < 0.5 * diffs[0]
         assert diffs[2] < 0.5 * diffs[1]
-
-    def test_closed_mesh_rejected(self):
-        # solve_mixed takes the lumped mode on a closed mesh; the guard
-        # of the clamped problem does not.
-        mesh = gen_icosphere(1)
-        with pytest.raises(NoBoundaryError, match="use solve_mixed_closed"):
-            solve_lumped(mesh, np.zeros(mesh.n_vertices))
-
-
-class TestLumpedClosed:
-    """On a closed mesh the lumped mode is the same solve with M_L in
-    the second equation and the same projection along M 1, since M_L
-    has the row sums of M."""
-
-    def test_matches_dense_oracle(self, rng):
-        mesh = gen_icosphere(2)
-        n = mesh.n_vertices
-        m = assemble_mass(mesh)
-        border = m @ np.ones(n)
-        bordered = np.block([[assemble_stiffness(mesh).toarray(),
-                              border[:, None]],
-                             [border[None, :], np.zeros((1, 1))]])
-
-        def poisson(b):
-            """u with S u = P b and 1^T M u = 0, P the projection onto
-            range(S) along M 1."""
-            projected = b - (b.sum() / border.sum()) * border
-            return dense_solve_oracle(bordered, np.append(projected, 0.0))[:n]
-
-        f = rng.normal(size=n)
-        sol = solve_mixed(mesh, f, mass_mode="lumped")
-        assert sol.mass_mode == "lumped"
-        u2 = poisson(m @ f)
-        u1 = poisson(assemble_mass(mesh, mode="lumped") @ u2)
-        for got, want in ((sol.u1, u1), (sol.u2, u2)):
-            assert (np.max(np.abs(got - want))
-                    <= 1e-10 * np.max(np.abs(want)))
-
-    def test_solve_mixed_is_the_closed_solve(self, rng):
-        mesh = gen_icosphere(2)
-        f = rng.normal(size=mesh.n_vertices)
-        a, b = solve_mixed(mesh, f), solve_mixed_closed(mesh, f)
-        assert a.u1.tobytes() == b.u1.tobytes()
-        assert a.u2.tobytes() == b.u2.tobytes()
-        assert a.f_mean_removed == b.f_mean_removed
-        assert a.solve_report.iterations == b.solve_report.iterations == 0
 
 
 class TestVariationalIdentities:
     def test_dirichlet_identities_hold(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 3)
         f = rng.normal(size=mesh.n_vertices)
-        sol = solve_mixed_dirichlet(mesh, f, tol=1e-10)
+        sol = solve_mixed(mesh, f, tol=1e-10)
         s = assemble_stiffness(mesh)
         m = assemble_mass(mesh)
         interior = MeshOperators(mesh).interior
@@ -479,8 +394,8 @@ class TestVariationalIdentities:
         assert np.linalg.norm(r2) <= 1e-8 * scale2
 
     @pytest.mark.parametrize("mesh_fn, solve", [
-        (lambda: gen_cap_mesh(np.pi / 3.0, 4), solve_mixed_dirichlet),
-        (lambda: gen_icosphere(1), solve_mixed_closed),
+        (lambda: gen_cap_mesh(np.pi / 3.0, 4), solve_mixed),
+        (lambda: gen_icosphere(1), solve_mixed),
         (lambda: gen_icosphere(1), discrete_laplacian),
     ], ids=["clamped", "closed", "discrete-laplacian"])
     def test_non_finite_solve_raises(self, mesh_fn, solve, monkeypatch):
@@ -491,14 +406,35 @@ class TestVariationalIdentities:
         with pytest.raises(NotConvergedError, match="relative residual"):
             solve(mesh, mesh.vertices[:, 0] + 1.0)
 
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: gen_cap_mesh(np.pi / 3.0, 8),
+        lambda: gen_icosphere(2),
+    ], ids=["cap", "icosphere"])
+    def test_second_identity_checked(self, mesh_fn, monkeypatch):
+        # The second Poisson solve gives u1; scaling it by 1 + 1e-6
+        # leaves the first identity exact and breaks the second.
+        real_solve = MeshOperators.solve
+        calls = []
+
+        def faulty_solve(self, b):
+            calls.append(b)
+            u = real_solve(self, b)
+            return u * (1.0 + 1e-6) if len(calls) == 2 else u
+
+        monkeypatch.setattr(MeshOperators, "solve", faulty_solve)
+        mesh = mesh_fn()
+        with pytest.raises(NotConvergedError, match="second identity"):
+            solve_mixed(mesh, skew_load(mesh))
+        assert len(calls) == 2
+
     def test_solve_report_populated(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         f = rng.normal(size=mesh.n_vertices)
-        for mode in ("consistent", "lumped"):
-            sol = solve_mixed_dirichlet(mesh, f, mass_mode=mode)
+        for mode in MASS_MODES:
+            sol = solve_mixed(mesh, f, mass_mode=mode)
             assert sol.solve_report.relative_residual <= 1e-9
         sphere = gen_icosphere(1)
-        sol = solve_mixed_closed(sphere, interpolate(
+        sol = solve_mixed(sphere, interpolate(
             sphere, real_harmonic(2, 0)))
         assert sol.solve_report.method == "condensed_cg"
         assert sol.solve_report.iterations == 0

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biharm
-from biharm import analysis, cli
+from biharm import analysis, cli, surfaces
 from biharm.analysis import ACCEPTANCE_GATES
 from biharm.cli import main
 from biharm.mesh import read_obj, write_obj
+from biharm.surfaces import LANTERN_COUPLINGS
 
 from conftest import grid_mesh, tetrahedron
 from helpers import read_levels_csv, read_rates_csv, read_solution_csv
@@ -320,6 +321,14 @@ class TestConverge:
                      "--tol", "0.001", "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_every_family_label_has_a_gate(self):
+        # `converge --check` reads the gate of the family label, which a
+        # highres reference extends by "-highres" only.
+        for spec in cli._CASES.values():
+            for coupling in LANTERN_COUPLINGS:
+                values = dict(cli._FIELD_DEFAULTS, coupling=coupling)
+                assert spec.family(values).label in ACCEPTANCE_GATES
+
 
 class TestQuality:
     def test_icosphere_family_estimates(self, tmp_path, capsys):
@@ -500,6 +509,28 @@ class TestInputErrors:
         assert code == 2
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--case", "cap", "--n", "1000000000000"],
+        ["converge", "--case", "cap", "--levels", "8,16,1000000000000"],
+    ], ids=["solve", "converge"])
+    def test_level_too_large_to_allocate_exit_2(self, tmp_path, capsys,
+                                                monkeypatch, args):
+        # The generator fails as numpy does at this size; a real request
+        # need not fail fast where memory is overcommitted.
+        real_gen = surfaces.gen_cap_mesh
+
+        def gen_cap_mesh(theta0, rings, radius=1.0):
+            if rings > 10 ** 6:
+                raise MemoryError("Unable to allocate 7.28 TiB for an array")
+            return real_gen(theta0, rings, radius)
+
+        monkeypatch.setattr(surfaces, "gen_cap_mesh", gen_cap_mesh)
+        code = main(args + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "error: Unable to allocate 7.28 TiB for an array\n")
 
 
 class TestConfigFile:
