@@ -14,26 +14,20 @@ convergence-rate fitting, plus a CLI (``biharm``) wrapping the studies.
 """
 
 from .mesh import (TriMesh, build_mesh, component_labels, max_edge_length,
-                   read_obj, write_obj, MeshError, DegenerateFaceError,
-                   NonManifoldEdgeError, InconsistentOrientationError,
-                   UnreferencedVertexError, ComponentError)
-from .linalg import (SolveReport, build_csr, DimensionMismatchError,
-                     NotConvergedError, SingularError)
+                   read_obj, write_obj)
+from .linalg import SolveReport, build_csr, NotConvergedError, SingularError
 from .fem import (MeshOperators, assemble_stiffness, assemble_mass,
                   interpolate, p1_gradients)
 from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
                        cylinder_case, sphere_case, real_harmonic,
                        gen_cap_mesh, gen_icosphere,
                        gen_schwarz_lantern, cap_family, sphere_family,
-                       lantern_family, OutsideReachError, InvalidAngleError,
-                       InvalidDimensionError, InvalidDegreeError,
-                       TooFewRingsError, InvalidCountsError)
+                       lantern_family)
 from .biharmonic import MixedSolution, solve_mixed
 from .analysis import (LevelRecord, QualityRecord, ConvergenceReport,
                        RateFit, l2_error, h1_error, certify_quality,
                        fit_rates, run_level, run_study, write_levels_csv,
-                       write_rates_csv, lantern_highres_reference,
-                       InsufficientLevelsError)
+                       write_rates_csv, lantern_highres_reference)
 
 __version__ = "0.1.0"
 
@@ -42,23 +36,17 @@ solve_mixed_dirichlet = solve_mixed_closed = solve_mixed
 
 __all__ = [
     "TriMesh", "build_mesh", "component_labels", "max_edge_length",
-    "read_obj", "write_obj", "MeshError", "DegenerateFaceError",
-    "NonManifoldEdgeError", "InconsistentOrientationError",
-    "UnreferencedVertexError", "ComponentError",
-    "SolveReport", "build_csr",
-    "DimensionMismatchError", "NotConvergedError", "SingularError",
+    "read_obj", "write_obj",
+    "SolveReport", "build_csr", "NotConvergedError", "SingularError",
     "MeshOperators", "assemble_stiffness", "assemble_mass", "interpolate",
     "p1_gradients",
     "SurfaceCase", "RefinementFamily", "cap_case", "cylinder_case",
     "sphere_case", "real_harmonic",
     "gen_cap_mesh", "gen_icosphere", "gen_schwarz_lantern", "cap_family",
-    "sphere_family", "lantern_family", "OutsideReachError",
-    "InvalidAngleError", "InvalidDimensionError", "InvalidDegreeError",
-    "TooFewRingsError", "InvalidCountsError",
+    "sphere_family", "lantern_family",
     "MixedSolution", "solve_mixed",
     "LevelRecord", "QualityRecord", "ConvergenceReport", "RateFit",
     "l2_error", "h1_error", "certify_quality", "fit_rates", "run_level",
     "run_study", "write_levels_csv", "write_rates_csv",
     "lantern_highres_reference",
-    "InsufficientLevelsError",
 ]

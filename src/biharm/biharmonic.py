@@ -38,7 +38,7 @@ import numpy as np
 from .fem import (MeshOperators, assemble_boundary_mass, assemble_mass,
                   nodal_field)
 from .linalg import DEFAULT_TOL, SolveReport, check_residual, NotConvergedError
-from .mesh import ComponentError, component_labels
+from .mesh import component_labels
 
 
 # The boundary CG of the clamped solve takes 7-19 iterations on caps and
@@ -93,7 +93,7 @@ def _check_components(mesh):
     if count > 1:
         closed = count - np.unique(labels[mesh.boundary_vertices]).size
         if closed:
-            raise ComponentError(
+            raise ValueError(
                 f"mesh has {count} connected components and {closed} of "
                 f"them have no boundary vertices; a mesh of more than one "
                 f"component needs a boundary on each")
@@ -219,7 +219,7 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
 
     Raises
     ------
-    ComponentError
+    ValueError
         If the mesh has more than one connected component and one of
         them has no boundary vertices.
     SingularError

@@ -37,10 +37,6 @@ EXIT_NUMERICAL = 3
 EXIT_GATE = 4
 
 
-class ConfigError(Exception):
-    """Invalid configuration, flags or input files."""
-
-
 # The fields common to every case, besides "case", with their defaults.
 _DEFAULTS = {"mass_mode": "consistent", "tol": DEFAULT_TOL, "out": "out"}
 
@@ -83,13 +79,13 @@ def _load_config(args):
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file {args.config}: {exc}")
+            raise ValueError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         known = {"case", *_FIELD_DEFAULTS}
         for key in data:
             if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
+                raise ValueError(f"unknown config field {key!r}")
         provided.update(data)
 
     # Each flag stores to its field; --levels is mapped below.
@@ -99,18 +95,18 @@ def _load_config(args):
             provided[field] = value
     case = provided.get("case")
     if case is not None and not (isinstance(case, str) and case in _CASES):
-        raise ConfigError(f"case must be one of {', '.join(_CASES)}, "
-                          f"got {case!r}")
+        raise ValueError(f"case must be one of {', '.join(_CASES)}, "
+                         f"got {case!r}")
     if getattr(args, "levels", None) is not None:
         if case is None:
-            raise ConfigError("--levels requires --case")
+            raise ValueError("--levels requires --case")
         provided[_CASES[case].level_field] = args.levels
 
     if case is not None:
         allowed = {"case", *_DEFAULTS, *_CASES[case].fields}
         for key in provided:
             if key not in allowed:
-                raise ConfigError(
+                raise ValueError(
                     f"field {key!r} does not apply to case {case!r}")
 
     values = dict(_FIELD_DEFAULTS, case=None)
@@ -137,21 +133,21 @@ def _has_type_of(value, default):
 def _validate(values):
     for field, default in _FIELD_DEFAULTS.items():
         if not _has_type_of(values[field], default):
-            raise ConfigError(f"{field} must be {_TYPE_NAMES[type(default)]}"
-                              f", got {values[field]!r}")
+            raise ValueError(f"{field} must be {_TYPE_NAMES[type(default)]}"
+                             f", got {values[field]!r}")
     tol = values["tol"]
     if not 0.0 < tol <= 1e-4:
-        raise ConfigError(f"tol must lie in (0, 1e-4], got {tol}")
+        raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     for field, choices in _CHOICES.items():
         if values[field] not in choices:
             allowed = " or ".join(map(str, choices))
-            raise ConfigError(f"{field} must be {allowed}, "
-                              f"got {values[field]!r}")
+            raise ValueError(f"{field} must be {allowed}, "
+                             f"got {values[field]!r}")
     for field in (c.level_field for c in _CASES.values()):
         levels = values[field]
         if not all(_has_type_of(v, 0) and v >= 0 for v in levels):
-            raise ConfigError(f"{field} must be a list of nonnegative "
-                              f"integers, got {levels!r}")
+            raise ValueError(f"{field} must be a list of nonnegative "
+                             f"integers, got {levels!r}")
 
 
 def _parse_levels(text):
@@ -169,18 +165,18 @@ def _rhs_field(text):
         try:
             value = float(rest)
         except ValueError:
-            raise ConfigError(f"bad constant right-hand side {text!r}")
+            raise ValueError(f"bad constant right-hand side {text!r}")
         return lambda points: np.full(len(points), value)
     if kind == "harmonic":
         try:
             l_str, m_str = rest.split(",")
             degree, order = int(l_str), int(m_str)
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"harmonic right-hand side must be harmonic:l,m, "
                 f"got {text!r}")
         return real_harmonic(degree, order)
-    raise ConfigError(
+    raise ValueError(
         f"right-hand side must be const:VALUE or harmonic:l,m, got {text!r}")
 
 
@@ -305,21 +301,21 @@ def cmd_solve(args):
     elif spec is not None:
         family = spec.family(cfg)
     else:
-        raise ConfigError("solve needs --mesh FILE or --case KIND")
+        raise ValueError("solve needs --mesh FILE or --case KIND")
     if args.rhs is not None:
         rhs = _rhs_field(args.rhs)
     elif family is not None:
         rhs = family.case.exact_f
     else:
-        raise ConfigError("solve with --mesh needs --rhs const:VALUE or "
-                          "harmonic:l,m")
+        raise ValueError("solve with --mesh needs --rhs const:VALUE or "
+                         "harmonic:l,m")
 
     out = cfg["out"]
+    if family is not None:
+        level = args.n if args.n is not None else spec.solve_n
+        family.check_level(level)
     os.makedirs(out, exist_ok=True)
-    if family is None:
-        mesh = read_obj(args.mesh)
-    else:
-        mesh = family.build(args.n if args.n is not None else spec.solve_n)
+    mesh = read_obj(args.mesh) if family is None else family.build(level)
     sol = solve_mixed(mesh, interpolate(mesh, rhs), cfg["tol"],
                       cfg["mass_mode"])
     _write_solution_csv(os.path.join(out, "solution.csv"), sol.u1, sol.u2)
@@ -336,10 +332,12 @@ def cmd_solve(args):
 def cmd_converge(args):
     cfg, spec = _load_config(args)
     if spec is None:
-        raise ConfigError("converge needs --case KIND (or a config file)")
+        raise ValueError("converge needs --case KIND (or a config file)")
     levels = cfg[spec.level_field]
     check_levels(levels)
     family = spec.family(cfg)
+    for level in levels:
+        family.check_level(level)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     if cfg["case"] == "lantern" and cfg["reference"] == "highres":
@@ -375,14 +373,17 @@ def cmd_converge(args):
 def cmd_quality(args):
     cfg, spec = _load_config(args)
     if spec is None:
-        raise ConfigError("quality on an OBJ mesh needs --case KIND"
-                          if args.mesh is not None else
-                          "quality needs --mesh FILE or --case KIND")
+        raise ValueError("quality on an OBJ mesh needs --case KIND"
+                         if args.mesh is not None else
+                         "quality needs --mesh FILE or --case KIND")
     family = spec.family(cfg)
     levels = cfg[spec.level_field]
-    if args.mesh is None and (not levels or len(set(levels)) < len(levels)):
-        raise ConfigError(f"quality needs one or more distinct levels, "
-                          f"got {levels}")
+    if args.mesh is None:
+        if not levels or len(set(levels)) < len(levels):
+            raise ValueError(f"quality needs one or more distinct levels, "
+                             f"got {levels}")
+        for level in levels:
+            family.check_level(level)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     if args.mesh is not None:
@@ -482,7 +483,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

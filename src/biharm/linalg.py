@@ -12,10 +12,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
-class DimensionMismatchError(ValueError):
-    """Operands of a product or solve have incompatible shapes."""
-
-
 class NotConvergedError(RuntimeError):
     """A solver failed to reach the requested residual tolerance."""
 
@@ -124,7 +120,7 @@ def nested_dissection(matrix, points):
     points = np.asarray(points, dtype=float)
     n = matrix.shape[0]
     if matrix.shape[1] != n or points.ndim != 2 or points.shape[0] != n:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"cannot order a {matrix.shape} matrix by points of shape "
             f"{points.shape}")
     graph = sp.coo_matrix(matrix)
@@ -218,7 +214,7 @@ def factor_spd(matrix, points):
 
     Raises
     ------
-    DimensionMismatchError
+    ValueError
         From :func:`nested_dissection`, if the matrix is not square or
         ``points`` has not one row per unknown.
     SingularError

@@ -17,30 +17,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 
-class MeshError(ValueError):
-    """Base class for mesh construction failures."""
-
-
-class DegenerateFaceError(MeshError):
-    """A face has repeated vertex indices or (numerically) zero area."""
-
-
-class NonManifoldEdgeError(MeshError):
-    """An undirected edge is shared by more than two faces."""
-
-
-class InconsistentOrientationError(MeshError):
-    """Two adjacent faces traverse their shared edge in the same direction."""
-
-
-class UnreferencedVertexError(MeshError):
-    """A vertex belongs to no face."""
-
-
-class ComponentError(MeshError):
-    """A connected component of the mesh that a solver cannot handle."""
-
-
 # Relative area threshold below which a triangle counts as degenerate.
 # Scale invariant: area is compared against the squared longest edge.
 _DEGENERATE_REL_AREA = 1e-14
@@ -114,11 +90,11 @@ def _face_geometry(vertices, faces):
     """Vectorized per-face areas, normals, edge lengths and cotangents.
 
     Edge k of a face is the edge opposite corner k.  Returns
-    (areas, unit_normals, edge_lengths, cotangents); raises
-    DegenerateFaceError when any face area is numerically zero relative
-    to its longest edge.  The arithmetic runs on one coordinate of one
-    edge of every face at a time, summing x, y and z in that order; the
-    corners' (3, 3, F) array is reused for the products.
+    (areas, unit_normals, edge_lengths, cotangents); raises ValueError
+    when any face area is numerically zero relative to its longest edge.
+    The arithmetic runs on one coordinate of one edge of every face at a
+    time, summing x, y and z in that order; the corners' (3, 3, F) array
+    is reused for the products.
     """
     # p[c, k]: coordinate c of corner k of every face.
     p = np.take(np.ascontiguousarray(vertices.T), faces.T, axis=1)
@@ -143,7 +119,7 @@ def _face_geometry(vertices, faces):
     bad = doubled <= 2.0 * _DEGENERATE_REL_AREA * longest_sq
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
-        raise DegenerateFaceError(
+        raise ValueError(
             f"face {idx} has (numerically) zero area")
     normals /= doubled[:, None]
     # Angle at corner k: the edge vectors leaving corner k are e_{k+2}
@@ -172,17 +148,12 @@ def build_mesh(vertices, faces):
 
     Raises
     ------
-    DegenerateFaceError
-        If a face repeats a vertex index or has numerically zero area.
-    NonManifoldEdgeError
-        If an undirected edge is shared by more than two faces.
-    InconsistentOrientationError
-        If two faces traverse a shared edge in the same direction.
-    UnreferencedVertexError
-        If a vertex belongs to no face.
     ValueError
-        On malformed shapes, non-finite coordinates or indices out of
-        range.
+        If a face repeats a vertex index or has numerically zero area,
+        if an undirected edge is shared by more than two faces, if two
+        faces traverse a shared edge in the same direction, or if a
+        vertex belongs to no face; and on malformed shapes, non-finite
+        coordinates or indices out of range.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float)
     faces = np.ascontiguousarray(faces, dtype=np.int64)
@@ -197,7 +168,7 @@ def build_mesh(vertices, faces):
         raise ValueError("face indices out of range")
     if np.any((faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2])
               | (faces[:, 2] == faces[:, 0])):
-        raise DegenerateFaceError("face with repeated vertex indices")
+        raise ValueError("face with repeated vertex indices")
 
     areas, normals, lengths, cots = _face_geometry(vertices, faces)
 
@@ -221,7 +192,7 @@ def build_mesh(vertices, faces):
     first = np.where((packed[start, None] & 1) == 1, edges[:, ::-1], edges)
     if np.any(counts > 2):
         lo, hi = edges[np.argmax(counts > 2)]
-        raise NonManifoldEdgeError(
+        raise ValueError(
             f"edge ({lo}, {hi}) shared by more than two faces")
     # A manifold interior edge appears once in each direction.  Two
     # copies that run the same way mean the incident faces disagree on
@@ -230,13 +201,13 @@ def build_mesh(vertices, faces):
     same = packed[start[interior]] == packed[start[interior] + 1]
     if np.any(same):
         a, b = first[interior][np.argmax(same)]
-        raise InconsistentOrientationError(
+        raise ValueError(
             f"faces disagree on orientation across edge ({a}, {b})")
 
     unreferenced = np.flatnonzero(np.bincount(faces.ravel(), minlength=n)
                                   == 0)
     if unreferenced.size:
-        raise UnreferencedVertexError(
+        raise ValueError(
             f"vertex {unreferenced[0]} belongs to no face "
             f"({unreferenced.size} unreferenced vertices)")
 

@@ -23,33 +23,6 @@ import numpy as np
 from .mesh import build_mesh
 
 
-class OutsideReachError(ValueError):
-    """Point where the radial direction, and with it the gradient of the
-    signed distance, is undefined: the origin for the sphere, the
-    spherical harmonics and the cap, the axis for the cylinder.  The
-    closest point and the normal are undefined there."""
-
-
-class InvalidAngleError(ValueError):
-    """Cap opening angle outside (0, pi)."""
-
-
-class InvalidDimensionError(ValueError):
-    """Radius or cylinder height not positive and finite."""
-
-
-class InvalidDegreeError(ValueError):
-    """Harmonic degree/order outside |m| <= l, l >= 0 (l >= 1 on spheres)."""
-
-
-class TooFewRingsError(ValueError):
-    """Cap mesh needs at least two concentric rings."""
-
-
-class InvalidCountsError(ValueError):
-    """Lantern needs at least 3 equatorial and 2 axial vertices."""
-
-
 class SurfaceCase:
     """Analytic surface with a manufactured biharmonic solution.
 
@@ -119,7 +92,7 @@ def _dimension(name, value):
     """``value`` as a float, if 0 < value < inf."""
     value = float(value)
     if not 0.0 < value < np.inf:
-        raise InvalidDimensionError(
+        raise ValueError(
             f"{name} must be positive and finite, got {value}")
     return value
 
@@ -127,12 +100,13 @@ def _dimension(name, value):
 def _radial(p, where="at the origin (0, 0, 0)"):
     """Lengths |p| and directions p/|p| of points of shape (..., 3).
 
-    Raises OutsideReachError, naming ``where``, if a point is zero.
+    Raises ValueError, naming ``where``, at a zero point, where the radial
+    direction, and so grad d, the closest point and the normal, are undefined.
     """
     pts = np.asarray(p, dtype=float)
     norms = np.linalg.norm(pts, axis=-1)
     if np.any(norms == 0.0):
-        raise OutsideReachError(
+        raise ValueError(
             f"the radial direction p/|p| is undefined {where}")
     return norms, pts / norms[..., None]
 
@@ -169,7 +143,7 @@ def cap_case(radius, theta0):
     """
     theta0 = float(theta0)
     if not 0.0 < theta0 < np.pi:
-        raise InvalidAngleError(
+        raise ValueError(
             f"opening angle must lie in (0, pi), got {theta0}")
     radius = _dimension("radius", radius)
     c = np.cos(theta0)
@@ -285,12 +259,12 @@ def real_harmonic(degree, order):
     Y = P_l^m(cos theta) cos(m phi) for m >= 0 and
     Y = P_l^|m|(cos theta) sin(|m| phi) for m < 0, evaluated on the
     radial projection of the input, so Y_2^0(p) = (3 z^2 - 1)/2 on the
-    unit sphere.  Raises InvalidDegreeError unless l >= 0 and |m| <= l;
-    the harmonic raises OutsideReachError at the origin.
+    unit sphere.  Raises ValueError unless l >= 0 and |m| <= l; the
+    harmonic raises ValueError at the origin.
     """
     l, m = int(degree), int(order)
     if l < 0 or abs(m) > l:
-        raise InvalidDegreeError(
+        raise ValueError(
             f"need degree l >= 0 and |m| <= l, got l={l}, m={m}")
     return lambda p: _harmonic(l, m, p)
 
@@ -317,7 +291,7 @@ def sphere_case(radius, degree, order):
     l, m = int(degree), int(order)
     harmonic = real_harmonic(l, m)
     if l < 1:
-        raise InvalidDegreeError(
+        raise ValueError(
             f"the sphere case needs degree l >= 1, got l={l}")
     radius = _dimension("radius", radius)
     eig = l * (l + 1)
@@ -330,6 +304,11 @@ def sphere_case(radius, degree, order):
 
     return SurfaceCase("sphere", {"radius": radius, "l": l, "m": m},
                        _sphere_distance(radius), solution, harmonic)
+
+
+def _check_rings(rings):
+    if rings < 2:
+        raise ValueError(f"need at least 2 rings, got {rings}")
 
 
 def gen_cap_mesh(theta0, rings, radius=1.0):
@@ -356,10 +335,9 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
         1 + 3 rings (rings+1) vertices and 6 rings^2 faces.
     """
     rings = int(rings)
-    if rings < 2:
-        raise TooFewRingsError(f"need at least 2 rings, got {rings}")
+    _check_rings(rings)
     if not 0.0 < float(theta0) < np.pi:
-        raise InvalidAngleError(
+        raise ValueError(
             f"opening angle must lie in (0, pi), got {theta0}")
     radius = _dimension("radius", radius)
 
@@ -444,6 +422,16 @@ def _project_to_sphere(points, radius):
     return points * (radius / np.sqrt(sq))[:, None]
 
 
+def _check_subdivisions(k):
+    """Reject k < 0, and k >= 30, whose 20*4^k faces overflow int64;
+    compares k alone, as 4^k for a huge k would exhaust memory."""
+    if k < 0:
+        raise ValueError(f"subdivisions must be >= 0, got {k}")
+    if k >= 30:
+        raise ValueError(f"subdivisions must be < 30 for 20*4^k faces to "
+                         f"fit in int64, got {k}")
+
+
 def gen_icosphere(subdivisions, radius=1.0):
     """Icosahedron subdivided by edge midpoints and reprojected.
 
@@ -458,26 +446,30 @@ def gen_icosphere(subdivisions, radius=1.0):
         Closed, consistently outward oriented.
     """
     k = int(subdivisions)
-    if k < 0:
-        raise ValueError(f"subdivisions must be >= 0, got {k}")
+    _check_subdivisions(k)
     radius = _dimension("radius", radius)
-    verts = _project_to_sphere(_ICO_VERTS, radius)
+    # Vertices never move, so the final array is reserved first: a level
+    # whose vertices cannot be held fails here, before any pass runs.
+    verts = np.empty((10 * 4**k + 2, 3))
+    n = len(_ICO_VERTS)
+    verts[:n] = _project_to_sphere(_ICO_VERTS, radius)
     faces = _ICO_FACES
     for _ in range(k):
         # Edges (v0, v1), (v1, v2), (v2, v0) of each face in turn; each
         # new midpoint is numbered by the first occurrence of its edge.
         ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        keys = (np.minimum(ends[:, 0], ends[:, 1]) * len(verts)
+        keys = (np.minimum(ends[:, 0], ends[:, 1]) * n
                 + np.maximum(ends[:, 0], ends[:, 1]))
         _, first, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        a, b, c = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        a, b, c = (n + rank[inverse]).reshape(-1, 3).T
         mids = ends[first[order]]
-        verts = np.concatenate([verts, _project_to_sphere(
-            0.5 * (verts[mids[:, 0]] + verts[mids[:, 1]]), radius)])
+        verts[n:n + len(mids)] = _project_to_sphere(
+            0.5 * (verts[mids[:, 0]] + verts[mids[:, 1]]), radius)
+        n += len(mids)
         v0, v1, v2 = faces.T
         faces = np.stack([v0, a, c, a, v1, b, c, b, v2, a, b, c],
                          axis=1).reshape(-1, 3)
@@ -510,7 +502,7 @@ def gen_schwarz_lantern(m, n, radius=1.0, height=2.0):
     """
     m, n = int(m), int(n)
     if m < 3 or n < 2:
-        raise InvalidCountsError(
+        raise ValueError(
             f"lantern needs m >= 3 and n >= 2, got m={m}, n={n}")
     radius = _dimension("radius", radius)
     height = _dimension("height", height)
@@ -537,17 +529,21 @@ class RefinementFamily:
 
     ``levels`` stores the generator parameter per level (rings,
     subdivisions or lantern level n); :meth:`build` realizes one level
-    as a mesh.  Generated mesh sizes h decrease strictly across levels.
+    as a mesh once ``check_level``, which builds nothing, accepts it
+    (else ValueError).  Generated mesh sizes h decrease strictly across
+    levels.
     """
 
-    def __init__(self, label, case, levels, builder):
+    def __init__(self, label, case, levels, builder, check_level):
         self.label = label
         self.case = case
         self.levels = tuple(int(v) for v in levels)
         self._builder = builder
+        self.check_level = check_level
 
     def build(self, level):
         """Mesh for one entry of ``levels``."""
+        self.check_level(level)
         return self._builder(level)
 
     def meshes(self):
@@ -558,7 +554,7 @@ class RefinementFamily:
     def with_case(self, case, label=None):
         """Same meshes, different reference case (and optional label)."""
         return RefinementFamily(label or self.label, case, self.levels,
-                                self._builder)
+                                self._builder, self.check_level)
 
 
 def cap_family(theta0, ring_levels, radius=1.0):
@@ -566,7 +562,7 @@ def cap_family(theta0, ring_levels, radius=1.0):
     case = cap_case(radius, theta0)
     return RefinementFamily(
         "cap", case, ring_levels,
-        lambda rings: gen_cap_mesh(theta0, rings, radius))
+        lambda rings: gen_cap_mesh(theta0, rings, radius), _check_rings)
 
 
 def sphere_family(degree, order, subdiv_levels, radius=1.0):
@@ -574,7 +570,7 @@ def sphere_family(degree, order, subdiv_levels, radius=1.0):
     case = sphere_case(radius, degree, order)
     return RefinementFamily(
         "sphere", case, subdiv_levels,
-        lambda k: gen_icosphere(k, radius))
+        lambda k: gen_icosphere(k, radius), _check_subdivisions)
 
 
 # Lantern level n -> (vertices per ring, bands), and the smallest level
@@ -607,11 +603,13 @@ def lantern_family(coupling, n_levels, radius=1.0, height=2.0):
     counts, min_level = LANTERN_COUPLINGS[coupling]
     case = cylinder_case(radius, height)
 
-    def builder(n):
+    def check_level(n):
         if n < min_level:
-            raise InvalidCountsError(
+            raise ValueError(
                 f"{coupling} lantern level n must be at least {min_level}, "
                 f"got {n}")
-        return gen_schwarz_lantern(*counts(n), radius, height)
 
-    return RefinementFamily(f"lantern-{coupling}", case, n_levels, builder)
+    return RefinementFamily(
+        f"lantern-{coupling}", case, n_levels,
+        lambda n: gen_schwarz_lantern(*counts(n), radius, height),
+        check_level)

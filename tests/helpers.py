@@ -20,8 +20,8 @@ import scipy.sparse as sp
 import biharm
 from biharm.analysis import NORMS, QUALITY, LevelRecord, QualityRecord
 from biharm.fem import MeshOperators, nodal_field
-from biharm.linalg import (_ND_LEAF, DEFAULT_TOL, DimensionMismatchError,
-                           SingularError, check_residual, factor_spd)
+from biharm.linalg import (_ND_LEAF, DEFAULT_TOL, SingularError,
+                           check_residual, factor_spd)
 
 
 def dense_solve_oracle(matrix, b):
@@ -36,13 +36,13 @@ def dense_solve_oracle(matrix, b):
     else:
         dense = np.asarray(matrix, dtype=float)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DimensionMismatchError(f"matrix is not square: {dense.shape}")
+        raise ValueError(f"matrix is not square: {dense.shape}")
     n = dense.shape[0]
     if n > 2000:
         raise ValueError(f"dense oracle limited to n <= 2000, got {n}")
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.shape[0] != n:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"right-hand side shape {b.shape} does not match matrix "
             f"shape {dense.shape}")
     try:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from biharm import analysis
-from biharm.analysis import (NORMS, ConvergenceReport,
-                             InsufficientLevelsError, LevelRecord,
+from biharm.analysis import (NORMS, ConvergenceReport, LevelRecord,
                              QualityRecord, certify_quality, fit_rates,
                              h1_error, l2_error, lantern_highres_reference,
                              run_level, run_study, write_levels_csv,
@@ -235,19 +234,19 @@ class TestFitRates:
 
     def test_too_few_levels(self):
         records = synthetic_records([0.1, 0.05], {})
-        with pytest.raises(InsufficientLevelsError):
+        with pytest.raises(ValueError,
+                           match="rate fitting needs >= 3 levels, got 2"):
             fit_rates(records)
 
     def test_duplicate_h_rejected(self):
         records = synthetic_records([0.1, 0.1, 0.05], {})
-        with pytest.raises(InsufficientLevelsError):
+        with pytest.raises(ValueError, match="mesh sizes h must be distinct, "
+                                             "got h = 0.1 at more than one"):
             fit_rates(records)
 
     def test_cap_study_meets_theoretical_rates(self):
         report = run_study(cap_family(np.pi / 3.0, [4, 8, 16]))
-        assert report.rates["l2_u1"].slope >= 0.85
-        assert report.rates["h1_u1"].slope >= 0.60
-        assert report.rates["l2_u2"].slope >= 0.40
+        assert analysis.gate_failures(report, "cap") == []
         for name in ("l2_u1", "h1_u1", "l2_u2"):
             assert report.rates[name].slope <= 3.0
 
@@ -283,7 +282,7 @@ class TestFitRates:
         records = synthetic_records([0.1, 0.05, 0.025], {})
         records = [r._replace(quality=r.quality._replace(max_normal_angle=0.0))
                    for r in records[:2]] + records[2:]
-        with pytest.raises(InsufficientLevelsError, match="max_normal_angle"):
+        with pytest.raises(ValueError, match="max_normal_angle"):
             fit_rates(records)
 
     def test_norms_fitted_only_where_every_record_carries_them(self):
@@ -321,7 +320,7 @@ class TestRunStudy:
             return gen_cap_mesh(np.pi / 3.0, rings)
 
         family = RefinementFamily("cap", cap_case(1.0, np.pi / 3.0), levels,
-                                  builder)
+                                  builder, lambda rings: None)
         with pytest.raises(ValueError) as excinfo:
             run_study(family)
         assert message in str(excinfo.value)

@@ -490,11 +490,27 @@ class TestInputErrors:
         (["quality", "--mesh", "any.obj"], None,
          "quality on an OBJ mesh needs --case KIND"),
         (["quality"], None, "quality needs --mesh FILE or --case KIND"),
+        (["solve", "--case", "cap", "--n", "1"], None,
+         "need at least 2 rings, got 1"),
+        (["converge", "--case", "lantern", "--coupling", "quadratic",
+          "--levels", "2,4,8"], None,
+         "quadratic lantern level n must be at least 3, got 2"),
+        (["quality", "--case", "cap", "--levels", "1,4"], None,
+         "need at least 2 rings, got 1"),
+        (["quality", "--case", "sphere", "--levels", "1,2,1000000000000"],
+         None, "subdivisions must be < 30 for 20*4^k faces to fit in int64, "
+         "got 1000000000000"),
+        (["solve", "--case", "sphere", "--n", "1000000000000"], None,
+         "subdivisions must be < 30 for 20*4^k faces to fit in int64, "
+         "got 1000000000000"),
     ], ids=["config-array", "levels-without-case", "coupling-cubic",
             "mass-mode-diag", "levels-not-integers", "rhs-const-abc",
             "rhs-harmonic-one-index", "solve-without-input",
             "solve-mesh-without-rhs", "converge-without-case",
-            "quality-mesh-without-case", "quality-without-input"])
+            "quality-mesh-without-case", "quality-without-input",
+            "solve-cap-level-below-2", "converge-quadratic-level-below-3",
+            "quality-cap-level-below-2", "quality-sphere-level-beyond-int64",
+            "solve-sphere-level-beyond-int64"])
     def test_exit_2_names_cause_before_out(self, tmp_path, capsys, args,
                                            config, message):
         if config is not None:

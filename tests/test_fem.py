@@ -86,7 +86,7 @@ class TestMass:
         assert lumped_diag == pytest.approx(row_sums, rel=1e-14)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mass mode 'diagonal'"):
             assemble_mass(single_triangle(), mode="diagonal")
 
 

@@ -1,15 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from biharm.mesh import max_edge_length
-from biharm.surfaces import (InvalidAngleError, InvalidCountsError,
-                             InvalidDegreeError, InvalidDimensionError,
-                             OutsideReachError, TooFewRingsError, cap_case,
-                             cap_family, cylinder_case, gen_cap_mesh,
-                             gen_icosphere, gen_schwarz_lantern,
+from biharm.surfaces import (cap_case, cap_family, cylinder_case,
+                             gen_cap_mesh, gen_icosphere, gen_schwarz_lantern,
                              lantern_family, real_harmonic, sphere_case,
                              sphere_family)
 
@@ -52,12 +50,13 @@ class TestClosestPoint:
 
     def test_sphere_center_outside_reach(self):
         case = sphere_case(1.0, 2, 0)
-        with pytest.raises(OutsideReachError):
+        with pytest.raises(ValueError, match=r"p/\|p\| is undefined at the "
+                                             r"origin \(0, 0, 0\)"):
             case.closest_point(np.zeros(3))
 
     def test_cylinder_axis_outside_reach(self):
         case = cylinder_case(1.0, 2.0)
-        with pytest.raises(OutsideReachError, match="cylinder axis"):
+        with pytest.raises(ValueError, match="cylinder axis"):
             case.closest_point(np.array([0.0, 0.0, 0.5]))
 
     def test_normal_at_unit_length(self, rng):
@@ -191,9 +190,11 @@ class TestCapCase:
         assert np.max(np.abs(f_fd - f_exact)) <= 1e-4 * scale
 
     def test_invalid_angle(self):
-        with pytest.raises(InvalidAngleError):
+        with pytest.raises(ValueError, match=r"opening angle must lie in "
+                                             r"\(0, pi\), got 0.0$"):
             cap_case(1.0, 0.0)
-        with pytest.raises(InvalidAngleError):
+        with pytest.raises(ValueError, match=r"opening angle must lie in "
+                                             r"\(0, pi\), got 3.14159"):
             cap_case(1.0, np.pi)
 
 
@@ -241,9 +242,11 @@ class TestCylinderCase:
         assert np.max(np.abs(f_fd - f_exact)) <= 1e-4 * 24.0
 
     def test_invalid_dimensions(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(ValueError, match="radius must be positive and "
+                                             "finite, got 0.0"):
             cylinder_case(0.0, 2.0)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(ValueError, match="height must be positive and "
+                                             "finite, got -1.0"):
             cylinder_case(1.0, -1.0)
 
 
@@ -322,23 +325,22 @@ class TestSphereCase:
         assert real_harmonic(m, m)(p) == pytest.approx(expected, rel=1e-11)
 
     def test_invalid_degree(self):
-        with pytest.raises(InvalidDegreeError, match="l >= 1"):
+        with pytest.raises(ValueError, match="l >= 1"):
             sphere_case(1.0, 0, 0)
-        with pytest.raises(InvalidDegreeError, match=r"\|m\| <= l"):
+        with pytest.raises(ValueError, match=r"\|m\| <= l"):
             sphere_case(1.0, 2, 3)
 
     @pytest.mark.parametrize("degree, order", [(2, 5), (2, -3), (-3, 0),
                                                (-1, -1)])
     def test_harmonic_rejects_invalid_degree(self, degree, order):
-        with pytest.raises(InvalidDegreeError,
-                           match=f"got l={degree}, m={order}"):
+        with pytest.raises(ValueError, match=f"got l={degree}, m={order}"):
             real_harmonic(degree, order)
 
     def test_harmonic_at_origin_outside_reach(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutsideReachError, match="origin"):
+            with pytest.raises(ValueError, match="origin"):
                 real_harmonic(2, 0)(pts)
 
     def test_harmonic_degree_zero_is_constant(self):
@@ -433,7 +435,7 @@ class TestCapMesh:
             assert np.max(aspect) <= 4.0
 
     def test_too_few_rings(self):
-        with pytest.raises(TooFewRingsError):
+        with pytest.raises(ValueError, match="need at least 2 rings, got 1"):
             gen_cap_mesh(np.pi / 3.0, 1)
 
 
@@ -449,6 +451,26 @@ class TestIcosphere:
             mesh = gen_icosphere(k)
             assert mesh.n_faces == 20 * 4 ** k
             assert mesh.n_vertices == 10 * 4 ** k + 2
+
+    def test_level_beyond_int64_rejected_before_any_allocation(self):
+        # 4^k alone would exhaust memory at this level.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="faces to fit in int64, "
+                                                 "got 1000000000000$"):
+                gen_icosphere(10 ** 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_level_too_large_to_hold_fails_at_once(self):
+        # Its 10*4^25 + 2 vertices take 2.7e17 bytes, more than the user
+        # address space of x86-64 Linux (128 TiB, or 64 PiB with 5-level
+        # paging), so reserving them fails before the first pass under
+        # every overcommit setting.
+        with pytest.raises(MemoryError):
+            gen_icosphere(25)
 
     def test_reprojection_radius(self):
         mesh = gen_icosphere(2, radius=2.0)
@@ -572,9 +594,11 @@ class TestSchwarzLantern:
         assert min(kappas) > 0.2
 
     def test_invalid_counts(self):
-        with pytest.raises(InvalidCountsError):
+        with pytest.raises(ValueError, match="lantern needs m >= 3 and "
+                                             "n >= 2, got m=2, n=4"):
             gen_schwarz_lantern(2, 4)
-        with pytest.raises(InvalidCountsError):
+        with pytest.raises(ValueError, match="lantern needs m >= 3 and "
+                                             "n >= 2, got m=6, n=1"):
             gen_schwarz_lantern(6, 1)
 
 
@@ -587,7 +611,7 @@ class TestGeneratorRadius:
     def test_invalid_radius(self, generate, radius):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidDimensionError,
+            with pytest.raises(ValueError,
                                match="radius must be positive and finite"):
                 generate(radius)
 
@@ -635,11 +659,12 @@ class TestRefinementFamilies:
         assert tilt == pytest.approx(np.arctan(np.pi ** 2 / 4.0), abs=2e-3)
 
     def test_lantern_level_too_small(self):
-        with pytest.raises(InvalidCountsError, match="quadratic.*got 2"):
+        with pytest.raises(ValueError, match="quadratic.*got 2"):
             lantern_family("quadratic", [2]).build(2)
-        with pytest.raises(InvalidCountsError, match="linear.*got 1"):
+        with pytest.raises(ValueError, match="linear.*got 1"):
             lantern_family("linear", [1]).build(1)
 
     def test_bad_coupling(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coupling must be linear or "
+                                             "quadratic, got 'cubic'"):
             lantern_family("cubic", [4, 8])

@@ -1,11 +1,25 @@
 """The test configuration of pyproject.toml, which turns every warning
-into an error, still lets pytest report a failing test in full."""
+into an error, still lets pytest report a failing test in full; the
+package raises ValueError for bad input and defines exception classes
+only for the numerical failures a caller catches; and every test of a
+ValueError checks which one it got."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def parsed(directory):
+    """(path, syntax tree) of every python file under ``directory``."""
+    for path in sorted((ROOT / directory).rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def base_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
 
 
 def test_failing_hypothesis_test_prints_its_example(tmp_path):
@@ -24,3 +38,26 @@ def test_failing_hypothesis_test_prints_its_example(tmp_path):
     assert "INTERNALERROR" not in output
     assert "Falsifying example" in output
     assert result.returncode == 1, output
+
+
+def test_package_defines_only_numerical_failure_exceptions():
+    defined = [node.name for _, tree in parsed("src/biharm")
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(base_name(base).endswith(("Error", "Exception"))
+                       for base in node.bases)]
+    assert sorted(defined) == ["NotConvergedError", "SingularError"]
+
+
+def test_every_value_error_test_checks_its_message():
+    for path, tree in parsed("tests"):
+        bound = {id(item.context_expr) for node in ast.walk(tree)
+                 if isinstance(node, ast.With) for item in node.items
+                 if item.optional_vars is not None}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and base_name(node.func) == "raises" and node.args
+                    and base_name(node.args[0]) == "ValueError"):
+                assert (id(node) in bound
+                        or any(k.arg == "match" for k in node.keywords)), (
+                    f"{path.name}:{node.lineno}: pytest.raises(ValueError) "
+                    f"checks no message")
