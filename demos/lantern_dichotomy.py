@@ -36,8 +36,8 @@ for coupling, levels, shape in (
     print(f"{'n':>4} {'h':>9} {'kappa_min':>10} {'angle_deg':>10} "
           f"{'L2(u1)':>12} {'L2(u2)':>12}")
     for level, r in zip(levels, report.records):
-        print(f"{level:4d} {r.h:9.4f} {r.quality.kappa_min:10.4f} "
-              f"{np.degrees(r.quality.max_normal_angle):10.3f} "
+        print(f"{level:4d} {r.h:9.4f} {r.kappa_min:10.4f} "
+              f"{np.degrees(r.max_normal_angle):10.3f} "
               f"{r.l2_u1:12.4e} {r.l2_u2:12.4e}")
     print(f"  slopes: L2(u1) {report.rates['l2_u1'].slope:.2f}, "
           f"L2(u2) {report.rates['l2_u2'].slope:.2f}; "

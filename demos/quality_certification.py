@@ -18,8 +18,7 @@ inscribed icospheres deliver gamma near 2 and epsilon near 1.
 Run:  python3 demos/quality_certification.py
 """
 
-from biharm import (LevelRecord, certify_quality, fit_rates, gen_icosphere,
-                    max_edge_length, sphere_case)
+from biharm import LevelRecord, fit_rates, gen_icosphere, measure, sphere_case
 from biharm.analysis import SIGMA_THRESHOLD
 
 case = sphere_case(1.0, 2, 0)
@@ -28,12 +27,10 @@ print("inscribed icospheres against the unit sphere")
 print(f"{'level':>5} {'h':>9} {'kappa_min':>10} {'max_dist':>11} "
       f"{'max_angle':>11}")
 for level in range(5):
-    mesh = gen_icosphere(level)
-    q = certify_quality(mesh, case)
-    h = max_edge_length(mesh)
-    records.append(LevelRecord("sphere", level, h, mesh.n_vertices, q))
-    print(f"{level:5d} {h:9.4f} {q.kappa_min:10.4f} {q.max_dist:11.3e} "
-          f"{q.max_normal_angle:11.3e}")
+    r = LevelRecord("sphere", level, **measure(gen_icosphere(level), case))
+    records.append(r)
+    print(f"{level:5d} {r.h:9.4f} {r.kappa_min:10.4f} {r.max_dist:11.3e} "
+          f"{r.max_normal_angle:11.3e}")
 
 report = fit_rates(records)
 sigma = report.sigma_estimate

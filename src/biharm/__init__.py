@@ -24,8 +24,7 @@ from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
                        gen_schwarz_lantern, cap_family, sphere_family,
                        lantern_family)
 from .biharmonic import MixedSolution, solve_mixed
-from .analysis import (LevelRecord, QualityRecord, ConvergenceReport,
-                       RateFit, l2_error, h1_error, certify_quality,
+from .analysis import (LevelRecord, ConvergenceReport, RateFit, measure,
                        fit_rates, run_level, run_study, write_levels_csv,
                        write_rates_csv, lantern_highres_reference)
 
@@ -45,8 +44,7 @@ __all__ = [
     "gen_cap_mesh", "gen_icosphere", "gen_schwarz_lantern", "cap_family",
     "sphere_family", "lantern_family",
     "MixedSolution", "solve_mixed",
-    "LevelRecord", "QualityRecord", "ConvergenceReport", "RateFit",
-    "l2_error", "h1_error", "certify_quality", "fit_rates", "run_level",
-    "run_study", "write_levels_csv", "write_rates_csv",
+    "LevelRecord", "ConvergenceReport", "RateFit", "measure", "fit_rates",
+    "run_level", "run_study", "write_levels_csv", "write_rates_csv",
     "lantern_highres_reference",
 ]

@@ -11,10 +11,11 @@ maximal angle between face normals and surface normals; rate fits
 additionally estimate the decay exponents gamma (distance) and epsilon
 (normals) with sigma = min(gamma, 2 epsilon).
 
-The norms and the certificate stream over blocks of faces, so their
-temporaries stay bounded whatever the size of the mesh.  A study checks
-its levels by :func:`check_levels` before it builds any mesh, and
-solves each level with :func:`~biharm.biharmonic.solve_mixed`.
+:func:`measure` gives the norms, the certificate and the other columns
+of a level in one pass over blocks of faces, so its temporaries stay
+bounded whatever the size of the mesh.  A study checks its levels by
+:func:`check_levels` before it builds any mesh, and solves each level
+with :func:`~biharm.biharmonic.solve_mixed`.
 """
 
 import math
@@ -63,15 +64,21 @@ _QUAD_WEIGHTS = np.array([0.223381589678011, 0.223381589678011,
 # 6.4, 10.4, 18.6 MiB (cap rings 128) and 8.7, 15.4, 28.8 MiB
 # (icosphere 6), against 92 and 130 MiB for the whole mesh at once.
 _FACE_BLOCK = 4096
-# Positions of u, grad u and Delta u in ``SurfaceCase.solution(p)``.
-_U, _GRAD_U, _LAP_U = range(3)
 
 
-class QualityRecord(namedtuple("QualityRecord", QUALITY)):
-    """Mesh-quality summary for one mesh against its surface.
+class LevelRecord(namedtuple("LevelRecord", (*LEVEL, *NORMS, *QUALITY))):
+    """One row of the level table, its columns in the order of its CSV;
+    :func:`measure` gives every column but ``case`` and ``level``.
 
     Attributes
     ----------
+    case, level : str, int
+        Label of the refinement family, and generator parameter.
+    h, dofs : float, int
+        Longest edge and vertex count of the mesh.
+    l2_u1, h1_u1, l2_u2 : float or None
+        L2 errors of u1 against u, of its gradient against grad u and of
+        u2 against Delta u; None where the level was only certified.
     kappa_min : float
         Minimum of inradius / longest edge over faces (shape
         regularity; equilateral triangles attain 1/(2 sqrt 3)).
@@ -85,15 +92,6 @@ class QualityRecord(namedtuple("QualityRecord", QUALITY)):
         normal grad d at the face centroid, which is the normal at its
         closest point, as grad d is constant along normal lines.
     """
-
-    __slots__ = ()
-
-
-class LevelRecord(namedtuple("LevelRecord", (*LEVEL, "quality", *NORMS),
-                             defaults=(None,) * len(NORMS))):
-    """One row of the level table: a refinement level, its
-    :class:`QualityRecord` and the error norms measured on it.  A level
-    that was only certified has None norms."""
 
     __slots__ = ()
 
@@ -120,58 +118,6 @@ class ConvergenceReport(namedtuple(
     __slots__ = ()
 
 
-def l2_error(mesh, u_h, case, reference="u"):
-    """L2 distance between a nodal field and the pulled-back exact field.
-
-    Integrates (u_h - u_exact(closest_point(x)))^2 over the mesh with
-    the 6-point quadrature rule.
-
-    Parameters
-    ----------
-    mesh : TriMesh
-    u_h : ndarray, shape (n,)
-    case : SurfaceCase
-    reference : {"u", "lap_u"}
-        Compare against exact_u (default) or exact_lap_u.
-
-    Returns
-    -------
-    float
-    """
-    u_h = nodal_field(mesh, u_h)
-    field = {"u": _U, "lap_u": _LAP_U}.get(reference)
-    if field is None:
-        raise ValueError(
-            f"reference must be 'u' or 'lap_u', got {reference!r}")
-    (err,), _ = _measure(mesh, case, [(_l2_sq, u_h, field)])
-    return err
-
-
-def h1_error(mesh, u_h, case):
-    """L2 distance between the mesh gradient and the exact gradient.
-
-    The per-face constant gradient of u_h is compared against the exact
-    surface gradient at the projected quadrature points, with the exact
-    gradient projected onto the face plane.
-    """
-    u_h = np.asarray(u_h, dtype=float)
-    (err,), _ = _measure(mesh, case, [(_h1_sq, u_h, _GRAD_U)])
-    return err
-
-
-def certify_quality(mesh, case):
-    """Shape-regularity and surface-approximation quality of one mesh.
-
-    Returns
-    -------
-    QualityRecord
-        kappa/K extrema over faces, the maximal quadrature-point
-        distance to the surface, and the maximal face-normal deviation
-        from the surface normal at the centroid.
-    """
-    return _measure(mesh, case, certify=True)[1]
-
-
 def _l2_sq(mesh, faces, u_h, exact):
     """Per-face quadrature of (u_h - exact)^2, per unit area."""
     vals_exact = np.asarray(exact).reshape(-1, _QUAD_WEIGHTS.size)
@@ -193,33 +139,39 @@ def _h1_sq(mesh, faces, u_h, exact_grad):
     return np.sum((sq[0] + sq[1] + sq[2]) * _QUAD_WEIGHTS[None, :], axis=1)
 
 
-def _measure(mesh, case, norms=(), certify=False):
-    """Error norms and the quality certificate of a mesh in one pass
-    over blocks of at most ``_FACE_BLOCK`` faces.
+def measure(mesh, case, u1=None, u2=None):
+    """Every column of the level table that a mesh and its fields
+    decide, in one pass over blocks of at most ``_FACE_BLOCK`` faces.
 
-    Each block evaluates the signed distance once, at its quadrature
-    points and, to certify, at its face centroids; the closest points
-    and the distances of the certificate both come from that d.  The
-    exact fields come from one ``case.solution`` call at the closest
-    points.  The per-face values of every norm fill whole-mesh arrays,
-    summed once at the end, so the result does not depend on the block
-    size.
+    The norms integrate with the 6-point rule the squared difference to
+    the exact field at the closest point, whose gradient is projected
+    onto the face plane for ``h1_u1``.  Each block evaluates the signed
+    distance once, at its quadrature points and its face centroids; the
+    closest points and the distances of the certificate both come from
+    that d.  Given a field, the exact fields come from one
+    ``case.solution`` call at the closest points.  The per-face values
+    of every norm fill whole-mesh arrays, summed once at the end, so the
+    result does not depend on the block size.
 
     Parameters
     ----------
-    norms : sequence of (kernel, u_h, field)
-        ``_l2_sq`` or ``_h1_sq``, a nodal field and the index (``_U``,
-        ``_GRAD_U`` or ``_LAP_U``) of the exact field it is measured
-        against.
-    certify : bool
-        Also certify the mesh against the surface of ``case``.
+    mesh : TriMesh
+    case : SurfaceCase
+    u1, u2 : ndarray, shape (n,), optional
+        Nodal fields measured against u and against Delta u.
 
     Returns
     -------
-    errors : list of float
-        One per norm.
-    quality : QualityRecord or None
+    dict
+        ``h``, ``dofs``, the ``NORMS`` (None for a field not given) and
+        the ``QUALITY`` columns by name, so that
+        ``LevelRecord(case, level, **measure(mesh, ...))`` is a row.
     """
+    # The i-th norm of NORMS measures its field against the i-th exact
+    # field of ``case.solution``: u, grad u and Delta u.
+    norms = [(i, kernel, nodal_field(mesh, u_h)) for i, (kernel, u_h)
+             in enumerate(((_l2_sq, u1), (_h1_sq, u1), (_l2_sq, u2)))
+             if u_h is not None]
     sq = np.empty((len(norms), mesh.n_faces))
     dist, angle = [], []
     for start in range(0, mesh.n_faces, _FACE_BLOCK):
@@ -227,25 +179,24 @@ def _measure(mesh, case, norms=(), certify=False):
         corners = mesh.vertices[mesh.faces[faces]]
         points = np.matmul(_QUAD_POINTS, corners).reshape(-1, 3)
         n_points = points.shape[0]
-        if certify:
-            points = np.concatenate([points, corners.mean(axis=1)])
-        d, grad = case.distance(points)
+        d, grad = case.distance(np.concatenate([points,
+                                                corners.mean(axis=1)]))
         if norms:
-            fields = case.solution(points[:n_points] - d[:n_points, None]
-                                   * grad[:n_points])
-            for row, (kernel, u_h, field) in zip(sq, norms):
-                row[faces] = kernel(mesh, faces, u_h, fields[field])
-        if certify:
-            dist.append(np.abs(d[:n_points]).max())
-            dots = np.clip(np.einsum("fd,fd->f", mesh.face_normals[faces],
-                                     grad[n_points:]), -1.0, 1.0)
-            angle.append(np.arccos(dots).max())
-    errors = [float(np.sqrt(np.sum(mesh.face_areas * row))) for row in sq]
-    if not certify:
-        return errors, None
-    return errors, QualityRecord(*map(float, (
-        inradius_ratios(mesh).min(), circumradius_ratios(mesh).max(),
-        np.max(dist), np.max(angle))))
+            exact = case.solution(points - d[:n_points, None]
+                                  * grad[:n_points])
+            for row, (i, kernel, u_h) in zip(sq, norms):
+                row[faces] = kernel(mesh, faces, u_h, exact[i])
+        dist.append(np.abs(d[:n_points]).max())
+        dots = np.clip(np.einsum("fd,fd->f", mesh.face_normals[faces],
+                                 grad[n_points:]), -1.0, 1.0)
+        angle.append(np.arccos(dots).max())
+    errors = {NORMS[i]: float(np.sqrt(np.sum(mesh.face_areas * row)))
+              for row, (i, _, _) in zip(sq, norms)}
+    quality = map(float, (inradius_ratios(mesh).min(),
+                          circumradius_ratios(mesh).max(), np.max(dist),
+                          np.max(angle)))
+    return {"h": max_edge_length(mesh), "dofs": mesh.n_vertices,
+            **dict.fromkeys(NORMS), **errors, **dict(zip(QUALITY, quality))}
 
 
 def _fit_loglog(h, values, column):
@@ -273,8 +224,8 @@ def _norms(records):
 
 def fit_rates(records):
     """Fit convergence rates over ``MIN_LEVELS`` or more levels of
-    distinct mesh size h, with two nonzero values at least in each
-    column it fits; raise ValueError otherwise.
+    distinct mesh size h, with finite values in each column it fits and
+    two nonzero ones at least; raise ValueError otherwise.
 
     Each slope is fitted on the finest ceil(levels/2) + 1 levels (coarse
     preasymptotic levels pollute it): one per error norm that every
@@ -301,15 +252,19 @@ def fit_rates(records):
         raise ValueError(
             f"mesh sizes h must be distinct, got h = {repeated} at "
             f"more than one level")
+    norms = _norms(records)
+    columns = dict(zip(norms, norms), **EXPONENTS)
+    for r in records:
+        for column in columns.values():
+            if not math.isfinite(value := getattr(r, column)):
+                raise ValueError(f"{column} must be finite to fit a rate, "
+                                 f"got {value} at level {r.level}")
     n_fit = min(n, math.ceil(n / 2) + 1)
     finest = [records[i] for i in np.argsort(hs)[:n_fit][::-1]]
     h_fit = [r.h for r in finest]
-    rates = {name: _fit_loglog(h_fit, [getattr(r, name) for r in finest],
-                               name)
-             for name in _norms(records)}
-    for name, column in EXPONENTS.items():
-        rates[name] = _fit_loglog(
-            h_fit, [getattr(r.quality, column) for r in finest], column)
+    rates = {name: _fit_loglog(h_fit, [getattr(r, column) for r in finest],
+                               column)
+             for name, column in columns.items()}
     sigma = min(rates["gamma"].slope, 2.0 * rates["epsilon"].slope)
     return ConvergenceReport(records[0].case, list(records), rates, sigma)
 
@@ -318,7 +273,7 @@ def run_level(family, level, tol=DEFAULT_TOL, mass_mode="consistent"):
     """Solve one refinement level and collect its LevelRecord.
 
     The three error norms and the quality certificate come from one
-    pass over the face blocks of the mesh.
+    :func:`measure` pass over the face blocks of the mesh.
 
     Raises
     ------
@@ -327,18 +282,14 @@ def run_level(family, level, tol=DEFAULT_TOL, mass_mode="consistent"):
         the vertex count.
     """
     mesh = family.build(level)
-    case = family.case
     try:
-        sol = solve_mixed(mesh, interpolate(mesh, case.exact_f), tol,
+        sol = solve_mixed(mesh, interpolate(mesh, family.case.exact_f), tol,
                           mass_mode)
     except (NotConvergedError, SingularError) as exc:
         raise type(exc)(f"{family.label} level {level} "
                         f"({mesh.n_vertices} vertices): {exc}") from exc
-    (l2_u1, h1_u1, l2_u2), quality = _measure(
-        mesh, case, [(_l2_sq, sol.u1, _U), (_h1_sq, sol.u1, _GRAD_U),
-                     (_l2_sq, sol.u2, _LAP_U)], certify=True)
-    return LevelRecord(family.label, level, max_edge_length(mesh),
-                       mesh.n_vertices, quality, l2_u1, h1_u1, l2_u2)
+    return LevelRecord(family.label, level,
+                       **measure(mesh, family.case, sol.u1, sol.u2))
 
 
 def check_levels(levels):
@@ -401,21 +352,19 @@ def gate_failures(report, gate):
 # CSV serialization (12 significant digits, stable layout)
 
 def _fmt(x):
-    return f"{x:.12g}"
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_levels_csv(path, records):
     """Write the level table: one row per record, with the level
     columns, the error norms that every record carries and the quality
-    columns."""
-    norms = _norms(records)
+    columns; labels and integers as they are."""
+    columns = (*LEVEL, *_norms(records), *QUALITY)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join((*LEVEL, *norms, *QUALITY)) + "\n")
+        fh.write(",".join(columns) + "\n")
         for r in records:
-            fields = [r.case, str(r.level), _fmt(r.h), str(r.dofs),
-                      *(_fmt(getattr(r, name)) for name in norms),
-                      *map(_fmt, r.quality)]
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(_fmt(getattr(r, name)) for name in columns)
+                     + "\n")
 
 
 def write_rates_csv(path, report):

@@ -21,13 +21,13 @@ import sys
 import numpy as np
 
 from .analysis import (MIN_LEVELS, NORMS, QUALITY, SIGMA_THRESHOLD,
-                       LevelRecord, certify_quality, check_levels, fit_rates,
-                       gate_failures, lantern_highres_reference, run_study,
+                       LevelRecord, check_levels, fit_rates, gate_failures,
+                       lantern_highres_reference, measure, run_study,
                        write_levels_csv, write_rates_csv)
 from .biharmonic import solve_mixed
 from .fem import interpolate
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
-from .mesh import max_edge_length, read_obj, write_obj, write_rows
+from .mesh import read_obj, write_obj, write_rows
 from .surfaces import (LANTERN_COUPLINGS, cap_family, lantern_family,
                        real_harmonic, sphere_family)
 
@@ -67,6 +67,16 @@ _CASES = {
 # Every field with a default; a config value must have its default's type.
 _FIELD_DEFAULTS = dict(chain(_DEFAULTS.items(),
                              *(c.fields.items() for c in _CASES.values())))
+# The flags of case fields: --levels sets the level field, each other its own.
+_CASE_FLAGS = ("levels", *dict.fromkeys(
+    f for c in _CASES.values() for f in c.fields if f != c.level_field))
+
+
+def _refuse(args, flags, reason):
+    """Refuse the first of ``flags`` given on the command line."""
+    for flag in flags:
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag} {reason}")
 
 
 def _load_config(args):
@@ -97,9 +107,9 @@ def _load_config(args):
     if case is not None and not (isinstance(case, str) and case in _CASES):
         raise ValueError(f"case must be one of {', '.join(_CASES)}, "
                          f"got {case!r}")
+    if case is None:
+        _refuse(args, _CASE_FLAGS, "requires --case")
     if getattr(args, "levels", None) is not None:
-        if case is None:
-            raise ValueError("--levels requires --case")
         provided[_CASES[case].level_field] = args.levels
 
     if case is not None:
@@ -297,6 +307,8 @@ def _svg_loglog(path, report, guide_slopes):
 def cmd_solve(args):
     cfg, spec = _load_config(args)
     if args.mesh is not None:
+        _refuse(args, ("case", "n", *_CASE_FLAGS),
+                "does not apply to solve --mesh")
         family = None
     elif spec is not None:
         family = spec.family(cfg)
@@ -378,7 +390,9 @@ def cmd_quality(args):
                          "quality needs --mesh FILE or --case KIND")
     family = spec.family(cfg)
     levels = cfg[spec.level_field]
-    if args.mesh is None:
+    if args.mesh is not None:
+        _refuse(args, ("levels",), "does not apply to quality --mesh")
+    else:
         if not levels or len(set(levels)) < len(levels):
             raise ValueError(f"quality needs one or more distinct levels, "
                              f"got {levels}")
@@ -390,15 +404,14 @@ def cmd_quality(args):
         label, meshes = cfg["case"], [(0, read_obj(args.mesh))]
     else:
         label, meshes = family.label, family.meshes()
-    records = [LevelRecord(label, level, max_edge_length(mesh),
-                           mesh.n_vertices, certify_quality(mesh, family.case))
+    records = [LevelRecord(label, level, **measure(mesh, family.case))
                for level, mesh in meshes]
 
     report = fit_rates(records) if len(records) >= MIN_LEVELS else None
     write_levels_csv(os.path.join(out, "quality.csv"), records)
     for r in records:
-        cells = (f"{name} = {value:{fmt}}" for name, fmt, value in
-                 zip(QUALITY, (".4f", ".4f", ".3e", ".3e"), r.quality))
+        cells = (f"{name} = {getattr(r, name):{fmt}}" for name, fmt in
+                 zip(QUALITY, (".4f", ".4f", ".3e", ".3e")))
         print(f"level {r.level}: h = {r.h:.4g}, {', '.join(cells)}")
     if report is not None:
         rates, sigma = report.rates, report.sigma_estimate
@@ -426,7 +439,7 @@ def _build_parser():
                     "on triangulated surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_levels):
+    def add_common(p, with_levels, solves=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--case", choices=list(_CASES))
         if with_levels:
@@ -443,9 +456,10 @@ def _build_parser():
                             "n^2 bands (quadratic)")
         p.add_argument("--R", type=float, help="radius")
         p.add_argument("--H", type=float, help="cylinder height (lantern)")
-        p.add_argument("--mass", dest="mass_mode",
-                       choices=_CHOICES["mass_mode"])
-        p.add_argument("--tol", type=float)
+        if solves:
+            p.add_argument("--mass", dest="mass_mode",
+                           choices=_CHOICES["mass_mode"])
+            p.add_argument("--tol", type=float)
         p.add_argument("--out", help="output directory")
 
     p_solve = sub.add_parser("solve", help="solve one problem instance")
@@ -472,7 +486,7 @@ def _build_parser():
 
     p_qual = sub.add_parser("quality",
                             help="certify mesh quality across levels")
-    add_common(p_qual, with_levels=True)
+    add_common(p_qual, with_levels=True, solves=False)
     p_qual.add_argument("--mesh", help="certify a single OBJ mesh")
     p_qual.set_defaults(func=cmd_quality)
     return parser

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import biharm
-from biharm.analysis import NORMS, QUALITY, LevelRecord, QualityRecord
+from biharm.analysis import NORMS, QUALITY, LevelRecord
 from biharm.fem import MeshOperators, nodal_field
 from biharm.linalg import (_ND_LEAF, DEFAULT_TOL, SingularError,
                            check_residual, factor_spd)
@@ -115,9 +115,8 @@ def read_levels_csv(path):
         return [LevelRecord(
                     row["case"], int(row["level"]), float(row["h"]),
                     int(row["dofs"]),
-                    QualityRecord(*(float(row[name]) for name in QUALITY)),
-                    **{name: float(row[name]) for name in NORMS
-                       if name in row})
+                    *(float(row[name]) if name in row else None
+                      for name in (*NORMS, *QUALITY)))
                 for row in csv.DictReader(fh)]
 
 

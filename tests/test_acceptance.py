@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from biharm.analysis import gate_failures, l2_error, run_study
+from biharm.analysis import gate_failures, run_study
 from biharm.biharmonic import solve_mixed
 from biharm.cli import main
 from biharm.fem import (assemble_mass, assemble_stiffness, interpolate,

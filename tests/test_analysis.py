@@ -6,8 +6,7 @@ import pytest
 
 from biharm import analysis
 from biharm.analysis import (NORMS, ConvergenceReport, LevelRecord,
-                             QualityRecord, certify_quality, fit_rates,
-                             h1_error, l2_error, lantern_highres_reference,
+                             fit_rates, lantern_highres_reference, measure,
                              run_level, run_study, write_levels_csv,
                              write_rates_csv)
 from biharm.biharmonic import solve_mixed
@@ -66,24 +65,24 @@ class TestL2Error:
         mesh = grid_mesh(3, shear=0.2)
         case = linear_flat_case()
         u_h = interpolate(mesh, case.exact_u)
-        assert l2_error(mesh, u_h, case) <= 1e-12
+        assert measure(mesh, case, u_h)["l2_u1"] <= 1e-12
 
     def test_zero_field_against_one(self):
         mesh = grid_mesh(4)
         case = constant_one_case()
-        err = l2_error(mesh, np.zeros(mesh.n_vertices), case)
+        err = measure(mesh, case, np.zeros(mesh.n_vertices))["l2_u1"]
         assert err == pytest.approx(1.0, abs=1e-12)
 
     def test_interpolant_beats_zero_field(self):
         case = cap_case(1.0, np.pi / 3.0)
         mesh = gen_cap_mesh(np.pi / 3.0, 4)
         u_i = interpolate(mesh, case.exact_u)
-        assert l2_error(mesh, u_i, case) <= l2_error(
-            mesh, np.zeros(mesh.n_vertices), case)
+        assert measure(mesh, case, u_i)["l2_u1"] <= measure(
+            mesh, case, np.zeros(mesh.n_vertices))["l2_u1"]
 
     def test_cap_interpolant_second_order(self):
         case = cap_case(1.0, np.pi / 3.0)
-        errors = [l2_error(mesh, interpolate(mesh, case.exact_u), case)
+        errors = [measure(mesh, case, interpolate(mesh, case.exact_u))["l2_u1"]
                   for _, mesh in cap_family(np.pi / 3.0, [4, 8, 16]).meshes()]
         assert errors[1] < 0.35 * errors[0]
         assert errors[2] < 0.35 * errors[1]
@@ -98,13 +97,7 @@ class TestL2Error:
             lap_u=lambda p: np.full(p.shape[:-1], -2.0),
             f=lambda p: np.zeros(p.shape[:-1]))
         u_h = np.full(mesh.n_vertices, -2.0)
-        assert l2_error(mesh, u_h, case, reference="lap_u") <= 1e-12
-
-    def test_unknown_reference_names_allowed_values(self):
-        mesh = grid_mesh(2)
-        with pytest.raises(ValueError, match="'u' or 'lap_u', got 'lap'"):
-            l2_error(mesh, np.zeros(mesh.n_vertices), constant_one_case(),
-                     reference="lap")
+        assert measure(mesh, case, u2=u_h)["l2_u2"] <= 1e-12
 
 
 class TestH1Error:
@@ -112,7 +105,7 @@ class TestH1Error:
         mesh = grid_mesh(3, shear=0.1)
         case = linear_flat_case()
         u_h = interpolate(mesh, case.exact_u)
-        assert h1_error(mesh, u_h, case) <= 1e-12
+        assert measure(mesh, case, u_h)["h1_u1"] <= 1e-12
 
     def test_zero_field_gives_gradient_norm(self):
         mesh = grid_mesh(4)
@@ -122,12 +115,12 @@ class TestH1Error:
                 np.array([1.0, 0.0, 0.0]), p.shape).copy(),
             lap_u=lambda p: np.zeros(p.shape[:-1]),
             f=lambda p: np.zeros(p.shape[:-1]))
-        err = h1_error(mesh, np.zeros(mesh.n_vertices), case)
+        err = measure(mesh, case, np.zeros(mesh.n_vertices))["h1_u1"]
         assert err == pytest.approx(1.0, abs=1e-12)
 
     def test_cap_interpolant_first_order(self):
         case = cap_case(1.0, np.pi / 3.0)
-        errors = [h1_error(mesh, interpolate(mesh, case.exact_u), case)
+        errors = [measure(mesh, case, interpolate(mesh, case.exact_u))["h1_u1"]
                   for _, mesh in cap_family(np.pi / 3.0, [4, 8, 16]).meshes()]
         assert errors[1] < 0.65 * errors[0]
         assert errors[2] < 0.65 * errors[1]
@@ -137,21 +130,21 @@ class TestCertifyQuality:
     def test_equilateral_kappa(self):
         mesh = single_triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
                                (0.5, np.sqrt(3.0) / 2.0, 0.0))
-        q = certify_quality(mesh, constant_one_case())
-        assert q.kappa_min == pytest.approx(1.0 / (2.0 * np.sqrt(3.0)),
-                                            abs=1e-12)
-        assert q.K_max == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
-        assert q.max_dist <= 1e-14
-        assert q.max_normal_angle <= 1e-7
+        q = measure(mesh, constant_one_case())
+        assert q["kappa_min"] == pytest.approx(1.0 / (2.0 * np.sqrt(3.0)),
+                                               abs=1e-12)
+        assert q["K_max"] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
+        assert q["max_dist"] <= 1e-14
+        assert q["max_normal_angle"] <= 1e-7
 
     def test_icosphere_distance_and_normal_decay(self):
         case = sphere_case(1.0, 2, 0)
         dists = []
         angles = []
         for level in (1, 2, 3):
-            q = certify_quality(gen_icosphere(level), case)
-            dists.append(q.max_dist)
-            angles.append(q.max_normal_angle)
+            q = measure(gen_icosphere(level), case)
+            dists.append(q["max_dist"])
+            angles.append(q["max_normal_angle"])
         assert dists[1] < 0.35 * dists[0]
         assert dists[2] < 0.35 * dists[1]
         assert angles[1] < 0.65 * angles[0]
@@ -166,9 +159,9 @@ class TestCertifyQuality:
         angles = []
         kappas = []
         for n in (4, 8, 16):
-            q = certify_quality(gen_schwarz_lantern(n * n, n), case)
-            angles.append(q.max_normal_angle)
-            kappas.append(q.kappa_min)
+            q = measure(gen_schwarz_lantern(n * n, n), case)
+            angles.append(q["max_normal_angle"])
+            kappas.append(q["kappa_min"])
         assert angles[1] < angles[0]
         assert angles[2] < angles[1]
         assert kappas[2] < 0.6 * kappas[0]
@@ -176,32 +169,30 @@ class TestCertifyQuality:
     def test_rigid_motion_invariance(self, rng):
         case = sphere_case(1.0, 2, 0)
         mesh = gen_icosphere(2)
-        q1 = certify_quality(mesh, case)
+        q1 = measure(mesh, case)
         rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(rot) < 0:
             rot[:, 0] = -rot[:, 0]
         moved = build_mesh(mesh.vertices @ rot.T, mesh.faces)
-        q2 = certify_quality(moved, case)
-        assert q2.kappa_min == pytest.approx(q1.kappa_min, abs=1e-10)
-        assert q2.K_max == pytest.approx(q1.K_max, abs=1e-10)
-        assert q2.max_dist == pytest.approx(q1.max_dist, abs=1e-10)
-        assert q2.max_normal_angle == pytest.approx(q1.max_normal_angle,
-                                                    abs=1e-8)
+        q2 = measure(moved, case)
+        for name in ("kappa_min", "K_max", "max_dist"):
+            assert q2[name] == pytest.approx(q1[name], abs=1e-10)
+        assert q2["max_normal_angle"] == pytest.approx(
+            q1["max_normal_angle"], abs=1e-8)
 
 
 def synthetic_records(hs, slopes, case="synthetic"):
     """LevelRecords following exact power laws err = h^slope per norm."""
     records = []
     for i, h in enumerate(hs):
-        quality = QualityRecord(
-            kappa_min=0.3, K_max=0.6,
-            max_dist=h ** slopes.get("gamma", 2.0),
-            max_normal_angle=h ** slopes.get("epsilon", 1.0))
         records.append(LevelRecord(
-            case, i, h, 100 * (i + 1), quality,
+            case, i, h, 100 * (i + 1),
             h ** slopes.get("l2_u1", 1.0),
             h ** slopes.get("h1_u1", 0.75),
-            h ** slopes.get("l2_u2", 0.5)))
+            h ** slopes.get("l2_u2", 0.5),
+            kappa_min=0.3, K_max=0.6,
+            max_dist=h ** slopes.get("gamma", 2.0),
+            max_normal_angle=h ** slopes.get("epsilon", 1.0)))
     return records
 
 
@@ -251,8 +242,8 @@ class TestFitRates:
             assert report.rates[name].slope <= 3.0
 
     def test_certified_only_records(self):
-        records = [LevelRecord("synthetic", i, h, 10, QualityRecord(
-                       0.3, 0.6, h ** 2, h))
+        records = [LevelRecord("synthetic", i, h, 10, None, None, None,
+                               0.3, 0.6, h ** 2, h)
                    for i, h in enumerate([0.1, 0.05, 0.025])]
         report = fit_rates(records)
         assert list(report.rates) == ["gamma", "epsilon"]
@@ -266,11 +257,11 @@ class TestFitRates:
         # centroids, so its max_normal_angle is exactly 0; clamping it to
         # a tiny positive value instead drives epsilon to about -565.
         records = run_study(sphere_family(2, 0, [0, 1, 2])).records
-        assert records[0].quality.max_normal_angle == 0.0
+        assert records[0].max_normal_angle == 0.0
         report = fit_rates(records)
         fine = records[1:]
-        expected = (math.log(fine[1].quality.max_normal_angle
-                             / fine[0].quality.max_normal_angle)
+        expected = (math.log(fine[1].max_normal_angle
+                             / fine[0].max_normal_angle)
                     / math.log(fine[1].h / fine[0].h))
         assert report.rates["epsilon"].slope == pytest.approx(expected,
                                                               rel=1e-12)
@@ -280,9 +271,18 @@ class TestFitRates:
 
     def test_column_with_one_nonzero_value_rejected(self):
         records = synthetic_records([0.1, 0.05, 0.025], {})
-        records = [r._replace(quality=r.quality._replace(max_normal_angle=0.0))
+        records = [r._replace(max_normal_angle=0.0)
                    for r in records[:2]] + records[2:]
         with pytest.raises(ValueError, match="max_normal_angle"):
+            fit_rates(records)
+
+    @pytest.mark.parametrize("column, value", [("l2_u1", math.inf),
+                                               ("max_dist", math.nan)])
+    def test_column_not_finite_rejected(self, column, value):
+        records = synthetic_records([0.1, 0.05, 0.025], {})
+        records[1] = records[1]._replace(**{column: value})
+        with pytest.raises(ValueError, match=f"{column} must be finite to "
+                           f"fit a rate, got {value} at level 1"):
             fit_rates(records)
 
     def test_norms_fitted_only_where_every_record_carries_them(self):
@@ -334,11 +334,6 @@ class TestRunStudy:
         assert record.dofs == 9 * 16
 
 
-def record_fields(record):
-    return (*record[:4], *(getattr(record, name) for name in NORMS),
-            *record.quality)
-
-
 # One level of each family, with the cases the error pass handles.
 BLOCKED_LEVELS = {
     "cap": (cap_family(np.pi / 3.0, [8]), 8),
@@ -348,31 +343,42 @@ BLOCKED_LEVELS = {
         lantern_highres_reference(n_ref=16),
         label="lantern-linear-highres"), 4),
 }
+# Each level with the solved fields it is measured on: both, as a study
+# measures them, u1 alone, or none, as `quality` certifies a mesh.
+BLOCKED_MEASURES = {
+    **{name: (*at, ("u1", "u2")) for name, at in BLOCKED_LEVELS.items()},
+    "cap-u1": (*BLOCKED_LEVELS["cap"], ("u1",)),
+    "sphere-certify": (*BLOCKED_LEVELS["sphere"], ()),
+}
 
 
 class TestBlockedPass:
     """The norms and the certificate stream over blocks of faces."""
 
-    @pytest.mark.parametrize("family, level", BLOCKED_LEVELS.values(),
-                             ids=BLOCKED_LEVELS.keys())
+    @pytest.mark.parametrize("family, level, fields",
+                             BLOCKED_MEASURES.values(),
+                             ids=BLOCKED_MEASURES.keys())
     def test_records_independent_of_block_size(self, monkeypatch, family,
-                                               level):
-        expected = record_fields(run_level(family, level))
+                                               level, fields):
+        mesh = family.build(level)
+        sol = solve_mixed(mesh, interpolate(mesh, family.case.exact_f))
+        given = {name: getattr(sol, name) for name in fields}
+        expected = measure(mesh, family.case, **given)
         monkeypatch.setattr(analysis, "_FACE_BLOCK", 7)
         # Many blocks, the last one partial.
-        assert family.build(level).n_faces % 7 != 0
-        assert record_fields(run_level(family, level)) == expected
+        assert mesh.n_faces % 7 != 0
+        assert measure(mesh, family.case, **given) == expected
 
     def test_record_matches_public_functions(self):
         for family, level in BLOCKED_LEVELS.values():
             record = run_level(family, level)
             mesh, case = family.build(level), family.case
             sol = solve_mixed(mesh, interpolate(mesh, case.exact_f))
-            q = certify_quality(mesh, case)
-            assert record_fields(record)[4:] == (
-                l2_error(mesh, sol.u1, case), h1_error(mesh, sol.u1, case),
-                l2_error(mesh, sol.u2, case, reference="lap_u"),
-                *q), family.label
+            row, u1 = measure(mesh, case), measure(mesh, case, u1=sol.u1)
+            row.update(l2_u1=u1["l2_u1"], h1_u1=u1["h1_u1"],
+                       l2_u2=measure(mesh, case, u2=sol.u2)["l2_u2"])
+            assert record == LevelRecord(family.label, level, **row), (
+                family.label)
 
     @pytest.mark.parametrize("family, level", BLOCKED_LEVELS.values(),
                              ids=BLOCKED_LEVELS.keys())
@@ -404,7 +410,7 @@ class TestBlockedPass:
         u_h = interpolate(mesh, case.exact_u)
         tracemalloc.start()
         try:
-            h1_error(mesh, u_h, case)
+            measure(mesh, case, u_h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,8 +431,7 @@ class TestCsvRoundTrips:
             assert b.h == pytest.approx(a.h, rel=1e-11)
             assert b.dofs == a.dofs
             assert b.l2_u1 == pytest.approx(a.l2_u1, rel=1e-11)
-            assert b.quality.kappa_min == pytest.approx(
-                a.quality.kappa_min, rel=1e-11)
+            assert b.kappa_min == pytest.approx(a.kappa_min, rel=1e-11)
 
     def test_twelve_significant_digits(self, tmp_path):
         records = synthetic_records([1.0 / 3.0, 0.05, 0.025], {})
@@ -456,7 +461,7 @@ class TestCsvRoundTrips:
         assert back[1].level == 1
         assert back[1].h == pytest.approx(0.05, rel=1e-11)
         assert back[1].l2_u1 is None
-        assert back[1].quality.max_normal_angle == pytest.approx(
+        assert back[1].max_normal_angle == pytest.approx(
             0.05, rel=1e-11)
 
     def test_rates_flags(self, tmp_path):
@@ -510,8 +515,8 @@ class TestHighresReference:
         case = lantern_highres_reference(n_ref=24)
         mesh = gen_schwarz_lantern(16, 8)
         sol = solve_mixed(mesh, np.full(mesh.n_vertices, 24.0))
-        err = l2_error(mesh, sol.u1, case)
-        base_err = l2_error(mesh, sol.u1, cylinder_case(1.0, 2.0))
+        err = measure(mesh, case, sol.u1)["l2_u1"]
+        base_err = measure(mesh, cylinder_case(1.0, 2.0), sol.u1)["l2_u1"]
         assert err == pytest.approx(base_err, abs=0.05)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -307,6 +308,18 @@ class TestConverge:
         assert "strictly increasing" in err
         assert f"[{levels.replace(',', ', ')}]" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_norm_not_finite_exit_2_before_any_file(self, tmp_path, capsys):
+        # u grows like R^4, so area * u^2 overflows float64 at R = 1e35;
+        # plotting the infinite norm used to raise OverflowError.
+        out = tmp_path / "out"
+        code = main(["converge", "--case", "sphere", "--R", "1e35",
+                     "--levels", "2,3,4", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: l2_u1 must be finite to fit a rate, got inf at level 2\n")
+        assert list(out.iterdir()) == []
+
     def test_lantern_highres_check(self, tmp_path):
         out = tmp_path / "out"
         code = main(["converge", "--case", "lantern", "--reference",
@@ -364,8 +377,7 @@ class TestQuality:
         captured = capsys.readouterr()
         assert "warning: sigma estimate" in captured.err
         assert "below 3/2" in captured.err
-        kappas = [r.quality.kappa_min
-                  for r in read_levels_csv(out / "quality.csv")]
+        kappas = [r.kappa_min for r in read_levels_csv(out / "quality.csv")]
         assert kappas[2] < 0.6 * kappas[0]
 
     def test_repeated_levels_exit_2(self, tmp_path, capsys):
@@ -503,6 +515,17 @@ class TestInputErrors:
         (["solve", "--case", "sphere", "--n", "1000000000000"], None,
          "subdivisions must be < 30 for 20*4^k faces to fit in int64, "
          "got 1000000000000"),
+        (["quality", "--mesh", "any.obj", "--case", "sphere", "--levels",
+          "1,1,1"], None, "--levels does not apply to quality --mesh"),
+        (["solve", "--mesh", "any.obj", "--n", "5", "--rhs", "const:1"],
+         None, "--n does not apply to solve --mesh"),
+        (["solve", "--mesh", "any.obj", "--case", "cap", "--rhs", "const:1"],
+         None, "--case does not apply to solve --mesh"),
+        (["solve", "--mesh", "any.obj", "--theta0", "1.0", "--rhs",
+          "const:1"], None, "--theta0 requires --case"),
+        (["quality", "--case", "cap", "--levels", "2,4", "--tol", "1e-5",
+          "--mass", "lumped"], None,
+         "unrecognized arguments: --tol 1e-5 --mass lumped"),
     ], ids=["config-array", "levels-without-case", "coupling-cubic",
             "mass-mode-diag", "levels-not-integers", "rhs-const-abc",
             "rhs-harmonic-one-index", "solve-without-input",
@@ -510,7 +533,9 @@ class TestInputErrors:
             "quality-mesh-without-case", "quality-without-input",
             "solve-cap-level-below-2", "converge-quadratic-level-below-3",
             "quality-cap-level-below-2", "quality-sphere-level-beyond-int64",
-            "solve-sphere-level-beyond-int64"])
+            "solve-sphere-level-beyond-int64", "quality-mesh-with-levels",
+            "solve-mesh-with-n", "solve-mesh-with-case",
+            "solve-mesh-with-theta0", "quality-with-solver-flags"])
     def test_exit_2_names_cause_before_out(self, tmp_path, capsys, args,
                                            config, message):
         if config is not None:
@@ -547,6 +572,28 @@ class TestInputErrors:
         assert code == 2
         assert (capsys.readouterr().err
                 == "error: Unable to allocate 7.28 TiB for an array\n")
+
+
+# Every flag of each subcommand, sorted: adding a knob changes this table.
+SUBCOMMAND_FLAGS = {
+    "solve": ["--H", "--R", "--case", "--config", "--coupling", "--l", "--m",
+              "--mass", "--mesh", "--n", "--out", "--rhs", "--theta0",
+              "--tol", "--write-mesh"],
+    "converge": ["--H", "--R", "--case", "--check", "--config", "--coupling",
+                 "--l", "--levels", "--m", "--mass", "--out", "--reference",
+                 "--theta0", "--tol"],
+    "quality": ["--H", "--R", "--case", "--config", "--coupling", "--l",
+                "--levels", "--m", "--mesh", "--out", "--theta0"],
+}
+
+
+def test_subcommand_flags():
+    commands, = (action.choices for action in cli._build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert {name: sorted(flag for action in parser._actions
+                         for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, parser in commands.items()} == SUBCOMMAND_FLAGS
 
 
 class TestConfigFile:
