@@ -24,7 +24,8 @@ is nothing to condense, and the system decouples into two Poisson
 solves.  The constants in the kernel of S add one rule, kept by
 :class:`~biharm.fem.MeshOperators`: the load loses its M-weighted mean,
 each right-hand side is projected onto range(S) along M 1, and each
-solve, grounded at vertex 0, removes the mean from its result.
+solve, grounded at vertex 0 or, on a large intrinsic Delaunay mesh, by
+multilevel CG on S itself, removes the mean from its result.
 
 :func:`solve_mixed`, the one solve of the studies and the CLI, reads
 S, M, the dof split and the one factor from one bundle built inside the
@@ -229,7 +230,7 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     """
     _check_components(mesh)
     f = _check_field(mesh, f)
-    ops = MeshOperators(mesh)
+    ops = MeshOperators(mesh, tol)
     mass = (ops.mass if mass_mode == "consistent"
             else assemble_mass(mesh, mass_mode))
     mean = ops.mean(f)

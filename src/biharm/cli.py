@@ -11,6 +11,7 @@ in ``converge --check``.
 
 import argparse
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import cache
 from itertools import chain
 import json
@@ -70,6 +71,20 @@ _FIELD_DEFAULTS = dict(chain(_DEFAULTS.items(),
 # The flags of case fields: --levels sets the level field, each other its own.
 _CASE_FLAGS = ("levels", *dict.fromkeys(
     f for c in _CASES.values() for f in c.fields if f != c.level_field))
+
+
+@contextmanager
+def _out_dir(path):
+    """Create the output directory ``path``; if the command then fails,
+    remove it again if this created it and it is still empty."""
+    created = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if created and not os.listdir(path):
+            os.rmdir(path)
+        raise
 
 
 def _refuse(args, flags, reason):
@@ -326,19 +341,19 @@ def cmd_solve(args):
     if family is not None:
         level = args.n if args.n is not None else spec.solve_n
         family.check_level(level)
-    os.makedirs(out, exist_ok=True)
-    mesh = read_obj(args.mesh) if family is None else family.build(level)
-    sol = solve_mixed(mesh, interpolate(mesh, rhs), cfg["tol"],
-                      cfg["mass_mode"])
-    _write_solution_csv(os.path.join(out, "solution.csv"), sol.u1, sol.u2)
-    if args.write_mesh:
-        write_obj(mesh, os.path.join(out, "mesh.obj"))
-    print(f"solved {mesh.n_vertices} dofs "
-          f"(residual {sol.solve_report.relative_residual:.2e}); "
-          f"max|u1| = {np.abs(sol.u1).max():.6g}, "
-          f"max|u2| = {np.abs(sol.u2).max():.6g}")
-    print(f"wrote {os.path.join(out, 'solution.csv')}")
-    return EXIT_OK
+    with _out_dir(out):
+        mesh = read_obj(args.mesh) if family is None else family.build(level)
+        sol = solve_mixed(mesh, interpolate(mesh, rhs), cfg["tol"],
+                          cfg["mass_mode"])
+        _write_solution_csv(os.path.join(out, "solution.csv"), sol.u1, sol.u2)
+        if args.write_mesh:
+            write_obj(mesh, os.path.join(out, "mesh.obj"))
+        print(f"solved {mesh.n_vertices} dofs "
+              f"(residual {sol.solve_report.relative_residual:.2e}); "
+              f"max|u1| = {np.abs(sol.u1).max():.6g}, "
+              f"max|u2| = {np.abs(sol.u2).max():.6g}")
+        print(f"wrote {os.path.join(out, 'solution.csv')}")
+        return EXIT_OK
 
 
 def cmd_converge(args):
@@ -351,35 +366,35 @@ def cmd_converge(args):
     for level in levels:
         family.check_level(level)
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    if cfg["case"] == "lantern" and cfg["reference"] == "highres":
-        ref = lantern_highres_reference(cfg["R"], cfg["H"],
-                                        n_ref=2 * max(levels),
-                                        tol=cfg["tol"])
-        family = family.with_case(ref, label=family.label + "-highres")
-    report = run_study(family, tol=cfg["tol"], mass_mode=cfg["mass_mode"])
+    with _out_dir(out):
+        if cfg["case"] == "lantern" and cfg["reference"] == "highres":
+            ref = lantern_highres_reference(cfg["R"], cfg["H"],
+                                            n_ref=2 * max(levels),
+                                            tol=cfg["tol"])
+            family = family.with_case(ref, label=family.label + "-highres")
+        report = run_study(family, tol=cfg["tol"], mass_mode=cfg["mass_mode"])
 
-    write_levels_csv(os.path.join(out, "report.csv"), report.records)
-    write_rates_csv(os.path.join(out, "rates.csv"), report)
-    _svg_loglog(os.path.join(out, "plot.svg"), report, spec.guides)
+        write_levels_csv(os.path.join(out, "report.csv"), report.records)
+        write_rates_csv(os.path.join(out, "rates.csv"), report)
+        _svg_loglog(os.path.join(out, "plot.svg"), report, spec.guides)
 
-    print(f"case {report.case}: {len(report.records)} levels, "
-          f"dofs {report.records[0].dofs}..{report.records[-1].dofs}")
-    for name, fit in report.rates.items():
-        print(f"  {name:8s} slope {fit.slope:6.3f}  "
-              f"(fit residual {fit.residual:.3f})")
-    print(f"  sigma estimate {report.sigma_estimate:.3f}")
-    print(f"wrote report.csv, rates.csv, plot.svg in {out}")
+        print(f"case {report.case}: {len(report.records)} levels, "
+              f"dofs {report.records[0].dofs}..{report.records[-1].dofs}")
+        for name, fit in report.rates.items():
+            print(f"  {name:8s} slope {fit.slope:6.3f}  "
+                  f"(fit residual {fit.residual:.3f})")
+        print(f"  sigma estimate {report.sigma_estimate:.3f}")
+        print(f"wrote report.csv, rates.csv, plot.svg in {out}")
 
-    if args.check:
-        failures = gate_failures(report,
-                                 report.case.removesuffix("-highres"))
-        if failures:
-            for msg in failures:
-                print(f"gate failure: {msg}", file=sys.stderr)
-            return EXIT_GATE
-        print("acceptance gate passed")
-    return EXIT_OK
+        if args.check:
+            failures = gate_failures(report,
+                                     report.case.removesuffix("-highres"))
+            if failures:
+                for msg in failures:
+                    print(f"gate failure: {msg}", file=sys.stderr)
+                return EXIT_GATE
+            print("acceptance gate passed")
+        return EXIT_OK
 
 
 def cmd_quality(args):
@@ -399,32 +414,32 @@ def cmd_quality(args):
         for level in levels:
             family.check_level(level)
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    if args.mesh is not None:
-        label, meshes = cfg["case"], [(0, read_obj(args.mesh))]
-    else:
-        label, meshes = family.label, family.meshes()
-    records = [LevelRecord(label, level, **measure(mesh, family.case))
-               for level, mesh in meshes]
+    with _out_dir(out):
+        if args.mesh is not None:
+            label, meshes = cfg["case"], [(0, read_obj(args.mesh))]
+        else:
+            label, meshes = family.label, family.meshes()
+        records = [LevelRecord(label, level, **measure(mesh, family.case))
+                   for level, mesh in meshes]
 
-    report = fit_rates(records) if len(records) >= MIN_LEVELS else None
-    write_levels_csv(os.path.join(out, "quality.csv"), records)
-    for r in records:
-        cells = (f"{name} = {getattr(r, name):{fmt}}" for name, fmt in
-                 zip(QUALITY, (".4f", ".4f", ".3e", ".3e")))
-        print(f"level {r.level}: h = {r.h:.4g}, {', '.join(cells)}")
-    if report is not None:
-        rates, sigma = report.rates, report.sigma_estimate
-        print(f"  gamma estimate {rates['gamma'].slope:.3f}, "
-              f"epsilon estimate {rates['epsilon'].slope:.3f}, "
-              f"sigma estimate {sigma:.3f}")
-        if sigma < SIGMA_THRESHOLD:
-            num, den = SIGMA_THRESHOLD.as_integer_ratio()
-            print(f"warning: sigma estimate {sigma:.3f} below "
-                  f"{num}/{den}; surface approximation conditions fail",
-                  file=sys.stderr)
-    print(f"wrote quality.csv in {out}")
-    return EXIT_OK
+        report = fit_rates(records) if len(records) >= MIN_LEVELS else None
+        write_levels_csv(os.path.join(out, "quality.csv"), records)
+        for r in records:
+            cells = (f"{name} = {getattr(r, name):{fmt}}" for name, fmt in
+                     zip(QUALITY, (".4f", ".4f", ".3e", ".3e")))
+            print(f"level {r.level}: h = {r.h:.4g}, {', '.join(cells)}")
+        if report is not None:
+            rates, sigma = report.rates, report.sigma_estimate
+            print(f"  gamma estimate {rates['gamma'].slope:.3f}, "
+                  f"epsilon estimate {rates['epsilon'].slope:.3f}, "
+                  f"sigma estimate {sigma:.3f}")
+            if sigma < SIGMA_THRESHOLD:
+                num, den = SIGMA_THRESHOLD.as_integer_ratio()
+                print(f"warning: sigma estimate {sigma:.3f} below "
+                      f"{num}/{den}; surface approximation conditions fail",
+                      file=sys.stderr)
+        print(f"wrote quality.csv in {out}")
+        return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +463,6 @@ def _build_parser():
                                 "e.g. 8,16,32,64")
         p.add_argument("--theta0", type=float,
                        help="cap opening angle (radians)")
-        p.add_argument("--l", type=int, help="harmonic degree (sphere)")
-        p.add_argument("--m", type=int, help="harmonic order (sphere)")
         p.add_argument("--coupling", choices=_CHOICES["coupling"],
                        help="lantern at level n: 2n vertices per ring and "
                             "n bands (linear), or n vertices per ring and "
@@ -457,6 +470,8 @@ def _build_parser():
         p.add_argument("--R", type=float, help="radius")
         p.add_argument("--H", type=float, help="cylinder height (lantern)")
         if solves:
+            p.add_argument("--l", type=int, help="harmonic degree (sphere)")
+            p.add_argument("--m", type=int, help="harmonic order (sphere)")
             p.add_argument("--mass", dest="mass_mode",
                            choices=_CHOICES["mass_mode"])
             p.add_argument("--tol", type=float)
@@ -484,7 +499,8 @@ def _build_parser():
                              "acceptance gate")
     p_conv.set_defaults(func=cmd_converge)
 
-    p_qual = sub.add_parser("quality",
+    # No abbreviations: --l and --m would abbreviate --levels and --mesh.
+    p_qual = sub.add_parser("quality", allow_abbrev=False,
                             help="certify mesh quality across levels")
     add_common(p_qual, with_levels=True, solves=False)
     p_qual.add_argument("--mesh", help="certify a single OBJ mesh")

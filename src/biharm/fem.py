@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import build_csr, factor_spd
+from .linalg import (DEFAULT_TOL, _COARSE_SIZE, MultilevelCG, build_csr,
+                     factor_spd)
 
 
 def assemble_stiffness(mesh):
@@ -107,8 +108,11 @@ class MeshOperators:
     ``boundary`` vertex indices and ``b_block`` B = S[interior, :] (S
     itself on a closed mesh).  The :func:`factor_spd` ``factor`` of
     S[free, free], ``free`` the interior vertices (every vertex but the
-    grounded vertex 0 on a closed mesh), is built on first use.  The
-    bundle alone decides which matrix is ordered by which points; a
+    grounded vertex 0 on a closed mesh), is built on first use, and so is
+    the :class:`~biharm.linalg.MultilevelCG` ``multilevel`` of S, which
+    replaces it, solving to ``tol`` / 100, on a closed intrinsic Delaunay
+    mesh (no positive off-diagonal in S) of over 4,096 free vertices.
+    The bundle alone decides which matrix is ordered by which points; a
     solve builds its own and drops it on return, so no factor outlives it.
 
     On a closed mesh the constants span the kernel of S; :meth:`mean`,
@@ -116,8 +120,9 @@ class MeshOperators:
     does nothing on a mesh with boundary.
     """
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, tol=DEFAULT_TOL):
         self.mesh = mesh
+        self.tol = tol
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_mass(mesh, "consistent")
         self.boundary = mesh.boundary_vertices
@@ -135,6 +140,13 @@ class MeshOperators:
     def factor(self):
         return factor_spd(self.stiffness[self.free, :][:, self.free],
                           self.mesh.vertices[self.free])
+
+    @cached_property
+    def multilevel(self):
+        if (self._border is None or self.free.size <= _COARSE_SIZE
+                or sp.triu(self.stiffness, 1).max() > 0):
+            return None
+        return MultilevelCG(self.stiffness, self.mesh.vertices)
 
     def mean(self, u):
         """The M-weighted mean 1^T M u / 1^T M 1 of a nodal field on a
@@ -157,8 +169,11 @@ class MeshOperators:
         b[free] for a load vector ``b`` over all vertices, less its
         :meth:`mean`.  For a ``b`` in range(S) on a closed mesh this is
         the solution of S u = b with 1^T M u = 0."""
-        u = np.zeros(self.mesh.n_vertices)
-        u[self.free] = self.factor.solve(b[self.free])
+        if self.multilevel is None:
+            u = np.zeros(self.mesh.n_vertices)
+            u[self.free] = self.factor.solve(b[self.free])
+        else:
+            u = self.multilevel.solve(b, self.tol)
         u -= self.mean(u)
         return u
 

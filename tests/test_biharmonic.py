@@ -12,7 +12,7 @@ from biharm.biharmonic import solve_mixed
 from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
                         interpolate)
 from biharm.linalg import NotConvergedError
-from biharm.mesh import build_mesh
+from biharm.mesh import build_mesh, max_edge_length
 from biharm.surfaces import (cap_case, gen_cap_mesh, gen_icosphere,
                              gen_schwarz_lantern, real_harmonic)
 
@@ -30,6 +30,18 @@ def disjoint_union(*meshes):
         faces.append(mesh.faces + offset)
         offset += mesh.n_vertices
     return build_mesh(np.concatenate(vertices), np.concatenate(faces))
+
+
+def jittered_icosphere(level):
+    """gen_icosphere(level) with each vertex moved by 0.3 h in a random
+    direction and projected back onto the sphere: an obtuse angle pair
+    gives its stiffness positive off-diagonal entries."""
+    mesh = gen_icosphere(level)
+    step = np.random.default_rng(5).normal(size=mesh.vertices.shape)
+    step *= 0.3 * max_edge_length(mesh) / np.linalg.norm(step, axis=1)[:, None]
+    moved = mesh.vertices + step
+    return build_mesh(moved / np.linalg.norm(moved, axis=1)[:, None],
+                      mesh.faces)
 
 
 def l2m(mesh, field, mode="consistent"):
@@ -211,6 +223,31 @@ class TestClosed:
         solve_mixed(mesh, interpolate(mesh, real_harmonic(2, 1)))
         assert calls == [(mesh.n_vertices - 1, mesh.n_vertices - 1)]
 
+    @pytest.mark.parametrize("mesh_fn, expected", [
+        (lambda: gen_icosphere(4), lambda calls: calls == [(2561, 2561)]),
+        (lambda: gen_icosphere(5),
+         lambda calls: len(calls) == 1 and max(calls[0]) <= 4096),
+        (lambda: jittered_icosphere(5),
+         lambda calls: calls == [(10241, 10241)]),
+        (lambda: gen_cap_mesh(np.pi / 3.0, 64),
+         lambda calls: calls == [(12097, 12097)]),
+    ], ids=["icosphere-4", "icosphere-5", "icosphere-5-jittered", "cap-64"])
+    def test_factored_matrices(self, mesh_fn, expected, monkeypatch):
+        # The whole grounded stiffness of a small or non-Delaunay closed
+        # mesh, the interior stiffness of a bounded one, and only one
+        # coarse matrix on a large intrinsic Delaunay closed mesh.
+        calls = []
+        real_splu = linalg.spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+        mesh = mesh_fn()
+        solve_mixed(mesh, skew_load(mesh))
+        assert expected(calls), calls
+
     def test_matches_dense_bordered_oracle(self, rng):
         # The grounded factor with projected loads solves the bordered
         # system [[S, M 1], [(M 1)^T, 0]] in both mass modes: M_L has
@@ -296,6 +333,70 @@ class TestClosed:
         sol = solve_mixed(mesh, f)
         assert sol.u1.shape == (4,)
         assert np.isfinite(sol.u1).all()
+
+
+@pytest.fixture(scope="module")
+def large_icospheres():
+    return {level: gen_icosphere(level) for level in (5, 6)}
+
+
+class TestMultilevel:
+    """The multilevel CG of closed intrinsic Delaunay meshes of more
+    than 4,096 free vertices."""
+
+    def test_matches_grounded_factor(self, large_icospheres, monkeypatch):
+        # counts: V-cycles of each CG solve, one per iteration.
+        counts = []
+        real_cycle = linalg.MultilevelCG._cycle
+        real_solve = linalg.MultilevelCG.solve
+
+        def counting_cycle(self, level, b):
+            counts[-1] += level == 0
+            return real_cycle(self, level, b)
+
+        def counting_solve(self, b, tol):
+            counts.append(0)
+            return real_solve(self, b, tol)
+
+        monkeypatch.setattr(linalg.MultilevelCG, "_cycle", counting_cycle)
+        monkeypatch.setattr(linalg.MultilevelCG, "solve", counting_solve)
+        iterations = {}
+        for level, mesh in large_icospheres.items():
+            f = skew_load(mesh)
+            ops = MeshOperators(mesh)
+
+            def poisson(b):
+                u = np.zeros(mesh.n_vertices)
+                u[ops.free] = ops.factor.solve(b[ops.free])
+                return u - ops.mean(u)
+
+            u2 = poisson(ops.project(ops.mass @ (f - ops.mean(f))))
+            counts.clear()
+            for mode in MASS_MODES:
+                sol = solve_mixed(mesh, f, mass_mode=mode)
+                u1 = poisson(ops.project(assemble_mass(mesh, mode) @ u2))
+                for got, want in ((sol.u1, u1), (sol.u2, u2)):
+                    assert (np.max(np.abs(got - want))
+                            <= 1e-10 * np.max(np.abs(want))), (level, mode)
+            assert len(counts) == 4
+            iterations[level] = max(counts)
+        assert iterations[6] <= iterations[5] <= 25, iterations
+
+    def test_repeats_bit_for_bit(self, large_icospheres):
+        mesh = large_icospheres[5]
+        first, second = (solve_mixed(mesh, skew_load(mesh)) for _ in range(2))
+        assert np.array_equal(first.u1, second.u1)
+        assert np.array_equal(first.u2, second.u2)
+
+    def test_not_converged_names_the_solve(self, large_icospheres,
+                                           monkeypatch):
+        monkeypatch.setattr(linalg, "_MULTILEVEL_MAXITER", 2)
+        mesh = large_icospheres[5]
+        with pytest.raises(NotConvergedError,
+                           match=r"multilevel CG of the 10242 x 10242 "
+                                 r"stiffness solve stopped at relative "
+                                 r"residual .* after 2 iterations"):
+            solve_mixed(mesh, skew_load(mesh))
 
 
 class TestComponentRule:
