@@ -15,7 +15,7 @@ convergence-rate fitting, plus a CLI (``biharm``) wrapping the studies.
 
 from .mesh import (TriMesh, build_mesh, component_labels, max_edge_length,
                    read_obj, write_obj)
-from .linalg import SolveReport, build_csr, NotConvergedError, SingularError
+from .linalg import SolveReport, NotConvergedError, SingularError
 from .fem import (MeshOperators, assemble_stiffness, assemble_mass,
                   interpolate, p1_gradients)
 from .surfaces import (SurfaceCase, RefinementFamily, cap_case,
@@ -36,7 +36,7 @@ solve_mixed_dirichlet = solve_mixed_closed = solve_mixed
 __all__ = [
     "TriMesh", "build_mesh", "component_labels", "max_edge_length",
     "read_obj", "write_obj",
-    "SolveReport", "build_csr", "NotConvergedError", "SingularError",
+    "SolveReport", "NotConvergedError", "SingularError",
     "MeshOperators", "assemble_stiffness", "assemble_mass", "interpolate",
     "p1_gradients",
     "SurfaceCase", "RefinementFamily", "cap_case", "cylinder_case",

@@ -141,7 +141,7 @@ def _condensed_clamped(ops, mass, load, tol):
     s_ib = ops.b_block[:, boundary]
     s_bi = s_ib.T.tocsr()
     s_bb = ops.stiffness[boundary, :][:, boundary]
-    curve_mass = assemble_boundary_mass(ops.mesh)[boundary, :][:, boundary]
+    curve_mass = assemble_boundary_mass(ops.mesh)
     shift = (_DTN_SHIFT / curve_mass.sum()) * curve_mass
     factor = ops.factor
 

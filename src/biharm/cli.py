@@ -75,15 +75,22 @@ _CASE_FLAGS = ("levels", *dict.fromkeys(
 
 @contextmanager
 def _out_dir(path):
-    """Create the output directory ``path``; if the command then fails,
-    remove it again if this created it and it is still empty."""
-    created = not os.path.isdir(path)
+    """Create the output directory ``path`` and any missing parents; if
+    the command then fails, remove the directories this created, deepest
+    first, while they are empty."""
+    created = []
+    folder = os.path.abspath(path)
+    while not os.path.isdir(folder):
+        created.append(folder)
+        folder = os.path.dirname(folder)
     os.makedirs(path, exist_ok=True)
     try:
         yield
     except BaseException:
-        if created and not os.listdir(path):
-            os.rmdir(path)
+        for folder in created:
+            if os.listdir(folder):
+                break
+            os.rmdir(folder)
         raise
 
 

@@ -1,10 +1,13 @@
 """Piecewise-linear finite element assembly on triangle meshes.
 
-Provides the cotangent stiffness matrix, consistent and lumped mass
-matrices, the mass matrix of the boundary curve, the operator bundle of
-one mesh (stiffness, consistent mass, interior/boundary dof split and
-the one sparse stiffness factor the solvers share), nodal interpolation
-and per-face gradients of piecewise-linear fields.
+Provides the cotangent stiffness matrix and the consistent mass matrix,
+filled on one pattern per mesh (the diagonal and both directions of each
+edge, per-edge values summed over the faces through ``mesh.face_edges``),
+the lumped mass matrix, the mass matrix of the boundary curve, the
+operator bundle of one mesh (stiffness, consistent mass, interior/
+boundary dof split and the one sparse stiffness factor the solvers
+share), nodal interpolation and per-face gradients of piecewise-linear
+fields.
 
 Sign convention: the stiffness matrix S is positive semidefinite, so the
 weak form pairs with the geometric Laplacian -div grad.  The constant
@@ -16,8 +19,61 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import (DEFAULT_TOL, _COARSE_SIZE, MultilevelCG, build_csr,
-                     factor_spd)
+from .linalg import DEFAULT_TOL, _COARSE_SIZE, MultilevelCG, factor_spd
+
+
+class _EdgePattern:
+    """The CSR structure of S and M: the diagonal and both directions of
+    every edge of ``mesh.edges``, each row's columns in increasing order.
+    Entry k takes value ``slot[k]`` of the per-edge values followed by
+    the per-vertex ones."""
+
+    def __init__(self, mesh):
+        n, m, (lo, hi) = mesh.n_vertices, mesh.edges.shape[0], mesh.edges.T
+        vertex, edge = np.arange(n), np.arange(m)
+        # The entries are distinct, so the conversion only sorts each row.
+        slots = sp.csr_matrix(
+            (np.concatenate([edge, edge, m + vertex]),
+             (np.concatenate([lo, hi, vertex]),
+              np.concatenate([hi, lo, vertex]))), shape=(n, n))
+        self.slot, self.indices, self.indptr = (slots.data, slots.indices,
+                                                slots.indptr)
+        self.edges = mesh.edges
+        self.shape = (n, n)
+
+    def fill(self, on_edges, on_vertices):
+        """The matrix with value ``on_edges[e]`` at both (i, j) and (j, i)
+        of edge e = (i, j) and ``on_vertices[i]`` at (i, i).  It owns its
+        index arrays, so dropping its zeros leaves the pattern intact."""
+        data = np.concatenate([on_edges, on_vertices])[self.slot]
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=self.shape)
+
+    def row_sums(self, on_edges):
+        """Sum over each vertex's edges of a per-edge array."""
+        n = self.shape[0]
+        return (np.bincount(self.edges[:, 0], on_edges, n)
+                + np.bincount(self.edges[:, 1], on_edges, n))
+
+
+def _stiffness_on(pattern, mesh):
+    """S on ``pattern``, its exact zeros dropped, and its per-edge
+    values."""
+    on_edges = np.bincount(mesh.face_edges.ravel(),
+                           mesh.face_cotangents.ravel(),
+                           mesh.edges.shape[0])
+    on_edges *= -0.5
+    stiffness = pattern.fill(on_edges, -pattern.row_sums(on_edges))
+    stiffness.eliminate_zeros()
+    return stiffness, on_edges
+
+
+def _mass_on(pattern, mesh):
+    """The consistent M on ``pattern``."""
+    on_edges = np.bincount(mesh.face_edges.ravel(),
+                           np.repeat(mesh.face_areas / 12.0, 3),
+                           mesh.edges.shape[0])
+    return pattern.fill(on_edges, pattern.row_sums(on_edges))
 
 
 def assemble_stiffness(mesh):
@@ -26,21 +82,14 @@ def assemble_stiffness(mesh):
     Entry (i, j), i != j, is -(cot a + cot b) / 2 with a, b the angles
     opposite edge (i, j) in its one or two incident triangles; diagonal
     entries make the rows sum to zero.  The result is symmetric positive
-    semidefinite with the constant vector in its kernel.
+    semidefinite with the constant vector in its kernel.  Entries that
+    are exactly zero (two right angles opposite an edge) are not stored.
 
     Returns
     -------
     scipy.sparse.csr_matrix, shape (n, n)
     """
-    f = mesh.faces
-    c = mesh.face_cotangents
-    i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
-    c0, c1, c2 = 0.5 * c[:, 0], 0.5 * c[:, 1], 0.5 * c[:, 2]
-    rows = np.concatenate([i1, i2, i2, i0, i0, i1, i0, i1, i2])
-    cols = np.concatenate([i2, i1, i0, i2, i1, i0, i0, i1, i2])
-    vals = np.concatenate([-c0, -c0, -c1, -c1, -c2, -c2,
-                           c1 + c2, c2 + c0, c0 + c1])
-    return build_csr(rows, cols, vals, (mesh.n_vertices, mesh.n_vertices))
+    return _stiffness_on(_EdgePattern(mesh), mesh)[0]
 
 
 def assemble_mass(mesh, mode="consistent"):
@@ -61,55 +110,49 @@ def assemble_mass(mesh, mode="consistent"):
         Symmetric positive definite; entries sum to the total surface
         area in both modes.
     """
-    n = mesh.n_vertices
-    f = mesh.faces
-    a = mesh.face_areas
     if mode == "lumped":
-        lumped = np.bincount(f.ravel(), weights=np.repeat(a / 3.0, 3),
-                             minlength=n)
+        lumped = np.bincount(mesh.faces.ravel(),
+                             weights=np.repeat(mesh.face_areas / 3.0, 3),
+                             minlength=mesh.n_vertices)
         return sp.diags(lumped, format="csr")
     if mode != "consistent":
         raise ValueError(f"unknown mass mode {mode!r}")
-    i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
-    off = a / 12.0
-    diag = a / 6.0
-    rows = np.concatenate([i0, i1, i1, i2, i2, i0, i0, i1, i2])
-    cols = np.concatenate([i1, i0, i2, i1, i0, i2, i0, i1, i2])
-    vals = np.concatenate([off, off, off, off, off, off, diag, diag, diag])
-    return build_csr(rows, cols, vals, (n, n))
+    return _mass_on(_EdgePattern(mesh), mesh)
 
 
 def assemble_boundary_mass(mesh):
     """Mass matrix of the hat-function traces on the boundary curve.
 
     Each boundary edge of length l contributes the 1D element matrix
-    l/6 * [[2,1],[1,2]].  Rows and columns of interior vertices are
-    empty; the entries sum to the boundary length.
+    l/6 * [[2,1],[1,2]].  Rows and columns are the sorted
+    ``mesh.boundary_vertices``; the entries sum to the boundary length.
 
     Returns
     -------
-    scipy.sparse.csr_matrix, shape (n, n)
+    scipy.sparse.csr_matrix, shape (nb, nb)
     """
-    n = mesh.n_vertices
-    i0, i1 = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
-    length = np.linalg.norm(mesh.vertices[i1] - mesh.vertices[i0], axis=1)
+    nb = mesh.boundary_vertices.size
+    i0, i1 = np.searchsorted(mesh.boundary_vertices, mesh.boundary_edges).T
+    ends = mesh.vertices[mesh.boundary_edges]
+    length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     off = length / 6.0
     diag = length / 3.0
     rows = np.concatenate([i0, i1, i0, i1])
     cols = np.concatenate([i1, i0, i0, i1])
     vals = np.concatenate([off, off, diag, diag])
-    return build_csr(rows, cols, vals, (n, n))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
 
 
 class MeshOperators:
     """The assembled operators of one mesh, shared by every solver.
 
-    ``stiffness`` S, consistent ``mass`` M, the sorted ``interior`` and
-    ``boundary`` vertex indices and ``b_block`` B = S[interior, :] (S
-    itself on a closed mesh).  The :func:`factor_spd` ``factor`` of
-    S[free, free], ``free`` the interior vertices (every vertex but the
-    grounded vertex 0 on a closed mesh), is built on first use, and so is
-    the :class:`~biharm.linalg.MultilevelCG` ``multilevel`` of S, which
+    ``stiffness`` S and consistent ``mass`` M, filled on one pattern, the
+    sorted ``interior`` and ``boundary`` vertex indices and ``b_block``
+    B = S[interior, :] (S itself on a closed mesh).  The
+    :func:`factor_spd` ``factor`` of S[free, free], ``free`` the interior
+    vertices (every vertex but the grounded vertex 0 on a closed mesh), is
+    built on first use, and so is the
+    :class:`~biharm.linalg.MultilevelCG` ``multilevel`` of S, which
     replaces it, solving to ``tol`` / 100, on a closed intrinsic Delaunay
     mesh (no positive off-diagonal in S) of over 4,096 free vertices.
     The bundle alone decides which matrix is ordered by which points; a
@@ -123,8 +166,11 @@ class MeshOperators:
     def __init__(self, mesh, tol=DEFAULT_TOL):
         self.mesh = mesh
         self.tol = tol
-        self.stiffness = assemble_stiffness(mesh)
-        self.mass = assemble_mass(mesh, "consistent")
+        pattern = _EdgePattern(mesh)
+        self.stiffness, on_edges = _stiffness_on(pattern, mesh)
+        self.mass = _mass_on(pattern, mesh)
+        # No positive off-diagonal entry in S: intrinsically Delaunay.
+        self._delaunay = not np.any(on_edges > 0)
         self.boundary = mesh.boundary_vertices
         interior = np.ones(mesh.n_vertices, dtype=bool)
         interior[self.boundary] = False
@@ -144,7 +190,7 @@ class MeshOperators:
     @cached_property
     def multilevel(self):
         if (self._border is None or self.free.size <= _COARSE_SIZE
-                or sp.triu(self.stiffness, 1).max() > 0):
+                or not self._delaunay):
             return None
         return MultilevelCG(self.stiffness, self.mesh.vertices)
 

@@ -1,11 +1,10 @@
 """Sparse linear algebra kernels for the finite element solvers.
 
-Thin layer over scipy.sparse: CSR assembly from triplets, a sparse
-factor of symmetric positive definite matrices, ordered by geometric
-nested dissection of the unknowns' coordinates, and multilevel CG for
-large stiffness matrices of closed meshes.  The factor's accuracy is
-not checked here: its callers verify each equation they solve with
-:func:`check_residual`.
+Thin layer over scipy.sparse: a sparse factor of symmetric positive
+definite matrices, ordered by geometric nested dissection of the
+unknowns' coordinates, and multilevel CG for large stiffness matrices
+of closed meshes.  The factor's accuracy is not checked here: its
+callers verify each equation they solve with :func:`check_residual`.
 """
 
 import numpy as np
@@ -46,19 +45,6 @@ class SolveReport:
         return (f"SolveReport(method={self.method!r}, "
                 f"iterations={self.iterations}, "
                 f"relative_residual={self.relative_residual:.3e})")
-
-
-def build_csr(rows, cols, values, shape):
-    """Assemble a canonical CSR matrix from triplets.
-
-    Duplicate entries are summed, explicit zeros dropped and column
-    indices sorted, so the result is unique for a given input.
-    """
-    mat = sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
 
 
 # Default relative residual target of every solve.
@@ -238,6 +224,11 @@ def factor_spd(matrix, points):
 _COARSE_SIZE = 4096
 # Multilevel CG takes 15 iterations at icosphere 5 and 6.
 _MULTILEVEL_MAXITER = 200
+# It also stops after this many iterations without a new smallest
+# residual.  At the default tol the residual of icosphere 5 to 7 sets a
+# new minimum at least every third iteration; once a target below
+# rounding level is missed, it drifts between 1e-15 and 1e-6.
+_MULTILEVEL_STALL = 10
 
 
 def _aggregate(matrix, rng):
@@ -328,18 +319,24 @@ class MultilevelCG:
 
     def solve(self, b, tol):
         """x with |b - S x| <= |b| tol / 100 for b in range(S), the boundary
-        CG's margin; NotConvergedError after ``_MULTILEVEL_MAXITER`` steps."""
+        CG's margin; NotConvergedError after ``_MULTILEVEL_MAXITER`` steps,
+        or ``_MULTILEVEL_STALL`` steps after the smallest residual."""
         x, r, p, rz_old = np.zeros_like(b), b.copy(), 0.0, 1.0
         scale = max(np.sqrt(np.sum(b * b)), 1e-300)
+        best, best_at = np.inf, 0
         for iterations in range(_MULTILEVEL_MAXITER + 1):
             res = np.sqrt(np.sum(r * r)) / scale
             if res <= 0.01 * tol:
                 return x
-            if iterations == _MULTILEVEL_MAXITER or not np.isfinite(res):
+            if res < best:
+                best, best_at = res, iterations
+            if (iterations == _MULTILEVEL_MAXITER or not np.isfinite(res)
+                    or iterations - best_at == _MULTILEVEL_STALL):
                 raise NotConvergedError(
                     f"multilevel CG of the {b.size} x {b.size} stiffness solve"
                     f" stopped at relative residual {res:.3e} (target "
-                    f"{0.01 * tol:.1e}) after {iterations} iterations")
+                    f"{0.01 * tol:.1e}) after {iterations} iterations; the "
+                    f"smallest was {best:.3e}, at iteration {best_at}")
             z = self._cycle(0, r)
             rz = np.sum(r * z)
             p = z + (rz / rz_old) * p

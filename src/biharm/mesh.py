@@ -35,7 +35,11 @@ class TriMesh:
     faces : ndarray, shape (F, 3)
         Vertex indices per face, counterclockwise (read-only).
     edges : ndarray, shape (E, 2)
-        Unique undirected edges, each row sorted ascending.
+        Unique undirected edges, each row sorted ascending, the rows
+        sorted too.
+    face_edges : ndarray, shape (F, 3)
+        Row of ``edges`` of the edge opposite corner k of face i at
+        ``[i, k]``.
     boundary_edges : ndarray, shape (Eb, 2)
         Edges incident to exactly one face, ordered as traversed by that
         face (so boundary loops run counterclockwise around the surface).
@@ -50,21 +54,22 @@ class TriMesh:
         Cotangent of the interior angle at corner k of face i.
     """
 
-    def __init__(self, vertices, faces, edges, boundary_edges,
+    def __init__(self, vertices, faces, edges, face_edges, boundary_edges,
                  boundary_vertices, face_areas, face_normals,
                  face_edge_lengths, face_cotangents):
         self.vertices = vertices
         self.faces = faces
         self.edges = edges
+        self.face_edges = face_edges
         self.boundary_edges = boundary_edges
         self.boundary_vertices = boundary_vertices
         self.face_areas = face_areas
         self.face_normals = face_normals
         self.face_edge_lengths = face_edge_lengths
         self.face_cotangents = face_cotangents
-        for arr in (vertices, faces, edges, boundary_edges, boundary_vertices,
-                    face_areas, face_normals, face_edge_lengths,
-                    face_cotangents):
+        for arr in (vertices, faces, edges, face_edges, boundary_edges,
+                    boundary_vertices, face_areas, face_normals,
+                    face_edge_lengths, face_cotangents):
             arr.setflags(write=False)
 
     @property
@@ -132,6 +137,19 @@ def _face_geometry(vertices, faces):
     return 0.5 * doubled, normals, lengths, cots
 
 
+def _sorted_directed_edges(faces, n):
+    """Each directed edge, the one opposite corner k of face i at 3 i + k
+    in traversal order, packed as 2 (lo n + hi) + (tail > head), in
+    increasing order, and the permutation that sorted them."""
+    tail, head = (np.roll(faces, shift, axis=1).ravel() for shift in (-1, 1))
+    packed = np.minimum(tail, head) * np.int64(n)
+    packed += np.maximum(tail, head)
+    packed *= 2
+    packed += tail > head
+    order = np.argsort(packed)
+    return packed[order], order
+
+
 def build_mesh(vertices, faces):
     """Validate raw arrays and assemble a :class:`TriMesh`.
 
@@ -172,19 +190,20 @@ def build_mesh(vertices, faces):
 
     areas, normals, lengths, cots = _face_geometry(vertices, faces)
 
-    # Each directed edge (the three of a face in traversal order) packed
-    # as 2 (lo n + hi) + (tail > head), sorted once: each run of equal
-    # undirected keys lo n + hi is one edge, and its last bit says which
-    # way a copy runs.
-    tail, head = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
-    packed = np.minimum(tail, head) * np.int64(n)
-    packed += np.maximum(tail, head)
-    packed *= 2
-    packed += tail > head
-    packed.sort()
+    # Each run of equal undirected keys lo n + hi is one edge, and the
+    # last bit of a packed key says which way a copy runs.
+    packed, order = _sorted_directed_edges(faces, n)
     keys = packed >> 1
     runs = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+    # Freed before the per-edge arrays are made, which keeps the peak of
+    # build_mesh at that of _face_geometry.
+    edge_of = np.cumsum(runs)
+    edge_of -= 1
+    face_edges = np.empty(keys.size, dtype=np.int32 if keys.size < 2 ** 31
+                          else np.int64)
+    face_edges[order] = edge_of
+    del order, edge_of
     start = np.flatnonzero(runs)
     counts = np.diff(start, append=keys.size)
     edges = np.stack(np.divmod(keys[start], n), axis=1)
@@ -217,8 +236,9 @@ def build_mesh(vertices, faces):
     else:
         boundary_vertices = np.empty(0, dtype=np.int64)
 
-    return TriMesh(vertices, faces, edges, boundary_edges,
-                   boundary_vertices, areas, normals, lengths, cots)
+    return TriMesh(vertices, faces, edges, face_edges.reshape(faces.shape),
+                   boundary_edges, boundary_vertices, areas, normals, lengths,
+                   cots)
 
 
 def component_labels(mesh):

@@ -2,6 +2,8 @@
 boundary and in both mass modes.  Where a behaviour holds for every
 mesh kind or mass mode, one test runs it over all of them."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -9,6 +11,7 @@ import scipy.sparse.linalg as spla
 import biharm.biharmonic as biharmonic
 from biharm import linalg
 from biharm.biharmonic import solve_mixed
+from biharm.cli import main
 from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
                         interpolate)
 from biharm.linalg import NotConvergedError
@@ -340,26 +343,33 @@ def large_icospheres():
     return {level: gen_icosphere(level) for level in (5, 6)}
 
 
+@pytest.fixture
+def vcycles(monkeypatch):
+    """The V-cycles of each multilevel CG solve, one per iteration,
+    counted from here on."""
+    counts = []
+    real_cycle = linalg.MultilevelCG._cycle
+    real_solve = linalg.MultilevelCG.solve
+
+    def counting_cycle(self, level, b):
+        counts[-1] += level == 0
+        return real_cycle(self, level, b)
+
+    def counting_solve(self, b, tol):
+        counts.append(0)
+        return real_solve(self, b, tol)
+
+    monkeypatch.setattr(linalg.MultilevelCG, "_cycle", counting_cycle)
+    monkeypatch.setattr(linalg.MultilevelCG, "solve", counting_solve)
+    return counts
+
+
 class TestMultilevel:
     """The multilevel CG of closed intrinsic Delaunay meshes of more
     than 4,096 free vertices."""
 
-    def test_matches_grounded_factor(self, large_icospheres, monkeypatch):
-        # counts: V-cycles of each CG solve, one per iteration.
-        counts = []
-        real_cycle = linalg.MultilevelCG._cycle
-        real_solve = linalg.MultilevelCG.solve
-
-        def counting_cycle(self, level, b):
-            counts[-1] += level == 0
-            return real_cycle(self, level, b)
-
-        def counting_solve(self, b, tol):
-            counts.append(0)
-            return real_solve(self, b, tol)
-
-        monkeypatch.setattr(linalg.MultilevelCG, "_cycle", counting_cycle)
-        monkeypatch.setattr(linalg.MultilevelCG, "solve", counting_solve)
+    def test_matches_grounded_factor(self, large_icospheres, vcycles):
+        counts = vcycles
         iterations = {}
         for level, mesh in large_icospheres.items():
             f = skew_load(mesh)
@@ -387,6 +397,19 @@ class TestMultilevel:
         first, second = (solve_mixed(mesh, skew_load(mesh)) for _ in range(2))
         assert np.array_equal(first.u1, second.u1)
         assert np.array_equal(first.u2, second.u2)
+
+    def test_stops_when_the_residual_stagnates(self, tmp_path, capsys,
+                                               vcycles):
+        # tol 1e-14 asks the CG for 1e-16, below rounding level: the
+        # residual of the first solve reaches about 1e-15 and then drifts.
+        code = main(["solve", "--case", "sphere", "--n", "5", "--tol",
+                     "1e-14", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert len(vcycles) == 1 and vcycles[0] < 50, vcycles
+        stop, best = map(int, re.search(
+            r"after (\d+) iterations; the smallest was \S+, at iteration "
+            r"(\d+)", capsys.readouterr().err).groups())
+        assert stop == vcycles[0] == best + linalg._MULTILEVEL_STALL
 
     def test_not_converged_names_the_solve(self, large_icospheres,
                                            monkeypatch):

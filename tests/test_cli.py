@@ -310,14 +310,16 @@ class TestConverge:
 
     def test_norm_not_finite_exit_2_before_any_file(self, tmp_path, capsys):
         # u grows like R^4, so area * u^2 overflows float64 at R = 1e35;
-        # plotting the infinite norm used to raise OverflowError.
-        out = tmp_path / "out"
-        code = main(["converge", "--case", "sphere", "--R", "1e35",
-                     "--levels", "2,3,4", "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: l2_u1 must be finite to fit a rate, got inf at level 2\n")
-        assert not out.exists()
+        # plotting the infinite norm used to raise OverflowError.  The
+        # directories the command created go, the one that was there stays.
+        for out in (tmp_path / "out", tmp_path / "new" / "sub"):
+            code = main(["converge", "--case", "sphere", "--R", "1e35",
+                         "--levels", "2,3,4", "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: l2_u1 must be finite to fit a rate, got inf at "
+                "level 2\n")
+            assert list(tmp_path.iterdir()) == []
 
     def test_lantern_highres_check(self, tmp_path):
         out = tmp_path / "out"

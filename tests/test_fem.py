@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from biharm import linalg
-from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
-                        interpolate, p1_gradients)
+from biharm.fem import (MeshOperators, assemble_boundary_mass, assemble_mass,
+                        assemble_stiffness, interpolate, p1_gradients)
 from biharm.linalg import NotConvergedError
 from biharm.surfaces import gen_icosphere, real_harmonic
 
@@ -104,6 +106,71 @@ class TestPartition:
         assert len(ops.interior) == 4
         assert len(ops.boundary) == 0
         assert ops.b_block is ops.stiffness
+
+
+def element_sums(mesh):
+    """S and M as dense sums of per-face element matrices: area G G^T,
+    G the rows of the hat gradients (normal x e_k) / (2 area), and
+    area / 12 [[2, 1, 1], [1, 2, 1], [1, 1, 2]]."""
+    n = mesh.n_vertices
+    s, m = np.zeros((n, n)), np.zeros((n, n))
+    for tri, area, normal in zip(mesh.faces, mesh.face_areas,
+                                 mesh.face_normals):
+        p = mesh.vertices[tri]
+        grads = np.array([np.cross(normal, p[(k + 2) % 3] - p[(k + 1) % 3])
+                          for k in range(3)]) / (2.0 * area)
+        s[np.ix_(tri, tri)] += area * grads @ grads.T
+        m[np.ix_(tri, tri)] += area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    return s, m
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("mesh", [grid_mesh(4), grid_mesh(3, shear=0.7)],
+                             ids=["right-angles", "sheared"])
+    def test_matches_element_sums(self, mesh):
+        # grid_mesh(4) has two right angles opposite each diagonal, so S
+        # is exactly zero there and must not store the entry.
+        for got, want in zip((assemble_stiffness(mesh), assemble_mass(mesh)),
+                             element_sums(mesh)):
+            assert got.has_canonical_format
+            assert np.array_equal(got.toarray() != 0.0, want != 0.0)
+            assert got.nnz == np.count_nonzero(want)
+            assert (np.max(np.abs(got.toarray() - want))
+                    <= 1e-14 * np.max(np.abs(want)))
+
+    def test_bundle_drops_zeros_from_s_only(self):
+        # The bundle fills S and M on one pattern; dropping the zeros of
+        # S on grid_mesh(4)'s 16 diagonals must leave M whole.
+        mesh = grid_mesh(4)
+        ops = MeshOperators(mesh)
+        assert ops.stiffness.nnz == ops.mass.nnz - 2 * 16
+        for got, want in zip((ops.stiffness, ops.mass), element_sums(mesh)):
+            assert (np.max(np.abs(got.toarray() - want))
+                    <= 1e-14 * np.max(np.abs(want)))
+
+    def test_operators_peak_memory_per_face(self):
+        # S, M and M 1 kept take about 100 B per face; nine COO triplets
+        # per face peaked at about 500.
+        mesh = gen_icosphere(5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ops = MeshOperators(mesh)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert ops.stiffness.shape == (10242, 10242)
+        assert peak <= 250 * mesh.n_faces, peak / mesh.n_faces
+
+    def test_boundary_mass_on_boundary_vertices(self):
+        mesh = grid_mesh(3)
+        curve = assemble_boundary_mass(mesh)
+        nb = mesh.boundary_vertices.size
+        assert curve.shape == (nb, nb) and nb == 12
+        assert curve.sum() == pytest.approx(4.0, rel=1e-14)
+        # Each boundary vertex has two boundary edges of length 1/3.
+        assert curve.diagonal() == pytest.approx(np.full(nb, 2.0 / 9.0))
+        assert curve.nnz == 3 * nb
 
 
 class TestMeshOperators:

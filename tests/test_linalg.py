@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharm.fem import MeshOperators
-from biharm.linalg import (NotConvergedError, SingularError, build_csr,
+from biharm.linalg import (NotConvergedError, SingularError,
                            check_residual, factor_spd, nested_dissection)
 from biharm.surfaces import gen_cap_mesh, gen_icosphere, gen_schwarz_lantern
 
@@ -221,19 +221,3 @@ class TestDenseOracle:
         a = sp.eye(2001, format="csr")
         with pytest.raises(ValueError, match="limited to n <= 2000, got 2001"):
             dense_solve_oracle(a, np.ones(2001))
-
-
-class TestSparseHelpers:
-    def test_build_csr_sums_duplicates(self):
-        rows = np.array([0, 0, 1])
-        cols = np.array([0, 0, 1])
-        vals = np.array([1.0, 2.0, 5.0])
-        a = build_csr(rows, cols, vals, (2, 2))
-        assert a[0, 0] == 3.0
-        assert a[1, 1] == 5.0
-        assert a.nnz == 2
-
-    def test_build_csr_drops_zeros(self):
-        a = build_csr(np.array([0, 1]), np.array([0, 1]),
-                      np.array([1.0, 0.0]), (2, 2))
-        assert a.nnz == 1

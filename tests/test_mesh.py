@@ -116,6 +116,20 @@ class TestBuildMesh:
         assert mesh.boundary_edges.size == 0
         assert mesh.edges.shape == (6, 2)
 
+    @pytest.mark.parametrize("make", [tetrahedron, lambda: grid_mesh(3),
+                                      lambda: gen_cap_mesh(1.0, 5)],
+                             ids=["tetrahedron", "grid", "cap"])
+    def test_face_edges_name_the_opposite_edges(self, make):
+        mesh = make()
+        for tri, edges in zip(mesh.faces, mesh.face_edges):
+            for k in range(3):
+                assert (list(mesh.edges[edges[k]])
+                        == sorted(np.delete(tri, k)))
+        assert np.all(np.diff(mesh.edges[:, 0] * mesh.n_vertices
+                              + mesh.edges[:, 1]) > 0)
+        assert np.array_equal(np.unique(mesh.face_edges),
+                              np.arange(mesh.edges.shape[0]))
+
     def test_same_winding_rejected(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
