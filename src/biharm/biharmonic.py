@@ -24,12 +24,11 @@ is nothing to condense, and the system decouples into two Poisson
 solves.  The constants in the kernel of S add one rule, kept by
 :class:`~biharm.fem.MeshOperators`: the load loses its M-weighted mean,
 each right-hand side is projected onto range(S) along M 1, and each
-solve, grounded at vertex 0 or, on a large intrinsic Delaunay mesh, by
-multilevel CG on S itself, removes the mean from its result.
+solve, by multilevel CG on S itself, removes the mean from its result.
 
 :func:`solve_mixed`, the one solve of the studies and the CLI, reads
-S, M, the dof split and the one factor from one bundle built inside the
-solve.  It checks the two variational identities apart by
+S, M, the dof split and the one Poisson solver from one bundle built
+inside the solve.  It checks the two variational identities apart by
 :func:`~biharm.linalg.check_residual`, so ``tol`` does not depend on the
 unit of length, and reports the larger residual.
 """
@@ -38,14 +37,10 @@ import numpy as np
 
 from .fem import (MeshOperators, assemble_boundary_mass, assemble_mass,
                   nodal_field)
-from .linalg import DEFAULT_TOL, SolveReport, check_residual, NotConvergedError
+from .linalg import DEFAULT_TOL, SolveReport, check_residual, pcg
 from .mesh import component_labels
 
 
-# The boundary CG of the clamped solve takes 7-19 iterations on caps and
-# lanterns of every size up to 197k vertices, and 18-20 with lumped mass
-# on caps up to 49k; one that has not converged after this many fails.
-_BOUNDARY_CG_MAXITER = 100
 # Weight of the boundary-curve mass in the boundary preconditioner, in
 # units of one over the boundary length.
 _DTN_SHIFT = 10.0
@@ -105,12 +100,12 @@ def _condensed_clamped(ops, mass, load, tol):
 
     With I the interior and B the boundary dofs and E lam =
     [-S_II^{-1} S_IB lam; lam] the discrete harmonic extension, the
-    first equation gives u2 = [S_II^{-1} M_I: f; 0] + E lam, the
-    interior rows of the second give u1_I = S_II^{-1} (M u2)_I, and the
-    boundary rows of the second leave the nb x nb system T lam = c
-    with T = -E^T M E symmetric negative definite and c = E^T M
-    [S_II^{-1} M_I: f; 0].  CG runs on E^T M E lam = -c; each step costs
-    two S_II solves for the product and one for the preconditioner.
+    first equation gives u2 = u2_0 + E lam with u2_0 = [S_II^{-1} M_I:
+    f; 0], the interior rows of the second give u1_I = S_II^{-1}
+    (M u2)_I, and the boundary rows of the second leave the nb x nb
+    system T lam = c with T = -E^T M E symmetric negative definite and
+    c = E^T M u2_0.  CG runs on E^T M E lam = -c; each step costs two
+    S_II solves for the product and one for the preconditioner.
     That is the Dirichlet-to-Neumann map S_BB - S_BI S_II^{-1} S_IB plus
     (10 / |Gamma|) times the boundary-curve mass, |Gamma| the boundary
     length; both terms are unchanged when the mesh is scaled.  On a
@@ -119,11 +114,11 @@ def _condensed_clamped(ops, mass, load, tol):
     The first identity B u2 = M_I: f and the interior rows of the
     second, B^T u1 = M u2, hold up to the accuracy of the factor; the
     CG residual is exactly the boundary block of the second.  CG stops
-    once it is at most a hundredth of ``tol`` times |M u2|, the scale
-    :func:`check_residual` gives the second identity, so the stop does
-    not depend on the unit of length.  The margin costs about one step;
-    on the cap family it leaves u1 and u2 closer to the exact discrete
-    solution than a sparse LU of the saddle matrix does.
+    at a hundredth of ``tol`` times |M u2_0|, 2.1-2.35 times |M u2|, the
+    scale :func:`check_residual` gives the second identity, on caps and
+    lanterns of every size (|c| / |M u2| grows with the mesh).  The
+    margin leaves u1 and u2 closer to the exact discrete solution of the
+    cap family than a sparse LU of the saddle matrix does.
 
     ``mass`` is M or M_L, and ``load`` is M f over all vertices, as
     :meth:`~biharm.fem.MeshOperators.project` leaves it.
@@ -158,32 +153,12 @@ def _condensed_clamped(ops, mass, load, tol):
         return s_bb @ r - s_bi @ factor.solve(s_ib @ r) + shift @ r
 
     mass_u2 = mass @ u2
-    r = -extend_adjoint(mass_u2)
-    z = precondition(r)
-    p = z
-    rz = r @ z
-    target = 0.01 * tol
-    for iterations in range(_BOUNDARY_CG_MAXITER + 1):
-        res = np.linalg.norm(r) / max(np.linalg.norm(mass_u2), 1e-300)
-        if res <= target:
-            break
-        if iterations == _BOUNDARY_CG_MAXITER or not np.isfinite(res):
-            raise NotConvergedError(
-                f"boundary CG of the clamped solve stopped at relative "
-                f"residual {res:.3e} (target {target:.1e}) after "
-                f"{iterations} iterations on {boundary.shape[0]} boundary "
-                f"dofs of {n}")
-        ext_p = extend(p)
-        mass_p = mass @ ext_p
-        t_p = extend_adjoint(mass_p)
-        alpha = rz / (p @ t_p)
-        u2 += alpha * ext_p
-        mass_u2 += alpha * mass_p
-        r -= alpha * t_p
-        z = precondition(r)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return u2, iterations
+    lam, iterations = pcg(
+        lambda p: extend_adjoint(mass @ extend(p)), -extend_adjoint(mass_u2),
+        precondition, tol, np.sqrt(np.sum(mass_u2 * mass_u2)),
+        f"boundary CG of the clamped solve on {boundary.size} boundary dofs "
+        f"of {n}")
+    return u2 + extend(lam), iterations
 
 
 def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
@@ -224,7 +199,8 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
         If the mesh has more than one connected component and one of
         them has no boundary vertices.
     SingularError
-        If the stiffness S[free, free] cannot be factored.
+        If the interior stiffness S_II, or the coarsest multilevel
+        matrix of a closed mesh, cannot be factored.
     NotConvergedError
         If the boundary CG or either identity misses ``tol``.
     """

@@ -5,9 +5,9 @@ filled on one pattern per mesh (the diagonal and both directions of each
 edge, per-edge values summed over the faces through ``mesh.face_edges``),
 the lumped mass matrix, the mass matrix of the boundary curve, the
 operator bundle of one mesh (stiffness, consistent mass, interior/
-boundary dof split and the one sparse stiffness factor the solvers
-share), nodal interpolation and per-face gradients of piecewise-linear
-fields.
+boundary dof split and the one Poisson solver of its kind of mesh, a
+factor of S_II or multilevel CG on S), nodal interpolation and per-face
+gradients of piecewise-linear fields.
 
 Sign convention: the stiffness matrix S is positive semidefinite, so the
 weak form pairs with the geometric Laplacian -div grad.  The constant
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DEFAULT_TOL, _COARSE_SIZE, MultilevelCG, factor_spd
+from .linalg import DEFAULT_TOL, MultilevelCG, factor_spd
 
 
 class _EdgePattern:
@@ -57,15 +57,14 @@ class _EdgePattern:
 
 
 def _stiffness_on(pattern, mesh):
-    """S on ``pattern``, its exact zeros dropped, and its per-edge
-    values."""
+    """S on ``pattern``, its exact zeros dropped."""
     on_edges = np.bincount(mesh.face_edges.ravel(),
                            mesh.face_cotangents.ravel(),
                            mesh.edges.shape[0])
     on_edges *= -0.5
     stiffness = pattern.fill(on_edges, -pattern.row_sums(on_edges))
     stiffness.eliminate_zeros()
-    return stiffness, on_edges
+    return stiffness
 
 
 def _mass_on(pattern, mesh):
@@ -89,7 +88,7 @@ def assemble_stiffness(mesh):
     -------
     scipy.sparse.csr_matrix, shape (n, n)
     """
-    return _stiffness_on(_EdgePattern(mesh), mesh)[0]
+    return _stiffness_on(_EdgePattern(mesh), mesh)
 
 
 def assemble_mass(mesh, mode="consistent"):
@@ -148,15 +147,14 @@ class MeshOperators:
 
     ``stiffness`` S and consistent ``mass`` M, filled on one pattern, the
     sorted ``interior`` and ``boundary`` vertex indices and ``b_block``
-    B = S[interior, :] (S itself on a closed mesh).  The
-    :func:`factor_spd` ``factor`` of S[free, free], ``free`` the interior
-    vertices (every vertex but the grounded vertex 0 on a closed mesh), is
-    built on first use, and so is the
-    :class:`~biharm.linalg.MultilevelCG` ``multilevel`` of S, which
-    replaces it, solving to ``tol`` / 100, on a closed intrinsic Delaunay
-    mesh (no positive off-diagonal in S) of over 4,096 free vertices.
-    The bundle alone decides which matrix is ordered by which points; a
-    solve builds its own and drops it on return, so no factor outlives it.
+    B = S[interior, :] (S itself on a closed mesh).  Each kind of mesh
+    has one Poisson solver, built on first use: a bounded mesh the
+    :func:`factor_spd` ``factor`` of S_II = B[:, interior], a closed one
+    the :class:`~biharm.linalg.MultilevelCG` ``multilevel`` of S, which
+    solves to ``tol`` / 100.  ``factor`` raises ValueError on a closed
+    mesh, whose S_II is all of the singular S.  The bundle alone decides
+    which matrix is ordered by which points; a solve builds its own and
+    drops it on return, so no factor outlives it.
 
     On a closed mesh the constants span the kernel of S; :meth:`mean`,
     :meth:`project` and :meth:`solve` hold the one rule for them, which
@@ -167,31 +165,28 @@ class MeshOperators:
         self.mesh = mesh
         self.tol = tol
         pattern = _EdgePattern(mesh)
-        self.stiffness, on_edges = _stiffness_on(pattern, mesh)
+        self.stiffness = _stiffness_on(pattern, mesh)
         self.mass = _mass_on(pattern, mesh)
-        # No positive off-diagonal entry in S: intrinsically Delaunay.
-        self._delaunay = not np.any(on_edges > 0)
         self.boundary = mesh.boundary_vertices
         interior = np.ones(mesh.n_vertices, dtype=bool)
         interior[self.boundary] = False
         self.interior = np.flatnonzero(interior)
         self.b_block = (self.stiffness[self.interior, :]
                         if self.boundary.size else self.stiffness)
-        self.free = self.interior if self.boundary.size else self.interior[1:]
         # M 1 on a closed mesh, None with a boundary.
         self._border = (None if self.boundary.size
                         else self.mass @ np.ones(mesh.n_vertices))
 
     @cached_property
     def factor(self):
-        return factor_spd(self.stiffness[self.free, :][:, self.free],
-                          self.mesh.vertices[self.free])
+        if self._border is not None:
+            raise ValueError("a closed mesh has no factor: its stiffness "
+                             "is singular, so it solves by multilevel")
+        return factor_spd(self.b_block[:, self.interior],
+                          self.mesh.vertices[self.interior])
 
     @cached_property
     def multilevel(self):
-        if (self._border is None or self.free.size <= _COARSE_SIZE
-                or not self._delaunay):
-            return None
         return MultilevelCG(self.stiffness, self.mesh.vertices)
 
     def mean(self, u):
@@ -211,17 +206,15 @@ class MeshOperators:
         return b - (b.sum() / float(self._border.sum())) * self._border
 
     def solve(self, b):
-        """The field u, zero off ``free``, with S[free, free] u[free] =
-        b[free] for a load vector ``b`` over all vertices, less its
-        :meth:`mean`.  For a ``b`` in range(S) on a closed mesh this is
-        the solution of S u = b with 1^T M u = 0."""
-        if self.multilevel is None:
+        """The Poisson solve of a load ``b`` over all vertices: u, zero on
+        the boundary, with S_II u_I = b_I; on a closed mesh, for b in
+        range(S), the solution of S u = b with 1^T M u = 0."""
+        if self._border is None:
             u = np.zeros(self.mesh.n_vertices)
-            u[self.free] = self.factor.solve(b[self.free])
-        else:
-            u = self.multilevel.solve(b, self.tol)
-        u -= self.mean(u)
-        return u
+            u[self.interior] = self.factor.solve(b[self.interior])
+            return u
+        u = self.multilevel.solve(b, self.tol)
+        return u - self.mean(u)
 
 
 def nodal_field(mesh, u):

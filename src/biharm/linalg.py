@@ -2,9 +2,9 @@
 
 Thin layer over scipy.sparse: a sparse factor of symmetric positive
 definite matrices, ordered by geometric nested dissection of the
-unknowns' coordinates, and multilevel CG for large stiffness matrices
-of closed meshes.  The factor's accuracy is not checked here: its
-callers verify each equation they solve with :func:`check_residual`.
+unknowns' coordinates, the one preconditioned CG, and multilevel CG on
+the stiffness of every closed mesh.  A factor's accuracy is not checked
+here: callers verify each equation they solve by :func:`check_residual`.
 """
 
 import numpy as np
@@ -27,8 +27,9 @@ class SolveReport:
     ----------
     method : str
         Identifier of the algorithm used: "condensed_cg" on every mesh
-        (boundary CG, empty on a closed mesh, over one :func:`factor_spd`
-        factor of the stiffness or its :class:`MultilevelCG`).
+        (boundary CG by :func:`pcg` over one :func:`factor_spd` factor
+        of the interior stiffness; on a closed mesh, whose boundary is
+        empty, two :class:`MultilevelCG` solves).
     iterations : int
         Iteration count of the boundary CG; 0 on a closed mesh.
     relative_residual : float
@@ -222,13 +223,46 @@ def factor_spd(matrix, points):
 # At most this many unknowns are factored: at icosphere 4 (2,561) a factor
 # beats multilevel CG, at icosphere 5 they tie, at icosphere 6 it loses.
 _COARSE_SIZE = 4096
-# Multilevel CG takes 15 iterations at icosphere 5 and 6.
-_MULTILEVEL_MAXITER = 200
-# It also stops after this many iterations without a new smallest
-# residual.  At the default tol the residual of icosphere 5 to 7 sets a
-# new minimum at least every third iteration; once a target below
-# rounding level is missed, it drifts between 1e-15 and 1e-6.
-_MULTILEVEL_STALL = 10
+# A CG fails after this many steps: the boundary CG takes at most 20 on caps
+# and lanterns up to 197k vertices, multilevel CG 15 at icosphere 5 and
+# 6, 20 on a jittered icosphere 5 and 38-39 on one stretched fourfold.
+_CG_MAXITER = 200
+# It also fails this many steps after its smallest residual: at the
+# default tol that of icosphere 5 to 7 falls at least every third step,
+# and below rounding level it drifts between 1e-15 and 1e-6.
+_CG_STALL = 10
+
+
+def pcg(apply, b, precondition, tol, scale, what):
+    """(x, iterations) of preconditioned CG for apply(x) = b, stopped at
+    |b - apply(x)| <= tol / 100 * ``scale``, the scale the caller's
+    :func:`check_residual` gives the equation it builds from x.  Sums are
+    pairwise ``np.sum``: a BLAS dot rounds by the OpenBLAS thread count.
+    NotConvergedError names ``what`` after ``_CG_MAXITER`` steps, at a
+    non-finite residual, or ``_CG_STALL`` steps after the smallest one."""
+    x, r, p, rz_old = np.zeros_like(b), b.copy(), 0.0, 1.0
+    target, scale = 0.01 * tol, max(scale, 1e-300)
+    best, best_at = np.inf, 0
+    for iterations in range(_CG_MAXITER + 1):
+        res = np.sqrt(np.sum(r * r)) / scale
+        if res <= target:
+            return x, iterations
+        if res < best:
+            best, best_at = res, iterations
+        if (iterations == _CG_MAXITER or not np.isfinite(res)
+                or iterations - best_at == _CG_STALL):
+            raise NotConvergedError(
+                f"{what} stopped at relative residual {res:.3e} (target "
+                f"{target:.1e}) after {iterations} iterations; the "
+                f"smallest was {best:.3e}, at iteration {best_at}")
+        z = precondition(r)
+        rz = np.sum(r * z)
+        p = z + (rz / rz_old) * p
+        q = apply(p)
+        alpha = rz / np.sum(p * q)
+        x += alpha * p
+        r -= alpha * q
+        rz_old = rz
 
 
 def _aggregate(matrix, rng):
@@ -275,9 +309,10 @@ class MultilevelCG:
     Jacobi step damped by 4 / (3 lmax), lmax from ten power steps of
     D^-1 A, and takes P^T A P as the next matrix, down to at most
     ``_COARSE_SIZE`` unknowns: the :func:`factor_spd` factor of that one,
-    grounded and ordered by aggregate centroids, solves off its kernel.
-    Two Chebyshev steps smooth before and after each coarse correction,
-    so the V-cycle is symmetric.  The aggregation is seeded, and sums are
+    grounded and ordered by aggregate centroids, solves off its kernel (a
+    matrix that small has no level, so CG stops after one step).  Two
+    Chebyshev steps smooth before and after each coarse correction, so
+    the V-cycle is symmetric.  The aggregation is seeded, and sums are
     pairwise ``np.sum``: a BLAS dot rounds by the OpenBLAS thread count."""
 
     def __init__(self, matrix, points):
@@ -318,30 +353,8 @@ class MultilevelCG:
         return _chebyshev(matrix, inv_diag, lmax, b, x)
 
     def solve(self, b, tol):
-        """x with |b - S x| <= |b| tol / 100 for b in range(S), the boundary
-        CG's margin; NotConvergedError after ``_MULTILEVEL_MAXITER`` steps,
-        or ``_MULTILEVEL_STALL`` steps after the smallest residual."""
-        x, r, p, rz_old = np.zeros_like(b), b.copy(), 0.0, 1.0
-        scale = max(np.sqrt(np.sum(b * b)), 1e-300)
-        best, best_at = np.inf, 0
-        for iterations in range(_MULTILEVEL_MAXITER + 1):
-            res = np.sqrt(np.sum(r * r)) / scale
-            if res <= 0.01 * tol:
-                return x
-            if res < best:
-                best, best_at = res, iterations
-            if (iterations == _MULTILEVEL_MAXITER or not np.isfinite(res)
-                    or iterations - best_at == _MULTILEVEL_STALL):
-                raise NotConvergedError(
-                    f"multilevel CG of the {b.size} x {b.size} stiffness solve"
-                    f" stopped at relative residual {res:.3e} (target "
-                    f"{0.01 * tol:.1e}) after {iterations} iterations; the "
-                    f"smallest was {best:.3e}, at iteration {best_at}")
-            z = self._cycle(0, r)
-            rz = np.sum(r * z)
-            p = z + (rz / rz_old) * p
-            q = self.matrix @ p
-            alpha = rz / np.sum(p * q)
-            x += alpha * p
-            r -= alpha * q
-            rz_old = rz
+        """x with |b - S x| <= |b| tol / 100 for b in range(S), by
+        :func:`pcg`; one step when the hierarchy has no level."""
+        return pcg(lambda p: self.matrix @ p, b, lambda r: self._cycle(0, r),
+                   tol, np.sqrt(np.sum(b * b)), f"multilevel CG of the "
+                   f"{b.size} x {b.size} stiffness solve")[0]

@@ -91,12 +91,15 @@ class TriMesh:
                 f"{kind})")
 
 
+# Squares overflow from coordinates of about 1e77; such faces are rejected.
+@np.errstate(over="ignore", invalid="ignore")
 def _face_geometry(vertices, faces):
     """Vectorized per-face areas, normals, edge lengths and cotangents.
 
     Edge k of a face is the edge opposite corner k.  Returns
     (areas, unit_normals, edge_lengths, cotangents); raises ValueError
-    when any face area is numerically zero relative to its longest edge.
+    when any face area overflows float64 or is numerically zero relative
+    to its longest edge.
     The arithmetic runs on one coordinate of one edge of every face at a
     time, summing x, y and z in that order; the corners' (3, 3, F) array
     is reused for the products.
@@ -121,11 +124,12 @@ def _face_geometry(vertices, faces):
     doubled = np.sqrt(sq[0] + sq[1] + sq[2])
     longest_sq = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]),
                             lengths[:, 2]) ** 2
-    bad = doubled <= 2.0 * _DEGENERATE_REL_AREA * longest_sq
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"face {idx} has (numerically) zero area")
+    for bad, what in ((~(np.isfinite(doubled) & np.isfinite(longest_sq)),
+                       "an area or edge length beyond float64"),
+                      (doubled <= 2.0 * _DEGENERATE_REL_AREA * longest_sq,
+                       "(numerically) zero area")):
+        if np.any(bad):
+            raise ValueError(f"face {np.flatnonzero(bad)[0]} has {what}")
     normals /= doubled[:, None]
     # Angle at corner k: the edge vectors leaving corner k are e_{k+2}
     # and -e_{k+1}, hence cot_k = -(e_{k+1} . e_{k+2}) / (2 area).
@@ -167,11 +171,12 @@ def build_mesh(vertices, faces):
     Raises
     ------
     ValueError
-        If a face repeats a vertex index or has numerically zero area,
-        if an undirected edge is shared by more than two faces, if two
-        faces traverse a shared edge in the same direction, or if a
-        vertex belongs to no face; and on malformed shapes, non-finite
-        coordinates or indices out of range.
+        If a face repeats a vertex index or has an area or edge length
+        beyond float64 or numerically zero area, if an undirected edge
+        is shared by more than two faces, if two faces traverse a shared
+        edge in the same direction, or if a vertex belongs to no face;
+        and on malformed shapes, non-finite coordinates or indices out of
+        range.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float)
     faces = np.ascontiguousarray(faces, dtype=np.int64)

@@ -97,6 +97,17 @@ def _dimension(name, value):
     return value
 
 
+def _radius(value):
+    """R, if 0 < R < inf, and R^4, the scale of the cap's load and the
+    sphere's solution, if that is finite too (R below about 1.16e77)."""
+    radius = _dimension("radius", value)
+    power = (radius * radius) * (radius * radius)
+    if power == np.inf:
+        raise ValueError(
+            f"radius {radius:g} is too large: R^4 overflows float64")
+    return radius, power
+
+
 def _radial(p, where="at the origin (0, 0, 0)"):
     """Lengths |p| and directions p/|p| of points of shape (..., 3).
 
@@ -133,7 +144,7 @@ def cap_case(radius, theta0):
     Parameters
     ----------
     radius : float
-        Sphere radius R > 0.
+        Sphere radius R > 0 with R^4 finite.
     theta0 : float
         Polar opening angle, 0 < theta0 < pi.
 
@@ -145,7 +156,7 @@ def cap_case(radius, theta0):
     if not 0.0 < theta0 < np.pi:
         raise ValueError(
             f"opening angle must lie in (0, pi), got {theta0}")
-    radius = _dimension("radius", radius)
+    radius, r4 = _radius(radius)
     c = np.cos(theta0)
 
     def solution(p):
@@ -160,7 +171,7 @@ def cap_case(radius, theta0):
 
     def exact_f(p):
         x = _radial(p)[1][..., 2]
-        return (36.0 * x**2 - 8.0 * c * x - 12.0) / radius**4
+        return (36.0 * x**2 - 8.0 * c * x - 12.0) / r4
 
     return SurfaceCase("cap", {"radius": radius, "theta0": theta0},
                        _sphere_distance(radius), solution, exact_f)
@@ -293,13 +304,13 @@ def sphere_case(radius, degree, order):
     if l < 1:
         raise ValueError(
             f"the sphere case needs degree l >= 1, got l={l}")
-    radius = _dimension("radius", radius)
+    radius, r4 = _radius(radius)
     eig = l * (l + 1)
 
     def solution(p):
         value, grad = _harmonic(l, m, p, gradient=True)
-        return ((radius**4 / eig**2) * value,
-                (radius**4 / eig**2) * (grad / radius),
+        return ((r4 / eig**2) * value,
+                (r4 / eig**2) * (grad / radius),
                 (radius**2 / eig) * value)
 
     return SurfaceCase("sphere", {"radius": radius, "l": l, "m": m},

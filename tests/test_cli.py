@@ -281,7 +281,7 @@ class TestConverge:
 
     def test_numerical_failure_names_level(self, tmp_path, capsys,
                                            monkeypatch):
-        monkeypatch.setattr(biharm.biharmonic, "_BOUNDARY_CG_MAXITER", 1)
+        monkeypatch.setattr(biharm.linalg, "_CG_MAXITER", 1)
         code = main(["converge", "--case", "cap", "--levels", "8,16,32",
                      "--out", str(tmp_path / "out")])
         assert code == 3
@@ -529,6 +529,16 @@ class TestInputErrors:
          "unrecognized arguments: --tol 1e-5 --mass lumped"),
         (["quality", "--case", "sphere", "--levels", "0,1,2", "--l", "2",
           "--m", "1"], None, "unrecognized arguments: --l 2 --m 1"),
+        (["solve", "--case", "cap", "--R", "1e78"], None,
+         "radius 1e+78 is too large: R^4 overflows float64"),
+        (["solve", "--case", "cap", "--n", "4", "--R", "2e77"], None,
+         "radius 2e+77 is too large: R^4 overflows float64"),
+        (["solve", "--case", "sphere", "--n", "1", "--R", "1e80"], None,
+         "radius 1e+80 is too large: R^4 overflows float64"),
+        (["quality", "--case", "cap", "--levels", "4,8,16", "--R", "1e80"],
+         None, "radius 1e+80 is too large: R^4 overflows float64"),
+        (["quality", "--case", "lantern", "--levels", "4,8,16", "--R",
+          "1e160"], None, "face 0 has an area or edge length beyond float64"),
     ], ids=["config-array", "levels-without-case", "coupling-cubic",
             "mass-mode-diag", "levels-not-integers", "rhs-const-abc",
             "rhs-harmonic-one-index", "solve-without-input",
@@ -539,7 +549,9 @@ class TestInputErrors:
             "solve-sphere-level-beyond-int64", "quality-mesh-with-levels",
             "solve-mesh-with-n", "solve-mesh-with-case",
             "solve-mesh-with-theta0", "quality-with-solver-flags",
-            "quality-with-harmonic-flags"])
+            "quality-with-harmonic-flags", "solve-cap-R4-overflows",
+            "solve-cap-n4-R4-overflows", "solve-sphere-R4-overflows",
+            "quality-cap-R4-overflows", "quality-lantern-faces-overflow"])
     def test_exit_2_names_cause_before_out(self, tmp_path, capsys, args,
                                            config, message):
         if config is not None:

@@ -145,6 +145,16 @@ class TestBuildMesh:
                            match=r"face 0 has \(numerically\) zero area"):
             build_mesh(verts, np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize("scale", [5e153, 1e160],
+                             ids=["area-overflows", "lengths-overflow"])
+    def test_overflowing_geometry_rejected(self, scale):
+        # Left unchecked, the second face got an infinite area, a zero
+        # normal and zero cotangents.
+        verts = np.concatenate([np.eye(3), scale * np.eye(3)])
+        with pytest.raises(ValueError, match=r"face 1 has an area or edge "
+                                             r"length beyond float64"):
+            build_mesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+
     def test_repeated_index_rejected(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0]])

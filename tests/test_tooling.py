@@ -1,8 +1,9 @@
 """The test configuration of pyproject.toml, which turns every warning
 into an error, still lets pytest report a failing test in full; the
 package raises ValueError for bad input and defines exception classes
-only for the numerical failures a caller catches; and every test of a
-ValueError checks which one it got."""
+only for the numerical failures a caller catches; no module of the
+package imports another's private name; and every test of a ValueError
+checks which one it got."""
 
 import ast
 import subprocess
@@ -46,6 +47,16 @@ def test_package_defines_only_numerical_failure_exceptions():
                and any(base_name(base).endswith(("Error", "Exception"))
                        for base in node.bases)]
     assert sorted(defined) == ["NotConvergedError", "SingularError"]
+
+
+def test_no_module_imports_a_private_name():
+    # An underscore name is its module's own decision, free to change
+    # without telling any other module.
+    imported = [f"{path.name}:{node.lineno}: {alias.name}"
+                for path, tree in parsed("src/biharm")
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
 
 
 def test_every_value_error_test_checks_its_message():
