@@ -35,7 +35,8 @@ write_obj(mesh, os.path.join(out, "lantern.obj"))
 # The clamped saddle matrix [[0, B], [B^T, -M]], with B the interior rows
 # of the stiffness and M the consistent mass.
 ops = MeshOperators(mesh)
-matrix = sp.bmat([[None, ops.b_block], [ops.b_block.T, -ops.mass]], "csr")
+b_block = ops.stiffness[ops.interior, :]
+matrix = sp.bmat([[None, b_block], [b_block.T, -ops.mass]], "csr")
 mmwrite(os.path.join(out, "saddle.mtx"), matrix, symmetry="symmetric")
 with open(os.path.join(out, "solution.csv"), "w", encoding="utf-8") as fh:
     fh.write("vertex,u1,u2\n")

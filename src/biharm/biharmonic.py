@@ -13,7 +13,7 @@ space.  With boundary this is the clamped problem (u = du/dn = 0): the
 Neumann condition is not imposed explicitly; it is encoded by testing
 the second equation against all hat functions, including the boundary
 ones.  The system is solved by static condensation onto the boundary
-values of u2: one factorization of the interior stiffness, and
+values of u2: Poisson solves with the interior stiffness S_II, and
 preconditioned conjugate gradients on the boundary Schur complement
 (Glowinski & Pironneau, SIAM Review 21, 1979).  The lumped-mass variant
 is the same system with the lumped mass matrix in place of the
@@ -27,10 +27,11 @@ each right-hand side is projected onto range(S) along M 1, and each
 solve, by multilevel CG on S itself, removes the mean from its result.
 
 :func:`solve_mixed`, the one solve of the studies and the CLI, reads
-S, M, the dof split and the one Poisson solver from one bundle built
-inside the solve.  It checks the two variational identities apart by
-:func:`~biharm.linalg.check_residual`, so ``tol`` does not depend on the
-unit of length, and reports the larger residual.
+S, M and the dof split from one bundle built inside the solve, and
+solves only by its :meth:`~biharm.fem.MeshOperators.solve`, which picks
+the solver of each kind of mesh.  It checks the two variational
+identities apart by :func:`~biharm.linalg.check_residual`, so ``tol``
+does not depend on the unit of length, and reports the larger residual.
 """
 
 import numpy as np
@@ -98,27 +99,28 @@ def _check_components(mesh):
 def _condensed_clamped(ops, mass, load, tol):
     """Static condensation of the clamped saddle system onto lam = u2_B.
 
-    With I the interior and B the boundary dofs and E lam =
-    [-S_II^{-1} S_IB lam; lam] the discrete harmonic extension, the
-    first equation gives u2 = u2_0 + E lam with u2_0 = [S_II^{-1} M_I:
-    f; 0], the interior rows of the second give u1_I = S_II^{-1}
-    (M u2)_I, and the boundary rows of the second leave the nb x nb
-    system T lam = c with T = -E^T M E symmetric negative definite and
-    c = E^T M u2_0.  CG runs on E^T M E lam = -c; each step costs two
-    S_II solves for the product and one for the preconditioner.
-    That is the Dirichlet-to-Neumann map S_BB - S_BI S_II^{-1} S_IB plus
-    (10 / |Gamma|) times the boundary-curve mass, |Gamma| the boundary
-    length; both terms are unchanged when the mesh is scaled.  On a
-    closed mesh there is no lam, and u2 is the first Poisson solve.
+    With I the interior and B the boundary dofs, S_B = S[B, :] and solve
+    the bundle's Poisson solve (zero on B), the discrete harmonic
+    extension E lam = [-S_II^{-1} S_IB lam; lam] is -solve(S_B^T lam)
+    set to lam on B, and E^T v = v_B - S_B solve(v).  The first equation
+    gives u2 = u2_0 + E lam, u2_0 = solve(M f), the interior rows of the
+    second u1 = solve(M u2), and its boundary rows the nb x nb symmetric
+    positive definite system E^T M E lam = -E^T M u2_0.  Each CG step
+    makes two Poisson solves for the product and one for the
+    preconditioner S_B E + (10 / |Gamma|) M_Gamma: the Dirichlet-to-
+    Neumann map plus the boundary-curve mass over the boundary length,
+    both unchanged when the mesh is scaled.  On a closed mesh there is
+    no lam, and u2 is the first Poisson solve.
 
-    The first identity B u2 = M_I: f and the interior rows of the
-    second, B^T u1 = M u2, hold up to the accuracy of the factor; the
-    CG residual is exactly the boundary block of the second.  CG stops
-    at a hundredth of ``tol`` times |M u2_0|, 2.1-2.35 times |M u2|, the
-    scale :func:`check_residual` gives the second identity, on caps and
-    lanterns of every size (|c| / |M u2| grows with the mesh).  The
-    margin leaves u1 and u2 closer to the exact discrete solution of the
-    cap family than a sparse LU of the saddle matrix does.
+    The first identity (S u2)_I = (M f)_I and the interior rows of the
+    second, S u1 = M u2, hold up to the accuracy of the Poisson solve;
+    the CG residual is exactly the boundary block of the second.  CG
+    stops at a hundredth of ``tol`` times |M u2_0|, 2.1-2.35 times
+    |M u2|, the scale :func:`check_residual` gives the second identity,
+    on caps and lanterns of every size (|E^T M u2_0| / |M u2| grows with
+    the mesh).  The margin leaves u1 and u2 closer to the exact discrete
+    solution of the cap family than a sparse LU of the saddle matrix
+    does.
 
     ``mass`` is M or M_L, and ``load`` is M f over all vertices, as
     :meth:`~biharm.fem.MeshOperators.project` leaves it.
@@ -129,35 +131,28 @@ def _condensed_clamped(ops, mass, load, tol):
     iterations : int
     """
     u2 = ops.solve(load)
-    interior, boundary = ops.interior, ops.boundary
+    boundary = ops.boundary
     if not boundary.size:
         return u2, 0
-    n = ops.mesh.n_vertices
-    s_ib = ops.b_block[:, boundary]
-    s_bi = s_ib.T.tocsr()
-    s_bb = ops.stiffness[boundary, :][:, boundary]
+    s_b = ops.stiffness[boundary, :]
+    s_bt = s_b.T
     curve_mass = assemble_boundary_mass(ops.mesh)
     shift = (_DTN_SHIFT / curve_mass.sum()) * curve_mass
-    factor = ops.factor
 
     def extend(lam):
-        u = np.zeros(n)
-        u[interior] = -factor.solve(s_ib @ lam)
+        u = -ops.solve(s_bt @ lam)
         u[boundary] = lam
         return u
 
     def extend_adjoint(v):
-        return v[boundary] - s_bi @ factor.solve(v[interior])
-
-    def precondition(r):
-        return s_bb @ r - s_bi @ factor.solve(s_ib @ r) + shift @ r
+        return v[boundary] - s_b @ ops.solve(v)
 
     mass_u2 = mass @ u2
     lam, iterations = pcg(
         lambda p: extend_adjoint(mass @ extend(p)), -extend_adjoint(mass_u2),
-        precondition, tol, np.sqrt(np.sum(mass_u2 * mass_u2)),
+        lambda r: s_b @ extend(r) + shift @ r, tol, mass_u2,
         f"boundary CG of the clamped solve on {boundary.size} boundary dofs "
-        f"of {n}")
+        f"of {ops.mesh.n_vertices}")
     return u2 + extend(lam), iterations
 
 
@@ -167,9 +162,9 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     The saddle system of the module docstring is condensed onto the
     boundary values of u2, none on a closed mesh (see
     :func:`_condensed_clamped`).  Both variational identities,
-    B u2 = M[interior, :] f and B^T u1 = M u2, their right-hand sides
-    taken through the bundle's constant rule, are then recomputed from
-    the assembled blocks and checked to ``tol`` by
+    (S u2)_I = (M f)_I and S u1 = M u2 (u1 is zero on the boundary),
+    their right-hand sides taken through the bundle's constant rule, are
+    then recomputed from S and checked to ``tol`` by
     :func:`check_residual`.  A mesh without interior vertices has the
     solution u1 = u2 = 0.
 
@@ -216,9 +211,8 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     u1 = ops.solve(rhs)
 
     what = f"identity of the clamped solve on {mesh.n_vertices} vertices"
-    res = max(check_residual(ops.b_block @ u2, load[ops.interior], tol,
-                             "first " + what),
-              check_residual(ops.b_block.T @ u1[ops.interior], rhs, tol,
-                             "second " + what))
+    res = max(check_residual((ops.stiffness @ u2)[ops.interior],
+                             load[ops.interior], tol, "first " + what),
+              check_residual(ops.stiffness @ u1, rhs, tol, "second " + what))
     return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
                          mass_mode, f_mean_removed=mean)

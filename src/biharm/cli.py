@@ -372,13 +372,14 @@ def cmd_converge(args):
     family = spec.family(cfg)
     for level in levels:
         family.check_level(level)
-    out = cfg["out"]
+    out, gate = cfg["out"], family.label
     with _out_dir(out):
-        if cfg["case"] == "lantern" and cfg["reference"] == "highres":
+        # Only the lantern accepts a reference field.
+        if cfg["reference"] == "highres":
             ref = lantern_highres_reference(cfg["R"], cfg["H"],
                                             n_ref=2 * max(levels),
                                             tol=cfg["tol"])
-            family = family.with_case(ref, label=family.label + "-highres")
+            family = family.with_case(ref, label=gate + "-highres")
         report = run_study(family, tol=cfg["tol"], mass_mode=cfg["mass_mode"])
 
         write_levels_csv(os.path.join(out, "report.csv"), report.records)
@@ -394,8 +395,7 @@ def cmd_converge(args):
         print(f"wrote report.csv, rates.csv, plot.svg in {out}")
 
         if args.check:
-            failures = gate_failures(report,
-                                     report.case.removesuffix("-highres"))
+            failures = gate_failures(report, gate)
             if failures:
                 for msg in failures:
                     print(f"gate failure: {msg}", file=sys.stderr)

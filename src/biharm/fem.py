@@ -5,9 +5,9 @@ filled on one pattern per mesh (the diagonal and both directions of each
 edge, per-edge values summed over the faces through ``mesh.face_edges``),
 the lumped mass matrix, the mass matrix of the boundary curve, the
 operator bundle of one mesh (stiffness, consistent mass, interior/
-boundary dof split and the one Poisson solver of its kind of mesh, a
-factor of S_II or multilevel CG on S), nodal interpolation and per-face
-gradients of piecewise-linear fields.
+boundary dof split and ``solve``, the one Poisson solve of every other
+module: it alone picks a factor of S_II or multilevel CG on S), nodal
+interpolation and per-face gradients of piecewise-linear fields.
 
 Sign convention: the stiffness matrix S is positive semidefinite, so the
 weak form pairs with the geometric Laplacian -div grad.  The constant
@@ -145,16 +145,14 @@ def assemble_boundary_mass(mesh):
 class MeshOperators:
     """The assembled operators of one mesh, shared by every solver.
 
-    ``stiffness`` S and consistent ``mass`` M, filled on one pattern, the
-    sorted ``interior`` and ``boundary`` vertex indices and ``b_block``
-    B = S[interior, :] (S itself on a closed mesh).  Each kind of mesh
-    has one Poisson solver, built on first use: a bounded mesh the
-    :func:`factor_spd` ``factor`` of S_II = B[:, interior], a closed one
-    the :class:`~biharm.linalg.MultilevelCG` ``multilevel`` of S, which
-    solves to ``tol`` / 100.  ``factor`` raises ValueError on a closed
-    mesh, whose S_II is all of the singular S.  The bundle alone decides
-    which matrix is ordered by which points; a solve builds its own and
-    drops it on return, so no factor outlives it.
+    ``stiffness`` S and consistent ``mass`` M, filled on one pattern, and
+    the sorted ``interior`` and ``boundary`` vertex indices.  :meth:`solve`
+    is the one Poisson solve, and the bundle alone picks its solver,
+    built on first use: with a boundary the :func:`factor_spd` factor of
+    S_II = S[interior, :][:, interior], on a closed mesh the
+    :class:`~biharm.linalg.MultilevelCG` of S, which solves to ``tol`` /
+    100.  A solve builds its own bundle and drops it on return, so no
+    factor outlives it.
 
     On a closed mesh the constants span the kernel of S; :meth:`mean`,
     :meth:`project` and :meth:`solve` hold the one rule for them, which
@@ -171,22 +169,16 @@ class MeshOperators:
         interior = np.ones(mesh.n_vertices, dtype=bool)
         interior[self.boundary] = False
         self.interior = np.flatnonzero(interior)
-        self.b_block = (self.stiffness[self.interior, :]
-                        if self.boundary.size else self.stiffness)
         # M 1 on a closed mesh, None with a boundary.
         self._border = (None if self.boundary.size
                         else self.mass @ np.ones(mesh.n_vertices))
 
     @cached_property
-    def factor(self):
-        if self._border is not None:
-            raise ValueError("a closed mesh has no factor: its stiffness "
-                             "is singular, so it solves by multilevel")
-        return factor_spd(self.b_block[:, self.interior],
-                          self.mesh.vertices[self.interior])
-
-    @cached_property
-    def multilevel(self):
+    def _solver(self):
+        interior = self.interior
+        if self._border is None:
+            return factor_spd(self.stiffness[interior, :][:, interior],
+                              self.mesh.vertices[interior])
         return MultilevelCG(self.stiffness, self.mesh.vertices)
 
     def mean(self, u):
@@ -211,9 +203,9 @@ class MeshOperators:
         range(S), the solution of S u = b with 1^T M u = 0."""
         if self._border is None:
             u = np.zeros(self.mesh.n_vertices)
-            u[self.interior] = self.factor.solve(b[self.interior])
+            u[self.interior] = self._solver.solve(b[self.interior])
             return u
-        u = self.multilevel.solve(b, self.tol)
+        u = self._solver.solve(b, self.tol)
         return u - self.mean(u)
 
 

@@ -233,15 +233,25 @@ _CG_MAXITER = 200
 _CG_STALL = 10
 
 
-def pcg(apply, b, precondition, tol, scale, what):
+def pcg(apply, b, precondition, tol, scale_by, what):
     """(x, iterations) of preconditioned CG for apply(x) = b, stopped at
-    |b - apply(x)| <= tol / 100 * ``scale``, the scale the caller's
-    :func:`check_residual` gives the equation it builds from x.  Sums are
-    pairwise ``np.sum``: a BLAS dot rounds by the OpenBLAS thread count.
+    |b - apply(x)| <= tol / 100 * |``scale_by``|, the scale the caller's
+    :func:`check_residual` gives the equation it builds from x.
     NotConvergedError names ``what`` after ``_CG_MAXITER`` steps, at a
-    non-finite residual, or ``_CG_STALL`` steps after the smallest one."""
+    non-finite residual, ``_CG_STALL`` steps after the smallest one, or
+    as soon as any of its arithmetic overflows float64."""
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            return _cg(apply, b, precondition, 0.01 * tol, scale_by, what)
+    except FloatingPointError:
+        raise NotConvergedError(f"{what} overflowed float64") from None
+
+
+def _cg(apply, b, precondition, target, scale_by, what):
+    """The loop of :func:`pcg`.  Sums are pairwise ``np.sum``: a BLAS dot
+    rounds by the OpenBLAS thread count."""
     x, r, p, rz_old = np.zeros_like(b), b.copy(), 0.0, 1.0
-    target, scale = 0.01 * tol, max(scale, 1e-300)
+    scale = max(np.sqrt(np.sum(scale_by * scale_by)), 1e-300)
     best, best_at = np.inf, 0
     for iterations in range(_CG_MAXITER + 1):
         res = np.sqrt(np.sum(r * r)) / scale
@@ -356,5 +366,5 @@ class MultilevelCG:
         """x with |b - S x| <= |b| tol / 100 for b in range(S), by
         :func:`pcg`; one step when the hierarchy has no level."""
         return pcg(lambda p: self.matrix @ p, b, lambda r: self._cycle(0, r),
-                   tol, np.sqrt(np.sum(b * b)), f"multilevel CG of the "
-                   f"{b.size} x {b.size} stiffness solve")[0]
+                   tol, b, f"multilevel CG of the {b.size} x {b.size} "
+                   f"stiffness solve")[0]

@@ -72,7 +72,7 @@ def saddle_system(mesh, f):
     """
     f = nodal_field(mesh, f)
     ops = MeshOperators(mesh)
-    b_block, mass = ops.b_block, ops.mass
+    b_block, mass = ops.stiffness[ops.interior, :], ops.mass
     matrix = sp.bmat([[None, b_block], [b_block.T, -mass]], format="csr")
     rhs = np.concatenate([mass[ops.interior, :] @ f,
                           np.zeros(mesh.n_vertices)])

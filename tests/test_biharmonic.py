@@ -16,8 +16,9 @@ from biharm.fem import (MeshOperators, assemble_mass, assemble_stiffness,
                         interpolate)
 from biharm.linalg import NotConvergedError
 from biharm.mesh import build_mesh, max_edge_length
-from biharm.surfaces import (cap_case, gen_cap_mesh, gen_icosphere,
-                             gen_schwarz_lantern, real_harmonic)
+from biharm.surfaces import (cap_case, cap_family, gen_cap_mesh,
+                             gen_icosphere, gen_schwarz_lantern,
+                             lantern_family, real_harmonic)
 
 from conftest import single_triangle, tetrahedron
 from helpers import dense_solve_oracle, discrete_laplacian, saddle_system
@@ -178,6 +179,40 @@ class TestCondensedDirichlet:
                 assert report.method == "condensed_cg"
                 assert 1 < report.iterations <= 25, (mode, rings)
                 assert report.relative_residual <= 1e-10, (mode, rings)
+
+    def test_one_factor_and_three_solves_per_step(self, monkeypatch):
+        # Each clamped solve factors S_II once and makes three Poisson
+        # solves per boundary-CG step (the product's extension and its
+        # adjoint, the preconditioner's extension) plus four: u2_0, the
+        # CG right-hand side, the final extension and u1.
+        counts = {"factors": 0, "solves": 0}
+        real_splu, real_solve = linalg.spla.splu, linalg._PermutedFactor.solve
+
+        def counting_splu(*args, **kwargs):
+            counts["factors"] += 1
+            return real_splu(*args, **kwargs)
+
+        def counting_solve(self, b):
+            counts["solves"] += 1
+            return real_solve(self, b)
+
+        monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+        monkeypatch.setattr(linalg._PermutedFactor, "solve", counting_solve)
+        # Boundary-CG iterations per mass mode at each level.
+        expected = [(cap_family(np.pi / 3.0, [16, 32, 64]),
+                     {"consistent": [11, 11, 11], "lumped": [17, 18, 19]}),
+                    (lantern_family("linear", [32]),
+                     {"consistent": [1], "lumped": [1]})]
+        for family, iterations in expected:
+            for i, (level, mesh) in enumerate(family.meshes()):
+                f = interpolate(mesh, family.case.exact_f)
+                for mode in MASS_MODES:
+                    counts.update(factors=0, solves=0)
+                    report = solve_mixed(mesh, f, mass_mode=mode).solve_report
+                    want = iterations[mode][i]
+                    assert report.iterations == want, (level, mode)
+                    assert counts == {"factors": 1, "solves": 3 * want + 4}, (
+                        level, mode)
 
     def test_scaled_mesh_same_iterations(self):
         # Both sides of each identity scale alike under x -> c x, so
@@ -569,21 +604,25 @@ class TestVariationalIdentities:
         lambda: gen_icosphere(2),
     ], ids=["cap", "icosphere"])
     def test_second_identity_checked(self, mesh_fn, monkeypatch):
-        # The second Poisson solve gives u1; scaling it by 1 + 1e-6
-        # leaves the first identity exact and breaks the second.
+        # The last Poisson solve gives u1 (the second on a closed mesh,
+        # about the 40th on a cap); scaling it by 1 + 1e-6 leaves the
+        # first identity exact and breaks the second.
         real_solve = MeshOperators.solve
-        calls = []
+        calls, faulty = [], []
 
-        def faulty_solve(self, b):
+        def counting_solve(self, b):
             calls.append(b)
             u = real_solve(self, b)
-            return u * (1.0 + 1e-6) if len(calls) == 2 else u
+            return u * (1.0 + 1e-6) if len(calls) in faulty else u
 
-        monkeypatch.setattr(MeshOperators, "solve", faulty_solve)
+        monkeypatch.setattr(MeshOperators, "solve", counting_solve)
         mesh = mesh_fn()
+        solve_mixed(mesh, skew_load(mesh))
+        faulty.append(len(calls))
+        calls.clear()
         with pytest.raises(NotConvergedError, match="second identity"):
             solve_mixed(mesh, skew_load(mesh))
-        assert len(calls) == 2
+        assert len(calls) == faulty[0]
 
     def test_solve_report_populated(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)

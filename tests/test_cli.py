@@ -179,6 +179,17 @@ class TestSolve:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize("case, radius", [
+        ("lantern", "1e77"), ("sphere", "1e60"), ("lantern", "1e37"),
+    ], ids=["lantern-scale", "sphere-scale", "lantern-step"])
+    def test_overflowing_solve_exit_3(self, tmp_path, capsys, case, radius):
+        # Squares of the load overflow float64 in the CG scale and first
+        # residual, or in a step's dot product at R = 1e37.
+        code = main(["solve", "--case", case, "--R", radius,
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "overflowed float64" in capsys.readouterr().err
+
 
 class TestDimensions:
     @pytest.mark.parametrize("args, name", [

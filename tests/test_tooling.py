@@ -2,8 +2,9 @@
 into an error, still lets pytest report a failing test in full; the
 package raises ValueError for bad input and defines exception classes
 only for the numerical failures a caller catches; no module of the
-package imports another's private name; and every test of a ValueError
-checks which one it got."""
+package imports another's private name or reads another object's
+private attribute; and every test of a ValueError checks which one it
+got."""
 
 import ast
 import subprocess
@@ -57,6 +58,25 @@ def test_no_module_imports_a_private_name():
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name.startswith("_")]
     assert imported == []
+
+
+# The public API of namedtuples, underscored only to keep out of the
+# way of field names.
+_NAMEDTUPLE_API = {"_asdict", "_field_defaults", "_fields", "_make",
+                   "_replace"}
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    # Only an object's own methods read its underscore attributes: the
+    # solver a bundle picks, say, is no other module's business.
+    read = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path, tree in parsed("src/biharm")
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.endswith("__")
+            and node.attr not in _NAMEDTUPLE_API
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id == "self")]
+    assert read == []
 
 
 def test_every_value_error_test_checks_its_message():
