@@ -399,7 +399,8 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     :func:`~biharm.surfaces.cylinder_case` on the fine shape-regular
     lantern of the linear coupling at level n_ref and exposes the
     discrete u1, its chart gradient and the discrete u2 as the "exact"
-    fields of a new SurfaceCase, whose load is the cylinder case's.
+    fields of a new SurfaceCase, whose signed distance and load are the
+    cylinder case's.
     This mirrors measuring errors against a numerically computed
     high-resolution solution instead of the manufactured one.
 
@@ -413,8 +414,6 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     Returns
     -------
     SurfaceCase
-        kind "cylinder-highres"; its signed distance, and so its
-        closest-point map and normals, are the cylinder's.
     """
     base = cylinder_case(radius, height)
     m_ref, n_ref = LANTERN_COUPLINGS["linear"][0](int(n_ref))
@@ -434,7 +433,4 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
                 np.multiply.outer(slope[band], [0.0, 0.0, 1.0]),
                 np.interp(z, z_ring, u2_ring))
 
-    return SurfaceCase(
-        "cylinder-highres",
-        {"radius": radius, "height": height, "n_ref": n_ref},
-        base.distance, solution, base.exact_f)
+    return SurfaceCase(base.distance, solution, base.exact_f)

@@ -44,26 +44,26 @@ _DEFAULTS = {"mass_mode": "consistent", "tol": DEFAULT_TOL, "out": "out"}
 # One entry per case kind: the field holding its levels, its fields
 # (the level field included) with their defaults, the default
 # `solve --n`, the guide slopes of the plot, and the refinement family
-# built from the merged config values.
+# of given levels built from the merged config values.
 _Case = namedtuple("_Case", "level_field fields solve_n guides family")
 _CASES = {
     "cap": _Case(
         "ring_levels",
         {"theta0": math.pi / 3.0, "ring_levels": [8, 16, 32, 64], "R": 1.0},
         16, [1.0, 0.75, 0.5],
-        lambda v: cap_family(v["theta0"], v["ring_levels"], v["R"])),
+        lambda v, levels: cap_family(v["theta0"], levels, v["R"])),
     "sphere": _Case(
         "subdiv_levels",
         {"l": 2, "m": 0, "subdiv_levels": [2, 3, 4, 5], "R": 1.0},
         3, [2.0],
-        lambda v: sphere_family(v["l"], v["m"], v["subdiv_levels"], v["R"])),
+        lambda v, levels: sphere_family(v["l"], v["m"], levels, v["R"])),
     "lantern": _Case(
         "n_levels",
         {"coupling": "linear", "n_levels": [8, 16, 32, 64], "R": 1.0,
          "H": 2.0, "reference": "manufactured"},
         16, [1.0, 0.75, 0.5],
-        lambda v: lantern_family(v["coupling"], v["n_levels"], v["R"],
-                                 v["H"])),
+        lambda v, levels: lantern_family(v["coupling"], levels, v["R"],
+                                         v["H"])),
 }
 # Every field with a default; a config value must have its default's type.
 _FIELD_DEFAULTS = dict(chain(_DEFAULTS.items(),
@@ -333,7 +333,8 @@ def cmd_solve(args):
                 "does not apply to solve --mesh")
         family = None
     elif spec is not None:
-        family = spec.family(cfg)
+        level = args.n if args.n is not None else spec.solve_n
+        family = spec.family(cfg, [level])
     else:
         raise ValueError("solve needs --mesh FILE or --case KIND")
     if args.rhs is not None:
@@ -345,9 +346,6 @@ def cmd_solve(args):
                          "harmonic:l,m")
 
     out = cfg["out"]
-    if family is not None:
-        level = args.n if args.n is not None else spec.solve_n
-        family.check_level(level)
     with _out_dir(out):
         mesh = read_obj(args.mesh) if family is None else family.build(level)
         sol = solve_mixed(mesh, interpolate(mesh, rhs), cfg["tol"],
@@ -369,9 +367,7 @@ def cmd_converge(args):
         raise ValueError("converge needs --case KIND (or a config file)")
     levels = cfg[spec.level_field]
     check_levels(levels)
-    family = spec.family(cfg)
-    for level in levels:
-        family.check_level(level)
+    family = spec.family(cfg, levels)
     out, gate = cfg["out"], family.label
     with _out_dir(out):
         # Only the lantern accepts a reference field.
@@ -379,7 +375,7 @@ def cmd_converge(args):
             ref = lantern_highres_reference(cfg["R"], cfg["H"],
                                             n_ref=2 * max(levels),
                                             tol=cfg["tol"])
-            family = family.with_case(ref, label=gate + "-highres")
+            family = family._replace(case=ref, label=gate + "-highres")
         report = run_study(family, tol=cfg["tol"], mass_mode=cfg["mass_mode"])
 
         write_levels_csv(os.path.join(out, "report.csv"), report.records)
@@ -410,16 +406,13 @@ def cmd_quality(args):
         raise ValueError("quality on an OBJ mesh needs --case KIND"
                          if args.mesh is not None else
                          "quality needs --mesh FILE or --case KIND")
-    family = spec.family(cfg)
-    levels = cfg[spec.level_field]
+    levels = [] if args.mesh is not None else cfg[spec.level_field]
     if args.mesh is not None:
         _refuse(args, ("levels",), "does not apply to quality --mesh")
-    else:
-        if not levels or len(set(levels)) < len(levels):
-            raise ValueError(f"quality needs one or more distinct levels, "
-                             f"got {levels}")
-        for level in levels:
-            family.check_level(level)
+    elif not levels or len(set(levels)) < len(levels):
+        raise ValueError(f"quality needs one or more distinct levels, "
+                         f"got {levels}")
+    family = spec.family(cfg, levels)
     out = cfg["out"]
     with _out_dir(out):
         if args.mesh is not None:

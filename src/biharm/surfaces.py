@@ -2,46 +2,42 @@
 generators for the three experiment families: spherical cap with
 boundary, closed sphere, and Schwarz lantern (inscribed cylinder).
 
-Each surface comes as a :class:`SurfaceCase` bundling the signed
-distance d of the surface, one function returning a manufactured exact
-solution u with its surface gradient and Laplacian, and its
-bi-Laplacian.  The closest point a(x) = x - d(x) grad d(x) and the
-normal grad d derive from d, as in Dziuk & Elliott (Acta Numerica 22,
-2013).  The distance, and so the closest point, belong to the smooth
-extension of each surface: the whole sphere for the cap, the infinite
-cylinder for the lantern's cylinder.  The Laplacian follows the
-positive semidefinite sign convention (Delta = -div grad), so
-``exact_f`` is Delta(Delta u) in that sign.
+Each surface comes as a :class:`SurfaceCase` of three functions: the
+signed distance d of the surface, a manufactured exact solution u with
+its surface gradient and Laplacian, and its bi-Laplacian.  The closest
+point a(x) = x - d(x) grad d(x) and the normal grad d derive from d, as
+in Dziuk & Elliott (Acta Numerica 22, 2013); a caller forms them from
+one ``distance`` call.  The distance, and so the closest point, belong
+to the smooth extension of each surface: the whole sphere for the cap,
+the infinite cylinder for the lantern's cylinder.  The Laplacian
+follows the positive semidefinite sign convention (Delta = -div grad),
+so ``exact_f`` is Delta(Delta u) in that sign.
 
 All case functions are pure and vectorized: they accept points of any
 leading shape (..., 3), a single point of shape (3,) included, and
 return one value or vector per point.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .mesh import build_mesh
 
 
-class SurfaceCase:
+class SurfaceCase(namedtuple("SurfaceCase", "distance solution exact_f")):
     """Analytic surface with a manufactured biharmonic solution.
 
     The geometry is one signed distance d of the smooth surface the case
     lies on (the whole sphere, the infinite cylinder), so the closest
-    point of a point beyond the cap's rim lies on the sphere, and that
-    of a point above the cylinder's rims keeps its height.  The solution
-    is one function returning u, its surface gradient and its Laplacian
-    together, so a caller that needs all three, such as the error pass,
-    evaluates them once per point; ``exact_u``, ``exact_grad_u`` and
-    ``exact_lap_u`` derive from it, as ``closest_point`` and
-    ``normal_at`` derive from the distance.
+    point a(p) = p - d(p) grad d(p) of a point beyond the cap's rim lies
+    on the sphere, and that of a point above the cylinder's rims keeps
+    its height.  The solution is one function returning u, its surface
+    gradient and its Laplacian together, so a caller that needs all
+    three, such as the error pass, evaluates them once per point.
 
     Attributes
     ----------
-    kind : str
-        "sphere", "cap", "cylinder" or "cylinder-highres".
-    params : dict
-        Defining parameters (radius, opening angle, ...).
     distance : callable
         Maps points to ``(d, grad_d)``: the signed distance, positive
         on the outside, and its gradient, the outward unit normal.
@@ -54,38 +50,7 @@ class SurfaceCase:
         Bi-Laplacian of the solution, the load of the problem.
     """
 
-    def __init__(self, kind, params, distance, solution, exact_f):
-        self.kind = kind
-        self.params = dict(params)
-        self.distance = distance
-        self.solution = solution
-        self.exact_f = exact_f
-
-    def closest_point(self, p):
-        """Closest point a(p) = p - d(p) grad d(p) on the surface."""
-        d, grad = self.distance(p)
-        return np.asarray(p, dtype=float) - d[..., None] * grad
-
-    def normal_at(self, p):
-        """Outward unit normal grad d(p), the same at every point of the
-        normal line through a surface point."""
-        return self.distance(p)[1]
-
-    def exact_u(self, p):
-        """The solution u."""
-        return self.solution(p)[0]
-
-    def exact_grad_u(self, p):
-        """Surface gradient of u, tangent to the surface."""
-        return self.solution(p)[1]
-
-    def exact_lap_u(self, p):
-        """Laplacian of u (positive semidefinite convention)."""
-        return self.solution(p)[2]
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"SurfaceCase({self.kind}, {inner})"
+    __slots__ = ()
 
 
 def _dimension(name, value):
@@ -99,12 +64,16 @@ def _dimension(name, value):
 
 def _radius(value):
     """R, if 0 < R < inf, and R^4, the scale of the cap's load and the
-    sphere's solution, if that is finite too (R below about 1.16e77)."""
+    sphere's solution, if that is a finite normal float64 too (R from
+    about 1.22e-77 to 1.16e77)."""
     radius = _dimension("radius", value)
     power = (radius * radius) * (radius * radius)
     if power == np.inf:
         raise ValueError(
             f"radius {radius:g} is too large: R^4 overflows float64")
+    if power < np.finfo(float).tiny:
+        raise ValueError(
+            f"radius {radius:g} is too small: R^4 underflows float64")
     return radius, power
 
 
@@ -144,7 +113,7 @@ def cap_case(radius, theta0):
     Parameters
     ----------
     radius : float
-        Sphere radius R > 0 with R^4 finite.
+        Sphere radius R > 0 with R^4 a finite normal float64.
     theta0 : float
         Polar opening angle, 0 < theta0 < pi.
 
@@ -173,8 +142,7 @@ def cap_case(radius, theta0):
         x = _radial(p)[1][..., 2]
         return (36.0 * x**2 - 8.0 * c * x - 12.0) / r4
 
-    return SurfaceCase("cap", {"radius": radius, "theta0": theta0},
-                       _sphere_distance(radius), solution, exact_f)
+    return SurfaceCase(_sphere_distance(radius), solution, exact_f)
 
 
 def cylinder_case(radius, height):
@@ -187,12 +155,13 @@ def cylinder_case(radius, height):
     semidefinite convention.  The signed distance is that of the
     infinite cylinder, d = rho - R with rho the distance to the axis, so
     the closest point of any point off the axis keeps its height z.
+    R^4 must be a finite normal float64, as for the cap and the sphere.
 
     Returns
     -------
     SurfaceCase
     """
-    radius = _dimension("radius", radius)
+    radius = _radius(radius)[0]
     height = _dimension("height", height)
     a = 0.5 * height
 
@@ -211,8 +180,7 @@ def cylinder_case(radius, height):
     def exact_f(p):
         return np.full(np.shape(p)[:-1], 24.0)
 
-    return SurfaceCase("cylinder", {"radius": radius, "height": height},
-                       distance, solution, exact_f)
+    return SurfaceCase(distance, solution, exact_f)
 
 
 def _harmonic(degree, order, p, gradient=False):
@@ -313,8 +281,7 @@ def sphere_case(radius, degree, order):
                 (r4 / eig**2) * (grad / radius),
                 (radius**2 / eig) * value)
 
-    return SurfaceCase("sphere", {"radius": radius, "l": l, "m": m},
-                       _sphere_distance(radius), solution, harmonic)
+    return SurfaceCase(_sphere_distance(radius), solution, harmonic)
 
 
 def _check_rings(rings):
@@ -535,53 +502,49 @@ def gen_schwarz_lantern(m, n, radius=1.0, height=2.0):
     return build_mesh(verts, faces.reshape(-1, 3))
 
 
-class RefinementFamily:
+class RefinementFamily(namedtuple("RefinementFamily",
+                                  "label case levels build")):
     """A surface case bundled with a sequence of refinement levels.
 
-    ``levels`` stores the generator parameter per level (rings,
-    subdivisions or lantern level n); :meth:`build` realizes one level
-    as a mesh once ``check_level``, which builds nothing, accepts it
-    (else ValueError).  Generated mesh sizes h decrease strictly across
-    levels.
+    ``levels`` holds the generator parameter of each level (rings,
+    subdivisions or lantern level n), and ``build`` realizes one as a
+    mesh.  :func:`cap_family`, :func:`sphere_family` and
+    :func:`lantern_family` check every level when they make the family,
+    before any mesh is built, and raise ValueError for one their
+    generator rejects.  Generated mesh sizes h decrease strictly across
+    levels.  ``family._replace(case=..., label=...)`` keeps the meshes
+    and measures them against another reference case.
     """
 
-    def __init__(self, label, case, levels, builder, check_level):
-        self.label = label
-        self.case = case
-        self.levels = tuple(int(v) for v in levels)
-        self._builder = builder
-        self.check_level = check_level
-
-    def build(self, level):
-        """Mesh for one entry of ``levels``."""
-        self.check_level(level)
-        return self._builder(level)
+    __slots__ = ()
 
     def meshes(self):
         """Yield (level, mesh) pairs in order."""
         for level in self.levels:
             yield level, self.build(level)
 
-    def with_case(self, case, label=None):
-        """Same meshes, different reference case (and optional label)."""
-        return RefinementFamily(label or self.label, case, self.levels,
-                                self._builder, self.check_level)
+
+def _family(label, case, levels, build, check_level):
+    """The family of ``levels``, once ``check_level``, which builds no
+    mesh, accepts each of them."""
+    levels = tuple(int(v) for v in levels)
+    for level in levels:
+        check_level(level)
+    return RefinementFamily(label, case, levels, build)
 
 
 def cap_family(theta0, ring_levels, radius=1.0):
     """Cap case with rings doubling per level (h halves)."""
-    case = cap_case(radius, theta0)
-    return RefinementFamily(
-        "cap", case, ring_levels,
-        lambda rings: gen_cap_mesh(theta0, rings, radius), _check_rings)
+    return _family("cap", cap_case(radius, theta0), ring_levels,
+                   lambda rings: gen_cap_mesh(theta0, rings, radius),
+                   _check_rings)
 
 
 def sphere_family(degree, order, subdiv_levels, radius=1.0):
     """Closed-sphere case over icosphere subdivision levels."""
-    case = sphere_case(radius, degree, order)
-    return RefinementFamily(
-        "sphere", case, subdiv_levels,
-        lambda k: gen_icosphere(k, radius), _check_subdivisions)
+    return _family("sphere", sphere_case(radius, degree, order),
+                   subdiv_levels, lambda k: gen_icosphere(k, radius),
+                   _check_subdivisions)
 
 
 # Lantern level n -> (vertices per ring, bands), and the smallest level
@@ -620,7 +583,6 @@ def lantern_family(coupling, n_levels, radius=1.0, height=2.0):
                 f"{coupling} lantern level n must be at least {min_level}, "
                 f"got {n}")
 
-    return RefinementFamily(
-        f"lantern-{coupling}", case, n_levels,
-        lambda n: gen_schwarz_lantern(*counts(n), radius, height),
-        check_level)
+    return _family(f"lantern-{coupling}", case, n_levels,
+                   lambda n: gen_schwarz_lantern(*counts(n), radius, height),
+                   check_level)

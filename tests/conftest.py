@@ -55,7 +55,7 @@ def flat_case(u, grad_u, lap_u, f):
     def solution(p):
         return u(p), grad_u(p), lap_u(p)
 
-    return SurfaceCase("flat", {}, distance, solution, f)
+    return SurfaceCase(distance, solution, f)
 
 
 @pytest.fixture

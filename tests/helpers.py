@@ -4,8 +4,9 @@ The dense solve, the saddle matrix and the discrete Laplacian are
 oracles for the sparse paths on small problems; the lexsort nested
 dissection and the per-face geometry in fancy-indexed (F, 3, 3) form
 are the references that the package's faster versions must match
-exactly; the readers parse the CSV files the package writes back into
-records, so the tests can compare them.
+exactly; the closest point and the solution alone are read off a
+surface case's functions; the readers parse the CSV files the package
+writes back into records, so the tests can compare them.
 """
 
 import csv
@@ -106,6 +107,18 @@ def discrete_laplacian(mesh, u1, tol=DEFAULT_TOL):
     check_residual(ops.mass @ v, rhs, tol, f"mass solve of the discrete "
                    f"Laplacian on {mesh.n_vertices} vertices")
     return v
+
+
+def closest_point(case, p):
+    """Closest point a(p) = p - d(p) grad d(p) of points on the surface
+    of ``case``."""
+    d, grad = case.distance(p)
+    return np.asarray(p, dtype=float) - d[..., None] * grad
+
+
+def exact_u(case):
+    """The solution u of ``case`` as a function of points."""
+    return lambda p: case.solution(p)[0]
 
 
 def read_levels_csv(path):

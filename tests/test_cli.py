@@ -16,7 +16,7 @@ import biharm
 from biharm import analysis, cli, surfaces
 from biharm.analysis import ACCEPTANCE_GATES
 from biharm.cli import main
-from biharm.mesh import read_obj, write_obj
+from biharm.mesh import build_mesh, read_obj, write_obj
 from biharm.surfaces import LANTERN_COUPLINGS
 
 from conftest import grid_mesh, tetrahedron
@@ -190,6 +190,42 @@ class TestSolve:
         assert code == 3
         assert "overflowed float64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, what", [
+        (["sphere", "--n", "3", "--R", "1e-40"],
+         "multilevel CG of the 642 x 642 stiffness solve"),
+        (["lantern", "--R", "1e-33", "--H", "2e-33"],
+         "boundary CG of the clamped solve on 64 boundary dofs of 544"),
+    ], ids=["sphere-scale", "lantern-step"])
+    def test_underflowing_solve_exit_3(self, tmp_path, capsys, args, what):
+        # u1 is about 1e-162 on the sphere at R = 1e-40: the squares of
+        # the second Poisson solve's load underflow, where CG used to
+        # stop at once with u1 = 0.  On the lantern at R = 1e-33 a step's
+        # p.Ap rounds to zero, where CG used to divide by it.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--case", *args,
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: {what} underflowed float64\n")
+        assert caught == []
+
+    def test_underflowing_mesh_exit_3(self, tmp_path, capsys):
+        # The boundary CG of a cap scaled by 2^-130 used to divide by a
+        # zero dot product.
+        mesh = surfaces.gen_cap_mesh(np.pi / 3.0, 16)
+        path = tmp_path / "cap.obj"
+        write_obj(build_mesh(mesh.vertices * 2.0 ** -130, mesh.faces), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: boundary CG of the clamped solve on 96 "
+            "boundary dofs of 817 underflowed float64\n")
+        assert caught == []
+
 
 class TestDimensions:
     @pytest.mark.parametrize("args, name", [
@@ -206,6 +242,22 @@ class TestDimensions:
         assert code == 2
         assert (f"error: {name} must be positive and finite"
                 in capsys.readouterr().err)
+        assert caught == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("radius, message", [
+        ("1e78", "radius 1e+78 is too large: R^4 overflows float64"),
+        ("1e-78", "radius 1e-78 is too small: R^4 underflows float64"),
+    ], ids=["large", "small"])
+    @pytest.mark.parametrize("case", ["cap", "sphere", "lantern"])
+    def test_radius_with_r4_beyond_float64_exit_2(self, tmp_path, capsys,
+                                                   case, radius, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--case", case, "--R", radius,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert caught == []
         assert not (tmp_path / "out").exists()
 
@@ -352,7 +404,7 @@ class TestConverge:
         for spec in cli._CASES.values():
             for coupling in LANTERN_COUPLINGS:
                 values = dict(cli._FIELD_DEFAULTS, coupling=coupling)
-                assert spec.family(values).label in ACCEPTANCE_GATES
+                assert spec.family(values, ()).label in ACCEPTANCE_GATES
 
 
 class TestQuality:
@@ -548,7 +600,7 @@ class TestInputErrors:
          "radius 1e+80 is too large: R^4 overflows float64"),
         (["quality", "--case", "cap", "--levels", "4,8,16", "--R", "1e80"],
          None, "radius 1e+80 is too large: R^4 overflows float64"),
-        (["quality", "--case", "lantern", "--levels", "4,8,16", "--R",
+        (["quality", "--case", "lantern", "--levels", "4,8,16", "--H",
           "1e160"], None, "face 0 has an area or edge length beyond float64"),
     ], ids=["config-array", "levels-without-case", "coupling-cubic",
             "mass-mode-diag", "levels-not-integers", "rhs-const-abc",
@@ -683,6 +735,21 @@ class TestConfigFile:
         assert main(["solve", "--config", str(cfg_path), "--n", "2",
                      "--out", str(out)]) == 0
         assert (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("command, code", [
+        (["solve", "--n", "4"], 0), (["quality", "--mesh", "tet"], 0),
+        (["converge"], 2)], ids=["solve", "quality-mesh", "converge"])
+    def test_levels_read_only_where_used(self, tmp_path, tet_obj, capsys,
+                                         command, code):
+        # solve builds its --n and quality --mesh reads a file: neither
+        # checks the config's levels, which converge rejects.
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "cap", "ring_levels": [1, 4, 8]}))
+        command = [str(tet_obj) if arg == "tet" else arg for arg in command]
+        assert main([*command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == code
+        assert ("need at least 2 rings, got 1" in capsys.readouterr().err) == (
+            code == 2)
 
     def test_field_for_wrong_case_exit_2(self, tmp_path):
         cfg_path = tmp_path / "study.json"

@@ -80,6 +80,13 @@ class TestCheckResidual:
         assert check_residual(np.zeros(3), np.zeros(3), 0.0, "x") == 0.0
         assert check_residual(np.zeros(0), np.zeros(0), 0.0, "x") == 0.0
 
+    def test_underflowing_scale_raises(self):
+        # (tol |side|)^2 is about 2e-340, below the smallest normal float64,
+        # where the norms of the sides lose their digits.
+        side = np.full(2, 1e-160)
+        with pytest.raises(NotConvergedError, match="^x underflowed float64$"):
+            check_residual(side, side, 1e-10, "x")
+
     def test_above_tolerance_names_equation(self):
         with pytest.raises(NotConvergedError,
                            match=r"mass solve on 3 vertices has relative "

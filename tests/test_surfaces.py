@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from biharm import surfaces
 from biharm.mesh import max_edge_length
 from biharm.surfaces import (cap_case, cap_family, cylinder_case,
                              gen_cap_mesh, gen_icosphere, gen_schwarz_lantern,
@@ -13,6 +14,7 @@ from biharm.surfaces import (cap_case, cap_family, cylinder_case,
 
 from conftest import flat_case
 from fd_oracles import axial_laplacian_fd, polar_laplacian_fd
+from helpers import closest_point, exact_u
 
 
 def cap_point(theta, phi=0.0, radius=1.0):
@@ -24,19 +26,19 @@ def cap_point(theta, phi=0.0, radius=1.0):
 class TestClosestPoint:
     def test_sphere_radial(self):
         case = sphere_case(1.0, 2, 0)
-        assert case.closest_point(np.array([0.0, 0.0, 2.0])) == pytest.approx(
+        assert closest_point(case, np.array([0.0, 0.0, 2.0])) == pytest.approx(
             [0.0, 0.0, 1.0])
 
     def test_cylinder_cross_section(self):
         case = cylinder_case(1.0, 2.0)
-        p = case.closest_point(np.array([2.0, 0.0, 0.3]))
+        p = closest_point(case, np.array([2.0, 0.0, 0.3]))
         assert p == pytest.approx([1.0, 0.0, 0.3])
 
     def test_cylinder_keeps_height_beyond_rims(self):
         # The distance is that of the infinite cylinder, as the cap's is
         # that of the whole sphere.
         case = cylinder_case(1.0, 2.0)
-        p = case.closest_point(np.array([2.0, 0.0, 5.0]))
+        p = closest_point(case, np.array([2.0, 0.0, 5.0]))
         assert p == pytest.approx([1.0, 0.0, 5.0])
 
     def test_idempotent(self, rng):
@@ -44,25 +46,25 @@ class TestClosestPoint:
                  cylinder_case(1.0, 2.0)]
         for case in cases:
             pts = rng.normal(size=(1000, 3)) + np.array([0.5, 0.0, 0.0])
-            projected = case.closest_point(pts)
-            again = case.closest_point(projected)
+            projected = closest_point(case, pts)
+            again = closest_point(case, projected)
             assert np.max(np.abs(again - projected)) <= 1e-12
 
     def test_sphere_center_outside_reach(self):
         case = sphere_case(1.0, 2, 0)
         with pytest.raises(ValueError, match=r"p/\|p\| is undefined at the "
                                              r"origin \(0, 0, 0\)"):
-            case.closest_point(np.zeros(3))
+            closest_point(case, np.zeros(3))
 
     def test_cylinder_axis_outside_reach(self):
         case = cylinder_case(1.0, 2.0)
         with pytest.raises(ValueError, match="cylinder axis"):
-            case.closest_point(np.array([0.0, 0.0, 0.5]))
+            closest_point(case, np.array([0.0, 0.0, 0.5]))
 
     def test_normal_at_unit_length(self, rng):
         case = sphere_case(1.0, 2, 0)
-        pts = case.closest_point(rng.normal(size=(50, 3)))
-        normals = case.normal_at(pts)
+        pts = closest_point(case, rng.normal(size=(50, 3)))
+        normals = case.distance(pts)[1]
         assert np.linalg.norm(normals, axis=1) == pytest.approx(
             np.ones(50), abs=1e-12)
         assert normals == pytest.approx(pts, abs=1e-12)
@@ -101,7 +103,7 @@ class TestDistance:
 
     def test_closest_point_on_surface(self, surface):
         case, radius, pts = surface
-        d = case.distance(case.closest_point(pts))[0]
+        d = case.distance(closest_point(case, pts))[0]
         assert np.max(np.abs(d)) <= 1e-12 * radius
 
     def test_gradient_constant_along_normal_lines(self, surface, rng):
@@ -119,14 +121,21 @@ class TestLeadingShape:
     CASES = {"cap": cap_case(1.0, np.pi / 3.0),
              "cylinder": cylinder_case(1.0, 2.0),
              "sphere": sphere_case(1.0, 3, -2)}
+    # The case's three functions, and the fields read off them.
+    FIELDS = {"distance": lambda case, p: case.distance(p),
+              "closest_point": closest_point,
+              "normal_at": lambda case, p: case.distance(p)[1],
+              "solution": lambda case, p: case.solution(p),
+              "exact_u": lambda case, p: case.solution(p)[0],
+              "exact_grad_u": lambda case, p: case.solution(p)[1],
+              "exact_lap_u": lambda case, p: case.solution(p)[2],
+              "exact_f": lambda case, p: case.exact_f(p)}
 
-    @pytest.mark.parametrize("field", [
-        "distance", "closest_point", "normal_at", "solution", "exact_u",
-        "exact_grad_u", "exact_lap_u", "exact_f"])
+    @pytest.mark.parametrize("field", list(FIELDS))
     @pytest.mark.parametrize("kind", list(CASES))
     def test_grid_matches_rows_and_points(self, rng, kind, field):
         def evaluate(p):
-            value = getattr(self.CASES[kind], field)(p)
+            value = self.FIELDS[field](self.CASES[kind], p)
             return value if isinstance(value, tuple) else (value,)
 
         points = rng.normal(size=(5, 6, 3)) + np.array([0.5, 0.0, 0.0])
@@ -143,7 +152,7 @@ class TestCapCase:
     def test_pole_values(self):
         case = cap_case(1.0, np.pi / 3.0)
         pole = np.array([0.0, 0.0, 1.0])
-        assert case.exact_u(pole) == pytest.approx(0.25)
+        assert case.solution(pole)[0] == pytest.approx(0.25)
         assert case.exact_f(pole) == pytest.approx(20.0)
 
     def test_boundary_f_value(self):
@@ -155,8 +164,8 @@ class TestCapCase:
         case = cap_case(1.0, np.pi / 3.0)
         phis = rng.uniform(0.0, 2.0 * np.pi, size=100)
         pts = np.stack([cap_point(np.pi / 3.0, phi) for phi in phis])
-        assert np.max(np.abs(case.exact_u(pts))) <= 1e-10
-        grads = case.exact_grad_u(pts)
+        assert np.max(np.abs(case.solution(pts)[0])) <= 1e-10
+        grads = case.solution(pts)[1]
         assert np.max(np.abs(grads)) <= 1e-10
 
     def test_radius_scaling(self):
@@ -165,17 +174,17 @@ class TestCapCase:
         big = cap_case(2.0, np.pi / 3.0)
         p1 = cap_point(theta)
         p2 = cap_point(theta, radius=2.0)
-        assert big.exact_u(p2) == pytest.approx(unit.exact_u(p1))
-        assert big.exact_lap_u(p2) == pytest.approx(unit.exact_lap_u(p1) / 4.0)
+        assert big.solution(p2)[0] == pytest.approx(unit.solution(p1)[0])
+        assert big.solution(p2)[2] == pytest.approx(unit.solution(p1)[2] / 4.0)
         assert big.exact_f(p2) == pytest.approx(unit.exact_f(p1) / 16.0)
 
     def test_fd_oracle_laplacian(self):
         case = cap_case(1.0, np.pi / 3.0)
         thetas = np.linspace(0.2, np.pi / 3.0, 401)
         pts = np.stack([cap_point(t) for t in thetas])
-        g = case.exact_u(pts)
+        g = case.solution(pts)[0]
         lap_fd = polar_laplacian_fd(g, thetas)
-        lap_exact = case.exact_lap_u(pts)[2:-2]
+        lap_exact = case.solution(pts)[2][2:-2]
         scale = np.max(np.abs(lap_exact))
         assert np.max(np.abs(lap_fd - lap_exact)) <= 1e-6 * scale
 
@@ -183,7 +192,7 @@ class TestCapCase:
         case = cap_case(1.0, np.pi / 3.0)
         thetas = np.linspace(0.2, np.pi / 3.0, 401)
         pts = np.stack([cap_point(t) for t in thetas])
-        lap = case.exact_lap_u(pts)
+        lap = case.solution(pts)[2]
         f_fd = polar_laplacian_fd(lap, thetas)
         f_exact = case.exact_f(pts)[2:-2]
         scale = np.max(np.abs(f_exact))
@@ -202,8 +211,8 @@ class TestCylinderCase:
     def test_midplane_values(self):
         case = cylinder_case(1.0, 2.0)
         p = np.array([1.0, 0.0, 0.0])
-        assert case.exact_u(p) == pytest.approx(1.0)
-        assert case.exact_lap_u(p) == pytest.approx(4.0)
+        assert case.solution(p)[0] == pytest.approx(1.0)
+        assert case.solution(p)[2] == pytest.approx(4.0)
         assert case.exact_f(p) == pytest.approx(24.0)
 
     def test_f_constant(self, rng):
@@ -219,16 +228,16 @@ class TestCylinderCase:
             phis = rng.uniform(0.0, 2.0 * np.pi, size=100)
             pts = np.stack([np.cos(phis), np.sin(phis),
                             np.full(100, z)], axis=1)
-            assert np.max(np.abs(case.exact_u(pts))) <= 1e-10
-            assert np.max(np.abs(case.exact_grad_u(pts))) <= 1e-10
+            assert np.max(np.abs(case.solution(pts)[0])) <= 1e-10
+            assert np.max(np.abs(case.solution(pts)[1])) <= 1e-10
 
     def test_fd_oracle_laplacian(self):
         case = cylinder_case(1.0, 2.0)
         zs = np.linspace(-1.0, 1.0, 401)
         pts = np.stack([np.ones_like(zs), np.zeros_like(zs), zs], axis=1)
-        g = case.exact_u(pts)
+        g = case.solution(pts)[0]
         lap_fd = axial_laplacian_fd(g, zs)
-        lap_exact = case.exact_lap_u(pts)[2:-2]
+        lap_exact = case.solution(pts)[2][2:-2]
         scale = np.max(np.abs(lap_exact))
         assert np.max(np.abs(lap_fd - lap_exact)) <= 1e-6 * scale
 
@@ -236,7 +245,7 @@ class TestCylinderCase:
         case = cylinder_case(1.0, 2.0)
         zs = np.linspace(-1.0, 1.0, 401)
         pts = np.stack([np.ones_like(zs), np.zeros_like(zs), zs], axis=1)
-        lap = case.exact_lap_u(pts)
+        lap = case.solution(pts)[2]
         f_fd = axial_laplacian_fd(lap, zs)
         f_exact = case.exact_f(pts)[2:-2]
         assert np.max(np.abs(f_fd - f_exact)) <= 1e-4 * 24.0
@@ -254,16 +263,16 @@ class TestSphereCase:
     def test_degree_two_fields(self, rng):
         case = sphere_case(1.0, 2, 0)
         y = real_harmonic(2, 0)
-        pts = case.closest_point(rng.normal(size=(30, 3)))
+        pts = closest_point(case, rng.normal(size=(30, 3)))
         vals = y(pts)
-        assert case.exact_u(pts) == pytest.approx(vals / 36.0, abs=1e-13)
-        assert case.exact_lap_u(pts) == pytest.approx(vals / 6.0, abs=1e-13)
+        assert case.solution(pts)[0] == pytest.approx(vals / 36.0, abs=1e-13)
+        assert case.solution(pts)[2] == pytest.approx(vals / 6.0, abs=1e-13)
         assert case.exact_f(pts) == pytest.approx(vals, abs=1e-13)
 
     def test_degree_one_eigenrelation(self, rng):
         case = sphere_case(1.0, 1, 0)
-        pts = case.closest_point(rng.normal(size=(30, 3)))
-        assert case.exact_f(pts) == pytest.approx(4.0 * case.exact_u(pts))
+        pts = closest_point(case, rng.normal(size=(30, 3)))
+        assert case.exact_f(pts) == pytest.approx(4.0 * case.solution(pts)[0])
 
     def test_harmonic_zero_mean(self):
         mesh = gen_icosphere(4)
@@ -277,9 +286,9 @@ class TestSphereCase:
         case = sphere_case(1.0, 2, 1)
         thetas = np.linspace(0.3, np.pi - 0.3, 401)
         pts = np.stack([cap_point(t) for t in thetas])
-        g = case.exact_u(pts)
+        g = case.solution(pts)[0]
         lap_fd = polar_laplacian_fd(g, thetas, azimuthal_order=1)
-        lap_exact = case.exact_lap_u(pts)[2:-2]
+        lap_exact = case.solution(pts)[2][2:-2]
         scale = np.max(np.abs(lap_exact))
         assert np.max(np.abs(lap_fd - lap_exact)) <= 1e-6 * scale
 
@@ -292,11 +301,12 @@ class TestSphereCase:
         for degree, order in [(1, 1), (1, -1), (1, 0), (2, 1), (2, -1),
                               (3, 2), (4, -3), (5, 1)]:
             case = sphere_case(radius, degree, order)
+            u = exact_u(case)
             for pole in ([0.0, 0.0, radius], [0.0, 0.0, -radius]):
                 pole = np.array(pole)
-                fd = [(case.exact_u(pole + h * e) - case.exact_u(pole - h * e))
-                      / (2.0 * h) for e in np.eye(3)]
-                assert case.exact_grad_u(pole) == pytest.approx(
+                fd = [(u(pole + h * e) - u(pole - h * e)) / (2.0 * h)
+                      for e in np.eye(3)]
+                assert case.solution(pole)[1] == pytest.approx(
                     fd, abs=1e-7 * radius**3)
 
     def test_harmonic_matches_lpmv(self, rng):
@@ -577,8 +587,8 @@ class TestSchwarzLantern:
             mesh = gen_schwarz_lantern(n * n, n)
             case = cylinder_case(1.0, 2.0)
             centroids = mesh.vertices[mesh.faces].mean(axis=1)
-            on_surface = case.closest_point(centroids)
-            exact_normals = case.normal_at(on_surface)
+            on_surface = closest_point(case, centroids)
+            exact_normals = case.distance(on_surface)[1]
             cosines = np.sum(mesh.face_normals * exact_normals, axis=1)
             angles.append(np.max(np.arccos(np.clip(cosines, -1.0, 1.0))))
             kappas.append(inradius_ratios(mesh).min())
@@ -650,7 +660,7 @@ class TestRefinementFamilies:
         family = lantern_family("quadratic", [4, 8, 16])
         for n, mesh in family.meshes():
             centroids = mesh.vertices[mesh.faces].mean(axis=1)
-            normals = case.normal_at(case.closest_point(centroids))
+            normals = case.distance(closest_point(case, centroids))[1]
             cosines = np.sum(mesh.face_normals * normals, axis=1)
             angles = np.arccos(np.clip(cosines, -1.0, 1.0))
             tilt = np.arctan(n * n * (1.0 - np.cos(np.pi / n)) / 2.0)
@@ -660,9 +670,27 @@ class TestRefinementFamilies:
 
     def test_lantern_level_too_small(self):
         with pytest.raises(ValueError, match="quadratic.*got 2"):
-            lantern_family("quadratic", [2]).build(2)
+            lantern_family("quadratic", [2])
         with pytest.raises(ValueError, match="linear.*got 1"):
-            lantern_family("linear", [1]).build(1)
+            lantern_family("linear", [1])
+
+    @pytest.mark.parametrize("make, generator, message", [
+        (lambda: cap_family(np.pi / 3.0, [8, 16, 1]), "gen_cap_mesh",
+         "need at least 2 rings, got 1"),
+        (lambda: sphere_family(2, 0, [1, 2, -1]), "gen_icosphere",
+         "subdivisions must be >= 0, got -1"),
+        (lambda: lantern_family("quadratic", [4, 8, 2]),
+         "gen_schwarz_lantern",
+         "quadratic lantern level n must be at least 3, got 2"),
+    ], ids=["cap", "sphere", "lantern"])
+    def test_bad_level_raises_before_any_mesh(self, monkeypatch, make,
+                                              generator, message):
+        built = []
+        monkeypatch.setattr(surfaces, generator,
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=message):
+            make()
+        assert built == []
 
     def test_bad_coupling(self):
         with pytest.raises(ValueError, match="coupling must be linear or "

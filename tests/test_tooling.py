@@ -3,11 +3,13 @@ into an error, still lets pytest report a failing test in full; the
 package raises ValueError for bad input and defines exception classes
 only for the numerical failures a caller catches; no module of the
 package imports another's private name or reads another object's
-private attribute; and every test of a ValueError checks which one it
-got."""
+private attribute; every public method of the package is read by the
+package, a demo or the benchmark; and every test of a ValueError checks
+which one it got."""
 
 import ast
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -77,6 +79,29 @@ def test_no_module_reads_a_private_attribute_of_another_object():
             and not (isinstance(node.value, ast.Name)
                      and node.value.id == "self")]
     assert read == []
+
+
+def attribute_reads(tree):
+    """How often each name is read as ``.name`` in ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def test_every_public_method_is_read_outside_its_class():
+    # A method that only the tests call is test code: it belongs in
+    # tests/helpers.py, not in the package.
+    reads = sum((attribute_reads(tree) for directory in
+                 ("src/biharm", "demos", "benchmark")
+                 for _, tree in parsed(directory)), Counter())
+    unread = [f"{path.name}:{node.lineno}: {cls.name}.{node.name}"
+              for path, tree in parsed("src/biharm")
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")
+              and reads[node.name] == attribute_reads(cls)[node.name]]
+    assert unread == []
 
 
 def test_every_value_error_test_checks_its_message():
