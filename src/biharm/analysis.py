@@ -27,8 +27,7 @@ from .biharmonic import solve_mixed
 from .fem import interpolate, nodal_field, p1_gradients
 from .linalg import DEFAULT_TOL, NotConvergedError, SingularError
 from .mesh import circumradius_ratios, inradius_ratios, max_edge_length
-from .surfaces import (LANTERN_COUPLINGS, SurfaceCase, cylinder_case,
-                       gen_schwarz_lantern)
+from .surfaces import SurfaceCase, lantern_family
 
 
 # The columns of the level table: those naming a level, the error norms
@@ -101,9 +100,6 @@ class RateFit(namedtuple("RateFit", ("slope", "residual"))):
     residual of the fit."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        return f"RateFit(slope={self.slope:.3f}, residual={self.residual:.3f})"
 
 
 class ConvergenceReport(namedtuple(
@@ -395,12 +391,12 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
                               tol=DEFAULT_TOL):
     """Cylinder case whose reference fields come from a fine solve.
 
-    Solves the clamped problem with the constant load of
-    :func:`~biharm.surfaces.cylinder_case` on the fine shape-regular
-    lantern of the linear coupling at level n_ref and exposes the
-    discrete u1, its chart gradient and the discrete u2 as the "exact"
-    fields of a new SurfaceCase, whose signed distance and load are the
-    cylinder case's.
+    Solves the clamped problem with the constant load of the cylinder
+    case on level n_ref of the shape-regular linear lantern family
+    (:func:`~biharm.surfaces.lantern_family`), n_ref + 1 rings of 2 n_ref
+    vertices, and exposes the discrete u1, its chart gradient and the
+    discrete u2 as the "exact" fields of a new SurfaceCase, whose signed
+    distance and load are the family's.
     This mirrors measuring errors against a numerically computed
     high-resolution solution instead of the manufactured one.
 
@@ -415,9 +411,10 @@ def lantern_highres_reference(radius=1.0, height=2.0, n_ref=128,
     -------
     SurfaceCase
     """
-    base = cylinder_case(radius, height)
-    m_ref, n_ref = LANTERN_COUPLINGS["linear"][0](int(n_ref))
-    fine = gen_schwarz_lantern(m_ref, n_ref, radius, height)
+    family = lantern_family("linear", [n_ref], radius, height)
+    base, n_ref = family.case, family.levels[0]
+    fine = family.build(n_ref)
+    m_ref = fine.n_vertices // (n_ref + 1)
     sol = solve_mixed(fine, interpolate(fine, base.exact_f), tol=tol)
 
     # Vertex j m + k is vertex k of ring j.

@@ -34,6 +34,8 @@ identities apart by :func:`~biharm.linalg.check_residual`, so ``tol``
 does not depend on the unit of length, and reports the larger residual.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .fem import (MeshOperators, assemble_boundary_mass, assemble_mass,
@@ -47,7 +49,8 @@ from .mesh import component_labels
 _DTN_SHIFT = 10.0
 
 
-class MixedSolution:
+class MixedSolution(namedtuple("MixedSolution",
+                               "u1 u2 solve_report f_mean_removed")):
     """Solution pair of the discrete mixed biharmonic problem.
 
     Attributes
@@ -59,20 +62,12 @@ class MixedSolution:
         semidefinite convention), unconstrained on the boundary.
     solve_report : SolveReport
         Worst-case report over the underlying linear solves.
-    mass_mode : str
-        "consistent" or "lumped".
     f_mean_removed : float
-        M-weighted mean subtracted from f on closed surfaces (0 for
-        meshes with boundary).
+        M-weighted mean subtracted from f, the one change the solve
+        makes to its load (0 on meshes with boundary).
     """
 
-    def __init__(self, u1, u2, solve_report, mass_mode,
-                 f_mean_removed=0.0):
-        self.u1 = u1
-        self.u2 = u2
-        self.solve_report = solve_report
-        self.mass_mode = mass_mode
-        self.f_mean_removed = float(f_mean_removed)
+    __slots__ = ()
 
 
 def _check_field(mesh, f):
@@ -215,4 +210,4 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
                              load[ops.interior], tol, "first " + what),
               check_residual(ops.stiffness @ u1, rhs, tol, "second " + what))
     return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
-                         mass_mode, f_mean_removed=mean)
+                         mean)

@@ -7,6 +7,8 @@ the stiffness of every closed mesh.  A factor's accuracy is not checked
 here: callers verify each equation they solve by :func:`check_residual`.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -20,7 +22,8 @@ class SingularError(RuntimeError):
     """The system matrix is singular (or numerically so)."""
 
 
-class SolveReport:
+class SolveReport(namedtuple("SolveReport",
+                             "method iterations relative_residual")):
     """Outcome of a linear solve.
 
     Attributes
@@ -37,15 +40,7 @@ class SolveReport:
         checked, each recomputed from the returned solution.
     """
 
-    def __init__(self, method, iterations, relative_residual):
-        self.method = method
-        self.iterations = int(iterations)
-        self.relative_residual = float(relative_residual)
-
-    def __repr__(self):
-        return (f"SolveReport(method={self.method!r}, "
-                f"iterations={self.iterations}, "
-                f"relative_residual={self.relative_residual:.3e})")
+    __slots__ = ()
 
 
 # Default relative residual target of every solve.
@@ -175,12 +170,11 @@ def nested_dissection(matrix, points):
     return np.argsort(key, kind="stable")
 
 
-class _PermutedFactor:
-    """SuperLU factor of P A P^T that solves with A itself."""
+class _PermutedFactor(namedtuple("_PermutedFactor", "lu perm")):
+    """SuperLU factor ``lu`` of P A P^T, P the ordering ``perm``, that
+    solves with A itself."""
 
-    def __init__(self, lu, perm):
-        self.lu = lu
-        self.perm = perm
+    __slots__ = ()
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)

@@ -9,6 +9,7 @@ inconsistent orientation and unreferenced vertices, and caches the
 per-face geometry that the finite element assembly needs.
 """
 
+from collections import namedtuple
 from itertools import compress
 import re
 
@@ -22,18 +23,21 @@ from scipy.sparse.csgraph import connected_components
 _DEGENERATE_REL_AREA = 1e-14
 
 
-class TriMesh:
+class TriMesh(namedtuple("TriMesh", (
+        "vertices", "faces", "edges", "face_edges", "boundary_edges",
+        "boundary_vertices", "face_areas", "face_normals",
+        "face_edge_lengths", "face_cotangents"))):
     """Validated triangle mesh with cached per-face geometry.
 
-    Use :func:`build_mesh` to construct one; the constructor assumes the
-    input already passed validation.
+    Use :func:`build_mesh` to construct one: it validates the input and
+    makes every array read-only.
 
     Attributes
     ----------
     vertices : ndarray, shape (n, 3)
-        Vertex positions (read-only).
+        Vertex positions.
     faces : ndarray, shape (F, 3)
-        Vertex indices per face, counterclockwise (read-only).
+        Vertex indices per face, counterclockwise.
     edges : ndarray, shape (E, 2)
         Unique undirected edges, each row sorted ascending, the rows
         sorted too.
@@ -54,23 +58,7 @@ class TriMesh:
         Cotangent of the interior angle at corner k of face i.
     """
 
-    def __init__(self, vertices, faces, edges, face_edges, boundary_edges,
-                 boundary_vertices, face_areas, face_normals,
-                 face_edge_lengths, face_cotangents):
-        self.vertices = vertices
-        self.faces = faces
-        self.edges = edges
-        self.face_edges = face_edges
-        self.boundary_edges = boundary_edges
-        self.boundary_vertices = boundary_vertices
-        self.face_areas = face_areas
-        self.face_normals = face_normals
-        self.face_edge_lengths = face_edge_lengths
-        self.face_cotangents = face_cotangents
-        for arr in (vertices, faces, edges, face_edges, boundary_edges,
-                    boundary_vertices, face_areas, face_normals,
-                    face_edge_lengths, face_cotangents):
-            arr.setflags(write=False)
+    __slots__ = ()
 
     @property
     def n_vertices(self):
@@ -241,9 +229,12 @@ def build_mesh(vertices, faces):
     else:
         boundary_vertices = np.empty(0, dtype=np.int64)
 
-    return TriMesh(vertices, faces, edges, face_edges.reshape(faces.shape),
+    mesh = TriMesh(vertices, faces, edges, face_edges.reshape(faces.shape),
                    boundary_edges, boundary_vertices, areas, normals, lengths,
                    cots)
+    for array in mesh:
+        array.setflags(write=False)
+    return mesh
 
 
 def component_labels(mesh):

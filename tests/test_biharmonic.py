@@ -68,7 +68,19 @@ class TestDirichlet:
                               mass_mode=mode)
             assert np.all(sol.u1 == 0.0)
             assert np.all(sol.u2 == 0.0)
-            assert sol.mass_mode == mode
+
+    def test_solution_is_frozen_plain_data(self, rng):
+        mesh = gen_cap_mesh(np.pi / 3.0, 3)
+        sol = solve_mixed(mesh, rng.normal(size=mesh.n_vertices))
+        report = sol.solve_report
+        assert report.method == "condensed_cg"
+        assert type(report.iterations) is int and report.iterations > 0
+        assert type(report.relative_residual) is float
+        assert type(sol.f_mean_removed) is float
+        with pytest.raises(AttributeError):
+            sol.u1 = np.zeros(mesh.n_vertices)
+        with pytest.raises(AttributeError):
+            report.iterations = 0
 
     def test_matches_dense_oracle(self, rng):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
@@ -309,7 +321,6 @@ class TestClosed:
             for _ in range(3):
                 f = rng.normal(size=n)
                 sol = solve_mixed(mesh, f, mass_mode=mode)
-                assert sol.mass_mode == mode
                 u2 = poisson(m @ f)
                 u1 = poisson(mass @ u2)
                 for got, want in ((sol.u1, u1), (sol.u2, u2)):

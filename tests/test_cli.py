@@ -557,6 +557,8 @@ class TestInputErrors:
          "got '8,x'"),
         (["solve", "--case", "cap", "--rhs", "const:abc"], None,
          "bad constant right-hand side 'const:abc'"),
+        (["solve", "--case", "cap", "--n", "8", "--rhs", "const:nan"], None,
+         "right-hand side contains non-finite entries"),
         (["solve", "--case", "cap", "--rhs", "harmonic:2"], None,
          "harmonic right-hand side must be harmonic:l,m, got 'harmonic:2'"),
         (["solve"], None, "solve needs --mesh FILE or --case KIND"),
@@ -604,7 +606,7 @@ class TestInputErrors:
           "1e160"], None, "face 0 has an area or edge length beyond float64"),
     ], ids=["config-array", "levels-without-case", "coupling-cubic",
             "mass-mode-diag", "levels-not-integers", "rhs-const-abc",
-            "rhs-harmonic-one-index", "solve-without-input",
+            "rhs-const-nan", "rhs-harmonic-one-index", "solve-without-input",
             "solve-mesh-without-rhs", "converge-without-case",
             "quality-mesh-without-case", "quality-without-input",
             "solve-cap-level-below-2", "converge-quadratic-level-below-3",
@@ -630,6 +632,20 @@ class TestInputErrors:
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("theta0", ["0", "3.141592653589793"])
+    def test_cap_angle_rejected_before_any_mesh(self, tmp_path, capsys,
+                                                monkeypatch, theta0):
+        def gen_cap_mesh(*args):
+            raise AssertionError("a cap mesh was built")
+
+        monkeypatch.setattr(surfaces, "gen_cap_mesh", gen_cap_mesh)
+        out = tmp_path / "out"
+        code = main(["solve", "--case", "cap", "--n", "4", "--theta0",
+                     theta0, "--out", str(out)])
+        assert code == 2
+        assert (capsys.readouterr().err == f"error: opening angle must lie "
+                f"in (0, pi), got {float(theta0)}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["solve", "--case", "cap", "--n", "1000000000000"],

@@ -199,10 +199,29 @@ class TestBuildMesh:
                                  r"\(2 unreferenced vertices\)"):
             build_mesh(verts, faces)
 
+    @pytest.mark.parametrize("vertices, faces, message", [
+        (np.zeros((3, 2)), [[0, 1, 2]], r"vertices must have shape \(n, 3\)"),
+        (np.eye(4, 3), [[0, 1, 2, 3]], r"faces must have shape \(F, 3\)"),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, np.nan, 0.0]],
+         [[0, 1, 2]], "vertex coordinates must be finite"),
+    ], ids=["vertices-2d", "quad-face", "nan-coordinate"])
+    def test_malformed_input_rejected(self, vertices, faces, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_mesh(vertices, faces)
+
     def test_immutable(self):
         mesh = single_triangle()
         with pytest.raises(ValueError, match="read-only"):
             mesh.vertices[0, 0] = 5.0
+        assert not any(array.flags.writeable for array in mesh)
+        # A validated array cannot be swapped for another either.
+        with pytest.raises(AttributeError):
+            mesh.vertices = np.zeros((3, 3))
+
+    def test_repr(self):
+        assert (repr(single_triangle())
+                == "TriMesh(3 vertices, 1 faces, bounded)")
+        assert repr(tetrahedron()) == "TriMesh(4 vertices, 4 faces, closed)"
 
 
 class TestTriangleGeometry:

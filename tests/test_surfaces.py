@@ -359,6 +359,13 @@ class TestSphereCase:
 
 
 class TestCapMesh:
+    @pytest.mark.parametrize("theta0, shown", [(0.0, "0.0"),
+                                               (np.pi, "3.14159")])
+    def test_invalid_angle(self, theta0, shown):
+        with pytest.raises(ValueError, match=r"opening angle must lie in "
+                                             rf"\(0, pi\), got {shown}"):
+            gen_cap_mesh(theta0, 4)
+
     def test_matches_ring_by_ring_stitching(self):
         # Reference: each ring built on its own, ring pairs stitched by
         # walking both rings' next angles, the outer ring first on ties.

@@ -4,7 +4,8 @@ package raises ValueError for bad input and defines exception classes
 only for the numerical failures a caller catches; no module of the
 package imports another's private name or reads another object's
 private attribute; every public method of the package is read by the
-package, a demo or the benchmark; and every test of a ValueError checks
+package, a demo or the benchmark; a class whose constructor only stores
+its arguments is a namedtuple; and every test of a ValueError checks
 which one it got."""
 
 import ast
@@ -102,6 +103,28 @@ def test_every_public_method_is_read_outside_its_class():
               and not node.name.startswith("_")
               and reads[node.name] == attribute_reads(cls)[node.name]]
     assert unread == []
+
+
+def stores_self_attributes(statement):
+    """Whether ``statement`` only assigns to attributes of ``self``."""
+    return (isinstance(statement, ast.Assign)
+            and all(isinstance(target, ast.Attribute)
+                    and base_name(target.value) == "self"
+                    for target in statement.targets))
+
+
+def test_records_are_namedtuples():
+    # A constructor that only stores its arguments writes each field name
+    # three times; a namedtuple writes it once and freezes it.
+    records = [f"{path.name}:{node.lineno}: {cls.name}"
+               for path, tree in parsed("src/biharm")
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "__init__"
+               and (body := node.body[ast.get_docstring(node) is not None:])
+               and all(map(stores_self_attributes, body))]
+    assert records == []
 
 
 def test_every_value_error_test_checks_its_message():
