@@ -35,6 +35,7 @@ does not depend on the unit of length, and reports the larger residual.
 """
 
 from collections import namedtuple
+import math
 
 import numpy as np
 
@@ -70,11 +71,15 @@ class MixedSolution(namedtuple("MixedSolution",
     __slots__ = ()
 
 
-def _check_field(mesh, f):
-    f = nodal_field(mesh, f)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("right-hand side contains non-finite entries")
-    return f
+def _scaled_back(name, u, exponent):
+    """``u`` 2^``exponent``; ValueError if its largest entry, not zero,
+    would leave the normal float64 range."""
+    info = np.finfo(float)
+    top = math.frexp(np.abs(u).max(initial=0.0))[1] + exponent
+    if np.any(u) and not info.minexp < top <= info.maxexp:
+        raise ValueError(f"{name} of the solve is about 2^{top}, outside "
+                         f"the normal float64 range")
+    return np.ldexp(u, exponent)
 
 
 def _check_components(mesh):
@@ -102,10 +107,10 @@ def _condensed_clamped(ops, mass, load, tol):
     second u1 = solve(M u2), and its boundary rows the nb x nb symmetric
     positive definite system E^T M E lam = -E^T M u2_0.  Each CG step
     makes two Poisson solves for the product and one for the
-    preconditioner S_B E + (10 / |Gamma|) M_Gamma: the Dirichlet-to-
-    Neumann map plus the boundary-curve mass over the boundary length,
-    both unchanged when the mesh is scaled.  On a closed mesh there is
-    no lam, and u2 is the first Poisson solve.
+    preconditioner S_B E + (``_DTN_SHIFT`` / |Gamma|) M_Gamma: the
+    Dirichlet-to-Neumann map plus the boundary-curve mass over the
+    boundary length, both unchanged when the mesh is scaled.  On a
+    closed mesh there is no lam, and u2 is the first Poisson solve.
 
     The first identity (S u2)_I = (M f)_I and the interior rows of the
     second, S u1 = M u2, hold up to the accuracy of the Poisson solve;
@@ -161,7 +166,10 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     their right-hand sides taken through the bundle's constant rule, are
     then recomputed from S and checked to ``tol`` by
     :func:`check_residual`.  A mesh without interior vertices has the
-    solution u1 = u2 = 0.
+    solution u1 = u2 = 0.  The solve runs in units of 2^k and 2^j, the
+    mesh's largest coordinate extent and max|f| rounded up to powers of
+    two, on M 2^-2k and f 2^-j (S is unit-free), and scales u1 by
+    2^(4k+j), u2 by 2^(2k+j) and ``f_mean_removed`` by 2^j back exactly.
 
     Parameters
     ----------
@@ -187,7 +195,8 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     ------
     ValueError
         If the mesh has more than one connected component and one of
-        them has no boundary vertices.
+        them has no boundary vertices, or if u1 or u2, not zero, has a
+        largest entry outside the normal float64 range.
     SingularError
         If the interior stiffness S_II, or the coarsest multilevel
         matrix of a closed mesh, cannot be factored.
@@ -195,10 +204,17 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
         If the boundary CG or either identity misses ``tol``.
     """
     _check_components(mesh)
-    f = _check_field(mesh, f)
+    f = nodal_field(mesh, f)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("right-hand side contains non-finite entries")
+    k = math.frexp(max(map(np.ptp, mesh.vertices.T)))[1]
+    j = math.frexp(np.abs(f).max(initial=0.0))[1]
     ops = MeshOperators(mesh, tol)
+    # In place: the bundle is this solve's own, and M 1 enters only ratios.
+    np.ldexp(ops.mass.data, -2 * k, out=ops.mass.data)
     mass = (ops.mass if mass_mode == "consistent"
-            else assemble_mass(mesh, mass_mode))
+            else assemble_mass(mesh, mass_mode) * math.ldexp(1.0, -2 * k))
+    f = np.ldexp(f, -j)
     mean = ops.mean(f)
     load = ops.project(ops.mass @ (f - mean))
     u2, iterations = _condensed_clamped(ops, mass, load, tol)
@@ -209,5 +225,7 @@ def solve_mixed(mesh, f, tol=DEFAULT_TOL, mass_mode="consistent"):
     res = max(check_residual((ops.stiffness @ u2)[ops.interior],
                              load[ops.interior], tol, "first " + what),
               check_residual(ops.stiffness @ u1, rhs, tol, "second " + what))
-    return MixedSolution(u1, u2, SolveReport("condensed_cg", iterations, res),
-                         mean)
+    return MixedSolution(_scaled_back("u1", u1, 4 * k + j),
+                         _scaled_back("u2", u2, 2 * k + j),
+                         SolveReport("condensed_cg", iterations, res),
+                         math.ldexp(mean, j))

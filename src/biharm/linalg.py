@@ -47,23 +47,12 @@ class SolveReport(namedtuple("SolveReport",
 DEFAULT_TOL = 1e-10
 
 
-def _square_underflows(tol, norm):
-    """Whether (``tol`` ``norm``)^2 is below the smallest normal float64."""
-    with np.errstate(over="ignore"):
-        return (tol * norm) ** 2 < np.finfo(float).tiny
-
-
 def check_residual(lhs, rhs, tol, what):
     """Return the relative residual |lhs - rhs| / max(|lhs|, |rhs|, tiny)
     of the equation ``what``, raising NotConvergedError if it exceeds
-    ``tol`` or is not finite, or if the square of ``tol`` times the
-    larger finite side, not zero, underflows float64.  Both sides carry
-    one unit, so the residual does not depend on the unit of length."""
-    norms = (np.linalg.norm(lhs), np.linalg.norm(rhs))
-    if (np.all(np.isfinite(norms)) and (np.any(lhs) or np.any(rhs))
-            and _square_underflows(tol, max(norms))):
-        raise NotConvergedError(f"{what} underflowed float64")
-    scale = max(*norms, 1e-300)
+    ``tol`` or is not finite.  Both sides carry one unit, so the
+    residual does not depend on the unit of length."""
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
     res = float(np.linalg.norm(lhs - rhs) / scale)
     if not res <= tol:
         raise NotConvergedError(
@@ -244,24 +233,12 @@ def pcg(apply, b, precondition, tol, scale_by, what):
     :func:`check_residual` gives the equation it builds from x.
     NotConvergedError names ``what`` after ``_CG_MAXITER`` steps, at a
     non-finite residual, ``_CG_STALL`` steps after the smallest one, or
-    as soon as its arithmetic overflows or underflows float64: the square
-    of that stopping residual below the smallest normal float64, or an
-    r.z or p.Ap, positive in exact arithmetic, rounded to zero."""
-    try:
-        with np.errstate(over="raise", invalid="ignore"):
-            return _cg(apply, b, precondition, 0.01 * tol, scale_by, what)
-    except FloatingPointError:
-        raise NotConvergedError(f"{what} overflowed float64") from None
-
-
-def _cg(apply, b, precondition, target, scale_by, what):
-    """The loop of :func:`pcg`.  Sums are pairwise ``np.sum``: a BLAS dot
-    rounds by the OpenBLAS thread count."""
+    when a step breaks down: r.z or p.Ap, positive in exact arithmetic,
+    is zero.  Sums are pairwise ``np.sum``: a BLAS dot rounds by the
+    OpenBLAS thread count."""
+    target = 0.01 * tol
     x, r, p, rz_old = np.zeros_like(b), b.copy(), 0.0, 1.0
-    scale = np.sqrt(np.sum(scale_by * scale_by))
-    if np.any(scale_by) and _square_underflows(target, scale):
-        raise NotConvergedError(f"{what} underflowed float64")
-    scale = max(scale, 1e-300)
+    scale = max(np.sqrt(np.sum(scale_by * scale_by)), 1e-300)
     best, best_at = np.inf, 0
     for iterations in range(_CG_MAXITER + 1):
         res = np.sqrt(np.sum(r * r)) / scale
@@ -281,7 +258,9 @@ def _cg(apply, b, precondition, target, scale_by, what):
         q = apply(p)
         pq = np.sum(p * q)
         if not (rz and pq):
-            raise NotConvergedError(f"{what} underflowed float64")
+            raise NotConvergedError(
+                f"{what} broke down at iteration {iterations}: r.z or p.Ap "
+                f"is zero")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q

@@ -64,16 +64,16 @@ def _dimension(name, value):
 
 def _radius(value):
     """R, if 0 < R < inf, and R^4, the scale of the cap's load and the
-    sphere's solution, if that is a finite normal float64 too (R from
-    about 1.22e-77 to 1.16e77)."""
+    sphere's solution, if R^4 and 64 / R^4 are finite too (R from about
+    2.44e-77 to 1.16e77): the cap's load is at most 56 / R^4 in size."""
     radius = _dimension("radius", value)
     power = (radius * radius) * (radius * radius)
     if power == np.inf:
         raise ValueError(
             f"radius {radius:g} is too large: R^4 overflows float64")
-    if power < np.finfo(float).tiny:
+    if power < 64.0 / np.finfo(float).max:
         raise ValueError(
-            f"radius {radius:g} is too small: R^4 underflows float64")
+            f"radius {radius:g} is too small: 64 / R^4 overflows float64")
     return radius, power
 
 
@@ -113,7 +113,7 @@ def cap_case(radius, theta0):
     Parameters
     ----------
     radius : float
-        Sphere radius R > 0 with R^4 a finite normal float64.
+        Sphere radius R > 0 with R^4 and 64 / R^4 finite.
     theta0 : float
         Polar opening angle, 0 < theta0 < pi.
 
@@ -155,7 +155,7 @@ def cylinder_case(radius, height):
     semidefinite convention.  The signed distance is that of the
     infinite cylinder, d = rho - R with rho the distance to the axis, so
     the closest point of any point off the axis keeps its height z.
-    R^4 must be a finite normal float64, as for the cap and the sphere.
+    R^4 and 64 / R^4 must be finite, as for the cap and the sphere.
 
     Returns
     -------

@@ -246,6 +246,27 @@ class TestCondensedDirichlet:
                     assert (np.linalg.norm(got - want)
                             <= 1e-8 * np.linalg.norm(want)), scale
 
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: gen_cap_mesh(np.pi / 3.0, 32), lambda: gen_icosphere(4),
+        lambda: gen_schwarz_lantern(40, 20),
+    ], ids=["cap", "icosphere", "lantern"])
+    def test_power_of_two_scaling_is_exact(self, mesh_fn):
+        # The solve runs in a power-of-two unit of length and of load,
+        # so scaling the mesh by 2^k and the load by 2^j scales u2 by
+        # 2^(2k+j) and u1 by 2^(4k+j) bit for bit, even where the
+        # products of the caller's unit leave the float64 range.
+        mesh = mesh_fn()
+        f = np.random.default_rng(7).normal(size=mesh.n_vertices)
+        base = solve_mixed(mesh, f)
+        for k in (-200, -60, 60, 200):
+            scaled = build_mesh(np.ldexp(mesh.vertices, k), mesh.faces)
+            for j in (-100, 0, 100):
+                sol = solve_mixed(scaled, np.ldexp(f, j))
+                assert np.array_equal(sol.u1, np.ldexp(base.u1, 4 * k + j))
+                assert np.array_equal(sol.u2, np.ldexp(base.u2, 2 * k + j))
+                assert sol.f_mean_removed == np.ldexp(base.f_mean_removed, j)
+                assert sol.solve_report == base.solve_report, (k, j)
+
     def test_failed_boundary_cg_names_solve(self, monkeypatch):
         monkeypatch.setattr(linalg, "_CG_MAXITER", 5)
         mesh = gen_cap_mesh(np.pi / 3.0, 8)

@@ -179,52 +179,54 @@ class TestSolve:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
-    @pytest.mark.parametrize("case, radius", [
-        ("lantern", "1e77"), ("sphere", "1e60"), ("lantern", "1e37"),
-    ], ids=["lantern-scale", "sphere-scale", "lantern-step"])
-    def test_overflowing_solve_exit_3(self, tmp_path, capsys, case, radius):
-        # Squares of the load overflow float64 in the CG scale and first
-        # residual, or in a step's dot product at R = 1e37.
-        code = main(["solve", "--case", case, "--R", radius,
-                     "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert "overflowed float64" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("args, what", [
-        (["sphere", "--n", "3", "--R", "1e-40"],
-         "multilevel CG of the 642 x 642 stiffness solve"),
-        (["lantern", "--R", "1e-33", "--H", "2e-33"],
-         "boundary CG of the clamped solve on 64 boundary dofs of 544"),
-    ], ids=["sphere-scale", "lantern-step"])
-    def test_underflowing_solve_exit_3(self, tmp_path, capsys, args, what):
-        # u1 is about 1e-162 on the sphere at R = 1e-40: the squares of
-        # the second Poisson solve's load underflow, where CG used to
-        # stop at once with u1 = 0.  On the lantern at R = 1e-33 a step's
-        # p.Ap rounds to zero, where CG used to divide by it.
+    @pytest.mark.parametrize("args, max_u1", [
+        (["lantern", "--R", "1e77"], "2.20213e+302"),
+        (["sphere", "--R", "1e60"], "2.71566e+238"),
+        (["lantern", "--R", "1e37"], "2.20213e+142"),
+        (["sphere", "--n", "3", "--R", "1e-36"], "2.71566e-146"),
+        (["sphere", "--n", "3", "--R", "1e-40"], "2.71566e-162"),
+        (["lantern", "--R", "1e-33", "--H", "2e-33"], "1.00297e-132"),
+    ], ids=["lantern-1e77", "sphere-1e60", "lantern-1e37", "sphere-1e-36",
+            "sphere-1e-40", "lantern-1e-33"])
+    def test_extreme_radius_solves(self, tmp_path, capsys, args, max_u1):
+        # The solve runs in a power-of-two unit, so u1 is the R = 1
+        # solution times R^4 wherever that is a normal float64.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["solve", "--case", *args,
                          "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            f"numerical failure: {what} underflowed float64\n")
+        assert code == 0
+        assert f"max|u1| = {max_u1}," in capsys.readouterr().out
         assert caught == []
 
-    def test_underflowing_mesh_exit_3(self, tmp_path, capsys):
-        # The boundary CG of a cap scaled by 2^-130 used to divide by a
-        # zero dot product.
+    @pytest.mark.parametrize("exponent, rhs, code, message", [
+        (-130, "const:1", 0, None),
+        (-200, "const:1e-300", 2, "error: u1 of the solve is about "
+         "2^-1802, outside the normal float64 range\n"),
+        (200, "const:1e300", 2, "error: u1 of the solve is about "
+         "2^1791, outside the normal float64 range\n"),
+    ], ids=["tiny-cap", "u1-below-range", "u1-above-range"])
+    def test_scaled_mesh_solves_or_names_field(self, tmp_path, capsys,
+                                               exponent, rhs, code,
+                                               message):
+        # u1 of a cap scaled by 2^-200 under a load of 1e-300 is about
+        # 1e-541, beyond float64: it must not come out as exact zeros.
         mesh = surfaces.gen_cap_mesh(np.pi / 3.0, 16)
         path = tmp_path / "cap.obj"
-        write_obj(build_mesh(mesh.vertices * 2.0 ** -130, mesh.faces), path)
+        write_obj(build_mesh(mesh.vertices * 2.0 ** exponent, mesh.faces),
+                  path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
-                         "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: boundary CG of the clamped solve on 96 "
-            "boundary dofs of 817 underflowed float64\n")
+            got = main(["solve", "--mesh", str(path), "--rhs", rhs,
+                        "--out", str(tmp_path / "out")])
+        assert got == code
         assert caught == []
+        if message is None:
+            u1 = read_solution_csv(tmp_path / "out" / "solution.csv")[0]
+            assert 0.0 < np.max(np.abs(u1)) < np.inf
+        else:
+            assert capsys.readouterr().err == message
+            assert not (tmp_path / "out").exists()
 
 
 class TestDimensions:
@@ -247,8 +249,10 @@ class TestDimensions:
 
     @pytest.mark.parametrize("radius, message", [
         ("1e78", "radius 1e+78 is too large: R^4 overflows float64"),
-        ("1e-78", "radius 1e-78 is too small: R^4 underflows float64"),
-    ], ids=["large", "small"])
+        ("1e-78", "radius 1e-78 is too small: 64 / R^4 overflows float64"),
+        ("1.3e-77",
+         "radius 1.3e-77 is too small: 64 / R^4 overflows float64"),
+    ], ids=["large", "small", "load-bound"])
     @pytest.mark.parametrize("case", ["cap", "sphere", "lantern"])
     def test_radius_with_r4_beyond_float64_exit_2(self, tmp_path, capsys,
                                                    case, radius, message):
