@@ -10,7 +10,6 @@ per-face geometry that the finite element assembly needs.
 """
 
 from collections import namedtuple
-from itertools import compress
 import re
 
 import numpy as np
@@ -275,42 +274,12 @@ def circumradius_ratios(mesh):
     return circum / mesh.face_edge_lengths.max(axis=1)
 
 
-# Whitespace as str.split() sees it, except the line break "\n".
-_BLANKS = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
-           "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029"
-           "\u202f\u205f\u3000")
-_BLANK_CODES = np.array([ord(c) for c in _BLANKS], dtype=np.uint32)
 # The "/t/n" texture and normal references after a face's vertex index.
 # A token that starts with "/" keeps it and so fails to parse, as the
 # empty index in front of it does.
 _INDEX_SUFFIX = re.compile(r"(?<=[^\s/])/\S*")
 # Rows formatted per write in write_rows.
 _WRITE_BLOCK_ROWS = 4096
-
-
-def _record_lines(text):
-    """The ``v`` lines and the ``f`` lines of OBJ text, in file order.
-
-    A line is a record of the kind named by its first whitespace
-    separated token, the token ``line.split()[0]`` gives.  Lines are
-    classified on the array of code points, not one by one in Python.
-    """
-    lines = text.split("\n")
-    text += "\n"
-    # One array entry per character: bytes when they are all ASCII.
-    if text.isascii():
-        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    ends = np.flatnonzero(chars == 10)
-    first = np.concatenate(([0], ends[:-1] + 1))
-    for i in np.flatnonzero(np.isin(chars[first], _BLANK_CODES)).tolist():
-        first[i] += len(lines[i]) - len(lines[i].lstrip())
-    after = chars[np.minimum(first + 1, ends)]
-    single = (after == 10) | np.isin(after, _BLANK_CODES)
-    head = chars[first]
-    return (list(compress(lines, (single & (head == ord("v"))).tolist())),
-            list(compress(lines, (single & (head == ord("f"))).tolist())))
 
 
 def _raise_first_bad_record(path, text):
@@ -352,14 +321,17 @@ def _raise_first_bad_record(path, text):
 def read_obj(path):
     """Read a triangle mesh from a Wavefront OBJ file.
 
-    Only ``v`` and ``f`` records are interpreted; comments, blank lines
-    and all other record types are ignored.  A ``v`` record needs at
-    least 3 numbers and uses the first 3.  An ``f`` record has exactly 3
-    entries; an entry may carry texture or normal references
-    (``i/t/n``, ``i//n``), and only its leading vertex index is used.
-    That index must be positive (1-based): negative (relative) indices,
-    which the OBJ format allows, are rejected as not positive.  Numbers
-    are parsed by numpy's text parser, so they are plain ASCII decimal
+    Records are found by one ``str.split`` per line: a line is a record
+    of the kind that its first token names.  Only ``v`` and ``f``
+    records are interpreted; comments, blank lines and all other record
+    types are ignored, and a leading UTF-8 byte-order mark is skipped.
+    A ``v`` record needs at least 3 numbers and uses the first 3.  An
+    ``f`` record has exactly 3 entries; an entry may carry texture or
+    normal references (``i/t/n``, ``i//n``), and only its leading vertex
+    index is used.  That index must be positive (1-based): negative
+    (relative) indices, which the OBJ format allows, are rejected as not
+    positive.  The numbers of each record kind are parsed in bulk by one
+    call of numpy's text parser, so they are plain ASCII decimal
     literals (``inf`` and ``nan`` included); digit-group underscores and
     non-ASCII digits are rejected.
 
@@ -379,18 +351,28 @@ def read_obj(path):
         ``path: ...`` with the decoding error of a file that is not
         UTF-8 text; and the errors of :func:`build_mesh`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    v_lines, f_lines = _record_lines(text)
+    v_lines, f_lines = [], []
+    triangles = True
+    for line in text.split("\n"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if tokens[0] == "v":
+            v_lines.append(line)
+        elif tokens[0] == "f":
+            f_lines.append(line)
+            triangles = triangles and len(tokens) == 4
     try:
         if f_lines:
+            if not triangles:
+                raise ValueError("a face record has other than 3 entries")
             if "/" in text:
                 f_lines = _INDEX_SUFFIX.sub("", "\n".join(f_lines)).split("\n")
-            if len(" ".join(f_lines).split()) != 4 * len(f_lines):
-                raise ValueError("a face record has other than 3 entries")
             faces = np.loadtxt(f_lines, dtype=np.int64, usecols=(1, 2, 3),
                                comments=None, ndmin=2)
             if faces.min() < 1:

@@ -62,6 +62,14 @@ def _dimension(name, value):
     return value
 
 
+def _opening_angle(value):
+    """The cap's opening angle as a float, if 0 < value < pi."""
+    value = float(value)
+    if not 0.0 < value < np.pi:
+        raise ValueError(f"opening angle must lie in (0, pi), got {value}")
+    return value
+
+
 def _radius(value):
     """R, if 0 < R < inf, and R^4, the scale of the cap's load and the
     sphere's solution, if R^4 and 64 / R^4 are finite too (R from about
@@ -121,10 +129,7 @@ def cap_case(radius, theta0):
     -------
     SurfaceCase
     """
-    theta0 = float(theta0)
-    if not 0.0 < theta0 < np.pi:
-        raise ValueError(
-            f"opening angle must lie in (0, pi), got {theta0}")
+    theta0 = _opening_angle(theta0)
     radius, r4 = _radius(radius)
     c = np.cos(theta0)
 
@@ -314,9 +319,7 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     """
     rings = int(rings)
     _check_rings(rings)
-    if not 0.0 < float(theta0) < np.pi:
-        raise ValueError(
-            f"opening angle must lie in (0, pi), got {theta0}")
+    theta0 = _opening_angle(theta0)
     radius = _dimension("radius", radius)
 
     # Ring j holds vertices start[j-1] .. start[j-1] + 6j - 1; vertex 0

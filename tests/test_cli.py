@@ -50,6 +50,16 @@ class TestSolve:
         assert abs(u1.mean()) <= 1e-8
         assert np.max(np.abs(u1)) <= 1e-8
 
+    def test_obj_with_byte_order_mark(self, tmp_path):
+        path, out = tmp_path / "marked.obj", tmp_path / "out"
+        write_obj(surfaces.gen_cap_mesh(1.0, 3), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
+                     "--out", str(out)])
+        assert code == 0
+        u1, u2 = read_solution_csv(out / "solution.csv")
+        assert len(u1) == 37
+
     def test_harmonic_rhs(self, tmp_path):
         out = tmp_path / "out"
         code = main(["solve", "--case", "sphere", "--n", "2",
@@ -280,6 +290,19 @@ class TestConverge:
                               "sigma"}
         tree = ET.parse(out / "plot.svg")
         assert tree.getroot().tag.endswith("svg")
+
+    def test_failure_keeps_out_dir_with_files(self, tmp_path, capsys,
+                                              monkeypatch):
+        def fail(*args):
+            raise ValueError("no plot")
+
+        monkeypatch.setattr(cli, "_svg_loglog", fail)
+        out = tmp_path / "out"
+        code = main(["converge", "--case", "cap", "--levels", "2,3,4",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no plot\n"
+        assert sorted(os.listdir(out)) == ["rates.csv", "report.csv"]
 
     def test_sphere_rates(self, tmp_path):
         out = tmp_path / "out"

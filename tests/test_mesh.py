@@ -343,6 +343,11 @@ OBJ_SNIPPETS = {
     "empty": "",
 }
 
+# Every character but the line break "\n" that str.split() splits at:
+# \x85, \u3000, \x1d, \u2028, \x0c and the others.
+SPLIT_BLANKS = [c for c in map(chr, range(sys.maxunicode + 1))
+                if c.isspace() and c != "\n"]
+
 
 class TestObjIO:
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -375,10 +380,13 @@ class TestObjIO:
         with pytest.raises(FileNotFoundError):
             read_obj(tmp_path / "nope.obj")
 
-    def test_blanks_are_the_whitespace_of_str_split(self):
-        whitespace = {chr(c) for c in range(sys.maxunicode + 1)
-                      if chr(c).isspace()}
-        assert set(mesh_module._BLANKS) == whitespace - {"\n"}
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.obj", tmp_path / "marked.obj"
+        write_obj(gen_cap_mesh(1.0, 3), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, want = read_obj(marked), read_obj(plain)
+        assert_bit_identical(got.vertices, want.vertices)
+        assert_bit_identical(got.faces, want.faces)
 
     @pytest.mark.parametrize("name", sorted(OBJ_SNIPPETS))
     def test_matches_per_line_reader(self, tmp_path, name):
@@ -410,12 +418,12 @@ class TestObjIO:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
-        st.sampled_from(["", " ", "\t", " \xa0"]),
+        st.sampled_from(["", " \xa0", *SPLIT_BLANKS]),
         st.lists(st.sampled_from(
             ["v", "v", "f", "f", "vt", "#", "#v", "1", "2", "3", "4", "0",
              "-1", "+2", "1.5", "-0", "1e3", "inf", "nan", "x", "1/2",
              "2//3", "3/1/1", "/1", "1/", "", "v1"]), max_size=6),
-        st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c", "\u2003"]),
+        st.sampled_from(["  ", *SPLIT_BLANKS]),
         st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
     def test_fuzzed_lines_match_per_line_reader(self, tmp_path_factory,
                                                 lines):

@@ -360,7 +360,8 @@ class TestSphereCase:
 
 class TestCapMesh:
     @pytest.mark.parametrize("theta0, shown", [(0.0, "0.0"),
-                                               (np.pi, "3.14159")])
+                                               (np.pi, "3.14159"),
+                                               (0, "0.0"), (4, "4.0")])
     def test_invalid_angle(self, theta0, shown):
         with pytest.raises(ValueError, match=r"opening angle must lie in "
                                              rf"\(0, pi\), got {shown}"):
