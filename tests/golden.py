@@ -8,10 +8,12 @@ libm and BLAS rounding can move the last digits of another build.
 
 A change that alters the numerics on purpose rewrites the files with
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py [command ...]
 
-which prints, per command, the same summary as a failing test: each
-file that changed and the largest relative change of its numbers.
+which rewrites the named commands, or all of them when none is named.
+It prints the same summary as a failing test, each file that changed
+and the largest relative change of its numbers, and then the commands
+whose files stayed byte-identical.
 """
 
 import io
@@ -19,6 +21,7 @@ import json
 import math
 import platform
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -117,26 +120,36 @@ def version_note():
             f"the last digits" if changed else "")
 
 
-def regenerate():
-    """Rewrite every command's golden files and the versions; print what
-    changed."""
-    changed = []
+def regenerate(names=()):
+    """Rewrite the golden files of the commands ``names``, or of every
+    command when there are none, and the versions; print each file that
+    changed and the commands that stayed byte-identical."""
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        raise SystemExit(f"unknown command {', '.join(unknown)}; the "
+                         f"commands are {', '.join(COMMANDS)}")
+    changed, unchanged = [], []
     with tempfile.TemporaryDirectory() as scratch:
-        for name in COMMANDS:
+        for name in names or COMMANDS:
             files = run(name, Path(scratch) / name)
             target = GOLDEN / name
             if target.is_dir():
-                changed += differences(name, read(name), files)
+                lines = differences(name, read(name), files)
                 for old in target.iterdir():
                     old.unlink()
             else:
-                changed.append(f"{name}: new command")
+                lines = [f"{name}: new command"]
+            changed += lines
+            if not lines:
+                unchanged.append(name)
             target.mkdir(parents=True, exist_ok=True)
             for file, data in files.items():
                 (target / file).write_bytes(data)
     VERSIONS.write_text(json.dumps(versions(), indent=2) + "\n")
     print("\n".join(changed) if changed else "no golden file changed")
+    if unchanged:
+        print("byte-identical: " + ", ".join(unchanged))
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
