@@ -298,10 +298,12 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     """Concentric-ring triangulation of the spherical cap.
 
     Ring j (1 <= j <= rings) lies at polar angle theta0 * j / rings and
-    carries 6j vertices; consecutive rings are stitched by merging the
-    two angle sequences, and the innermost ring closes with a fan
-    around the pole vertex.  All vertices lie exactly on the sphere and
-    the outermost ring exactly on the boundary circle.
+    carries 6j vertices at azimuths 2 pi i / 6j; the innermost ring
+    closes with a fan around the pole vertex, and :func:`_stitch_rings`
+    joins consecutive rings in integer arithmetic, so the mesh is
+    invariant under rotation by pi/3 (vertex i of ring j to vertex
+    i + j).  All vertices lie exactly on the sphere and the outermost
+    ring exactly on the boundary circle.
 
     Parameters
     ----------
@@ -322,59 +324,54 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     theta0 = _opening_angle(theta0)
     radius = _dimension("radius", radius)
 
-    # Ring j holds vertices start[j-1] .. start[j-1] + 6j - 1; vertex 0
-    # is the pole.  The per-vertex arrays skip the pole: entry p belongs
-    # to vertex p + 1.
+    # Vertex 0 is the pole; vertex 3j(j - 1) + 1 + i is vertex i of
+    # ring j.  The per-vertex arrays skip the pole.
     j = np.arange(1, rings + 1)
-    counts = 6 * j
-    start = 1 + 3 * j * (j - 1)
-    index = np.arange(counts.sum()) - np.repeat(start - 1, counts)
-    phis = 2.0 * np.pi * index / np.repeat(counts, counts)
+    ring = np.repeat(j, 6 * j)
+    index = np.arange(ring.size) - 3 * ring * (ring - 1)
+    phis = 2.0 * np.pi * index / (6 * ring)
     theta = theta0 * j / rings
-    scaled_sin = np.repeat(radius * np.sin(theta), counts)
+    scaled_sin = (radius * np.sin(theta))[ring - 1]
     vertices = np.concatenate([
         [[0.0, 0.0, radius]],
         np.stack([scaled_sin * np.cos(phis), scaled_sin * np.sin(phis),
-                  np.repeat(radius * np.cos(theta), counts)], axis=1)])
+                  (radius * np.cos(theta))[ring - 1]], axis=1)])
 
-    return build_mesh(vertices, _stitch_rings(start, counts, phis))
+    return build_mesh(vertices, _stitch_rings(ring, index))
 
 
-def _stitch_rings(start, counts, phis):
-    """Faces of the mesh of :func:`gen_cap_mesh` from its rings: the
-    first vertex and the vertex count of each ring, and the angle of
-    every vertex but the pole.  Only the faces outlive the call."""
-    rings = counts.size
-    ring = np.repeat(np.arange(1, rings + 1), counts)
-    # Stitch ring j (inner) to ring j + 1 (outer) by merging the two
-    # rings' "next angle" sequences, each ending at 2 pi; on a tie the
-    # outer ring steps first.  Each step emits one triangle: an outer
-    # step k -> k + 1 one with apex at the current inner vertex i, an
-    # inner step i -> i + 1 one with apex at the current outer vertex k.
-    next_phi = np.append(phis[1:], 2.0 * np.pi)
-    next_phi[start + counts - 2] = 2.0 * np.pi
-    inner = np.flatnonzero(ring < rings)
-    outer = np.flatnonzero(ring > 1)
-    event = np.concatenate([outer, inner])
-    pair = np.concatenate([ring[outer] - 1, ring[inner]])
-    is_inner = np.repeat([0, 1], [outer.size, inner.size])
-    order = np.lexsort((is_inner, next_phi[event], pair))
-    pair, is_inner = pair[order], is_inner[order]
-    # Steps of each ring taken before this one within its ring pair.
-    inner_before = np.cumsum(is_inner) - is_inner
-    outer_before = np.arange(order.size) - inner_before
-    pair_first = np.searchsorted(pair, pair)
-    i = inner_before - inner_before[pair_first]
-    k = outer_before - outer_before[pair_first]
-    s_in, n_in = start[pair - 1], counts[pair - 1]
-    s_out, n_out = start[pair], counts[pair]
-    stitched = np.where(
-        is_inner[:, None] == 1,
-        np.stack([s_in + i, s_out + k % n_out, s_in + (i + 1) % n_in], 1),
-        np.stack([s_out + k, s_out + (k + 1) % n_out, s_in + i % n_in], 1))
-    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6),
-                    1 + (np.arange(1, 7) % 6)], axis=1)
-    return np.concatenate([fan, stitched])
+def _stitch_rings(ring, index):
+    """Faces of the mesh of :func:`gen_cap_mesh` from the ring and the
+    index within it of every vertex but the pole.
+
+    The pole's fan of 6 faces comes first.  Ring pair p stitches ring p
+    (inner, 6p vertices) to ring p + 1 (outer, 6p + 6) by walking both
+    rings once around, in the order of the azimuth each step reaches,
+    the outer ring first on ties.  Each step emits one face: inner step
+    i -> i + 1 one with apex at the current outer vertex k, outer step
+    k -> k + 1 one with apex at the current inner vertex i.  Inner step
+    i reaches 2 pi (i + 1) / 6p, outer step k 2 pi (k + 1) / (6p + 6), so
+    in integers inner step i comes after k = (i + 1)(p + 1) // p outer
+    steps, outer step k after i = (k + 2) p // (p + 1) - 1 inner steps,
+    and either is face 6p^2 + i + k.
+    """
+    rings = ring[-1]
+    first = np.arange(1, ring.size + 1) - index
+    fan = np.arange(6)
+    faces = np.empty((6 * rings * rings, 3), dtype=np.int64)
+    faces[:6] = np.stack([np.zeros_like(fan), 1 + fan, 1 + (fan + 1) % 6],
+                         axis=1)
+    inner = ring < rings
+    p, i, s = ring[inner], index[inner], first[inner]
+    k = (i + 1) * (p + 1) // p
+    faces[6 * p * p + i + k] = np.stack(
+        [s + i, s + 6 * p + k % (6 * p + 6), s + (i + 1) % (6 * p)], axis=1)
+    outer = ring > 1
+    p, k, s = ring[outer] - 1, index[outer], first[outer]
+    i = (k + 2) * p // (p + 1) - 1
+    faces[6 * p * p + i + k] = np.stack(
+        [s + k, s + (k + 1) % (6 * p + 6), s - 6 * p + i], axis=1)
+    return faces
 
 
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0

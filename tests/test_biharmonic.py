@@ -212,7 +212,7 @@ class TestCondensedDirichlet:
         monkeypatch.setattr(linalg._PermutedFactor, "solve", counting_solve)
         # Boundary-CG iterations per mass mode at each level.
         expected = [(cap_family(np.pi / 3.0, [16, 32, 64]),
-                     {"consistent": [11, 11, 11], "lumped": [17, 18, 19]}),
+                     {"consistent": [9, 9, 9], "lumped": [16, 18, 19]}),
                     (lantern_family("linear", [32]),
                      {"consistent": [1], "lumped": [1]})]
         for family, iterations in expected:

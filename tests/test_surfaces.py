@@ -370,6 +370,8 @@ class TestCapMesh:
     def test_matches_ring_by_ring_stitching(self):
         # Reference: each ring built on its own, ring pairs stitched by
         # walking both rings' next angles, the outer ring first on ties.
+        # Next angles 2 pi (k + 1) / n_out and 2 pi (i + 1) / n_in are
+        # compared exactly, as fractions of the full turn.
         def reference(theta0, rings, radius):
             vertices = [np.array([0.0, 0.0, radius])]
             ring_start = [None]
@@ -392,11 +394,8 @@ class TestCapMesh:
                 s_in, s_out = ring_start[j], ring_start[j + 1]
                 i = k = 0
                 while i < n_in or k < n_out:
-                    next_in = (inner_phis[i + 1] if i + 1 < n_in
-                               else 2.0 * np.pi)
-                    next_out = (outer_phis[k + 1] if k + 1 < n_out
-                                else 2.0 * np.pi)
-                    if k < n_out and (i == n_in or next_out <= next_in):
+                    if k < n_out and (i == n_in or (k + 1) * n_in
+                                      <= (i + 1) * n_out):
                         faces.append([s_out + k, s_out + (k + 1) % n_out,
                                       s_in + i % n_in])
                         k += 1
