@@ -282,13 +282,14 @@ _INDEX_SUFFIX = re.compile(r"(?<=[^\s/])/\S*")
 _WRITE_BLOCK_ROWS = 4096
 
 
-def _raise_first_bad_record(path, text):
+def _raise_first_bad_record(path, text, vertex_count=np.inf):
     """Raise the error of the first malformed ``v`` or ``f`` line.
 
-    Error reporting for :func:`read_obj` once its bulk parse has failed:
-    the lines are walked in order, and the first one that breaks a rule,
-    or has a number that ``float`` or ``int`` rejects, is named as
-    ``path:lineno: reason``.  Returns if no line does.
+    Error reporting for :func:`read_obj` once its bulk parse, or the
+    mesh of a file with a face index beyond ``vertex_count``, has
+    failed: the lines are walked in order, and the first one that
+    breaks a rule, or has a number that ``float`` or ``int`` rejects,
+    is named as ``path:lineno: reason``.  Returns if no line does.
     """
     for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
@@ -308,6 +309,10 @@ def _raise_first_bad_record(path, text):
                         raise ValueError("face indices must be positive")
                     if int(token) > np.iinfo(np.int64).max:
                         raise ValueError(f"face index {token} is too large")
+                    if int(token) > vertex_count:
+                        raise ValueError(
+                            f"face index {token} is out of range: the file "
+                            f"has {vertex_count} vertices")
             else:
                 continue
             for token in numbers:
@@ -346,10 +351,12 @@ def read_obj(path):
     Raises
     ------
     ValueError
-        ``path:lineno: ...`` naming the first malformed record,
-        ``path: no vertices found``, ``path: no faces found``, or
+        ``path:lineno: ...`` naming the first malformed record or the
+        first face with an index beyond the vertex count,
+        ``path: no vertices found``, ``path: no faces found``,
         ``path: ...`` with the decoding error of a file that is not
-        UTF-8 text; and the errors of :func:`build_mesh`.
+        UTF-8 text, or ``path: ...`` with an error of :func:`build_mesh`,
+        whose vertex and face numbers count from 0.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
@@ -387,7 +394,12 @@ def read_obj(path):
         raise ValueError(f"{path}: no vertices found")
     if not f_lines:
         raise ValueError(f"{path}: no faces found")
-    return build_mesh(vertices, faces - 1)
+    try:
+        return build_mesh(vertices, faces - 1)
+    except ValueError as exc:
+        if faces.max() > len(vertices):
+            _raise_first_bad_record(path, text, len(vertices))
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_rows(fh, row_format, rows):

@@ -18,6 +18,7 @@ leading shape (..., 3), a single point of shape (3,) included, and
 return one value or vector per point.
 """
 
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -51,6 +52,15 @@ class SurfaceCase(namedtuple("SurfaceCase", "distance solution exact_f")):
     """
 
     __slots__ = ()
+
+
+def _integer(name, value):
+    """``value`` as an int, if it is a Python or numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 def _dimension(name, value):
@@ -246,7 +256,7 @@ def real_harmonic(degree, order):
     unit sphere.  Raises ValueError unless l >= 0 and |m| <= l; the
     harmonic raises ValueError at the origin.
     """
-    l, m = int(degree), int(order)
+    l, m = _integer("degree", degree), _integer("order", order)
     if l < 0 or abs(m) > l:
         raise ValueError(
             f"need degree l >= 0 and |m| <= l, got l={l}, m={m}")
@@ -272,7 +282,7 @@ def sphere_case(radius, degree, order):
     -------
     SurfaceCase
     """
-    l, m = int(degree), int(order)
+    l, m = _integer("degree", degree), _integer("order", order)
     harmonic = real_harmonic(l, m)
     if l < 1:
         raise ValueError(
@@ -319,7 +329,7 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     TriMesh
         1 + 3 rings (rings+1) vertices and 6 rings^2 faces.
     """
-    rings = int(rings)
+    rings = _integer("rings", rings)
     _check_rings(rings)
     theta0 = _opening_angle(theta0)
     radius = _dimension("radius", radius)
@@ -423,7 +433,7 @@ def gen_icosphere(subdivisions, radius=1.0):
     TriMesh
         Closed, consistently outward oriented.
     """
-    k = int(subdivisions)
+    k = _integer("subdivisions", subdivisions)
     _check_subdivisions(k)
     radius = _dimension("radius", radius)
     # Vertices never move, so the final array is reserved first: a level
@@ -478,7 +488,7 @@ def gen_schwarz_lantern(m, n, radius=1.0, height=2.0):
         of ring j, at height z = -H/2 + H j / n, counted from the
         bottom ring.
     """
-    m, n = int(m), int(n)
+    m, n = _integer("m", m), _integer("n", n)
     if m < 3 or n < 2:
         raise ValueError(
             f"lantern needs m >= 3 and n >= 2, got m={m}, n={n}")
@@ -527,7 +537,7 @@ class RefinementFamily(namedtuple("RefinementFamily",
 def _family(label, case, levels, build, check_level):
     """The family of ``levels``, once ``check_level``, which builds no
     mesh, accepts each of them."""
-    levels = tuple(int(v) for v in levels)
+    levels = tuple(_integer("level", v) for v in levels)
     for level in levels:
         check_level(level)
     return RefinementFamily(label, case, levels, build)

@@ -192,6 +192,25 @@ class TestCondensedDirichlet:
                 assert 1 < report.iterations <= 25, (mode, rings)
                 assert report.relative_residual <= 1e-10, (mode, rings)
 
+    @pytest.mark.parametrize("theta0", [0.8, 1.05, 1.3])
+    def test_iterations_at_other_cap_angles(self, theta0):
+        family = cap_family(theta0, [16, 32, 64])
+        for rings, mesh in family.meshes():
+            f = interpolate(mesh, family.case.exact_f)
+            assert solve_mixed(mesh, f).solve_report.iterations <= 10, rings
+
+    def test_nearly_whole_sphere_cap(self):
+        # The rim of the cap at theta0 = 3.14159 is a circle of radius
+        # 2.7e-6; the faces next to it are needles, yet the boundary CG
+        # stays within twice the iterations of a pi/3 cap.
+        theta0 = 3.14159
+        mesh = gen_cap_mesh(theta0, 16)
+        report = solve_mixed(
+            mesh, interpolate(mesh, cap_case(1.0, theta0).exact_f)
+        ).solve_report
+        assert report.iterations <= 20
+        assert report.relative_residual <= 1e-10
+
     def test_one_factor_and_three_solves_per_step(self, monkeypatch):
         # Each clamped solve factors S_II once and makes three Poisson
         # solves per boundary-CG step (the product's extension and its

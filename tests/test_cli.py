@@ -148,6 +148,20 @@ class TestSolve:
         assert ("vertex 4 belongs to no face (1 unreferenced vertices)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("text, message", [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n",
+         "{path}:4: face index 9 is out of range: the file has 3 vertices"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\n",
+         "{path}: vertex 3 belongs to no face (1 unreferenced vertices)"),
+    ], ids=["face-index-out-of-range", "unused-vertex"])
+    def test_mesh_error_names_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.obj"
+        path.write_text(text)
+        code = main(["solve", "--mesh", str(path), "--rhs", "const:1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message.format(path=path) in capsys.readouterr().err
+
     def test_negative_face_indices_exit_2(self, tmp_path, capsys):
         # Relative OBJ indices are rejected, not resolved.
         path = tmp_path / "relative.obj"

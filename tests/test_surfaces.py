@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -414,6 +415,27 @@ class TestCapMesh:
                 assert (mesh.vertices.tobytes()
                         == np.ascontiguousarray(vertices).tobytes())
 
+    def test_invariant_under_sector_rotation(self):
+        # Rotation by pi/3 about the axis takes vertex i of ring j,
+        # 1 + 3j(j - 1) + i, to vertex i + j mod 6j of the same ring.
+        turn = np.array([[0.5, -np.sqrt(0.75), 0.0],
+                         [np.sqrt(0.75), 0.5, 0.0], [0.0, 0.0, 1.0]])
+
+        def face_set(faces):
+            # Each face from its smallest vertex, keeping its orientation.
+            shift = np.argmin(faces, axis=1)[:, None] + np.arange(3)
+            return set(map(tuple, np.take_along_axis(faces, shift % 3, 1)))
+
+        for rings in [*range(2, 21), 64]:
+            mesh = gen_cap_mesh(1.0, rings)
+            j = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+            first = 1 + 3 * j * (j - 1)
+            index = np.arange(1, j.size + 1) - first
+            rotate = np.concatenate([[0], first + (index + j) % (6 * j)])
+            assert np.allclose(mesh.vertices[rotate], mesh.vertices @ turn.T,
+                               rtol=0.0, atol=1e-14)
+            assert face_set(rotate[mesh.faces]) == face_set(mesh.faces), rings
+
     def test_counts_and_inscription(self):
         mesh = gen_cap_mesh(np.pi / 3.0, 2)
         assert mesh.n_vertices == 1 + 3 * 2 * 3
@@ -703,3 +725,25 @@ class TestRefinementFamilies:
         with pytest.raises(ValueError, match="coupling must be linear or "
                                              "quadratic, got 'cubic'"):
             lantern_family("cubic", [4, 8])
+
+
+class TestIntegerParameters:
+    # Each count, level, degree and order is taken as an int when it is
+    # a Python or numpy integer, and rejected otherwise, never truncated.
+    @pytest.mark.parametrize("make, name", [
+        (lambda value: real_harmonic(4, value), "order"),
+        (lambda value: sphere_case(1.0, value, 0), "degree"),
+        (lambda value: gen_cap_mesh(1.0, value), "rings"),
+        (lambda value: gen_icosphere(value), "subdivisions"),
+        (lambda value: gen_schwarz_lantern(value, 4), "m"),
+        (lambda value: cap_family(1.0, [value, 16]), "level"),
+    ], ids=["real_harmonic", "sphere_case", "gen_cap_mesh", "gen_icosphere",
+            "gen_schwarz_lantern", "family"])
+    def test_integers_only(self, make, name):
+        for value in (3, np.int64(3), np.uint8(3)):
+            make(value)
+        for value in (3.0, 3.9, np.float64(3.0), "3"):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} must be an integer, got "
+                                     rf"{re.escape(repr(value))}$"):
+                make(value)
