@@ -313,7 +313,10 @@ def gen_cap_mesh(theta0, rings, radius=1.0):
     joins consecutive rings in integer arithmetic, so the mesh is
     invariant under rotation by pi/3 (vertex i of ring j to vertex
     i + j).  All vertices lie exactly on the sphere and the outermost
-    ring exactly on the boundary circle.
+    ring exactly on the boundary circle.  As theta0 nears pi the last
+    rings keep 6j vertices on ever smaller circles, and the faces
+    there become needles: at rings 16 the smallest inradius / longest
+    edge is 0.134 at theta0 = 1, 0.024 at 3 and 4.4e-7 at 3.14159.
 
     Parameters
     ----------
