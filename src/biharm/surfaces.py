@@ -369,7 +369,7 @@ def _stitch_rings(ring, index):
     and either is face 6p^2 + i + k.
     """
     rings = ring[-1]
-    first = np.arange(1, ring.size + 1) - index
+    first = 1 + 3 * ring * (ring - 1)
     fan = np.arange(6)
     faces = np.empty((6 * rings * rings, 3), dtype=np.int64)
     faces[:6] = np.stack([np.zeros_like(fan), 1 + fan, 1 + (fan + 1) % 6],
