@@ -201,8 +201,8 @@ class TestCondensedDirichlet:
 
     def test_nearly_whole_sphere_cap(self):
         # The rim of the cap at theta0 = 3.14159 is a circle of radius
-        # 2.7e-6; the faces next to it are needles, yet the boundary CG
-        # stays within twice the iterations of a pi/3 cap.
+        # 2.7e-6 and the faces next to it are needles (inradius over
+        # longest edge 4.4e-7), yet the boundary CG converges.
         theta0 = 3.14159
         mesh = gen_cap_mesh(theta0, 16)
         report = solve_mixed(
