@@ -148,11 +148,11 @@ class MeshOperators:
     ``stiffness`` S and consistent ``mass`` M, filled on one pattern, and
     the sorted ``interior`` and ``boundary`` vertex indices.  :meth:`solve`
     is the one Poisson solve, and the bundle alone picks its solver,
-    built on first use: with a boundary the :func:`factor_spd` factor of
-    S_II = S[interior, :][:, interior], on a closed mesh the
-    :class:`~biharm.linalg.MultilevelCG` of S, which solves to ``tol`` /
-    100.  A solve builds its own bundle and drops it on return, so no
-    factor outlives it.
+    built on first use: the :func:`factor_spd` factor of S free on the
+    ``interior``, or on a closed mesh the
+    :class:`~biharm.linalg.MultilevelCG` of S to ``tol`` / 100.  Each
+    solves over all vertices, so :meth:`solve` has one path.  A solve
+    builds its own bundle and drops it on return, so no factor outlives it.
 
     On a closed mesh the constants span the kernel of S; :meth:`mean`,
     :meth:`project` and :meth:`solve` hold the one rule for them, which
@@ -175,11 +175,10 @@ class MeshOperators:
 
     @cached_property
     def _solver(self):
-        interior = self.interior
         if self._border is None:
-            return factor_spd(self.stiffness[interior, :][:, interior],
-                              self.mesh.vertices[interior])
-        return MultilevelCG(self.stiffness, self.mesh.vertices)
+            return factor_spd(self.stiffness, self.mesh.vertices,
+                              self.interior)
+        return MultilevelCG(self.stiffness, self.mesh.vertices, self.tol)
 
     def mean(self, u):
         """The M-weighted mean 1^T M u / 1^T M 1 of a nodal field on a
@@ -201,11 +200,7 @@ class MeshOperators:
         """The Poisson solve of a load ``b`` over all vertices: u, zero on
         the boundary, with S_II u_I = b_I; on a closed mesh, for b in
         range(S), the solution of S u = b with 1^T M u = 0."""
-        if self._border is None:
-            u = np.zeros(self.mesh.n_vertices)
-            u[self.interior] = self._solver.solve(b[self.interior])
-            return u
-        u = self._solver.solve(b, self.tol)
+        u = self._solver.solve(b)
         return u - self.mean(u)
 
 

@@ -60,6 +60,15 @@ def check_residual(lhs, rhs, tol, what):
     return res
 
 
+def _points_of(matrix, points):
+    """``points`` as floats, one row per unknown of the square ``matrix``."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or matrix.shape != (points.shape[0],) * 2:
+        raise ValueError(f"cannot order a {matrix.shape} matrix by points "
+                         f"of shape {points.shape}")
+    return points
+
+
 # Subdomains of at most this many vertices are not dissected further.
 # On the cap's S_II at rings 128 (49k unknowns) leaves of 16 to 64 gave
 # about the same order-plus-factor time (fill 3.9M to 4.3M); leaves of
@@ -100,12 +109,8 @@ def nested_dissection(matrix, points):
     perm : ndarray of int, shape (n,)
         ``matrix[perm][:, perm]`` is the reordered matrix.
     """
-    points = np.asarray(points, dtype=float)
+    points = _points_of(matrix, points)
     n = matrix.shape[0]
-    if matrix.shape[1] != n or points.ndim != 2 or points.shape[0] != n:
-        raise ValueError(
-            f"cannot order a {matrix.shape} matrix by points of shape "
-            f"{points.shape}")
     graph = sp.coo_matrix(matrix)
     upper = graph.row < graph.col
     rows = graph.row[upper].astype(np.intp)
@@ -159,59 +164,57 @@ def nested_dissection(matrix, points):
     return np.argsort(key, kind="stable")
 
 
-class _PermutedFactor(namedtuple("_PermutedFactor", "lu perm")):
-    """SuperLU factor ``lu`` of P A P^T, P the ordering ``perm``, that
-    solves with A itself."""
+class _PermutedFactor(namedtuple("_PermutedFactor", "lu index")):
+    """SuperLU factor ``lu`` of a matrix on its unknowns ``index``."""
 
     __slots__ = ()
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        x = np.empty_like(b)
-        x[self.perm] = self.lu.solve(b[self.perm])
+        x = np.zeros_like(b)
+        x[self.index] = self.lu.solve(b[self.index])
         return x
 
 
-def factor_spd(matrix, points):
-    """Sparse factor of a symmetric positive definite matrix.
+def factor_spd(matrix, points, free):
+    """Sparse factor of the SPD block ``matrix[free][:, free]``.
 
-    The matrix is permuted by :func:`nested_dissection` of ``points``
-    and factored by SuperLU in symmetric mode with diagonal pivots
-    only, which is stable for SPD matrices and keeps the sparsity the
-    ordering buys.  The factor's ``solve`` applies the inverse of the
-    unpermuted matrix; its accuracy is not checked here, so callers
-    must verify the residual of what they build from it.
+    The block is ordered by :func:`nested_dissection` of ``points[free]``
+    and factored by SuperLU (``lu``) in symmetric mode with diagonal
+    pivots only, which is stable for SPD matrices and keeps the sparsity
+    the ordering buys.  ``solve(b)``, b of shape (n,) or (n, k), returns
+    x, zero off ``free``, that meets the block's equations on ``free``,
+    by one gather and one scatter through ``index``, the free unknowns
+    in factor order.  Its accuracy is not checked here, so callers must
+    verify the residual of what they build from it.
 
     Parameters
     ----------
     matrix : scipy sparse matrix, shape (n, n)
     points : ndarray, shape (n, d)
         Coordinates of the unknowns, e.g. the mesh vertices they sit on.
-
-    Returns
-    -------
-    factor
-        With ``solve(b)`` for b of shape (n,) or (n, k), the ordering
-        ``perm`` and the SuperLU factor ``lu`` of the permuted matrix.
+    free : ndarray of int
+        The distinct unknowns to solve for.
 
     Raises
     ------
     ValueError
-        From :func:`nested_dissection`, if the matrix is not square or
-        ``points`` has not one row per unknown.
+        If the matrix is not square or ``points`` has not one row per
+        unknown.
     SingularError
         If SuperLU meets an exactly zero pivot.
     """
-    perm = nested_dissection(matrix, points)
-    permuted = sp.csc_matrix(sp.csr_matrix(matrix)[perm][:, perm])
+    block = sp.csr_matrix(matrix)[free][:, free]
+    perm = nested_dissection(block, _points_of(matrix, points)[free])
     try:
-        lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        lu = spla.splu(sp.csc_matrix(block[perm][:, perm]),
+                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularError(
-            f"sparse LU factorization of a {matrix.shape[0]} x "
-            f"{matrix.shape[0]} SPD matrix failed: {exc}") from exc
-    return _PermutedFactor(lu, perm)
+            f"sparse LU factorization of a {perm.size} x {perm.size} SPD "
+            f"matrix failed: {exc}") from exc
+    return _PermutedFactor(lu, np.asarray(free)[perm])
 
 
 # At most this many unknowns are factored: at icosphere 4 (2,561) a factor
@@ -304,21 +307,23 @@ def _chebyshev(matrix, inv_diag, lmax, b, x=None):
 
 
 class MultilevelCG:
-    """CG for S x = b, S symmetric positive semidefinite with the
-    constants as its kernel, preconditioned by a smoothed-aggregation
+    """CG for S x = b to ``tol``, S symmetric positive semidefinite with
+    the constants as its kernel, preconditioned by a smoothed-aggregation
     V-cycle (Vanek, Mandel & Brezina, Computing 56, 1996).  Each level
     aggregates, smooths the tentative prolongator of the kernel by one
     Jacobi step damped by 4 / (3 lmax), lmax from ten power steps of
     D^-1 A, and takes P^T A P as the next matrix, down to at most
     ``_COARSE_SIZE`` unknowns: the :func:`factor_spd` factor of that one,
-    grounded and ordered by aggregate centroids, solves off its kernel (a
-    matrix that small has no level, so CG stops after one step).  Two
-    Chebyshev steps smooth before and after each coarse correction, so
-    the V-cycle is symmetric.  The aggregation is seeded, and sums are
-    pairwise ``np.sum``: a BLAS dot rounds by the OpenBLAS thread count."""
+    free on all its unknowns but the first and ordered by aggregate
+    centroids, solves off its kernel (a matrix that small has no level,
+    so CG stops after one step).  Two Chebyshev steps smooth before and
+    after each coarse correction, so the V-cycle is symmetric.  The
+    aggregation is seeded, and sums are pairwise ``np.sum``: a BLAS dot
+    rounds by the OpenBLAS thread count."""
 
-    def __init__(self, matrix, points):
+    def __init__(self, matrix, points, tol):
         rng = np.random.default_rng(0)
+        self.tol = tol
         self.matrix = matrix = sp.csr_matrix(matrix)
         kernel = np.ones(matrix.shape[0])
         self.levels = []
@@ -341,22 +346,21 @@ class MultilevelCG:
                                axis=1) / np.bincount(agg)[:, None])
             kernel = norm
         self.kernel = kernel / np.sqrt(np.sum(kernel * kernel))
-        self.coarse = factor_spd(matrix[1:, 1:], points[1:])
+        self.coarse = factor_spd(matrix, points, np.arange(1, len(points)))
 
     def _cycle(self, level, b):
         """One V-cycle from ``level`` down, applied to the residual b."""
         if level == len(self.levels):
-            b = b - np.sum(self.kernel * b) * self.kernel
-            x = np.append(0.0, self.coarse.solve(b[1:]))
+            x = self.coarse.solve(b - np.sum(self.kernel * b) * self.kernel)
             return x - np.sum(self.kernel * x) * self.kernel
         matrix, inv_diag, lmax, prolong = self.levels[level]
         x = _chebyshev(matrix, inv_diag, lmax, b)
         x += prolong @ self._cycle(level + 1, prolong.T @ (b - matrix @ x))
         return _chebyshev(matrix, inv_diag, lmax, b, x)
 
-    def solve(self, b, tol):
+    def solve(self, b):
         """x with |b - S x| <= |b| tol / 100 for b in range(S), by
         :func:`pcg`; one step when the hierarchy has no level."""
         return pcg(lambda p: self.matrix @ p, b, lambda r: self._cycle(0, r),
-                   tol, b, f"multilevel CG of the {b.size} x {b.size} "
+                   self.tol, b, f"multilevel CG of the {b.size} x {b.size} "
                    f"stiffness solve")[0]

@@ -103,7 +103,8 @@ def discrete_laplacian(mesh, u1, tol=DEFAULT_TOL):
     u[mesh.boundary_vertices] = 0.0
     ops = MeshOperators(mesh)
     rhs = ops.stiffness @ u
-    v = factor_spd(ops.mass, mesh.vertices).solve(rhs)
+    v = factor_spd(ops.mass, mesh.vertices,
+                   np.arange(mesh.n_vertices)).solve(rhs)
     check_residual(ops.mass @ v, rhs, tol, f"mass solve of the discrete "
                    f"Laplacian on {mesh.n_vertices} vertices")
     return v

@@ -23,7 +23,7 @@ def poisson_1d(n):
 def factor_solve(matrix, b):
     """Solve through factor_spd, ordered by 1D points along the index."""
     points = np.arange(matrix.shape[0], dtype=float)[:, None]
-    return factor_spd(matrix, points).solve(b)
+    return factor_spd(matrix, points, np.arange(matrix.shape[0])).solve(b)
 
 
 class TestSolveSpd:
@@ -109,21 +109,22 @@ class TestFactorSpd:
     def test_matches_dense_solve(self, rng):
         s_ii, points = interior_stiffness(grid_mesh(4))
         b = rng.normal(size=s_ii.shape[0])
-        x = factor_spd(s_ii, points).solve(b)
+        x = factor_spd(s_ii, points, np.arange(s_ii.shape[0])).solve(b)
         assert x == pytest.approx(dense_solve_oracle(s_ii, b), abs=1e-12)
 
     def test_points_change_fill_not_solution(self, rng):
         s_ii, points = interior_stiffness(gen_cap_mesh(np.pi / 3.0, 16))
         b = rng.normal(size=(s_ii.shape[0], 2))
-        x = factor_spd(s_ii, points).solve(b)
+        free = np.arange(s_ii.shape[0])
+        x = factor_spd(s_ii, points, free).solve(b)
         for other in (rng.normal(size=points.shape),
                       np.zeros_like(points), points[:, :1]):
-            y = factor_spd(s_ii, other).solve(b)
+            y = factor_spd(s_ii, other, free).solve(b)
             assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
 
     def test_nested_dissection_fill_below_colamd(self):
         s_ii, points = interior_stiffness(gen_cap_mesh(np.pi / 3.0, 64))
-        factor = factor_spd(s_ii, points)
+        factor = factor_spd(s_ii, points, np.arange(s_ii.shape[0]))
         colamd = spla.splu(s_ii.tocsc(), diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         fill = factor.lu.L.nnz + factor.lu.U.nnz
@@ -132,12 +133,13 @@ class TestFactorSpd:
     def test_singular_raises(self):
         with pytest.raises(SingularError):
             factor_spd(sp.csr_matrix(np.diag([2.0, 0.0, 1.0])),
-                       np.zeros((3, 3)))
+                       np.zeros((3, 3)), np.arange(3))
 
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError, match=r"cannot order a \(2, 3\) "
                                              r"matrix by points of shape"):
-            factor_spd(sp.csr_matrix(np.ones((2, 3))), np.zeros((2, 3)))
+            factor_spd(sp.csr_matrix(np.ones((2, 3))), np.zeros((2, 3)),
+                       np.arange(2))
 
 
 @st.composite
@@ -181,7 +183,7 @@ class TestNestedDissection:
     def test_factor_fill_at_cap_rings_64(self):
         # The fill of the lexsort reference's order.
         s_ii, points = interior_stiffness(gen_cap_mesh(np.pi / 3.0, 64))
-        factor = factor_spd(s_ii, points)
+        factor = factor_spd(s_ii, points, np.arange(s_ii.shape[0]))
         assert (factor.lu.L.nnz, factor.lu.U.nnz) == (441931, 441931)
 
     def test_small_matrix_keeps_order(self):
