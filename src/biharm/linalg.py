@@ -51,9 +51,11 @@ def check_residual(lhs, rhs, tol, what):
     """Return the relative residual |lhs - rhs| / max(|lhs|, |rhs|, tiny)
     of the equation ``what``, raising NotConvergedError if it exceeds
     ``tol`` or is not finite.  Both sides carry one unit, so the
-    residual does not depend on the unit of length."""
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-    res = float(np.linalg.norm(lhs - rhs) / scale)
+    residual does not depend on the unit of length.  Sums are pairwise
+    ``np.sum``, as in :func:`pcg`."""
+    scale = max(np.sqrt(np.sum(lhs * lhs)), np.sqrt(np.sum(rhs * rhs)),
+                1e-300)
+    res = float(np.sqrt(np.sum(np.square(lhs - rhs))) / scale)
     if not res <= tol:
         raise NotConvergedError(
             f"{what} has relative residual {res:.3e} (tol {tol:.1e})")

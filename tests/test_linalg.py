@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biharm
 from biharm.fem import MeshOperators
 from biharm.linalg import (NotConvergedError, SingularError,
                            check_residual, factor_spd, nested_dissection, pcg)
@@ -95,6 +101,26 @@ class TestCheckResidual:
             check_residual(lhs, np.ones(2), 1e300, "x")
         with pytest.raises(NotConvergedError, match="nan"):
             check_residual(np.ones(2), lhs, 1e300, "x")
+
+    def test_independent_of_blas_threads(self):
+        # OpenBLAS splits a dot product of 10^6 entries over its threads,
+        # which reorders the sum; a pairwise np.sum does not change.
+        script = ("import numpy as np\n"
+                  "from biharm.linalg import check_residual\n"
+                  "rng = np.random.default_rng(0)\n"
+                  "lhs = rng.normal(size=10**6)\n"
+                  "rhs = lhs + 1e-12 * rng.normal(size=10**6)\n"
+                  "print(check_residual(lhs, rhs, 1.0, 'x').hex())\n")
+        src = str(Path(biharm.__file__).resolve().parents[1])
+        results = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            results.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert results[0] == results[1]
 
 
 def test_pcg_breakdown_names_step():

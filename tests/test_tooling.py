@@ -5,8 +5,9 @@ only for the numerical failures a caller catches; no module of the
 package imports another's private name or reads another object's
 private attribute; every public method of the package is read by the
 package, a demo or the benchmark; a class whose constructor only stores
-its arguments is a namedtuple; and every test of a ValueError checks
-which one it got."""
+its arguments is a namedtuple; every test of a ValueError checks which
+one it got; and the package sums without BLAS dot products, whose
+rounding depends on the OpenBLAS thread count."""
 
 import ast
 import subprocess
@@ -140,3 +141,20 @@ def test_every_value_error_test_checks_its_message():
                         or any(k.arg == "match" for k in node.keywords)), (
                     f"{path.name}:{node.lineno}: pytest.raises(ValueError) "
                     f"checks no message")
+
+
+def test_package_sums_without_blas_dot_products():
+    # np.sum is pairwise whatever the thread count; a norm along an axis
+    # is a ufunc reduction, but a whole-array norm is a BLAS dot.
+    def blas_dot(call):
+        name = ast.unparse(call.func)
+        if name == "np.linalg.norm":
+            return len(call.args) < 3 and all(k.arg != "axis"
+                                              for k in call.keywords)
+        return name in ("np.vdot", "np.inner") or base_name(call.func) == "dot"
+
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path, tree in parsed("src/biharm")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and blas_dot(node)]
+    assert found == []
