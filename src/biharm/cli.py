@@ -408,7 +408,8 @@ def cmd_quality(args):
                          "quality needs --mesh FILE or --case KIND")
     levels = [] if args.mesh is not None else cfg[spec.level_field]
     if args.mesh is not None:
-        _refuse(args, ("levels",), "does not apply to quality --mesh")
+        _refuse(args, ("levels", "theta0", "coupling", "H"),
+                "does not apply to quality --mesh")
     elif not levels or len(set(levels)) < len(levels):
         raise ValueError(f"quality needs one or more distinct levels, "
                          f"got {levels}")

@@ -624,6 +624,12 @@ class TestInputErrors:
          "got 1000000000000"),
         (["quality", "--mesh", "any.obj", "--case", "sphere", "--levels",
           "1,1,1"], None, "--levels does not apply to quality --mesh"),
+        (["quality", "--mesh", "any.obj", "--case", "cap", "--theta0", "0.3"],
+         None, "--theta0 does not apply to quality --mesh"),
+        (["quality", "--mesh", "any.obj", "--case", "lantern", "--coupling",
+          "quadratic"], None, "--coupling does not apply to quality --mesh"),
+        (["quality", "--mesh", "any.obj", "--case", "lantern", "--H", "5"],
+         None, "--H does not apply to quality --mesh"),
         (["solve", "--mesh", "any.obj", "--n", "5", "--rhs", "const:1"],
          None, "--n does not apply to solve --mesh"),
         (["solve", "--mesh", "any.obj", "--case", "cap", "--rhs", "const:1"],
@@ -653,6 +659,8 @@ class TestInputErrors:
             "solve-cap-level-below-2", "converge-quadratic-level-below-3",
             "quality-cap-level-below-2", "quality-sphere-level-beyond-int64",
             "solve-sphere-level-beyond-int64", "quality-mesh-with-levels",
+            "quality-mesh-with-theta0", "quality-mesh-with-coupling",
+            "quality-mesh-with-H",
             "solve-mesh-with-n", "solve-mesh-with-case",
             "solve-mesh-with-theta0", "quality-with-solver-flags",
             "quality-with-harmonic-flags", "solve-cap-R4-overflows",
