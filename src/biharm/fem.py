@@ -148,10 +148,10 @@ class MeshOperators:
     ``stiffness`` S and consistent ``mass`` M, filled on one pattern, and
     the sorted ``interior`` and ``boundary`` vertex indices.  :meth:`solve`
     is the one Poisson solve, and the bundle alone picks its solver,
-    built on first use: the :func:`factor_spd` factor of S free on the
-    ``interior``, or on a closed mesh the
-    :class:`~biharm.linalg.MultilevelCG` of S to ``tol`` / 100.  Each
-    solves over all vertices, so :meth:`solve` has one path.  A solve
+    built on first use: with a boundary the :func:`factor_spd` factor of
+    S free on ``interior``, which slices S_II itself, on a closed mesh
+    the :class:`~biharm.linalg.MultilevelCG` of S to ``tol`` / 100.  Both
+    solve over all vertices, so :meth:`solve` has one path.  A solve
     builds its own bundle and drops it on return, so no factor outlives it.
 
     On a closed mesh the constants span the kernel of S; :meth:`mean`,
